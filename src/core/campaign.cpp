@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -341,6 +342,10 @@ Campaign CampaignRunner::run() {
   std::atomic<int> next{0};
   std::mutex progress_mutex;
   int done = 0;
+  // A run that throws stops the pool; the lowest-indexed failure is
+  // rethrown after the join, so every worker count reports the same one.
+  std::exception_ptr error;
+  int error_index = total;
   auto worker = [&] {
     for (int i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
       const ScenarioSpec& spec =
@@ -348,16 +353,25 @@ Campaign CampaignRunner::run() {
       const std::uint64_t seed =
           options_.first_seed + static_cast<std::uint64_t>(i % seeds);
       const auto begin = std::chrono::steady_clock::now();
-      Results results = run_scenario(spec, options_.duration, seed,
-                                     options_.obs);
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - begin;
-      auto& slot = records[static_cast<std::size_t>(i)];
-      slot = RunRecord{spec.id, seed, spec.system(), std::move(results),
-                       elapsed.count()};
-      if (options_.progress) {
+      try {
+        Results results = run_scenario(spec, options_.duration, seed,
+                                       options_.obs);
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - begin;
+        auto& slot = records[static_cast<std::size_t>(i)];
+        slot = RunRecord{spec.id, seed, spec.system(), std::move(results),
+                         elapsed.count()};
+        if (options_.progress) {
+          std::lock_guard lock(progress_mutex);
+          options_.progress(++done, total, slot);
+        }
+      } catch (...) {
         std::lock_guard lock(progress_mutex);
-        options_.progress(++done, total, slot);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+        next = total;
       }
     }
   };
@@ -370,6 +384,7 @@ Campaign CampaignRunner::run() {
     for (int t = 0; t < jobs; ++t) pool.emplace_back(worker);
     for (auto& thread : pool) thread.join();
   }
+  if (error) std::rethrow_exception(error);
 
   const std::chrono::duration<double> campaign_elapsed =
       std::chrono::steady_clock::now() - campaign_begin;

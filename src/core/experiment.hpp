@@ -1,12 +1,12 @@
 // Experiment harness: the paper's test campaign as a library.
 //
-// A Narada experiment stands up brokers (single or DBN) on the Hydra model,
-// a fleet of simulated power generators (one client connection each, the
-// paper's "concurrent connections"), and subscriber programs; an R-GMA
-// experiment stands up registry/producer/consumer services, producer
-// clients, and a polling subscriber, optionally routing through a Secondary
-// Producer. Both return the same Results bundle the paper's figures are
-// drawn from.
+// Every backend runs through one lifecycle (core/run_scaffold.hpp): a
+// fleet of simulated power generators (one client connection each, the
+// paper's "concurrent connections") publishes through a per-middleware
+// BackendPort into a subscriber program — Narada brokers (single or DBN),
+// R-GMA registry/producer/consumer services polled by a subscriber
+// (optionally through a Secondary Producer), or an MQTT broker. All of
+// them return the same Results bundle the paper's figures are drawn from.
 #pragma once
 
 #include <cstdint>
@@ -116,9 +116,18 @@ struct ReplayConfig {
   int max_retries = 2;
 };
 
+/// The knobs every harness config shares. `run_scenario` overrides all
+/// three from the campaign, so a spec stays a pure description.
+struct RunConfig {
+  SimTime duration = units::minutes(30);  ///< per-generator publishing window
+  std::uint64_t seed = 1;
+  /// Observability (off by default; see obs/recorder.hpp).
+  obs::Options obs;
+};
+
 // --- NaradaBrokering ---------------------------------------------------------
 
-struct NaradaConfig {
+struct NaradaConfig : RunConfig {
   /// Backend name, carried by the config type itself so dispatch and
   /// display never switch on variant indices (see ScenarioSpec::system()).
   static constexpr const char* kBackend = "narada";
@@ -133,23 +142,19 @@ struct NaradaConfig {
   /// The paper ran non-persistent delivery; kPersistent makes the broker
   /// write every event to stable storage first (ablation).
   jms::DeliveryMode delivery_mode = jms::DeliveryMode::kNonPersistent;
-  SimTime duration = units::minutes(30);  ///< per-generator publishing window
-  std::uint64_t seed = 1;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
   /// Reconnect backfill replication (brokers retain published frames;
   /// reconnecting clients replay their gap, including after failing over
   /// to a surviving DBN broker).
   ReplayConfig replay;
-  /// Observability (off by default; see obs/recorder.hpp).
-  obs::Options obs;
 };
 
 [[nodiscard]] Results run_narada_experiment(const NaradaConfig& config);
 
 // --- R-GMA -------------------------------------------------------------------
 
-struct RgmaConfig {
+struct RgmaConfig : RunConfig {
   static constexpr const char* kBackend = "rgma";
   /// Shared fleet/recovery knobs. `fleet.generators` is the paper's
   /// producer count; `fleet.recovery` enables the redeclare/renewal/retry
@@ -166,8 +171,6 @@ struct RgmaConfig {
   bool via_secondary_producer = false;  ///< Fig 10 chain
   SimTime secondary_delay = units::seconds(30);
   SimTime poll_period = units::milliseconds(100);
-  SimTime duration = units::minutes(30);
-  std::uint64_t seed = 1;
   /// HTTPS between R-GMA components (the paper avoided it; ablation).
   bool secure = false;
   /// Legacy StreamProducer/Archiver delivery path (the API related work
@@ -192,15 +195,13 @@ struct RgmaConfig {
   /// are governed by the producers' TupleStore config, not
   /// `replay.retention`.
   ReplayConfig replay;
-  /// Observability (off by default; see obs/recorder.hpp).
-  obs::Options obs;
 };
 
 [[nodiscard]] Results run_rgma_experiment(const RgmaConfig& config);
 
 // --- MQTT -------------------------------------------------------------------
 
-struct MqttConfig {
+struct MqttConfig : RunConfig {
   static constexpr const char* kBackend = "mqtt";
   /// Shared fleet/recovery knobs (backoff_* drive the reconnect policy).
   /// The modern fleet boots faster than the 2007 clients, hence the
@@ -230,8 +231,6 @@ struct MqttConfig {
   /// Client-side QoS 1/2 redelivery timeout (DUP retransmission).
   SimTime retransmit_timeout = units::seconds(2);
   int broker_host = 0;
-  SimTime duration = units::minutes(30);
-  std::uint64_t seed = 1;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
   /// Offline-queue retention for persistent sessions: bounds the QoS 1/2
@@ -239,8 +238,6 @@ struct MqttConfig {
   /// counter) instead of letting it grow unboundedly. `enabled` here also
   /// turns the queue bound on.
   ReplayConfig replay;
-  /// Observability (off by default; see obs/recorder.hpp).
-  obs::Options obs;
 };
 
 [[nodiscard]] Results run_mqtt_experiment(const MqttConfig& config);

@@ -149,9 +149,47 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     }
     event.at = at;
     event.duration = duration;
+    if (duration < 0 || (event.anchor == FaultAnchor::kRunStart && at < 0) ||
+        !(event.param >= 0.0 && event.param <= 1.0)) {
+      throw std::invalid_argument("fault event out of range: " + line);
+    }
     plan.events.push_back(event);
   }
   return plan;
+}
+
+void FaultPlan::check_targets(const FaultTargets& targets) const {
+  for (const FaultEvent& event : events) {
+    auto require = [&](int target, int count, const char* what) {
+      if (target >= 0 && target < count) return;
+      std::string line = FaultPlan{{event}}.serialise();
+      line.pop_back();  // the newline
+      throw std::invalid_argument("fault event '" + line + "': " + what +
+                                  " target " + std::to_string(target) +
+                                  " outside [0, " + std::to_string(count) +
+                                  ")");
+    };
+    switch (event.kind) {
+      case FaultKind::kNicDown:
+        require(event.target, targets.nodes, "LAN node");
+        break;
+      case FaultKind::kLinkLoss:
+        require(event.target, targets.nodes, "LAN node");
+        require(event.target2, targets.nodes, "LAN node");
+        break;
+      case FaultKind::kBrokerCrash:
+        require(event.target, targets.brokers, "broker");
+        break;
+      case FaultKind::kProducerServletRestart:
+        require(event.target, targets.producer_services, "producer service");
+        break;
+      case FaultKind::kConsumerServletRestart:
+        require(event.target, targets.consumer_services, "consumer service");
+        break;
+      default:
+        break;
+    }
+  }
 }
 
 bool in_fault_window(const std::vector<FaultWindow>& windows, SimTime now) {

@@ -41,8 +41,8 @@ enum class FaultKind {
   kDbnPartition,    ///< cut the inter-broker links for `duration`
   kBrokerCrash,     ///< target = broker index; restart after `duration` dwell
   kRegistryRestart,       ///< registry container down `duration`, state wiped
-  kProducerServletRestart,  ///< target = service index (-1 = all)
-  kConsumerServletRestart,  ///< target = service index (-1 = all)
+  kProducerServletRestart,  ///< target = producer service index
+  kConsumerServletRestart,  ///< target = consumer service index
   kRegistryExpiry,  ///< force one soft-state expiry sweep immediately
   kRegistryHalfOpen,  ///< registry accepts connections but never responds
 };
@@ -69,6 +69,14 @@ struct FaultEvent {
 struct FaultWindow {
   SimTime begin = 0;
   SimTime end = 0;
+};
+
+/// What a run's topology offers as fault targets.
+struct FaultTargets {
+  int nodes = 0;  ///< LAN nodes (nic_down, link_loss)
+  int brokers = 0;
+  int producer_services = 0;
+  int consumer_services = 0;
 };
 
 struct FaultPlan {
@@ -105,8 +113,14 @@ struct FaultPlan {
 
   /// One event per line: `kind anchor at_ns duration_ns target target2 param`.
   [[nodiscard]] std::string serialise() const;
-  /// Inverse of serialise(); throws std::invalid_argument on malformed input.
+  /// Inverse of serialise(); throws std::invalid_argument on malformed input
+  /// (including a negative duration, a negative `at` under the start anchor
+  /// or a probability outside [0, 1]).
   [[nodiscard]] static FaultPlan parse(std::string_view text);
+
+  /// Throws std::invalid_argument naming the first event whose target the
+  /// topology does not have.
+  void check_targets(const FaultTargets& targets) const;
 };
 
 /// True when `now` falls inside any of the (sorted, absolute) windows.

@@ -1,203 +1,84 @@
-// Hierarchical aggregation harness: see core/hier_experiment.hpp.
-//
-// Tier map onto the Hydra testbed: the backend server (broker / R-GMA
-// services) keeps host 0 and the root subscriber host 1, exactly like the
-// flat harnesses; regional publishers round-robin over the remaining
-// hosts. Generators and edge aggregators are *not* hosts — they are
-// flyweight state (hier::FleetState) plus synthesis-at-window-close logic
-// (hier::EdgeAggregator), so only regionals × backend-client objects scale
-// with the tree, not with the generator count.
+// Hierarchical aggregation harness: see core/hier_experiment.hpp. The
+// backend server keeps host 0 and the root subscriber host 1, as in the
+// flat harnesses; regionals round-robin over the other hosts. Generators
+// and edges are flyweight state (hier::FleetState) synthesised at window
+// close (hier::EdgeAggregator), so only regionals × clients scale with the
+// tree. Regionals publish frames through the flat fleets' BackendPort; the
+// scaffold's ledger accounts each delivered frame per sample.
 
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "cluster/costs.hpp"
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
 #include "core/hier_experiment.hpp"
-#include "core/payloads.hpp"
+#include "core/run_scaffold.hpp"
 #include "hier/aggregator.hpp"
-#include "mqtt/broker.hpp"
-#include "mqtt/client.hpp"
-#include "narada/client.hpp"
-#include "narada/dbn.hpp"
-#include "rgma/api.hpp"
-#include "rgma/network.hpp"
 #include "util/intern.hpp"
 
 namespace gridmon::core {
 
 const char* to_string(HierBackend backend) {
   switch (backend) {
-    case HierBackend::kNarada:
-      return "narada";
-    case HierBackend::kRgma:
-      return "rgma";
-    case HierBackend::kMqtt:
-      return "mqtt";
+    case HierBackend::kNarada: return "narada";
+    case HierBackend::kRgma: return "rgma";
+    case HierBackend::kMqtt: return "mqtt";
   }
   return "unknown";
 }
 
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
-constexpr SimTime kDrainTime = units::seconds(60);
-constexpr const char* kTopic = "powergrid/monitoring";
-constexpr const char* kTable = "generators";
-constexpr std::uint16_t kMqttPort = 1883;
-constexpr int kServerHost = 0;
-constexpr int kRootHost = 1;
-
-/// An upstream frame awaiting its root delivery. before_sending is the
-/// frame's oldest collected sample's send time, so the recorded RTT is the
-/// worst-case staleness the frame imposed on any sample it carries.
-struct FrameRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-  hier::UpstreamFrame frame;
-};
-
-[[nodiscard]] std::int64_t row_key(std::int64_t id, std::int64_t seq) {
-  return id * 1'000'000'000 + seq;
-}
-
-/// Shared run state the regionals and the root both touch.
-struct HierRun {
-  cluster::Hydra& hydra;
-  const HierConfig& config;
-  hier::TreeConfig tree;
-  Metrics& metrics;
-  obs::HistogramSeries* rtt_series = nullptr;
-  /// Frames in flight, keyed by backend message id (Narada/MQTT) or by
-  /// row_key (R-GMA). Only one map is populated per run.
-  std::unordered_map<std::string, FrameRecord> in_flight;
-  std::unordered_map<std::int64_t, FrameRecord> rgma_in_flight;
-  /// Interned topic/name storage shared by the regional tier (the
-  /// flyweight satellite: one arena instead of per-node strings).
-  util::StringTable names;
-  std::uint64_t frames_published = 0;
-  std::uint64_t frames_delivered = 0;
-
-  HierRun(cluster::Hydra& h, const HierConfig& c, Metrics& m)
-      : hydra(h), config(c), metrics(m) {}
-};
-
-/// Root-side accounting for one delivered frame. record() covers the
-/// oldest sample (keeping the RTT distribution honest about staleness);
-/// the remaining samples are recomputed from the flyweight state so the
-/// received/late counters stay per-sample.
-void account_delivery(HierRun& run, const FrameRecord& record,
-                      SimTime arrived_at) {
-  const SimTime now = run.hydra.sim().now();
-  run.metrics.record(record.before_sending, record.after_sending, arrived_at,
-                     now);
-  if (run.rtt_series != nullptr) {
-    run.rtt_series->record(units::to_millis(now - record.before_sending));
-  }
-  constexpr SimTime kDeadline = units::seconds(5);
-  std::int64_t collected = 0;
-  std::uint64_t late = 0;
-  for (const hier::EdgeFrame& segment : record.frame.segments) {
-    run.tree.for_each_sample(
-        segment.edge, segment.window,
-        [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
-          if (lost) return;
-          ++collected;
-          if (now - send > kDeadline) ++late;
-        });
-  }
-  if (collected > 0) {
-    run.metrics.count_received(static_cast<std::uint64_t>(collected - 1));
-  }
-  const std::uint64_t oldest_late =
-      now - record.before_sending > kDeadline ? 1 : 0;
-  if (late > oldest_late) run.metrics.count_delivered_late(late - oldest_late);
-  ++run.frames_delivered;
-}
-
-/// One regional publisher: owns this subtree's EdgeAggregators, a
-/// RegionalAggregator, and the backend client that carries its upstream
-/// frames. Created on the connection stagger like the flat fleets; a
-/// refused connection (the server's OOM wall) silences the whole subtree,
-/// and is counted as one refusal per *descendant generator* so the
-/// refused/loss accounting stays comparable with flat runs.
+/// One regional publisher: this subtree's EdgeAggregators, a
+/// RegionalAggregator and the port client carrying its frames. A refused
+/// connection (the server's OOM wall) silences the subtree and counts one
+/// refusal per *descendant generator*, comparable with flat runs.
 class Regional {
  public:
-  Regional(HierRun& run, std::int64_t id, int host)
+  Regional(RunScaffold& run, BackendPort& port, const hier::TreeConfig& tree,
+           util::StringTable& names, std::int64_t id)
       : run_(run),
+        port_(port),
+        tree_(tree),
         id_(id),
-        host_(host),
-        rng_(run.hydra.sim().rng_stream("hier.regional").stream(
+        rng_(run.sim().rng_stream("hier.regional").stream(
             static_cast<std::uint64_t>(id))),
-        aggregator_(run.tree, id,
+        aggregator_(tree, id,
                     [this](hier::UpstreamFrame frame) {
                       publish(std::move(frame));
                     }),
-        topic_(run.names.intern("powergrid/region" + std::to_string(id) +
-                                "/agg")) {
-    const auto& shape = run_.tree.shape;
-    for (std::int64_t e = shape.edge_begin(id); e < shape.edge_end(id); ++e) {
-      edges_.emplace_back(run_.tree, e);
+        names_(names),
+        // One shared arena instead of per-node topic strings.
+        topic_(names.intern("powergrid/region" + std::to_string(id) +
+                            "/agg")) {
+    for (std::int64_t e = tree.shape.edge_begin(id);
+         e < tree.shape.edge_end(id); ++e) {
+      edges_.emplace_back(tree, e);
     }
     next_window_.assign(edges_.size(), 0);
   }
 
-  /// Wire the backend client (exactly one per regional).
-  void attach_narada(cluster::Hydra& hydra, net::Endpoint broker,
-                     narada::TransportKind transport) {
-    const auto port = static_cast<std::uint16_t>(10000 + id_ % 50000);
-    narada_ = narada::NaradaClient::create(hydra.host(host_), hydra.lan(),
-                                           hydra.streams(), broker,
-                                           net::Endpoint{host_, port},
-                                           transport);
-  }
-  void attach_mqtt(cluster::Hydra& hydra, net::Endpoint broker) {
-    const auto port = static_cast<std::uint16_t>(10000 + id_ % 50000);
-    mqtt::MqttClientOptions options;
-    options.client_id = "regional-" + std::to_string(id_);
-    mqtt_ = mqtt::MqttClient::create(hydra.host(host_), hydra.lan(),
-                                     hydra.streams(), broker,
-                                     net::Endpoint{host_, port},
-                                     std::move(options));
-  }
-  void attach_rgma(cluster::Hydra& hydra, net::HttpClient& http,
-                   net::Endpoint service) {
-    producer_ = std::make_unique<rgma::PrimaryProducer>(
-        hydra.host(host_), http, service, static_cast<int>(id_), kTable);
-  }
-
   void start() {
-    auto on_ready = [this](bool ok) {
+    port_.connect(id_, [this](bool ok) {
       if (!ok) {
-        run_.metrics.count_refused_connection(static_cast<std::uint64_t>(
-            run_.tree.shape.generators_under(id_)));
+        run_.refuse(static_cast<std::uint64_t>(
+            tree_.shape.generators_under(id_)));
         return;
       }
       start_tree();
-    };
-    if (narada_) {
-      narada_->connect(on_ready);
-    } else if (mqtt_) {
-      mqtt_->connect(on_ready);
-    } else {
-      producer_->declare(on_ready);
-    }
+    });
   }
 
  private:
   void start_tree() {
     for (std::size_t i = 0; i < edges_.size(); ++i) {
-      run_.hydra.sim().schedule_at(edges_[i].close_time(0),
-                                   [this, i] { run_edge(i); });
+      run_.sim().schedule_at(edges_[i].close_time(0),
+                             [this, i] { run_edge(i); });
     }
-    const SimTime first = run_.tree.epoch + run_.config.topology.regional.window +
-                          aggregator_.flush_offset();
-    flush_timer_ = sim::PeriodicTimer(run_.hydra.sim(), first,
-                                      run_.config.topology.regional.window,
+    const SimTime window = tree_.spec.regional.window;
+    const SimTime first = tree_.epoch + window + aggregator_.flush_offset();
+    flush_timer_ = sim::PeriodicTimer(run_.sim(), first, window,
                                       [this] { aggregator_.flush(); });
   }
 
@@ -206,135 +87,39 @@ class Regional {
     std::int64_t generated = 0;
     hier::EdgeFrame frame = edges_[i].close_window(window, generated);
     if (generated > 0) {
-      run_.metrics.count_sent(static_cast<std::uint64_t>(generated));
+      run_.metrics().count_sent(static_cast<std::uint64_t>(generated));
     }
     if (frame.collected > 0) aggregator_.deliver(std::move(frame));
-    if (next_window_[i] < run_.tree.windows) {
-      run_.hydra.sim().schedule_at(edges_[i].close_time(next_window_[i]),
-                                   [this, i] { run_edge(i); });
+    if (next_window_[i] < tree_.windows) {
+      run_.sim().schedule_at(edges_[i].close_time(next_window_[i]),
+                             [this, i] { run_edge(i); });
     }
   }
 
+  /// A frame is sent as of its oldest sample, so its RTT is the worst
+  /// staleness it imposed on any sample it carries.
   void publish(hier::UpstreamFrame frame) {
-    ++run_.frames_published;
-    if (narada_) {
-      // Frame wire size rides as message padding on top of the standard
-      // monitoring MapMessage.
-      std::int64_t pad = frame.bytes - cluster::costs::kNaradaMessageBytes;
-      if (pad < 0) pad = 0;
-      jms::Message msg = make_generator_message(kTopic, id_, sequence_++,
-                                                narada_->local().node, rng_,
-                                                pad);
-      // The client stamps "ID:node-port-<n>" with its own counter starting
-      // at 1, so the key uses the post-increment sequence (the same idiom
-      // as the flat Narada harness).
-      const std::string key = "ID:" + std::to_string(narada_->local().node) +
-                              "-" + std::to_string(narada_->local().port) +
-                              "-" + std::to_string(sequence_);
-      run_.in_flight.emplace(key,
-                             FrameRecord{frame.oldest_send, frame.oldest_send,
-                                         std::move(frame)});
-      narada_->publish(std::move(msg), [this, key](SimTime after) {
-        const auto it = run_.in_flight.find(key);
-        if (it != run_.in_flight.end()) it->second.after_sending = after;
-      });
-    } else if (mqtt_) {
-      const std::string key =
-          "hier-" + std::to_string(id_) + "-" + std::to_string(sequence_++);
-      const std::string topic{run_.names.view(topic_)};
-      const std::int64_t payload = frame.bytes;
-      run_.in_flight.emplace(key,
-                             FrameRecord{frame.oldest_send, frame.oldest_send,
-                                         std::move(frame)});
-      mqtt_->publish(topic, payload, /*qos=*/0, /*retain=*/false, key,
-                     [this, key](SimTime after) {
-                       const auto it = run_.in_flight.find(key);
-                       if (it != run_.in_flight.end()) {
-                         it->second.after_sending = after;
-                       }
-                     });
-    } else {
-      // R-GMA rows are fixed-size (the paper's 16-column schema), so the
-      // frame's modelled wire size is not inflated onto the INSERT; the
-      // aggregation still shows up as 1/batch the insert *count*.
-      const std::int64_t seq = sequence_++;
-      const std::int64_t key = row_key(id_, seq);
-      auto row = make_generator_row(id_, seq, frame.oldest_send, rng_);
-      run_.rgma_in_flight.emplace(
-          key, FrameRecord{frame.oldest_send, frame.oldest_send,
-                           std::move(frame)});
-      producer_->insert(std::move(row), [this, key](bool ok, SimTime after) {
-        const auto it = run_.rgma_in_flight.find(key);
-        if (it == run_.rgma_in_flight.end()) return;
-        if (ok) {
-          it->second.after_sending = after;
-        } else {
-          run_.rgma_in_flight.erase(it);
-        }
-      });
-    }
+    port_.publish({.publisher = id_,
+                   .seq = sequence_++,
+                   .bytes = frame.bytes,
+                   .before = frame.oldest_send,
+                   .topic = names_.view(topic_),
+                   .segments = std::move(frame.segments)},
+                  rng_);
   }
 
-  HierRun& run_;
+  RunScaffold& run_;
+  BackendPort& port_;
+  const hier::TreeConfig& tree_;
   std::int64_t id_;
-  int host_;
   util::Rng rng_;
   hier::RegionalAggregator aggregator_;
+  util::StringTable& names_;
   util::StringTable::Id topic_;
   std::vector<hier::EdgeAggregator> edges_;
   std::vector<std::int64_t> next_window_;
   sim::PeriodicTimer flush_timer_;
-  std::shared_ptr<narada::NaradaClient> narada_;
-  std::shared_ptr<mqtt::MqttClient> mqtt_;
-  std::unique_ptr<rgma::PrimaryProducer> producer_;
   std::int64_t sequence_ = 0;
-};
-
-/// R-GMA root: a Consumer polled every 100 ms, like the flat subscriber.
-class RgmaRoot {
- public:
-  RgmaRoot(HierRun& run, net::HttpClient& http, net::Endpoint service)
-      : run_(run),
-        consumer_(run.hydra.host(kRootHost), http, service, 800000,
-                  std::string("SELECT * FROM ") + kTable +
-                      " WHERE id < 1000000") {}
-
-  void start() {
-    consumer_.create([this](bool ok) {
-      if (!ok) return;
-      const SimTime period = units::milliseconds(100);
-      timer_ = sim::PeriodicTimer(run_.hydra.sim(),
-                                  run_.hydra.sim().now() + period, period,
-                                  [this] { poll(); });
-    });
-  }
-
- private:
-  void poll() {
-    if (polling_) return;
-    polling_ = true;
-    consumer_.poll([this](std::vector<rgma::Tuple> tuples,
-                          SimTime before_receiving) {
-      polling_ = false;
-      for (const auto& tuple : tuples) {
-        if (tuple.values.size() <= kRowSeqColumn) continue;
-        const auto* id =
-            std::get_if<std::int64_t>(&tuple.values[kRowIdColumn]);
-        const auto* seq =
-            std::get_if<std::int64_t>(&tuple.values[kRowSeqColumn]);
-        if (id == nullptr || seq == nullptr) continue;
-        const auto it = run_.rgma_in_flight.find(row_key(*id, *seq));
-        if (it == run_.rgma_in_flight.end()) continue;
-        account_delivery(run_, it->second, before_receiving);
-        run_.rgma_in_flight.erase(it);
-      }
-    });
-  }
-
-  HierRun& run_;
-  rgma::Consumer consumer_;
-  sim::PeriodicTimer timer_;
-  bool polling_ = false;
 };
 
 }  // namespace
@@ -342,237 +127,56 @@ class RgmaRoot {
 Results run_hier_experiment(const HierConfig& config) {
   const hier::TopologySpec::Expansion shape = config.topology.expand();
 
-  cluster::HydraConfig hydra_config;
-  hydra_config.seed = config.seed;
+  cluster::HydraConfig hydra;
   if (config.server_memory_budget > 0) {
-    hydra_config.host.memory_budget = config.server_memory_budget;
+    hydra.host.memory_budget = config.server_memory_budget;
   }
-  cluster::Hydra hydra(hydra_config);
-
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.topology.generators;
-  HierRun run(hydra, config, results.metrics);
-  run.tree.spec = config.topology;
-  run.tree.shape = shape;
-  run.tree.epoch = kStartTime + config.creation_interval * shape.regionals +
-                   units::seconds(1);
-  run.tree.windows = config.duration / config.topology.edge.window;
-  if (run.tree.windows < 1) run.tree.windows = 1;
+  RunScaffold run(config, FaultPlan{}, config.topology.generators, hydra);
+  if (run.hydra().node_count() <= 2) {
+    throw std::invalid_argument(
+        "run_hier_experiment: regionals need hosts besides the server's (0) "
+        "and the root's (1)");
+  }
+  hier::TreeConfig tree;
+  tree.spec = config.topology;
+  tree.shape = shape;
+  tree.epoch = RunScaffold::kStartTime +
+               config.creation_interval * shape.regionals + units::seconds(1);
+  tree.windows = config.duration / config.topology.edge.window;
+  if (tree.windows < 1) tree.windows = 1;
+  run.account_samples(tree);
 
   // Observability first so the flyweight allocations below are accounted.
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    run.rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("frames_published");
-    timeline.gauge("frames_delivered");
-    if (config.obs.memprof) {
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_hier");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_total");
-    }
-  }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
-
+  run.install_obs();
   // The flyweight fleet: 8 bytes per generator, shared by every edge.
   hier::FleetState fleet(config.topology, config.seed);
-  run.tree.fleet = &fleet;
+  tree.fleet = &fleet;
   obs::mem_add(obs::MemCategory::kHier, fleet.bytes());
 
-  // Backend server on host 0, mirroring the flat harnesses.
-  std::unique_ptr<narada::Dbn> dbn;
-  std::unique_ptr<mqtt::MqttBroker> mqtt_broker;
-  std::unique_ptr<rgma::RgmaNetwork> rgma_network;
-  const net::Endpoint mqtt_endpoint{kServerHost, kMqttPort};
-  if (config.backend == HierBackend::kNarada) {
-    narada::DbnConfig dbn_config;
-    dbn_config.broker_hosts = {kServerHost};
-    dbn = std::make_unique<narada::Dbn>(hydra, dbn_config);
-    dbn->start();
-  } else if (config.backend == HierBackend::kMqtt) {
-    mqtt::MqttBrokerConfig broker_config;
-    broker_config.endpoint = mqtt_endpoint;
-    mqtt_broker = std::make_unique<mqtt::MqttBroker>(
-        hydra.host(kServerHost), hydra.lan(), hydra.streams(), broker_config);
-    mqtt_broker->start();
-  } else {
-    rgma::RgmaNetworkConfig net_config;
-    net_config.registry_host = kServerHost;
-    net_config.producer_hosts = {kServerHost};
-    net_config.consumer_hosts = {kServerHost};
-    rgma_network = std::make_unique<rgma::RgmaNetwork>(hydra, net_config);
-    rgma_network->create_table(generator_table(kTable));
-  }
+  const std::unique_ptr<BackendPort> port =
+      config.backend == HierBackend::kNarada ? make_narada_port(run, {}, true)
+      : config.backend == HierBackend::kRgma ? make_rgma_port(run, {}, true)
+                                             : make_mqtt_port(run, {}, true);
+  port->subscribe();
 
-  // Root subscriber on host 1.
-  std::shared_ptr<narada::NaradaClient> narada_root;
-  std::shared_ptr<mqtt::MqttClient> mqtt_root;
-  std::unique_ptr<net::HttpClient> rgma_root_http;
-  std::unique_ptr<RgmaRoot> rgma_root;
-  if (config.backend == HierBackend::kNarada) {
-    narada_root = narada::NaradaClient::create(
-        hydra.host(kRootHost), hydra.lan(), hydra.streams(),
-        dbn->broker_endpoint(0), net::Endpoint{kRootHost, 9000},
-        narada::TransportKind::kTcp);
-    narada_root->connect([&run, narada_root](bool ok) {
-      if (!ok) return;
-      narada_root->subscribe(
-          kTopic, "id<1000000", jms::AcknowledgeMode::kAutoAcknowledge,
-          [&run](const jms::MessagePtr& message, SimTime arrived_at) {
-            const auto it = run.in_flight.find(message->message_id);
-            if (it == run.in_flight.end()) return;
-            account_delivery(run, it->second, arrived_at);
-            run.in_flight.erase(it);
-          });
-    });
-  } else if (config.backend == HierBackend::kMqtt) {
-    mqtt::MqttClientOptions root_options;
-    root_options.client_id = "root";
-    mqtt_root = mqtt::MqttClient::create(
-        hydra.host(kRootHost), hydra.lan(), hydra.streams(), mqtt_endpoint,
-        net::Endpoint{kRootHost, 9000}, std::move(root_options));
-    mqtt_root->connect([&run, mqtt_root](bool ok) {
-      if (!ok) return;
-      mqtt_root->subscribe(
-          "powergrid/#", 0,
-          [&run](const mqtt::PacketPtr& packet, SimTime arrived_at) {
-            const auto it = run.in_flight.find(packet->message_id);
-            if (it == run.in_flight.end()) return;
-            account_delivery(run, it->second, arrived_at);
-            run.in_flight.erase(it);
-          });
-    });
-  } else {
-    rgma_root_http = std::make_unique<net::HttpClient>(
-        hydra.streams(), net::Endpoint{kRootHost, 21000});
-    rgma_root = std::make_unique<RgmaRoot>(
-        run, *rgma_root_http, rgma_network->assign_consumer_service());
-    hydra.sim().schedule_at(kStartTime / 2,
-                            [root = rgma_root.get()] { root->start(); });
-  }
-
-  // Regional publishers round-robin over the non-server, non-root hosts,
-  // created on the connection stagger.
-  std::vector<int> regional_hosts;
-  for (int h = 0; h < hydra.node_count(); ++h) {
-    if (h != kServerHost && h != kRootHost) regional_hosts.push_back(h);
-  }
-  if (regional_hosts.empty()) {
-    throw std::invalid_argument(
-        "run_hier_experiment: testbed needs more than 2 hosts (hosts 0 and "
-        "1 are reserved for the server and the root) to place regional "
-        "publishers");
-  }
-  std::vector<std::unique_ptr<net::HttpClient>> rgma_http;
-  std::vector<std::unique_ptr<Regional>> regionals;
-  regionals.reserve(static_cast<std::size_t>(shape.regionals));
+  // Regional publishers, created on the connection stagger.
+  util::StringTable names;
+  std::deque<Regional> regionals;
   for (std::int64_t r = 0; r < shape.regionals; ++r) {
-    const int host =
-        regional_hosts[static_cast<std::size_t>(r) % regional_hosts.size()];
-    auto regional = std::make_unique<Regional>(run, r, host);
-    if (config.backend == HierBackend::kNarada) {
-      regional->attach_narada(hydra, dbn->broker_endpoint(0),
-                              narada::TransportKind::kTcp);
-    } else if (config.backend == HierBackend::kMqtt) {
-      regional->attach_mqtt(hydra, mqtt_endpoint);
-    } else {
-      rgma_http.push_back(std::make_unique<net::HttpClient>(
-          hydra.streams(),
-          net::Endpoint{host, static_cast<std::uint16_t>(
-                                  20000 + static_cast<std::uint16_t>(r))}));
-      regional->attach_rgma(hydra, *rgma_http.back(),
-                            rgma_network->assign_producer_service());
-    }
-    regionals.push_back(std::move(regional));
-    hydra.sim().schedule_at(kStartTime + config.creation_interval * r,
-                            [reg = regionals.back().get()] { reg->start(); });
+    Regional* regional = &regionals.emplace_back(run, *port, tree, names, r);
+    port->add_publisher(r);
+    run.sim().schedule_at(
+        RunScaffold::kStartTime + config.creation_interval * r,
+        [regional] { regional->start(); });
   }
-  obs::mem_add(obs::MemCategory::kHier, run.names.bytes());
+  obs::mem_add(obs::MemCategory::kHier, names.bytes());
 
-  const SimTime steady_begin = run.tree.epoch;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  if (recorder) {
-    recorder->set_sampler([&results, &run, &hydra, prof = memprof.get()](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      timeline.gauge("frames_published")
-          .set(static_cast<double>(run.frames_published));
-      timeline.gauge("frames_delivered")
-          .set(static_cast<double>(run.frames_delivered));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_hier").set(
-            static_cast<double>(prof->live(obs::MemCategory::kHier)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-
-  // vmstat on the server host: memory over the whole run, CPU idle over
-  // the steady publishing window.
-  cluster::VmstatSampler mem_sampler(hydra.host(kServerHost));
-  cluster::VmstatSampler cpu_sampler(hydra.host(kServerHost));
-  hydra.sim().schedule_at(kStartTime, [&mem_sampler] { mem_sampler.start(); });
-  hydra.sim().schedule_at(steady_begin,
-                          [&cpu_sampler] { cpu_sampler.start(); });
-  hydra.sim().schedule_at(measure_end, [&mem_sampler, &cpu_sampler] {
-    mem_sampler.stop();
-    cpu_sampler.stop();
-  });
-
-  const SimTime horizon = measure_end + kDrainTime;
-  hydra.sim().run_until(horizon);
-
-  results.servers.cpu_idle_pct = cpu_sampler.mean_cpu_idle();
-  results.servers.memory_bytes = mem_sampler.memory_consumption();
-  results.events_forwarded =
-      dbn ? dbn->total_stats().events_forwarded : 0;
-  results.wire_bytes = hydra.lan().bytes_to_node(kServerHost);
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = 0;  // hier scenarios run fault-free
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-  results.availability.delivered_late = results.metrics.delivered_late();
-  if (recorder) results.obs = recorder->finish(horizon);
-  return results;
+  using enum obs::MemCategory;
+  Series series{{{"frames_published", [&run] { return run.opened(); }},
+                 {"frames_delivered", [&run] { return run.delivered(); }}},
+                {kHier, kNetConnections, kKernelSlab},
+                {}};
+  return run.execute(*port, tree.epoch, std::move(series));
 }
 
 }  // namespace gridmon::core

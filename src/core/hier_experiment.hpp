@@ -22,7 +22,7 @@ enum class HierBackend { kNarada, kRgma, kMqtt };
 
 [[nodiscard]] const char* to_string(HierBackend backend);
 
-struct HierConfig {
+struct HierConfig : RunConfig {
   static constexpr const char* kBackend = "hier";
   HierBackend backend = HierBackend::kNarada;
   /// The tree shape (serialisable, expanded deterministically at setup).
@@ -34,11 +34,8 @@ struct HierConfig {
   /// Server memory budget override in bytes (0 = the backend's default
   /// 2 GB host). The OOM-wall tests shrink this to force refusals.
   std::int64_t server_memory_budget = 0;
-  SimTime duration = units::minutes(30);
-  std::uint64_t seed = 1;
-  /// Observability (hier scenario presets enable obs + memprof so the
-  /// bytes/generator column is populated by default).
-  obs::Options obs;
+  // RunConfig::obs: the hier presets enable obs + memprof so the
+  // bytes/generator column is populated by default.
 };
 
 [[nodiscard]] Results run_hier_experiment(const HierConfig& config);

@@ -1,497 +1,222 @@
+// NaradaBrokering port: brokers (single or DBN), generator clients and
+// subscriber programs on the Hydra model.
+
+#include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "cluster/costs.hpp"
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
-#include "core/experiment.hpp"
 #include "core/payloads.hpp"
+#include "core/run_scaffold.hpp"
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
-#include "util/log.hpp"
 
 namespace gridmon::core {
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
-constexpr SimTime kDrainTime = units::seconds(60);
 constexpr const char* kTopic = "powergrid/monitoring";
 
-struct SentRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-};
+narada::DbnConfig dbn_config(const NaradaConfig& config) {
+  narada::DbnConfig dbn;
+  dbn.broker_hosts = config.broker_hosts;
+  dbn.transport = config.transport;
+  dbn.subscription_aware_routing = config.subscription_aware_routing;
+  dbn.replay = config.replay.enabled;
+  dbn.retention = config.replay.retention;
+  return dbn;
+}
 
-/// One simulated power generator: owns a client connection and publishes
-/// readings on its period. Mirrors §III.E: created on a stagger, sleeps a
-/// random 10–20 s so publications spread evenly, then publishes every 10 s.
-class Generator {
+class NaradaPort final : public BackendPort {
  public:
-  Generator(cluster::Hydra& hydra, int host, net::Endpoint broker,
-            const NaradaConfig& config, std::int64_t id, Metrics& metrics,
-            std::uint64_t& refused_in_faults, const FaultInjector*& injector,
-            std::unordered_map<std::string, SentRecord>& in_flight)
-      : hydra_(hydra),
-        config_(config),
-        id_(id),
-        metrics_(metrics),
-        refused_in_faults_(refused_in_faults),
-        injector_(injector),
-        in_flight_(in_flight),
-        rng_(hydra.sim().rng_stream("generator").stream(
-            static_cast<std::uint64_t>(id))) {
-    const auto port = static_cast<std::uint16_t>(10000 + id % 50000);
-    client_ = narada::NaradaClient::create(
-        hydra.host(host), hydra.lan(), hydra.streams(), broker,
-        net::Endpoint{host, port}, config.transport);
-    if (config.fleet.recovery) {
-      narada::ReconnectPolicy policy;
-      policy.enabled = true;
-      policy.backoff_initial = config.fleet.backoff_initial;
-      policy.backoff_max = config.fleet.backoff_max;
-      policy.jitter = config.fleet.backoff_jitter;
-      client_->set_reconnect_policy(policy);
+  NaradaPort(RunScaffold& run, NaradaConfig config, bool hier)
+      : run_(run),
+        config_(std::move(config)),
+        hier_(hier),
+        multi_broker_(config_.broker_hosts.size() > 1),
+        dbn_(run.hydra(), dbn_config(config_)) {
+    dbn_.start();
+    // Generator hosts: the non-broker nodes, minus the single broker's
+    // subscriber host. In a DBN generators and subscribers share them ("data
+    // were received by the node where they were sent").
+    const auto& brokers = config_.broker_hosts;
+    for (int h = 0; h < run.hydra().node_count(); ++h) {
+      if (std::find(brokers.begin(), brokers.end(), h) == brokers.end()) {
+        publisher_hosts_.push_back(h);
+      }
+    }
+    subscriber_host_ = publisher_hosts_.front();
+    if (!multi_broker_) publisher_hosts_.erase(publisher_hosts_.begin());
+    policy_ = reconnect_policy<narada::ReconnectPolicy>(config_.fleet);
+    traits_.server_hosts = config_.broker_hosts;
+    traits_.targets.brokers = dbn_.broker_count();
+    traits_.sample_bytes =
+        cluster::costs::kNaradaMessageBytes + config_.fleet.pad_bytes;
+    FaultHooks& hooks = traits_.hooks;
+    hooks.set_partition = [this](bool active) {
+      // Split the DBN down the middle: publishing brokers (first half)
+      // lose the switch path to subscribing brokers (second half).
+      const auto& hosts = config_.broker_hosts;
+      const std::size_t half = hosts.size() / 2;
+      if (half == 0) return;
+      for (std::size_t i = 0; i < half; ++i) {
+        for (std::size_t j = half; j < hosts.size(); ++j) {
+          run_.hydra().lan().set_path_blocked(hosts[i], hosts[j], active);
+        }
+      }
+      if (!active && config_.replay.enabled) {
+        // Replication repair: brokers pull the frames they missed from
+        // peers, so later client backfills find complete retention.
+        dbn_.request_peer_backfill();
+      }
+    };
+    hooks.crash_broker = [this](int b) { dbn_.broker(b).crash(); };
+    hooks.restart_broker = [this](int b) { dbn_.broker(b).restart(); };
+    using enum obs::MemCategory;
+    auto stats = [this] { return dbn_.total_stats(); };
+    Series& series = traits_.series;
+    series.counters = {{"broker_events_received",
+                        [stats] { return stats().events_received; }},
+                       {"broker_events_delivered",
+                        [stats] { return stats().events_delivered; }},
+                       {"broker_events_forwarded",
+                        [stats] { return stats().events_forwarded; }}};
+    series.memory = {kBrokerRouting, kClientRecords, kNetConnections,
+                     kKernelSlab};
+    if (config_.replay.enabled) {
+      series.replay = {
+          {"backfill_msgs", [stats] { return stats().backfill_msgs; }},
+          {"backfill_bytes", [stats] { return stats().backfill_bytes; }}};
     }
   }
 
-  void start() {
-    client_->connect([this](bool ok) {
-      if (!ok) {
-        metrics_.count_refused_connection();
-        if (injector_ != nullptr &&
-            in_fault_window(injector_->windows(), hydra_.sim().now())) {
-          ++refused_in_faults_;
-        }
-        return;
-      }
-      const auto warmup = static_cast<SimTime>(rng_.uniform(
-          static_cast<double>(config_.fleet.warmup_min),
-          static_cast<double>(config_.fleet.warmup_max)));
-      remaining_ = config_.fleet.publish_period > 0
-                       ? config_.duration / config_.fleet.publish_period
-                       : 0;
-      hydra_.sim().schedule_after(warmup, [this] { publish_next(); });
+  void add_publisher(std::int64_t id) override {
+    const int host = publisher_hosts_[static_cast<std::size_t>(id) %
+                                      publisher_hosts_.size()];
+    const net::Endpoint broker = multi_broker_ ? dbn_.assign_publisher_broker()
+                                               : dbn_.broker_endpoint(0);
+    publishers_.push_back(client(host, 10000 + id % 50000, broker, policy_));
+  }
+
+  void connect(std::int64_t id, std::function<void(bool)> on_ready) override {
+    publishers_[static_cast<std::size_t>(id)]->connect(std::move(on_ready));
+  }
+
+  void publish(Publish p, util::Rng& rng) override {
+    auto& sender = *publishers_[static_cast<std::size_t>(p.publisher)];
+    const net::Endpoint local = sender.local();
+    // The wire size rides as padding on the standard monitoring MapMessage.
+    const std::int64_t pad = p.bytes - cluster::costs::kNaradaMessageBytes;
+    jms::Message msg = make_generator_message(kTopic, p.publisher, p.seq,
+                                              local.node, rng,
+                                              std::max<std::int64_t>(pad, 0));
+    msg.delivery_mode = config_.delivery_mode;
+    // The client stamps "ID:node-port-<n>" with its own counter from 1.
+    std::string key = "ID:" + std::to_string(local.node) + "-" +
+                      std::to_string(local.port) + "-" +
+                      std::to_string(p.seq + 1);
+    const obs::TraceKey trace = obs::tracer() ? obs::key_of(key) : 0;
+    run_.open(key, {p.before, p.before, trace, std::move(p.segments)});
+    sender.publish(std::move(msg), [&run = run_, key, trace](SimTime after) {
+      run.sent(key, trace, after);
     });
   }
 
-  [[nodiscard]] bool refused() const { return client_->refused(); }
-  [[nodiscard]] std::uint64_t reconnects() const {
-    return client_->reconnects();
+  void subscribe() override {
+    narada::ReconnectPolicy policy = policy_;
+    if (config_.replay.enabled && multi_broker_) {
+      // Fail-over targets: with replication any broker can serve the
+      // subscriber's stream and backfill.
+      for (int b = 0; b < dbn_.broker_count(); ++b) {
+        policy.fallbacks.push_back(dbn_.broker_endpoint(b));
+      }
+    }
+    if (multi_broker_) {
+      // One subscriber per generator node, partitioned by origin with a
+      // real selector, attached to the brokers the discovery node assigns.
+      std::uint16_t port = 9000;
+      for (int host : publisher_hosts_) {
+        add_subscriber(host, port++, dbn_.assign_subscriber_broker(), policy,
+                       "node=" + std::to_string(host),
+                       jms::AcknowledgeMode::kAutoAcknowledge);
+      }
+    } else {
+      // The paper's selector: filters nothing but is really evaluated.
+      add_subscriber(subscriber_host_, 9000, dbn_.broker_endpoint(0), policy,
+                     hier_ ? "id<1000000" : "id<10000", config_.ack_mode);
+    }
   }
-  [[nodiscard]] std::uint64_t resubscribes() const {
-    return client_->resubscribes();
+
+  void finish(Results& results) override {
+    const narada::BrokerStats stats = dbn_.total_stats();
+    results.events_forwarded = stats.events_forwarded;
+    for (const auto* clients : {&publishers_, &subscribers_}) {
+      for (const auto& client : *clients) {
+        results.availability.reconnects += client->reconnects();
+        results.availability.resubscribes += client->resubscribes();
+      }
+    }
+    // Backfill: client-facing replays and peer replication repair.
+    results.availability.backfill_msgs = stats.backfill_msgs;
+    results.availability.backfill_bytes = stats.backfill_bytes;
   }
 
  private:
-  void publish_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
-    jms::Message msg = make_generator_message(kTopic, id_, sequence_++,
-                                              client_->local().node, rng_,
-                                              config_.fleet.pad_bytes);
-    msg.delivery_mode = config_.delivery_mode;
-    const SimTime before = hydra_.sim().now();
-    const std::string key = "ID:" + std::to_string(client_->local().node) +
-                            "-" + std::to_string(client_->local().port) + "-" +
-                            std::to_string(sequence_);
-    // Count at publish intent, not send completion: a message stuck in a
-    // disconnected client's backlog is a loss, and must be visible as one.
-    // (Fault-free runs are unchanged — every publish completes.)
-    metrics_.count_sent();
-    in_flight_.emplace(key, SentRecord{before, before});
-    obs::mark_message(key, "pub");
-    client_->publish(std::move(msg), [this, key](SimTime after) {
-      const auto it = in_flight_.find(key);
-      if (it != in_flight_.end()) it->second.after_sending = after;
-      obs::mark_message_at(key, "sent", after);
-    });
-    hydra_.sim().schedule_after(config_.fleet.publish_period,
-                                [this] { publish_next(); });
+  std::shared_ptr<narada::NaradaClient> client(
+      int host, std::int64_t port, net::Endpoint broker,
+      const narada::ReconnectPolicy& policy) {
+    auto client = narada::NaradaClient::create(
+        run_.hydra().host(host), run_.hydra().lan(), run_.hydra().streams(),
+        broker, net::Endpoint{host, static_cast<std::uint16_t>(port)},
+        config_.transport);
+    if (config_.fleet.recovery) client->set_reconnect_policy(policy);
+    return client;
   }
 
-  cluster::Hydra& hydra_;
-  const NaradaConfig& config_;
-  std::int64_t id_;
-  Metrics& metrics_;
-  std::uint64_t& refused_in_faults_;
-  const FaultInjector*& injector_;
-  std::unordered_map<std::string, SentRecord>& in_flight_;
-  util::Rng rng_;
-  std::shared_ptr<narada::NaradaClient> client_;
-  std::int64_t sequence_ = 0;
-  std::int64_t remaining_ = 0;
+  void add_subscriber(int host, std::uint16_t port, net::Endpoint broker,
+                      const narada::ReconnectPolicy& policy,
+                      std::string selector, jms::AcknowledgeMode ack) {
+    auto sub = client(host, port, broker, policy);
+    if (config_.replay.enabled) {
+      sub->set_replay(config_.replay.settle, config_.replay.max_retries);
+    }
+    // The port owns the client (a shared capture would be a leaking cycle).
+    sub->connect([sub = sub.get(), selector, ack, &run = run_](bool ok) {
+      if (!ok) return;
+      sub->subscribe(kTopic, selector, ack,
+                     [&run](const jms::MessagePtr& message, SimTime arrived) {
+                       run.arrival();
+                       run.deliver(message->message_id, arrived);
+                     });
+    });
+    subscribers_.push_back(std::move(sub));
+  }
+
+  RunScaffold& run_;
+  NaradaConfig config_;
+  bool hier_;
+  bool multi_broker_;
+  narada::Dbn dbn_;
+  std::vector<int> publisher_hosts_;
+  int subscriber_host_ = 0;
+  narada::ReconnectPolicy policy_;
+  std::vector<std::shared_ptr<narada::NaradaClient>> publishers_;
+  std::vector<std::shared_ptr<narada::NaradaClient>> subscribers_;
 };
 
 }  // namespace
 
+std::unique_ptr<BackendPort> make_narada_port(RunScaffold& run,
+                                              NaradaConfig config, bool hier) {
+  return std::make_unique<NaradaPort>(run, std::move(config), hier);
+}
+
 Results run_narada_experiment(const NaradaConfig& config) {
-  cluster::HydraConfig hydra_config;
-  hydra_config.seed = config.seed;
+  cluster::HydraConfig hydra;
   if (config.transport == narada::TransportKind::kUdp) {
-    hydra_config.lan.datagram_loss = cluster::costs::kUdpLossProbability;
+    hydra.lan.datagram_loss = cluster::costs::kUdpLossProbability;
   }
-  cluster::Hydra hydra(hydra_config);
-
-  // Brokers (unit controller assigns addresses; see Dbn).
-  narada::DbnConfig dbn_config;
-  dbn_config.broker_hosts = config.broker_hosts;
-  dbn_config.transport = config.transport;
-  dbn_config.subscription_aware_routing = config.subscription_aware_routing;
-  dbn_config.replay = config.replay.enabled;
-  dbn_config.retention = config.replay.retention;
-  narada::Dbn dbn(hydra, dbn_config);
-  dbn.start();
-
-  const bool multi_broker = config.broker_hosts.size() > 1;
-
-  // Generator hosts: the nodes not running brokers, minus one reserved for
-  // the single-broker subscriber program.
-  std::vector<int> free_hosts;
-  for (int h = 0; h < hydra.node_count(); ++h) {
-    bool is_broker = false;
-    for (int b : config.broker_hosts) is_broker |= (b == h);
-    if (!is_broker) free_hosts.push_back(h);
-  }
-  int subscriber_host = free_hosts.front();
-  std::vector<int> generator_hosts;
-  if (multi_broker) {
-    // DBN: generators and subscribers share the non-broker nodes, as in
-    // the paper ("data were received by the node where they were sent").
-    generator_hosts = free_hosts;
-  } else {
-    generator_hosts.assign(free_hosts.begin() + 1, free_hosts.end());
-  }
-
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.fleet.generators;
-  std::unordered_map<std::string, SentRecord> in_flight;
-  std::uint64_t refused_in_faults = 0;
-  const FaultInjector* injector_ptr = nullptr;
-  AvailabilityTracker tracker;
-
-  // Observability: one recorder for the run, installed thread-locally so
-  // middleware mark helpers route to it. The sampler below only reads
-  // state, so metrics are identical with obs on or off.
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  obs::HistogramSeries* rtt_series = nullptr;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    // Fixed column order (creation order is export order).
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("broker_events_received");
-    timeline.gauge("broker_events_delivered");
-    timeline.gauge("broker_events_forwarded");
-    if (config.obs.memprof) {
-      // Memory-footprint gauges ride after the classic columns so the
-      // pinned series prefix ("t_ms,sent,received,...") never moves.
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_broker_routing");
-      timeline.gauge("mem_client_records");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_total");
-    }
-    if (config.replay.enabled) {
-      // Replication columns ride last, and only on replay runs, so the
-      // classic timeline shape is untouched.
-      timeline.gauge("backfill_msgs");
-      timeline.gauge("backfill_bytes");
-      if (config.obs.memprof) timeline.gauge("mem_history");
-    }
-  }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
-
-  // Subscriber programs.
-  std::vector<std::shared_ptr<narada::NaradaClient>> subscribers;
-  auto make_listener = [&, rtt_series] {
-    return [&results, &in_flight, &hydra, &tracker, rtt_series](
-               const jms::MessagePtr& message, SimTime arrived_at) {
-      tracker.on_delivery(hydra.sim().now());
-      const auto it = in_flight.find(message->message_id);
-      if (it == in_flight.end()) return;
-      results.metrics.record(it->second.before_sending,
-                             it->second.after_sending, arrived_at,
-                             hydra.sim().now());
-      if (rtt_series != nullptr) {
-        rtt_series->record(units::to_millis(hydra.sim().now() -
-                                            it->second.before_sending));
-      }
-      if (obs::Recorder* r = obs::tracer()) {
-        r->mark_at(obs::key_of(message->message_id), "recv", arrived_at);
-        r->mark(obs::key_of(message->message_id), "done");
-        r->complete(obs::key_of(message->message_id));
-      }
-      in_flight.erase(it);
-    };
-  };
-  narada::ReconnectPolicy subscriber_policy;
-  if (config.fleet.recovery) {
-    subscriber_policy.enabled = true;
-    subscriber_policy.backoff_initial = config.fleet.backoff_initial;
-    subscriber_policy.backoff_max = config.fleet.backoff_max;
-    subscriber_policy.jitter = config.fleet.backoff_jitter;
-  }
-  if (config.replay.enabled && multi_broker) {
-    // Fail-over targets: every other broker in the network. Replication
-    // means any of them can serve the subscriber's stream and its backfill.
-    for (int b = 0; b < dbn.broker_count(); ++b) {
-      subscriber_policy.fallbacks.push_back(dbn.broker_endpoint(b));
-    }
-  }
-
-  if (multi_broker) {
-    // One subscriber per generator node, partitioned by origin with a real
-    // selector, attached to the subscribing brokers the discovery node
-    // assigns.
-    std::uint16_t port = 9000;
-    for (int host : generator_hosts) {
-      auto sub = narada::NaradaClient::create(
-          hydra.host(host), hydra.lan(), hydra.streams(),
-          dbn.assign_subscriber_broker(), net::Endpoint{host, port++},
-          config.transport);
-      if (config.fleet.recovery) sub->set_reconnect_policy(subscriber_policy);
-      if (config.replay.enabled) {
-        sub->set_replay(config.replay.settle, config.replay.max_retries);
-      }
-      sub->connect([sub, host, &make_listener](bool ok) {
-        if (!ok) return;
-        sub->subscribe("powergrid/monitoring",
-                       "node=" + std::to_string(host),
-                       jms::AcknowledgeMode::kAutoAcknowledge,
-                       make_listener());
-      });
-      subscribers.push_back(std::move(sub));
-    }
-  } else {
-    auto sub = narada::NaradaClient::create(
-        hydra.host(subscriber_host), hydra.lan(), hydra.streams(),
-        dbn.broker_endpoint(0), net::Endpoint{subscriber_host, 9000},
-        config.transport);
-    if (config.fleet.recovery) sub->set_reconnect_policy(subscriber_policy);
-    if (config.replay.enabled) {
-      sub->set_replay(config.replay.settle, config.replay.max_retries);
-    }
-    const auto ack = config.ack_mode;
-    sub->connect([sub, ack, &make_listener](bool ok) {
-      if (!ok) return;
-      // The paper's selector: filters nothing but is really evaluated.
-      sub->subscribe("powergrid/monitoring", "id<10000", ack,
-                     make_listener());
-    });
-    // CLIENT_ACKNOWLEDGE: the subscriber program acknowledges every
-    // delivery, as the test client would.
-    if (config.ack_mode == jms::AcknowledgeMode::kClientAcknowledge) {
-      // acknowledge() piggybacks on deliveries inside the client model.
-    }
-    subscribers.push_back(std::move(sub));
-  }
-
-  // Generator fleet, created on the paper's stagger.
-  std::vector<std::unique_ptr<Generator>> fleet;
-  fleet.reserve(static_cast<std::size_t>(config.fleet.generators));
-  for (int g = 0; g < config.fleet.generators; ++g) {
-    const int host =
-        generator_hosts[static_cast<std::size_t>(g) % generator_hosts.size()];
-    const net::Endpoint broker =
-        multi_broker ? dbn.assign_publisher_broker() : dbn.broker_endpoint(0);
-    fleet.push_back(std::make_unique<Generator>(hydra, host, broker, config,
-                                                g, results.metrics,
-                                                refused_in_faults,
-                                                injector_ptr, in_flight));
-    hydra.sim().schedule_at(kStartTime + config.fleet.creation_interval * g,
-                            [gen = fleet.back().get()] { gen->start(); });
-  }
-
-  // vmstat on every broker host. Memory (peak-bottom) is sampled over the
-  // whole run — the connection ramp is what makes it grow with connection
-  // count; CPU idle is averaged over the steady publishing window only.
-  const SimTime steady_begin = kStartTime +
-                               config.fleet.creation_interval * config.fleet.generators +
-                               config.fleet.warmup_max;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  // Fault injection: hooks bridge FaultPlan events onto the LAN fabric and
-  // the broker network. All fire at fixed virtual times, so chaos runs are
-  // as deterministic as fault-free ones.
-  FaultHooks hooks;
-  hooks.set_nic = [&hydra](int node, bool down) {
-    hydra.lan().set_node_down(node, down);
-  };
-  const double base_loss = hydra_config.lan.datagram_loss;
-  hooks.set_loss = [&hydra, base_loss](double p, bool active) {
-    hydra.lan().set_datagram_loss(active ? p : base_loss);
-  };
-  hooks.set_link_loss = [&hydra](int src, int dst, double p, bool active) {
-    if (active) {
-      hydra.lan().set_link_loss(src, dst, p);
-    } else {
-      hydra.lan().clear_link_loss(src, dst);
-    }
-  };
-  hooks.set_partition = [&hydra, &config, &dbn](bool active) {
-    // Split the DBN down the middle: publishing brokers (first half) lose
-    // the switch path to subscribing brokers (second half).
-    const auto& hosts = config.broker_hosts;
-    const std::size_t half = hosts.size() / 2;
-    if (half == 0) return;
-    for (std::size_t i = 0; i < half; ++i) {
-      for (std::size_t j = half; j < hosts.size(); ++j) {
-        hydra.lan().set_path_blocked(hosts[i], hosts[j], active);
-      }
-    }
-    if (!active && config.replay.enabled) {
-      // Replication repair: every broker pulls the frames it missed from
-      // its peers, so client backfills (which settle later) find complete
-      // retention on whichever broker serves them.
-      dbn.request_peer_backfill();
-    }
-  };
-  hooks.crash_broker = [&dbn](int b) { dbn.broker(b).crash(); };
-  hooks.restart_broker = [&dbn](int b) { dbn.broker(b).restart(); };
-  FaultInjector injector(hydra.sim(), config.faults, hooks);
-  injector.arm(steady_begin);
-  injector_ptr = &injector;
-  tracker.set_windows(injector.windows());
-  if (recorder) {
-    // Chaos track: every planned event (instantaneous ones included, which
-    // windows() excludes), with anchors resolved the same way arm() does.
-    for (const FaultEvent& event : config.faults.events) {
-      const SimTime base =
-          event.anchor == FaultAnchor::kSteady ? steady_begin : 0;
-      recorder->add_chaos(std::string(to_string(event.kind)), base + event.at,
-                          base + event.at + event.duration);
-    }
-    recorder->set_sampler([&results, &hydra, &dbn, prof = memprof.get(),
-                           replay = config.replay.enabled](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(
-          static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      const auto broker_stats = dbn.total_stats();
-      timeline.gauge("broker_events_received")
-          .set(static_cast<double>(broker_stats.events_received));
-      timeline.gauge("broker_events_delivered")
-          .set(static_cast<double>(broker_stats.events_delivered));
-      timeline.gauge("broker_events_forwarded")
-          .set(static_cast<double>(broker_stats.events_forwarded));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_broker_routing")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kBrokerRouting)));
-        timeline.gauge("mem_client_records")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kClientRecords)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-      if (replay) {
-        timeline.gauge("backfill_msgs")
-            .set(static_cast<double>(broker_stats.backfill_msgs));
-        timeline.gauge("backfill_bytes")
-            .set(static_cast<double>(broker_stats.backfill_bytes));
-        if (prof != nullptr) {
-          timeline.gauge("mem_history")
-              .set(static_cast<double>(
-                  prof->live(obs::MemCategory::kHistory)));
-        }
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> mem_samplers;
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> cpu_samplers;
-  for (int host : config.broker_hosts) {
-    mem_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    cpu_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    auto* mem = mem_samplers.back().get();
-    auto* cpu = cpu_samplers.back().get();
-    hydra.sim().schedule_at(kStartTime, [mem] { mem->start(); });
-    hydra.sim().schedule_at(steady_begin, [cpu] { cpu->start(); });
-    hydra.sim().schedule_at(measure_end, [mem, cpu] {
-      mem->stop();
-      cpu->stop();
-    });
-  }
-
-  const SimTime horizon = measure_end + kDrainTime;
-  hydra.sim().run_until(horizon);
-
-  // Collect resources.
-  double idle_sum = 0.0;
-  std::int64_t mem_sum = 0;
-  for (auto& sampler : cpu_samplers) idle_sum += sampler->mean_cpu_idle();
-  for (auto& sampler : mem_samplers) mem_sum += sampler->memory_consumption();
-  results.servers.cpu_idle_pct =
-      idle_sum / static_cast<double>(cpu_samplers.size());
-  results.servers.memory_bytes =
-      mem_sum / static_cast<std::int64_t>(mem_samplers.size());
-  results.events_forwarded = dbn.total_stats().events_forwarded;
-  for (int host : config.broker_hosts) {
-    results.wire_bytes += hydra.lan().bytes_to_node(host);
-  }
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-
-  // Availability: classify every undelivered message against the fault
-  // windows (sums are order-independent), then fold in recovery effort.
-  for (const auto& [key, sent] : in_flight) {
-    tracker.classify_loss(sent.before_sending);
-  }
-  results.availability = tracker.finalise(horizon);
-  results.availability.fault_events = injector.injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
-  for (const auto& gen : fleet) {
-    results.availability.reconnects += gen->reconnects();
-    results.availability.resubscribes += gen->resubscribes();
-  }
-  for (const auto& sub : subscribers) {
-    results.availability.reconnects += sub->reconnects();
-    results.availability.resubscribes += sub->resubscribes();
-  }
-  // Backfill traffic served from retention: broker stats cover both
-  // client-facing replays and peer-to-peer replication repair.
-  const auto total_broker_stats = dbn.total_stats();
-  results.availability.backfill_msgs = total_broker_stats.backfill_msgs;
-  results.availability.backfill_bytes = total_broker_stats.backfill_bytes;
-  if (recorder) results.obs = recorder->finish(horizon);
-  return results;
+  RunScaffold run(config, config.faults, config.fleet.generators, hydra);
+  NaradaPort port(run, config, /*hier=*/false);
+  return run_fleet(run, port, config.fleet);
 }
 
 }  // namespace gridmon::core

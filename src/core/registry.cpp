@@ -17,6 +17,13 @@ void register_mqtt_scenarios(ScenarioRegistry& registry);
 // Defined in hier_scenarios.cpp: the hier/* scale-sweep family.
 void register_hier_scenarios(ScenarioRegistry& registry);
 
+namespace {
+template <typename... Fs>
+struct Overload : Fs... {
+  using Fs::operator()...;
+};
+}  // namespace
+
 const char* ScenarioSpec::system() const {
   return std::visit(
       [](const auto& config) -> const char* {
@@ -36,35 +43,22 @@ const char* ScenarioSpec::system() const {
 
 Results run_scenario(const ScenarioSpec& spec, SimTime duration,
                      std::uint64_t seed, const obs::Options& obs) {
+  const auto run_harness = Overload{
+      [](const NaradaConfig& c) { return run_narada_experiment(c); },
+      [](const RgmaConfig& c) { return run_rgma_experiment(c); },
+      [](const MqttConfig& c) { return run_mqtt_experiment(c); },
+      [](const HierConfig& c) { return run_hier_experiment(c); }};
   Results results = std::visit(
       [&](const auto& config) -> Results {
         using T = std::decay_t<decltype(config)>;
-        if constexpr (std::is_same_v<T, NaradaConfig>) {
-          NaradaConfig run = config;
-          run.duration = duration;
-          run.seed = seed;
-          if (obs.enabled) run.obs = obs;
-          return run_narada_experiment(run);
-        } else if constexpr (std::is_same_v<T, RgmaConfig>) {
-          RgmaConfig run = config;
-          run.duration = duration;
-          run.seed = seed;
-          if (obs.enabled) run.obs = obs;
-          return run_rgma_experiment(run);
-        } else if constexpr (std::is_same_v<T, MqttConfig>) {
-          MqttConfig run = config;
-          run.duration = duration;
-          run.seed = seed;
-          if (obs.enabled) run.obs = obs;
-          return run_mqtt_experiment(run);
-        } else if constexpr (std::is_same_v<T, HierConfig>) {
-          HierConfig run = config;
-          run.duration = duration;
-          run.seed = seed;
-          if (obs.enabled) run.obs = obs;
-          return run_hier_experiment(run);
+        if constexpr (std::is_same_v<T, CustomScenario>) {
+          return config.run(RunContext{duration, seed, {}});
         } else {
-          return config.run(RunContext{duration, seed});
+          T run = config;
+          run.duration = duration;
+          run.seed = seed;
+          if (obs.enabled) run.obs = obs;
+          return run_harness(run);
         }
       },
       spec.config);

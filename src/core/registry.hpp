@@ -22,11 +22,9 @@
 
 namespace gridmon::core {
 
-/// Handed to a custom scenario body: the per-run knobs the campaign owns.
-struct RunContext {
-  SimTime duration = units::minutes(30);
-  std::uint64_t seed = 1;
-};
+/// Handed to a custom scenario body: the per-run knobs the campaign owns
+/// (bespoke topologies read `duration` and `seed`).
+using RunContext = RunConfig;
 
 /// A scenario whose topology is not a plain Narada/R-GMA experiment (the
 /// aggregation and Web-Services ablations build their own client graphs).
@@ -63,7 +61,7 @@ struct ScenarioSpec {
 
 /// Run one scenario at an explicit duration and seed. Single-threaded and
 /// deterministic; campaign parallelism is strictly *across* calls. `obs`
-/// applies to Narada/R-GMA specs (custom scenarios ignore it).
+/// applies to every harness config when enabled (custom scenarios ignore it).
 [[nodiscard]] Results run_scenario(const ScenarioSpec& spec, SimTime duration,
                                    std::uint64_t seed,
                                    const obs::Options& obs = {});

@@ -1,10 +1,14 @@
-#include <memory>
-#include <unordered_map>
+// R-GMA port: registry/producer/consumer services, PrimaryProducer clients
+// inserting a row per period (§III.F), and subscriber programs polling a
+// Consumer, optionally through a Secondary Producer (Fig 10).
 
-#include "cluster/hydra.hpp"
-#include "cluster/vmstat.hpp"
-#include "core/experiment.hpp"
+#include <deque>
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "core/payloads.hpp"
+#include "core/run_scaffold.hpp"
 #include "rgma/network.hpp"
 #include "rgma/secondary_producer.hpp"
 #include "util/log.hpp"
@@ -12,151 +16,34 @@
 namespace gridmon::core {
 namespace {
 
-constexpr SimTime kStartTime = units::seconds(1);
 constexpr const char* kTable = "generators";
 constexpr const char* kSecondaryTable = "generators_sp";
 
-struct SentRecord {
-  SimTime before_sending;
-  SimTime after_sending;
-};
-
-[[nodiscard]] std::int64_t row_key(std::int64_t id, std::int64_t seq) {
-  return id * 1'000'000'000 + seq;
+/// Ledger key of row (id, seq).
+[[nodiscard]] std::string row_key(std::int64_t id, std::int64_t seq) {
+  return std::to_string(id * 1'000'000'000 + seq);
 }
 
-/// One simulated power generator on the R-GMA side: owns a PrimaryProducer
-/// registration and inserts a row every period (§III.F).
-class RgmaGenerator {
- public:
-  RgmaGenerator(cluster::Hydra& hydra, int host, net::HttpClient& http,
-                net::Endpoint service, const RgmaConfig& config,
-                std::int64_t id, Metrics& metrics,
-                std::uint64_t& refused_in_faults,
-                const FaultInjector*& injector,
-                std::unordered_map<std::int64_t, SentRecord>& in_flight,
-                AvailabilityTracker& tracker)
-      : hydra_(hydra),
-        config_(config),
-        id_(id),
-        metrics_(metrics),
-        refused_in_faults_(refused_in_faults),
-        injector_(injector),
-        in_flight_(in_flight),
-        tracker_(tracker),
-        rng_(hydra.sim().rng_stream("rgma.generator").stream(
-            static_cast<std::uint64_t>(id))),
-        // Replay runs widen producer retention to the configured tiers so a
-        // reconnecting consumer's history query can cover its poll gap.
-        producer_(hydra.host(host), http, service, static_cast<int>(id),
-                  kTable,
-                  config.replay.enabled ? config.replay.retention.raw_window
-                                        : units::seconds(30),
-                  config.replay.enabled
-                      ? config.replay.retention.downsampled_window
-                      : units::seconds(60)) {
-    if (config.fleet.recovery) {
-      producer_.enable_redeclare(config.fleet.backoff_initial,
-                                 config.fleet.backoff_max);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t redeclares() const {
-    return producer_.redeclares();
-  }
-
-  void start() {
-    producer_.declare([this](bool ok) {
-      if (!ok) {
-        metrics_.count_refused_connection();
-        if (injector_ != nullptr &&
-            in_fault_window(injector_->windows(), hydra_.sim().now())) {
-          ++refused_in_faults_;
-        }
-        return;
-      }
-      remaining_ = config_.fleet.publish_period > 0
-                       ? config_.duration / config_.fleet.publish_period
-                       : 0;
-      SimTime warmup;
-      if (config_.fleet.warmup_max > 0) {
-        warmup = static_cast<SimTime>(
-            rng_.uniform(static_cast<double>(config_.fleet.warmup_min),
-                         static_cast<double>(config_.fleet.warmup_max)));
-      } else {
-        // No warm-up wait (the paper's loss experiment): the publish loop
-        // still starts at a uniformly random phase within one period, so a
-        // producer's first insert races the mediator's attachment — most
-        // win, some lose their first tuple.
-        warmup = static_cast<SimTime>(
-            rng_.uniform(0.0, static_cast<double>(config_.fleet.publish_period)));
-      }
-      hydra_.sim().schedule_after(warmup, [this] { insert_next(); });
-    });
-  }
-
- private:
-  void insert_next() {
-    if (remaining_ <= 0) return;
-    --remaining_;
-    const SimTime before = hydra_.sim().now();
-    const std::int64_t seq = sequence_++;
-    auto row = make_generator_row(id_, seq, before, rng_);
-    // Count at insert intent: a 503 from a crashed container is a loss and
-    // must be visible as one. (Fault-free runs are unchanged — inserts by
-    // declared producers always succeed.)
-    metrics_.count_sent();
-    in_flight_.emplace(row_key(id_, seq), SentRecord{before, before});
-    obs::mark_row(id_, seq, "pub");
-    producer_.insert(std::move(row), [this, before, seq](bool ok,
-                                                         SimTime after) {
-      const auto it = in_flight_.find(row_key(id_, seq));
-      if (it == in_flight_.end()) return;
-      if (ok) {
-        it->second.after_sending = after;
-        obs::mark_row_at(id_, seq, "sent", after);
-      } else {
-        tracker_.classify_loss(before);
-        in_flight_.erase(it);
-      }
-    });
-    hydra_.sim().schedule_after(config_.fleet.publish_period,
-                                [this] { insert_next(); });
-  }
-
-  cluster::Hydra& hydra_;
-  const RgmaConfig& config_;
-  std::int64_t id_;
-  Metrics& metrics_;
-  std::uint64_t& refused_in_faults_;
-  const FaultInjector*& injector_;
-  std::unordered_map<std::int64_t, SentRecord>& in_flight_;
-  AvailabilityTracker& tracker_;
-  util::Rng rng_;
-  rgma::PrimaryProducer producer_;
-  std::int64_t sequence_ = 0;
-  std::int64_t remaining_ = 0;
-};
-
-/// The subscriber program: polls the Consumer every 100 ms and logs
-/// received tuples (the paper notes this adds up to 100 ms of measurement
-/// quantisation).
+/// The subscriber program: polls the Consumer every 100 ms (up to 100 ms
+/// of measurement quantisation, as the paper notes).
 class Subscriber {
  public:
-  Subscriber(cluster::Hydra& hydra, int host, net::HttpClient& http,
-             net::Endpoint consumer_service, int consumer_id,
-             std::string query, SimTime poll_period, Metrics& metrics,
-             std::unordered_map<std::int64_t, SentRecord>& in_flight,
-             AvailabilityTracker& tracker, SimTime create_retry = 0)
-      : hydra_(hydra),
-        consumer_(hydra.host(host), http, consumer_service, consumer_id,
-                  std::move(query)),
-        poll_period_(poll_period),
-        metrics_(metrics),
-        in_flight_(in_flight),
-        tracker_(tracker),
-        create_retry_(create_retry) {
-    if (create_retry > 0) consumer_.enable_retry(create_retry);
+  Subscriber(RunScaffold& run, int host, net::HttpClient& http,
+             net::Endpoint service, int id, std::string query,
+             const RgmaConfig& config)
+      : run_(run),
+        consumer_(run.hydra().host(host), http, service, id, std::move(query)),
+        poll_period_(config.poll_period),
+        create_retry_(config.fleet.recovery ? config.consumer_retry : 0) {
+    if (create_retry_ > 0) consumer_.enable_retry(create_retry_);
+    // Reconnect backfill: after each re-create, replay the poll gap from
+    // producer history; rows already delivered miss the ledger.
+    if (config.replay.enabled) {
+      consumer_.enable_replay(
+          [this](std::vector<rgma::Tuple> tuples, SimTime issued) {
+            process(tuples, issued, "backfill");
+          });
+    }
   }
 
   void start() {
@@ -164,42 +51,17 @@ class Subscriber {
       if (!ok) {
         GRIDMON_WARN("rgma.subscriber") << "consumer creation refused";
         if (create_retry_ > 0) {
-          hydra_.sim().schedule_after(create_retry_, [this] { start(); });
+          run_.sim().schedule_after(create_retry_, [this] { start(); });
         }
         return;
       }
-      if (!timer_.active()) {
-        timer_ = sim::PeriodicTimer(
-            hydra_.sim(), hydra_.sim().now() + poll_period_, poll_period_,
-            [this] { poll(); });
-      }
+      if (timer_.active()) return;
+      timer_ = sim::PeriodicTimer(run_.sim(), run_.sim().now() + poll_period_,
+                                  poll_period_, [this] { poll(); });
     });
   }
 
-  void stop() { timer_.cancel(); }
-
-  /// Observability: RTT histogram deliveries record into (null = off).
-  void set_rtt_series(obs::HistogramSeries* series) { rtt_series_ = series; }
-
-  /// Reconnect backfill: after each successful re-create, replay the poll
-  /// gap from producer history retention. Re-delivered rows are dropped by
-  /// the in-flight map, so only genuinely missed rows count.
-  void enable_replay() {
-    consumer_.enable_replay(
-        [this](std::vector<rgma::Tuple> tuples, SimTime issued) {
-          process(std::move(tuples), issued, /*backfill=*/true);
-        });
-  }
-
-  [[nodiscard]] std::uint64_t recreates() const {
-    return consumer_.recreates();
-  }
-  [[nodiscard]] std::uint64_t backfill_tuples() const {
-    return consumer_.backfill_tuples();
-  }
-  [[nodiscard]] std::int64_t backfill_bytes() const {
-    return consumer_.backfill_bytes();
-  }
+  [[nodiscard]] const rgma::Consumer& consumer() const { return consumer_; }
 
  private:
   void poll() {
@@ -208,432 +70,255 @@ class Subscriber {
     consumer_.poll([this](std::vector<rgma::Tuple> tuples,
                           SimTime before_receiving) {
       polling_ = false;
-      process(std::move(tuples), before_receiving, /*backfill=*/false);
+      process(tuples, before_receiving, "recv");
     });
   }
 
-  void process(std::vector<rgma::Tuple> tuples, SimTime before_receiving,
-               bool backfill) {
-    const SimTime now = hydra_.sim().now();
+  void process(const std::vector<rgma::Tuple>& tuples,
+               SimTime before_receiving, const char* stage) {
     for (const auto& tuple : tuples) {
       if (tuple.values.size() <= kRowSentColumn) continue;
       const auto* id = std::get_if<std::int64_t>(&tuple.values[kRowIdColumn]);
       const auto* seq =
           std::get_if<std::int64_t>(&tuple.values[kRowSeqColumn]);
       if (id == nullptr || seq == nullptr) continue;
-      const auto it = in_flight_.find(row_key(*id, *seq));
-      if (it == in_flight_.end()) continue;
-      tracker_.on_delivery(now);
-      metrics_.record(it->second.before_sending, it->second.after_sending,
-                      before_receiving, now);
-      if (rtt_series_ != nullptr) {
-        rtt_series_->record(
-            units::to_millis(now - it->second.before_sending));
-      }
-      if (obs::Recorder* r = obs::tracer()) {
-        const obs::TraceKey key = obs::key_of(*id, *seq);
-        r->mark_at(key, backfill ? "backfill" : "recv", before_receiving);
-        r->mark(key, "done");
-        r->complete(key);
-      }
-      in_flight_.erase(it);
+      run_.deliver(row_key(*id, *seq), before_receiving, stage);
     }
   }
 
-  cluster::Hydra& hydra_;
+  RunScaffold& run_;
   rgma::Consumer consumer_;
   SimTime poll_period_;
-  Metrics& metrics_;
-  std::unordered_map<std::int64_t, SentRecord>& in_flight_;
-  AvailabilityTracker& tracker_;
   SimTime create_retry_;
   sim::PeriodicTimer timer_;
   bool polling_ = false;
-  obs::HistogramSeries* rtt_series_ = nullptr;
+};
+
+class RgmaPort final : public BackendPort {
+ public:
+  RgmaPort(RunScaffold& run, RgmaConfig config, bool hier)
+      : run_(run),
+        config_(std::move(config)),
+        hier_(hier),
+        network_(run.hydra(), network_config(config_)) {
+    network_.create_table(generator_table(kTable));
+    if (config_.via_secondary_producer) {
+      network_.create_table(generator_table(kSecondaryTable));
+    }
+    if (config_.registry_ttl > 0) {
+      network_.registry().set_registration_ttl(config_.registry_ttl);
+    }
+    // Renewal heartbeats rebuild a wiped registry; the request time-out
+    // rescues a half-open one (wedged requests fail with 408).
+    auto harden = [this](auto& service) {
+      if (config_.fleet.recovery) {
+        service.enable_registration_renewal(config_.renewal_period);
+      }
+      if (config_.request_timeout > 0) {
+        service.set_registry_timeout(config_.request_timeout);
+      }
+    };
+    const int producers = network_.producer_service_count();
+    const int consumers = network_.consumer_service_count();
+    for (int i = 0; i < producers; ++i) harden(network_.producer_service(i));
+    for (int i = 0; i < consumers; ++i) harden(network_.consumer_service(i));
+    // Flat fleets share client hosts 4-7 (one HTTP client per host); hier
+    // regionals take every host but the server's and the root's.
+    const int last = hier_ ? run.hydra().node_count() : 8;
+    for (int h = hier_ ? 2 : 4; h < last; ++h) publisher_hosts_.push_back(h);
+    traits_.server_hosts = config_.distributed ? std::vector<int>{0, 1, 2, 3}
+                                               : std::vector<int>{0};
+    traits_.targets.producer_services = producers;
+    traits_.targets.consumer_services = consumers;
+    traits_.drain = units::seconds(30) + config_.secondary_delay +
+                    (config_.via_secondary_producer ? units::seconds(30)
+                                                    : SimTime{0});
+    traits_.rng_stream = "rgma.generator";
+    traits_.random_first_phase = true;
+    FaultHooks& hooks = traits_.hooks;
+    auto& registry = network_.registry();
+    hooks.set_registry_down = [&registry](bool down) {
+      down ? registry.crash() : registry.restart();
+    };
+    hooks.set_producer_servlet_down = [this](int i, bool down) {
+      auto& service = network_.producer_service(i);
+      down ? service.crash() : service.restart();
+    };
+    hooks.set_consumer_servlet_down = [this](int i, bool down) {
+      auto& service = network_.consumer_service(i);
+      down ? service.crash() : service.restart();
+    };
+    hooks.expire_registrations = [&registry] { registry.expire_now(); };
+    hooks.set_registry_half_open = [&registry](bool half_open) {
+      registry.set_half_open(half_open);
+    };
+    using enum obs::MemCategory;
+    auto pp = [this] { return network_.total_producer_stats(); };
+    auto cs = [this] { return network_.total_consumer_stats(); };
+    Series& series = traits_.series;
+    series.counters = {
+        {"pp_tuples_streamed", [pp] { return pp().tuples_streamed; }},
+        {"pp_batches_sent", [pp] { return pp().batches_sent; }},
+        {"cs_batches_received", [cs] { return cs().batches_received; }},
+        {"cs_tuples_matched", [cs] { return cs().tuples_matched; }},
+        {"cs_polls_served", [cs] { return cs().polls_served; }}};
+    series.memory = {kRgmaTuples, kNetConnections, kKernelSlab,
+                     kPredicateCache};
+    if (config_.replay.enabled) {
+      series.replay = {
+          {"backfill_msgs", [this] { return backfill().backfill_msgs; }},
+          {"backfill_bytes", [this] { return backfill().backfill_bytes; }}};
+    }
+  }
+
+  void add_publisher(std::int64_t id) override {
+    const auto index = static_cast<std::size_t>(id);
+    const int host = publisher_hosts_[index % publisher_hosts_.size()];
+    net::HttpClient* http = &http_[index % http_.size()];
+    if (hier_) {  // each regional owns its HTTP client
+      const auto port = static_cast<std::uint16_t>(
+          20000 + static_cast<std::uint16_t>(id));
+      http = &own_http_.emplace_back(run_.hydra().streams(),
+                                     net::Endpoint{host, port});
+    }
+    // Replay runs widen producer retention to the configured tiers so a
+    // reconnecting consumer's history query can cover its poll gap.
+    const bool replay = config_.replay.enabled;
+    const RetentionConfig& retention = config_.replay.retention;
+    auto& producer = producers_.emplace_back(
+        run_.hydra().host(host), *http, network_.assign_producer_service(),
+        static_cast<int>(id), kTable,
+        replay ? retention.raw_window : units::seconds(30),
+        replay ? retention.downsampled_window : units::seconds(60));
+    if (config_.fleet.recovery) {
+      producer.enable_redeclare(config_.fleet.backoff_initial,
+                                config_.fleet.backoff_max);
+    }
+  }
+
+  void connect(std::int64_t id, std::function<void(bool)> on_ready) override {
+    producers_[static_cast<std::size_t>(id)].declare(std::move(on_ready));
+  }
+
+  void publish(Publish p, util::Rng& rng) override {
+    // Rows are fixed-size (the paper's 16-column schema): a hier frame's
+    // aggregation shows up as 1/batch the insert count, not as bytes.
+    auto row = make_generator_row(p.publisher, p.seq, p.before, rng);
+    std::string key = row_key(p.publisher, p.seq);
+    const obs::TraceKey trace = obs::key_of(p.publisher, p.seq);
+    run_.open(key, {p.before, p.before, trace, std::move(p.segments)});
+    producers_[static_cast<std::size_t>(p.publisher)].insert(
+        std::move(row), [&run = run_, key, trace](bool ok, SimTime after) {
+          run.inserted(key, trace, ok, after);
+        });
+  }
+
+  void subscribe() override {
+    auto& streams = run_.hydra().streams();
+    if (hier_) {
+      http_.emplace_back(streams, net::Endpoint{1, 21000});
+    } else {
+      for (int host : publisher_hosts_) {
+        http_.emplace_back(streams, net::Endpoint{host, 20000});
+      }
+    }
+    // Secondary Producer chain (Fig 10): generators → PP("generators") →
+    // SP(deliberate delay) → PP("generators_sp") → Consumer → subscriber.
+    if (config_.via_secondary_producer) {
+      const int sp_host = config_.distributed ? 1 : 0;
+      auto& http = own_http_.emplace_back(streams,
+                                          net::Endpoint{sp_host, 21000});
+      secondary_.emplace(run_.hydra().host(sp_host), http,
+                         network_.assign_consumer_service(),
+                         network_.assign_producer_service(), 900000, kTable,
+                         kSecondaryTable, config_.secondary_delay);
+      run_.sim().schedule_at(RunScaffold::kStartTime / 2,
+                             [this] { secondary_->start(nullptr); });
+    }
+    // One subscriber per consumer service, partitioned by generator id so
+    // every row is delivered exactly once.
+    const std::string table =
+        config_.via_secondary_producer ? kSecondaryTable : kTable;
+    const int services = network_.consumer_service_count();
+    for (int c = 0; c < services; ++c) {
+      std::string query = "SELECT * FROM " + table;
+      if (services > 1) {
+        const int share = config_.fleet.generators / services + 1;
+        query += " WHERE id >= " + std::to_string(c * share) + " AND id < " +
+                 std::to_string((c + 1) * share);
+      } else {
+        query += " WHERE id < 1000000";  // the paper-style no-op filter
+      }
+      const auto index = static_cast<std::size_t>(c);
+      const int host =
+          hier_ ? 1 : publisher_hosts_[index % publisher_hosts_.size()];
+      auto& sub = subscribers_.emplace_back(
+          run_, host, http_[index % http_.size()],
+          network_.consumer_service(c).endpoint(), 800000 + c,
+          std::move(query), config_);
+      run_.sim().schedule_at(RunScaffold::kStartTime / 2,
+                             [&sub] { sub.start(); });
+    }
+  }
+
+  void finish(Results& results) override {
+    Availability& availability = results.availability;
+    availability.reregistrations = network_.registry().reregistrations();
+    for (const auto& producer : producers_) {
+      availability.reregistrations += producer.redeclares();
+    }
+    for (const auto& sub : subscribers_) {
+      availability.resubscribes += sub.consumer().recreates();
+    }
+    availability.backfill_msgs += backfill().backfill_msgs;
+    availability.backfill_bytes += backfill().backfill_bytes;
+  }
+
+ private:
+  static rgma::RgmaNetworkConfig network_config(const RgmaConfig& config) {
+    rgma::RgmaNetworkConfig net;  // single server: all services on host 0
+    if (config.distributed) {     // the paper's 2 producer + 2 consumer nodes
+      net.producer_hosts = {0, 1};
+      net.consumer_hosts = {2, 3};
+    }
+    net.secure = config.secure;
+    net.legacy_stream_api = config.legacy_stream_api;
+    return net;
+  }
+
+  /// Tuples and bytes the subscribers' history queries replayed.
+  [[nodiscard]] Availability backfill() const {
+    Availability sum;
+    for (const auto& sub : subscribers_) {
+      sum.backfill_msgs += sub.consumer().backfill_tuples();
+      sum.backfill_bytes += sub.consumer().backfill_bytes();
+    }
+    return sum;
+  }
+
+  RunScaffold& run_;
+  RgmaConfig config_;
+  bool hier_;
+  rgma::RgmaNetwork network_;
+  std::vector<int> publisher_hosts_;
+  std::deque<net::HttpClient> http_;      ///< shared by the client hosts
+  std::deque<net::HttpClient> own_http_;  ///< the SP's and each regional's
+  std::optional<rgma::SecondaryProducer> secondary_;
+  std::deque<Subscriber> subscribers_;
+  std::deque<rgma::PrimaryProducer> producers_;
 };
 
 }  // namespace
 
+std::unique_ptr<BackendPort> make_rgma_port(RunScaffold& run,
+                                            RgmaConfig config, bool hier) {
+  return std::make_unique<RgmaPort>(run, std::move(config), hier);
+}
+
 Results run_rgma_experiment(const RgmaConfig& config) {
-  cluster::HydraConfig hydra_config;
-  hydra_config.seed = config.seed;
-  cluster::Hydra hydra(hydra_config);
-
-  // Deployment: single server (everything on host 0) or the paper's
-  // distributed architecture (2 producer nodes, 2 consumer nodes).
-  rgma::RgmaNetworkConfig net_config;
-  if (config.distributed) {
-    net_config.registry_host = 0;
-    net_config.producer_hosts = {0, 1};
-    net_config.consumer_hosts = {2, 3};
-  } else {
-    net_config.registry_host = 0;
-    net_config.producer_hosts = {0};
-    net_config.consumer_hosts = {0};
-  }
-  net_config.secure = config.secure;
-  net_config.legacy_stream_api = config.legacy_stream_api;
-  rgma::RgmaNetwork network(hydra, net_config);
-  network.create_table(generator_table(kTable));
-  if (config.via_secondary_producer) {
-    network.create_table(generator_table(kSecondaryTable));
-  }
-
-  // Soft-state expiry and renewal heartbeats (the recovery policy that
-  // rebuilds a wiped registry purely from periodic re-assertions).
-  if (config.registry_ttl > 0) {
-    network.registry().set_registration_ttl(config.registry_ttl);
-  }
-  if (config.fleet.recovery) {
-    for (int i = 0; i < network.producer_service_count(); ++i) {
-      network.producer_service(i).enable_registration_renewal(
-          config.renewal_period);
-    }
-    for (int i = 0; i < network.consumer_service_count(); ++i) {
-      network.consumer_service(i).enable_registration_renewal(
-          config.renewal_period);
-    }
-  }
-  if (config.request_timeout > 0) {
-    // Half-open-registry rescue: bound every service→registry round trip so
-    // wedged (accepted-but-never-answered) requests fail with 408 instead
-    // of stranding the renewal/registration handlers forever.
-    for (int i = 0; i < network.producer_service_count(); ++i) {
-      network.producer_service(i).set_registry_timeout(config.request_timeout);
-    }
-    for (int i = 0; i < network.consumer_service_count(); ++i) {
-      network.consumer_service(i).set_registry_timeout(config.request_timeout);
-    }
-  }
-
-  Results results;
-  results.metrics.set_deadline(units::seconds(5));
-  results.generators = config.fleet.generators;
-  std::unordered_map<std::int64_t, SentRecord> in_flight;
-  std::uint64_t refused_in_faults = 0;
-  const FaultInjector* injector_ptr = nullptr;
-  AvailabilityTracker tracker;
-
-  // Observability: one recorder for the run, installed thread-locally so
-  // servlet mark helpers route to it (see narada_experiment.cpp).
-  std::unique_ptr<obs::Recorder> recorder;
-  std::unique_ptr<obs::MemProfile> memprof;
-  obs::HistogramSeries* rtt_series = nullptr;
-  if (obs::kEnabled && config.obs.enabled) {
-    recorder = std::make_unique<obs::Recorder>(hydra.sim(), config.obs);
-    auto& timeline = recorder->timeline();
-    timeline.gauge("sent");
-    timeline.gauge("received");
-    rtt_series = &timeline.histogram("rtt_ms");
-    timeline.gauge("kernel_events");
-    timeline.gauge("kernel_queue_depth");
-    timeline.gauge("lan_in_flight");
-    timeline.gauge("lan_dropped");
-    timeline.gauge("pp_tuples_streamed");
-    timeline.gauge("pp_batches_sent");
-    timeline.gauge("cs_batches_received");
-    timeline.gauge("cs_tuples_matched");
-    timeline.gauge("cs_polls_served");
-    if (config.obs.memprof) {
-      // Memory-footprint gauges after the classic columns (the series
-      // prefix is pinned by obs_test).
-      memprof = std::make_unique<obs::MemProfile>();
-      timeline.gauge("mem_rgma_tuples");
-      timeline.gauge("mem_net_connections");
-      timeline.gauge("mem_kernel_slab");
-      timeline.gauge("mem_predicate_cache");
-      timeline.gauge("mem_total");
-    }
-    if (config.replay.enabled) {
-      // Replication columns ride last, and only on replay runs, so the
-      // classic timeline shape is untouched.
-      timeline.gauge("backfill_msgs");
-      timeline.gauge("backfill_bytes");
-      if (config.obs.memprof) timeline.gauge("mem_history");
-    }
-  }
-  obs::ScopedRecorder scoped(recorder.get());
-  obs::ScopedMemProfile scoped_mem(memprof.get());
-
-  // Client hosts: 4–7 run generator programs and the subscriber(s).
-  const std::vector<int> client_hosts = {4, 5, 6, 7};
-  std::vector<std::unique_ptr<net::HttpClient>> http_clients;
-  for (int host : client_hosts) {
-    http_clients.push_back(std::make_unique<net::HttpClient>(
-        hydra.streams(), net::Endpoint{host, 20000}));
-  }
-  auto http_for = [&](std::size_t index) -> net::HttpClient& {
-    return *http_clients[index % http_clients.size()];
-  };
-
-  // Secondary Producer chain (Fig 10): generators → PP("generators") →
-  // SP(deliberate delay) → PP("generators_sp") → Consumer → subscriber.
-  std::unique_ptr<rgma::SecondaryProducer> secondary;
-  std::unique_ptr<net::HttpClient> secondary_http;
-  if (config.via_secondary_producer) {
-    const int sp_host = config.distributed ? 1 : 0;
-    secondary_http = std::make_unique<net::HttpClient>(
-        hydra.streams(), net::Endpoint{sp_host, 21000});
-    secondary = std::make_unique<rgma::SecondaryProducer>(
-        hydra.host(sp_host), *secondary_http,
-        network.assign_consumer_service(), network.assign_producer_service(),
-        900000, kTable, kSecondaryTable, config.secondary_delay);
-    hydra.sim().schedule_at(kStartTime / 2,
-                            [&secondary] { secondary->start(nullptr); });
-  }
-
-  // Subscriber(s): one per consumer service, partitioned by generator id so
-  // every row is delivered exactly once.
-  const std::string table_to_watch =
-      config.via_secondary_producer ? kSecondaryTable : kTable;
-  std::vector<std::unique_ptr<Subscriber>> subscribers;
-  const int consumer_services = network.consumer_service_count();
-  for (int c = 0; c < consumer_services; ++c) {
-    std::string query = "SELECT * FROM " + table_to_watch;
-    if (consumer_services > 1) {
-      // Content-based partitioning across consumer services.
-      const int share = config.fleet.generators / consumer_services + 1;
-      const int lo = c * share;
-      const int hi = lo + share;
-      query += " WHERE id >= " + std::to_string(lo) + " AND id < " +
-               std::to_string(hi);
-    } else {
-      query += " WHERE id < 1000000";  // the paper-style no-op filter
-    }
-    subscribers.push_back(std::make_unique<Subscriber>(
-        hydra, client_hosts[static_cast<std::size_t>(c) % client_hosts.size()],
-        http_for(static_cast<std::size_t>(c)),
-        network.consumer_service(c).endpoint(), 800000 + c, std::move(query),
-        config.poll_period, results.metrics, in_flight, tracker,
-        config.fleet.recovery ? config.consumer_retry : SimTime{0}));
-    if (config.replay.enabled) subscribers.back()->enable_replay();
-    subscribers.back()->set_rtt_series(rtt_series);
-    hydra.sim().schedule_at(kStartTime / 2, [sub = subscribers.back().get()] {
-      sub->start();
-    });
-  }
-
-  // Producer fleet on the paper's 1 s creation stagger.
-  std::vector<std::unique_ptr<RgmaGenerator>> fleet;
-  fleet.reserve(static_cast<std::size_t>(config.fleet.generators));
-  for (int g = 0; g < config.fleet.generators; ++g) {
-    const std::size_t client = static_cast<std::size_t>(g) % client_hosts.size();
-    fleet.push_back(std::make_unique<RgmaGenerator>(
-        hydra, client_hosts[client], http_for(client),
-        network.assign_producer_service(), config, g, results.metrics,
-        refused_in_faults, injector_ptr, in_flight, tracker));
-    hydra.sim().schedule_at(kStartTime + config.fleet.creation_interval * g,
-                            [gen = fleet.back().get()] { gen->start(); });
-  }
-
-  // vmstat over the steady window on every server host.
-  std::vector<int> server_hosts = net_config.producer_hosts;
-  for (int h : net_config.consumer_hosts) {
-    bool seen = false;
-    for (int s : server_hosts) seen |= (s == h);
-    if (!seen) server_hosts.push_back(h);
-  }
-  const SimTime steady_begin = kStartTime +
-                               config.fleet.creation_interval * config.fleet.generators +
-                               config.fleet.warmup_max;
-  const SimTime measure_end = steady_begin + config.duration;
-
-  // Fault injection: bridge FaultPlan events onto the LAN and the R-GMA
-  // service containers. All fire at fixed virtual times.
-  FaultHooks hooks;
-  hooks.set_nic = [&hydra](int node, bool down) {
-    hydra.lan().set_node_down(node, down);
-  };
-  hooks.set_link_loss = [&hydra](int src, int dst, double p, bool active) {
-    if (active) {
-      hydra.lan().set_link_loss(src, dst, p);
-    } else {
-      hydra.lan().clear_link_loss(src, dst);
-    }
-  };
-  hooks.set_registry_down = [&network](bool down) {
-    if (down) {
-      network.registry().crash();
-    } else {
-      network.registry().restart();
-    }
-  };
-  hooks.set_producer_servlet_down = [&network](int i, bool down) {
-    if (i < 0 || i >= network.producer_service_count()) return;
-    if (down) {
-      network.producer_service(i).crash();
-    } else {
-      network.producer_service(i).restart();
-    }
-  };
-  hooks.set_consumer_servlet_down = [&network](int i, bool down) {
-    if (i < 0 || i >= network.consumer_service_count()) return;
-    if (down) {
-      network.consumer_service(i).crash();
-    } else {
-      network.consumer_service(i).restart();
-    }
-  };
-  hooks.expire_registrations = [&network] { network.registry().expire_now(); };
-  hooks.set_registry_half_open = [&network](bool half_open) {
-    network.registry().set_half_open(half_open);
-  };
-  FaultInjector injector(hydra.sim(), config.faults, hooks);
-  injector.arm(steady_begin);
-  injector_ptr = &injector;
-  tracker.set_windows(injector.windows());
-  if (recorder) {
-    for (const FaultEvent& event : config.faults.events) {
-      const SimTime base =
-          event.anchor == FaultAnchor::kSteady ? steady_begin : 0;
-      recorder->add_chaos(std::string(to_string(event.kind)), base + event.at,
-                          base + event.at + event.duration);
-    }
-    recorder->set_sampler([&results, &hydra, &network, &subscribers,
-                           prof = memprof.get(),
-                           replay = config.replay.enabled](
-                              obs::Timeline& timeline) {
-      timeline.gauge("sent").set(
-          static_cast<double>(results.metrics.sent()));
-      timeline.gauge("received").set(
-          static_cast<double>(results.metrics.received()));
-      timeline.gauge("kernel_events").set(
-          static_cast<double>(hydra.sim().kernel_stats().events_executed));
-      timeline.gauge("kernel_queue_depth").set(
-          static_cast<double>(hydra.sim().queue_size()));
-      timeline.gauge("lan_in_flight").set(
-          static_cast<double>(hydra.lan().datagrams_in_flight()));
-      timeline.gauge("lan_dropped").set(
-          static_cast<double>(hydra.lan().datagrams_dropped()));
-      std::uint64_t tuples_streamed = 0;
-      std::uint64_t batches_sent = 0;
-      for (int i = 0; i < network.producer_service_count(); ++i) {
-        const auto& stats = network.producer_service(i).stats();
-        tuples_streamed += stats.tuples_streamed;
-        batches_sent += stats.batches_sent;
-      }
-      std::uint64_t batches_received = 0;
-      std::uint64_t tuples_matched = 0;
-      std::uint64_t polls_served = 0;
-      for (int i = 0; i < network.consumer_service_count(); ++i) {
-        const auto& stats = network.consumer_service(i).stats();
-        batches_received += stats.batches_received;
-        tuples_matched += stats.tuples_matched;
-        polls_served += stats.polls_served;
-      }
-      timeline.gauge("pp_tuples_streamed")
-          .set(static_cast<double>(tuples_streamed));
-      timeline.gauge("pp_batches_sent")
-          .set(static_cast<double>(batches_sent));
-      timeline.gauge("cs_batches_received")
-          .set(static_cast<double>(batches_received));
-      timeline.gauge("cs_tuples_matched")
-          .set(static_cast<double>(tuples_matched));
-      timeline.gauge("cs_polls_served")
-          .set(static_cast<double>(polls_served));
-      if (prof != nullptr) {
-        prof->set(obs::MemCategory::kKernelSlab,
-                  static_cast<std::int64_t>(
-                      hydra.sim().kernel_stats().slab_bytes));
-        timeline.gauge("mem_rgma_tuples")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kRgmaTuples)));
-        timeline.gauge("mem_net_connections")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kNetConnections)));
-        timeline.gauge("mem_kernel_slab")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kKernelSlab)));
-        timeline.gauge("mem_predicate_cache")
-            .set(static_cast<double>(
-                prof->live(obs::MemCategory::kPredicateCache)));
-        timeline.gauge("mem_total")
-            .set(static_cast<double>(prof->live_total()));
-      }
-      if (replay) {
-        std::uint64_t backfill_tuples = 0;
-        std::int64_t backfill_bytes = 0;
-        for (const auto& sub : subscribers) {
-          backfill_tuples += sub->backfill_tuples();
-          backfill_bytes += sub->backfill_bytes();
-        }
-        timeline.gauge("backfill_msgs")
-            .set(static_cast<double>(backfill_tuples));
-        timeline.gauge("backfill_bytes")
-            .set(static_cast<double>(backfill_bytes));
-        if (prof != nullptr) {
-          timeline.gauge("mem_history")
-              .set(static_cast<double>(
-                  prof->live(obs::MemCategory::kHistory)));
-        }
-      }
-    });
-    recorder->arm(kStartTime);
-  }
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> mem_samplers;
-  std::vector<std::unique_ptr<cluster::VmstatSampler>> cpu_samplers;
-  for (int host : server_hosts) {
-    mem_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    cpu_samplers.push_back(
-        std::make_unique<cluster::VmstatSampler>(hydra.host(host)));
-    auto* mem = mem_samplers.back().get();
-    auto* cpu = cpu_samplers.back().get();
-    hydra.sim().schedule_at(kStartTime, [mem] { mem->start(); });
-    hydra.sim().schedule_at(steady_begin, [cpu] { cpu->start(); });
-    hydra.sim().schedule_at(measure_end, [mem, cpu] {
-      mem->stop();
-      cpu->stop();
-    });
-  }
-
-  const SimTime drain = units::seconds(30) + config.secondary_delay +
-                        (config.via_secondary_producer ? units::seconds(30)
-                                                       : SimTime{0});
-  const SimTime horizon = measure_end + drain;
-  hydra.sim().run_until(horizon);
-
-  double idle_sum = 0.0;
-  std::int64_t mem_sum = 0;
-  for (auto& sampler : cpu_samplers) idle_sum += sampler->mean_cpu_idle();
-  for (auto& sampler : mem_samplers) mem_sum += sampler->memory_consumption();
-  results.servers.cpu_idle_pct =
-      idle_sum / static_cast<double>(cpu_samplers.size());
-  results.servers.memory_bytes =
-      mem_sum / static_cast<std::int64_t>(mem_samplers.size());
-  for (int host : server_hosts) {
-    results.wire_bytes += hydra.lan().bytes_to_node(host);
-  }
-  results.refused = results.metrics.refused_connections();
-  results.refused_in_faults = refused_in_faults;
-  results.completed = !results.hit_oom_wall();
-  results.kernel = hydra.sim().kernel_stats();
-  if (memprof) {
-    memprof->set(obs::MemCategory::kKernelSlab,
-                 static_cast<std::int64_t>(results.kernel.slab_bytes));
-    results.mem = memprof->summary();
-  }
-
-  // Availability: classify undelivered rows against the fault windows
-  // (order-independent sums), then fold in recovery effort.
-  for (const auto& [key, sent] : in_flight) {
-    tracker.classify_loss(sent.before_sending);
-  }
-  results.availability = tracker.finalise(horizon);
-  results.availability.fault_events = injector.injected();
-  results.availability.delivered_late = results.metrics.delivered_late();
-  results.availability.reregistrations =
-      network.registry().reregistrations();
-  for (const auto& gen : fleet) {
-    results.availability.reregistrations += gen->redeclares();
-  }
-  for (const auto& sub : subscribers) {
-    results.availability.resubscribes += sub->recreates();
-    results.availability.backfill_msgs += sub->backfill_tuples();
-    results.availability.backfill_bytes += sub->backfill_bytes();
-  }
-  if (recorder) results.obs = recorder->finish(horizon);
-  return results;
+  RunScaffold run(config, config.faults, config.fleet.generators);
+  RgmaPort port(run, config, /*hier=*/false);
+  return run_fleet(run, port, config.fleet);
 }
 
 }  // namespace gridmon::core

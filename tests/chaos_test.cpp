@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/hydra.hpp"
+#include "core/campaign.hpp"
 #include "core/experiment.hpp"
 #include "core/payloads.hpp"
 #include "core/scenarios.hpp"
@@ -67,6 +69,67 @@ TEST(FaultPlan, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)FaultPlan::parse("nic_down sideways 1 2 3 4 0.5"),
                std::invalid_argument);
   EXPECT_TRUE(FaultPlan::parse("").empty());
+}
+
+// Bad fault input is an error at setup on every backend and worker count:
+// FaultPlan::parse rejects impossible numbers, and the harness rejects
+// targets its topology does not have. Before, an out-of-range broker
+// segfaulted in Broker::crash() and a missing servlet counted a fault that
+// never fired.
+TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
+  struct Case {
+    const char* backend;
+    const char* plan;
+  };
+  const Case cases[] = {
+      {"narada", "broker_crash steady 1000 5000 3 -1 0"},  // one broker
+      {"narada", "nic_down steady 1000 5000 8 -1 0"},      // nodes 0-7
+      {"mqtt", "broker_crash steady 1000 5000 1 -1 0"},
+      {"mqtt", "link_loss steady 1000 5000 1 -1 0.5"},
+      {"rgma", "producer_servlet_restart steady 1000 5000 7 -1 0"},
+      {"rgma", "consumer_servlet_restart steady 1000 5000 -1 -1 0"},
+      {"rgma", "broker_crash steady 1000 5000 0 -1 0"},     // no brokers
+      {"narada", "broker_crash steady -5000 -1 -9 -1 0"},   // duration < 0
+      {"rgma", "registry_restart start -1000 5000 -1 -1 0"},  // before t=0
+      {"mqtt", "loss_burst steady 1000 5000 -1 -1 1.5"},    // not in [0, 1]
+      {"mqtt", "loss_burst steady 1000 5000 -1 -1 -0.1"},
+  };
+  auto spec = [](const Case& c) {
+    const FaultPlan faults = FaultPlan::parse(c.plan);
+    ScenarioSpec spec{c.plan, "bad fault", CustomScenario{}};
+    if (std::string(c.backend) == "narada") {
+      NaradaConfig config = scenarios::narada_single(20);
+      config.faults = faults;
+      spec.config = config;
+    } else if (std::string(c.backend) == "mqtt") {
+      MqttConfig config = scenarios::mqtt_single(20);
+      config.faults = faults;
+      spec.config = config;
+    } else {
+      RgmaConfig config = scenarios::rgma_single(20);
+      config.faults = faults;
+      spec.config = config;
+    }
+    return spec;
+  };
+  for (const Case& c : cases) {
+    for (int jobs : {1, 4}) {
+      CampaignOptions options;
+      options.jobs = jobs;
+      options.duration = units::minutes(1);
+      try {
+        CampaignRunner runner(options);
+        runner.add(spec(c));
+        (void)runner.run();
+        ADD_FAILURE() << "accepted " << c.plan << " at jobs=" << jobs;
+      } catch (const std::invalid_argument& error) {
+        // The error names the event.
+        const std::string kind(c.plan, std::string_view(c.plan).find(' '));
+        EXPECT_NE(std::string(error.what()).find(kind), std::string::npos)
+            << error.what();
+      }
+    }
+  }
 }
 
 TEST(FaultInjector, ResolvesAnchorsAndSortsWindows) {

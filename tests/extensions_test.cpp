@@ -1,12 +1,12 @@
 // Tests for the extension features: JMS PTP queues, R-GMA one-time
-// (latest/history) queries, GMA adapters over R-GMA, and failure injection.
+// (latest/history) queries, and failure injection.
 #include <gtest/gtest.h>
 
 #include "cluster/hydra.hpp"
 #include "core/payloads.hpp"
-#include "gma/adapters.hpp"
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
+#include "rgma/api.hpp"
 #include "rgma/network.hpp"
 
 namespace gridmon {
@@ -247,56 +247,6 @@ TEST_F(RgmaQueryFixture, OneTimeQueryOnEmptyTableReturnsNothing) {
   hydra.sim().run_until(units::seconds(5));
   EXPECT_TRUE(answered);
   EXPECT_EQ(count, 0u);
-}
-
-// --- GMA over R-GMA ---
-
-TEST_F(RgmaQueryFixture, GmaAdaptersBridgeTheVirtualDatabase) {
-  auto api_producer = std::make_shared<rgma::PrimaryProducer>(
-      hydra.host(4), http, network.assign_producer_service(), 1, "generators");
-  api_producer->declare(nullptr);
-  auto api_consumer = std::make_shared<rgma::Consumer>(
-      hydra.host(4), http, network.assign_consumer_service(), 100,
-      "SELECT * FROM generators");
-  api_consumer->create(nullptr);
-
-  auto rng_copy = std::make_shared<util::Rng>(hydra.sim().rng_stream("gma"));
-  gma::RgmaProducer producer(
-      "fleet", api_producer,
-      [this, rng_copy](const gma::MonitoringEvent& event) {
-        return core::make_generator_row(event.sequence, 0,
-                                        hydra.sim().now(), *rng_copy);
-      });
-  gma::RgmaConsumer consumer("control", api_consumer, hydra.sim(),
-                             units::milliseconds(100),
-                             [](const rgma::Tuple& tuple) {
-                               gma::MonitoringEvent event;
-                               event.sequence = std::get<std::int64_t>(
-                                   tuple.values[core::kRowIdColumn]);
-                               return event;
-                             });
-  std::vector<std::int64_t> seen;
-  consumer.subscribe("generators", [&](const gma::MonitoringEvent& event) {
-    seen.push_back(event.sequence);
-  });
-  hydra.sim().schedule_at(units::seconds(5), [&] {
-    for (int i = 0; i < 3; ++i) {
-      gma::MonitoringEvent event;
-      event.sequence = i;
-      producer.publish(std::move(event));
-    }
-  });
-  hydra.sim().run_until(units::seconds(20));
-  ASSERT_EQ(seen.size(), 3u);
-
-  // GMA query/response over R-GMA returns retained data — the capability
-  // JMS topics lack (Table III's functional comparison).
-  std::size_t query_count = 0;
-  consumer.query("generators", [&](const gma::MonitoringEvent&) {
-    ++query_count;
-  });
-  hydra.sim().run_until(units::seconds(25));
-  EXPECT_EQ(query_count, 3u);
 }
 
 // --- failure injection ---

@@ -193,6 +193,8 @@ TEST(HistoryBufferTest, AppendAtPreservesOriginNumberingAndDedups) {
 }
 
 TEST(HistoryBufferTest, MemprofAccountsRetainedBytesUnderHistory) {
+  // The memprof hooks compile to nothing in a GRIDMON_OBS=OFF build.
+  if (!obs::kMemEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF";
   obs::MemProfile profile;
   obs::ScopedMemProfile scope(&profile);
   constexpr auto kHistory = obs::MemCategory::kHistory;

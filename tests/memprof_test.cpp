@@ -15,6 +15,11 @@
 namespace gridmon::obs {
 namespace {
 
+// Tests of the counting hooks and of a run's mem_* output need them
+// compiled in; a GRIDMON_OBS=OFF build still runs the MemProfile units.
+#define GRIDMON_REQUIRE_MEMPROF() \
+  if (!gridmon::obs::kMemEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF"
+
 TEST(MemProfile, TracksLiveAndPeakPerCategory) {
   MemProfile profile;
   profile.add(MemCategory::kBrokerRouting, 100);
@@ -62,6 +67,7 @@ TEST(MemProfile, DataPlaneCategoryNames) {
 }
 
 TEST(MemProfile, HooksAreNoOpsWithoutInstalledProfile) {
+  GRIDMON_REQUIRE_MEMPROF();
   EXPECT_EQ(memprof(), nullptr);
   mem_add(MemCategory::kNetConnections, 1 << 20);  // must not crash
   MemProfile profile;
@@ -75,6 +81,7 @@ TEST(MemProfile, HooksAreNoOpsWithoutInstalledProfile) {
 }
 
 TEST(MemProfile, TupleStoreCountsInsertAndPrune) {
+  GRIDMON_REQUIRE_MEMPROF();
   MemProfile profile;
   ScopedMemProfile scoped(&profile);
   std::int64_t peak_bytes = 0;
@@ -115,6 +122,7 @@ NaradaConfig workload() {
 }
 
 TEST(MemProfExperiment, SummaryAndGaugesPopulate) {
+  GRIDMON_REQUIRE_MEMPROF();
   NaradaConfig config = workload();
   config.obs.enabled = true;
   config.obs.span_sample_every = 0;
@@ -138,6 +146,7 @@ TEST(MemProfExperiment, SummaryAndGaugesPopulate) {
 }
 
 TEST(MemProfExperiment, OptOutLeavesSummaryEmpty) {
+  GRIDMON_REQUIRE_MEMPROF();
   NaradaConfig config = workload();
   config.obs.enabled = true;
   config.obs.span_sample_every = 0;
@@ -168,6 +177,7 @@ TEST(MemProfExperiment, ProfilingDoesNotPerturbTheModel) {
 }
 
 TEST(MemProfExperiment, RgmaRunsCountTupleStores) {
+  GRIDMON_REQUIRE_MEMPROF();
   RgmaConfig config;
   config.fleet.generators = 40;
   config.duration = units::minutes(1);
@@ -188,6 +198,7 @@ TEST(MemProfExperiment, RgmaRunsCountTupleStores) {
 }
 
 TEST(MemProfExperiment, MqttRunsCountSubscriptionIndex) {
+  GRIDMON_REQUIRE_MEMPROF();
   MqttConfig config;
   config.fleet.generators = 40;
   config.duration = units::minutes(1);

@@ -192,6 +192,8 @@ TEST(SubscriptionIndex, ResubscribeReplacesGrantInPlace) {
 }
 
 TEST(SubscriptionIndex, RemoveAndClearReleaseAccounting) {
+  // The memprof hooks compile to nothing in a GRIDMON_OBS=OFF build.
+  if (!obs::kMemEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF";
   obs::MemProfile profile;
   obs::ScopedMemProfile scope(&profile);
   const std::string a = "a-client";

@@ -6,6 +6,7 @@
 // on one worker thread or four. The golden determinism gate of
 // ISSUE/DESIGN: `--jobs 1` vs `--jobs 4` series CSVs must match byte for
 // byte, chaos scenarios included.
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,11 @@
 
 namespace gridmon::core {
 namespace {
+
+// Every test here asserts on obs output, which a GRIDMON_OBS=OFF build
+// never produces.
+#define GRIDMON_REQUIRE_OBS() \
+  if (!obs::kEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF"
 
 struct RunExports {
   std::string label;
@@ -64,14 +70,17 @@ void expect_byte_identical(const char* prefix) {
 }
 
 TEST(ObsDeterminism, ChaosSeriesByteIdenticalAcrossJobs) {
+  GRIDMON_REQUIRE_OBS();
   expect_byte_identical("chaos/narada/broker_crash");
 }
 
 TEST(ObsDeterminism, SteadyStateSeriesByteIdenticalAcrossJobs) {
+  GRIDMON_REQUIRE_OBS();
   expect_byte_identical("narada/comparison/80");
 }
 
 TEST(ObsDeterminism, SameSeedSameSeriesAcrossCampaigns) {
+  GRIDMON_REQUIRE_OBS();
   // Two independent campaigns at the same settings reproduce the exact
   // same exports (no hidden process-global state).
   const auto first = campaign_exports("chaos/rgma/servlet_restart", 2);
@@ -80,6 +89,86 @@ TEST(ObsDeterminism, SameSeedSameSeriesAcrossCampaigns) {
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].series_csv, second[i].series_csv) << first[i].label;
     EXPECT_EQ(first[i].trace_json, second[i].trace_json) << first[i].label;
+  }
+}
+
+std::uint64_t fnv1a(const std::string& data) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (unsigned char c : data) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+struct ExportGolden {
+  const char* label;  ///< "<scenario id>#<seed>"
+  std::uint64_t series_csv;
+  std::uint64_t trace_json;
+};
+
+// One run per backend and harness shape (steady state, hier, chaos with
+// replay), with obs and memprof on, 1 virtual minute, seeds {1, 2}. The
+// hashes pin the whole export: gauge column order, every mem_* column,
+// the point the MemProfile was installed at, span marks and chaos tracks.
+// Rerecord only when the shift is understood and intended.
+constexpr ExportGolden kExportGoldens[] = {
+    {"narada/comparison/80#1", 5961224837063345680ULL,
+     9271460134286950593ULL},
+    {"narada/comparison/80#2", 15732425890595483384ULL,
+     2271445070085576741ULL},
+    {"rgma/single/100#1", 8686140751912329001ULL,
+     17848994105123168666ULL},
+    {"rgma/single/100#2", 9233968172910405211ULL,
+     10052245214075442978ULL},
+    {"mqtt/qos1/800#1", 304368251969534571ULL,
+     11616385072864528843ULL},
+    {"mqtt/qos1/800#2", 13903330743890695420ULL,
+     13700677411317488227ULL},
+    {"hier/narada/10k#1", 16337542745424830264ULL,
+     18088963067110442184ULL},
+    {"hier/narada/10k#2", 11546029386708423628ULL,
+     18088963067110442184ULL},
+    {"chaos/mqtt/flapping_link_replay/800#1", 15577803216617313020ULL,
+     17914703032507385578ULL},
+    {"chaos/mqtt/flapping_link_replay/800#2", 15690117025811845856ULL,
+     1967008498153270515ULL},
+    {"chaos/rgma/servlet_restart_replay#1", 1196124081461388407ULL,
+     13578750937371944062ULL},
+    {"chaos/rgma/servlet_restart_replay#2", 13858388162160825837ULL,
+     1882390007581995528ULL},
+};
+
+TEST(ObsDeterminism, ExportsMatchGoldenHashes) {
+  GRIDMON_REQUIRE_OBS();
+  CampaignOptions options;
+  options.jobs = 4;
+  options.seeds = 2;
+  options.duration = units::minutes(1);
+  options.obs.enabled = true;
+  options.obs.memprof = true;
+  CampaignRunner runner(options);
+  for (const char* id :
+       {"narada/comparison/80", "rgma/single/100", "mqtt/qos1/800",
+        "hier/narada/10k", "chaos/mqtt/flapping_link_replay/800",
+        "chaos/rgma/servlet_restart_replay"}) {
+    ASSERT_TRUE(runner.add(builtin_registry(), id)) << id;
+  }
+  const Campaign campaign = runner.run();
+  ASSERT_EQ(campaign.runs().size(), std::size(kExportGoldens));
+  for (std::size_t i = 0; i < campaign.runs().size(); ++i) {
+    const RunRecord& record = campaign.runs()[i];
+    const std::string label =
+        record.scenario_id + "#" + std::to_string(record.seed);
+    EXPECT_EQ(label, kExportGoldens[i].label);
+    ASSERT_TRUE(record.results.obs) << label;
+    const std::uint64_t series = fnv1a(obs::series_csv(*record.results.obs));
+    const std::uint64_t trace =
+        fnv1a(obs::chrome_trace_json(*record.results.obs));
+    EXPECT_EQ(series, kExportGoldens[i].series_csv)
+        << label << " series hash: " << series;
+    EXPECT_EQ(trace, kExportGoldens[i].trace_json)
+        << label << " trace hash: " << trace;
   }
 }
 
