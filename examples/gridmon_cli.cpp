@@ -6,7 +6,7 @@
 //       custom) with its description.
 //
 //   gridmon_cli run <id|prefix>... [--seeds N] [--jobs N]
-//               [--minutes M | --quick] [--csv|--json]
+//               [--minutes M | --quick] [--csv|--json] [--slo]
 //               [--trace-out DIR] [--series-out DIR]
 //       Resolve each argument against the registry (exact id first, then
 //       prefix expansion), fan the campaign out over a worker pool and
@@ -19,6 +19,13 @@
 //       fault-injection scenarios also get a loss-over-time sparkline in
 //       the table output.
 //
+//   gridmon_cli report <figure>...|all [run's flags]
+//       Print the paper's tables and figures (core/figures.hpp). Their
+//       scenarios run as one campaign, each id once, with series-only
+//       observability; defaults are the paper's 30 virtual minutes and
+//       2 seeds on one worker per hardware thread. Exits 1 when a figure's
+//       check fails.
+//
 //   gridmon_cli diff <baseline.json> <candidate.json> [--json]
 //               [--tolerance PCT] [--timing-tolerance PCT]
 //       Compare two campaign JSON documents (from `run --json`) aligned by
@@ -27,29 +34,23 @@
 //       advisory --timing-tolerance (default 10%). Exits 1 on regression,
 //       2 when the documents cannot be compared (schema mismatch).
 //
-//   gridmon_cli narada [--connections N] [--transport tcp|nio|udp]
-//               [--ack auto|client] [--brokers N] [--minutes M]
-//               [--pad BYTES] [--persistent] [--routing-fix] [--seed S]
-//               [--csv]
-//   gridmon_cli rgma   [--connections N] [--distributed] [--secondary]
-//               [--sp-delay SECONDS] [--no-warmup] [--secure] [--legacy]
-//               [--minutes M] [--seed S] [--csv]
-//       Ad-hoc single runs with explicit knobs (the original interface).
-//
-// Prints the paper's metric set for the chosen configuration; --csv emits a
-// machine-readable line per run instead.
+// A number flag outside its type or range exits 2 naming the flag.
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/experiment.hpp"
+#include "core/figures.hpp"
 #include "core/registry.hpp"
 #include "core/report.hpp"
 #include "obs/export.hpp"
@@ -67,156 +68,44 @@ namespace {
       "       %s run <id|prefix>... [--seeds N] [--jobs N]\n"
       "           [--minutes M | --quick] [--csv|--json] [--slo]\n"
       "           [--trace-out DIR] [--series-out DIR]\n"
+      "       %s report <figure>...|all [run's flags; defaults\n"
+      "           --minutes 30 --seeds 2, one job per hardware thread]\n"
       "       %s diff <baseline.json> <candidate.json> [--json]\n"
-      "           [--tolerance PCT] [--timing-tolerance PCT]\n"
-      "       %s narada|rgma [options]\n"
-      "  common: --connections N --minutes M --seed S --csv\n"
-      "  narada: --transport tcp|nio|udp --ack auto|client\n"
-      "          --brokers N --pad BYTES --persistent --routing-fix\n"
-      "  rgma:   --distributed --secondary --sp-delay S --no-warmup\n"
-      "          --secure --legacy\n",
+      "           [--tolerance PCT] [--timing-tolerance PCT]\n",
       argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
-struct Args {
-  int connections = 400;
-  int minutes = 5;
-  std::uint64_t seed = 1;
-  bool csv = false;
-  // narada
-  narada::TransportKind transport = narada::TransportKind::kTcp;
-  jms::AcknowledgeMode ack = jms::AcknowledgeMode::kAutoAcknowledge;
-  int brokers = 1;
-  std::int64_t pad = 0;
-  bool persistent = false;
-  bool routing_fix = false;
-  // rgma
-  bool distributed = false;
-  bool secondary = false;
-  int sp_delay_s = 30;
-  bool no_warmup = false;
-  bool secure = false;
-  bool legacy = false;
-};
+/// The longest --minutes: half of SimTime's range, so the ramp and drain a
+/// run adds to its duration cannot overflow the clock either.
+constexpr int kMaxMinutes = static_cast<int>(
+    std::numeric_limits<SimTime>::max() / 2 / units::minutes(1));
 
-long long need_value(int argc, char** argv, int& i) {
+/// The value after the flag at argv[i], parsed whole as a T in [lo, hi].
+/// Trailing text, a value outside the range and anything that is not a
+/// number exit 2 with a message naming the flag.
+template <typename T>
+T number_arg(int argc, char** argv, int& i, T lo, T hi) {
   if (i + 1 >= argc) usage(argv[0]);
-  return std::atoll(argv[++i]);
-}
-
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--connections") {
-      args.connections = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--minutes") {
-      args.minutes = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--seed") {
-      args.seed = static_cast<std::uint64_t>(need_value(argc, argv, i));
-    } else if (flag == "--csv") {
-      args.csv = true;
-    } else if (flag == "--transport") {
-      if (i + 1 >= argc) usage(argv[0]);
-      const std::string kind = argv[++i];
-      if (kind == "tcp") {
-        args.transport = narada::TransportKind::kTcp;
-      } else if (kind == "nio") {
-        args.transport = narada::TransportKind::kNio;
-      } else if (kind == "udp") {
-        args.transport = narada::TransportKind::kUdp;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (flag == "--ack") {
-      if (i + 1 >= argc) usage(argv[0]);
-      args.ack = std::strcmp(argv[++i], "client") == 0
-                     ? jms::AcknowledgeMode::kClientAcknowledge
-                     : jms::AcknowledgeMode::kAutoAcknowledge;
-    } else if (flag == "--brokers") {
-      args.brokers = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--pad") {
-      args.pad = need_value(argc, argv, i);
-    } else if (flag == "--persistent") {
-      args.persistent = true;
-    } else if (flag == "--routing-fix") {
-      args.routing_fix = true;
-    } else if (flag == "--distributed") {
-      args.distributed = true;
-    } else if (flag == "--secondary") {
-      args.secondary = true;
-    } else if (flag == "--sp-delay") {
-      args.sp_delay_s = static_cast<int>(need_value(argc, argv, i));
-    } else if (flag == "--no-warmup") {
-      args.no_warmup = true;
-    } else if (flag == "--secure") {
-      args.secure = true;
-    } else if (flag == "--legacy") {
-      args.legacy = true;
-    } else {
-      usage(argv[0]);
-    }
+  const char* flag = argv[i];
+  const std::string_view text = argv[++i];
+  T value{};
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      !(value >= lo && value <= hi)) {
+    auto show = [](T bound) {
+      char buffer[32];
+      return std::string(buffer,
+                         std::to_chars(buffer, buffer + sizeof(buffer), bound)
+                             .ptr);
+    };
+    std::fprintf(stderr, "%s: %s expects a number in [%s, %s], got '%.*s'\n",
+                 argv[0], flag, show(lo).c_str(), show(hi).c_str(),
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
   }
-  return args;
-}
-
-void report(const core::Results& results, bool csv, const std::string& label) {
-  if (csv) {
-    std::printf(
-        "%s,%llu,%llu,%.4f,%.3f,%.3f,%.1f,%.1f,%.1f,%.1f,%lld,%llu\n",
-        label.c_str(),
-        static_cast<unsigned long long>(results.metrics.sent()),
-        static_cast<unsigned long long>(results.metrics.received()),
-        results.metrics.loss_rate() * 100.0, results.metrics.rtt_mean_ms(),
-        results.metrics.rtt_stddev_ms(),
-        results.metrics.rtt_percentile_ms(95),
-        results.metrics.rtt_percentile_ms(99),
-        results.metrics.rtt_percentile_ms(100),
-        results.servers.cpu_idle_pct,
-        static_cast<long long>(results.servers.memory_bytes / units::MiB),
-        static_cast<unsigned long long>(results.refused));
-    return;
-  }
-  util::TextTable table({"metric", "value"});
-  table.add_row({"configuration", label});
-  table.add_row({"sent / received",
-                 std::to_string(results.metrics.sent()) + " / " +
-                     std::to_string(results.metrics.received())});
-  table.add_row({"loss (%)", util::TextTable::format(
-                                 results.metrics.loss_rate() * 100.0, 4)});
-  table.add_row({"RTT mean / stddev (ms)",
-                 util::TextTable::format(results.metrics.rtt_mean_ms()) +
-                     " / " +
-                     util::TextTable::format(results.metrics.rtt_stddev_ms())});
-  table.add_row({"RTT p95 / p99 / p100 (ms)",
-                 util::TextTable::format(results.metrics.rtt_percentile_ms(95),
-                                         1) +
-                     " / " +
-                     util::TextTable::format(
-                         results.metrics.rtt_percentile_ms(99), 1) +
-                     " / " +
-                     util::TextTable::format(
-                         results.metrics.rtt_percentile_ms(100), 1)});
-  table.add_row(
-      {"PRT / PT / SRT (ms)",
-       util::TextTable::format(results.metrics.prt_ms().mean()) + " / " +
-           util::TextTable::format(results.metrics.pt_ms().mean()) + " / " +
-           util::TextTable::format(results.metrics.srt_ms().mean())});
-  table.add_row({"server CPU idle (%)",
-                 util::TextTable::format(results.servers.cpu_idle_pct, 1)});
-  table.add_row({"server memory (MB)",
-                 std::to_string(results.servers.memory_bytes / units::MiB)});
-  table.add_row({"refused connections", std::to_string(results.refused)});
-  if (results.metrics.prt_unknown() > 0) {
-    // PRT cannot be decomposed for these samples (client clock gave the
-    // same before/after-sending stamp); they are excluded from the PRT
-    // mean above instead of skewing it toward zero.
-    table.add_row({"PRT unknown (samples)",
-                   std::to_string(results.metrics.prt_unknown())});
-  }
-  table.add_row({"grade (Table III)", core::grade_realtime(results)});
-  std::printf("%s", table.render().c_str());
+  return value;
 }
 
 /// "chaos/narada/broker_crash" -> "chaos_narada_broker_crash__seed3".
@@ -288,97 +177,102 @@ int cmd_list(int argc, char** argv) {
   return 0;
 }
 
-int cmd_run(int argc, char** argv) {
-  std::vector<std::string> ids;
+/// The flags `run` and `report` share.
+struct CampaignArgs {
+  std::vector<std::string> targets;  ///< ids or prefixes; report: figures
   core::CampaignOptions options;
-  options.seeds = 2;
-  options.jobs = 1;
   int minutes = 5;
   bool csv = false;
   bool json = false;
   bool slo = false;
   std::string trace_out;
   std::string series_out;
+};
+
+/// Parse `run`'s flags on top of `args`, which holds the command's
+/// defaults.
+CampaignArgs parse_campaign_args(int argc, char** argv, CampaignArgs args) {
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--slo") {
-      slo = true;
+      args.slo = true;
     } else if (flag == "--seeds") {
-      options.seeds = static_cast<int>(need_value(argc, argv, i));
+      args.options.seeds = number_arg(argc, argv, i, 1, INT_MAX);
     } else if (flag == "--jobs") {
-      options.jobs = static_cast<int>(need_value(argc, argv, i));
+      args.options.jobs = number_arg(argc, argv, i, 0, INT_MAX);
     } else if (flag == "--minutes") {
-      minutes = static_cast<int>(need_value(argc, argv, i));
+      args.minutes = number_arg(argc, argv, i, 1, kMaxMinutes);
     } else if (flag == "--quick") {
-      minutes = 2;
+      args.minutes = 2;
     } else if (flag == "--csv") {
-      csv = true;
+      args.csv = true;
     } else if (flag == "--json") {
-      json = true;
+      args.json = true;
     } else if (flag == "--trace-out") {
       if (i + 1 >= argc) usage(argv[0]);
-      trace_out = argv[++i];
+      args.trace_out = argv[++i];
     } else if (flag == "--series-out") {
       if (i + 1 >= argc) usage(argv[0]);
-      series_out = argv[++i];
+      args.series_out = argv[++i];
     } else if (!flag.empty() && flag[0] == '-') {
       usage(argv[0]);
     } else {
-      ids.push_back(flag);
+      args.targets.push_back(flag);
     }
   }
-  if (ids.empty() || options.seeds < 1 || minutes < 1) usage(argv[0]);
-  options.duration = units::minutes(minutes);
-  options.progress = [](int done, int total, const core::RunRecord& record) {
+  if (args.targets.empty()) usage(argv[0]);
+  args.options.duration = units::minutes(args.minutes);
+  args.options.progress = [](int done, int total,
+                             const core::RunRecord& record) {
     std::fprintf(stderr, "[%3d/%3d] %s seed=%llu (%.1fs)\n", done, total,
                  record.scenario_id.c_str(),
                  static_cast<unsigned long long>(record.seed),
                  record.wall_seconds);
   };
+  return args;
+}
 
-  const auto& registry = core::builtin_registry();
-  // Resolve ids first (obs enablement looks at the resolved specs).
-  std::vector<core::ScenarioSpec> specs;
-  for (const auto& id : ids) {
-    const std::size_t before = specs.size();
-    if (const core::ScenarioSpec* spec = registry.find(id)) {
-      specs.push_back(*spec);
-    } else {
-      for (const core::ScenarioSpec* match : registry.match(id)) {
-        specs.push_back(*match);
-      }
-    }
-    if (specs.size() == before) {
-      std::fprintf(stderr, "unknown scenario id or prefix: %s\n", id.c_str());
-      std::fprintf(stderr, "(try: %s list)\n", argv[0]);
-      return 2;
-    }
-  }
-
+/// A runner over `specs`, each id once. The export flags switch
+/// observability on; fault scenarios get the time series regardless (for
+/// the loss sparkline). Spans are only collected for a trace sink.
+core::CampaignRunner make_runner(const CampaignArgs& args,
+                                 std::vector<core::ScenarioSpec> specs) {
+  core::CampaignOptions options = args.options;
   bool any_fault_spec = false;
   for (const auto& spec : specs) any_fault_spec |= spec_has_faults(spec);
-
-  // Observability: the export flags switch it on explicitly; fault
-  // scenarios get the time series regardless so the loss sparkline can
-  // render. Spans are only collected when a trace sink exists.
-  if (!trace_out.empty() || !series_out.empty() || any_fault_spec) {
+  if (!args.trace_out.empty() || !args.series_out.empty() ||
+      any_fault_spec || options.obs.enabled) {
     options.obs.enabled = true;
-    options.obs.span_sample_every = trace_out.empty() ? 0 : 16;
+    options.obs.span_sample_every = args.trace_out.empty() ? 0 : 16;
     if (!obs::kEnabled) {
       std::fprintf(stderr,
                    "note: built with GRIDMON_OBS=OFF; traces and series "
                    "will be empty\n");
     }
   }
-
   core::CampaignRunner runner(options);
   for (auto& spec : specs) runner.add(std::move(spec));
-  std::fprintf(stderr, "campaign: %zu scenario(s) x %d seed(s), %d min "
-                       "virtual, jobs=%d\n",
-               runner.scenarios().size(), options.seeds, minutes,
-               options.jobs);
+  if (runner.scenarios().size() >
+      static_cast<std::size_t>(INT_MAX / options.seeds)) {
+    std::fprintf(stderr, "--seeds %d x %zu scenarios is more runs than a "
+                         "campaign can count\n",
+                 options.seeds, runner.scenarios().size());
+    std::exit(2);
+  }
+  return runner;
+}
 
-  const core::Campaign campaign = runner.run();
+/// Run the campaign with progress and a summary on stderr, then write the
+/// --trace-out / --series-out exports.
+core::Campaign run_campaign(const CampaignArgs& args,
+                            core::CampaignRunner& runner) {
+  const int jobs = args.options.jobs;
+  std::fprintf(stderr, "campaign: %zu scenario(s) x %d seed(s), %d min "
+                       "virtual, jobs=%s\n",
+               runner.scenarios().size(), args.options.seeds, args.minutes,
+               jobs > 0 ? std::to_string(jobs).c_str() : "auto");
+
+  core::Campaign campaign = runner.run();
   std::uint64_t sim_events = 0;
   double run_seconds = 0;
   for (const auto& record : campaign.runs()) {
@@ -395,6 +289,8 @@ int cmd_run(int argc, char** argv) {
                    : 0.0);
 
   // Per-run observability exports.
+  const std::string& trace_out = args.trace_out;
+  const std::string& series_out = args.series_out;
   if (!trace_out.empty() || !series_out.empty()) {
     std::error_code ec;
     if (!trace_out.empty()) {
@@ -436,35 +332,57 @@ int cmd_run(int argc, char** argv) {
                    series_out.c_str());
     }
   }
+  return campaign;
+}
 
-  // --slo: gate the exit code on the per-run SLO verdicts (CI usage). The
-  // verdicts were evaluated by run_scenario; this only tallies them.
-  int slo_failures = 0;
-  if (slo) {
-    for (const auto& record : campaign.runs()) {
-      if (record.results.slo.evaluated && !record.results.slo.pass) {
-        ++slo_failures;
+/// --slo gates the exit code on the per-run SLO verdicts (CI usage); the
+/// verdicts were evaluated by run_scenario, this only tallies them.
+int slo_exit(const CampaignArgs& args, const core::Campaign& campaign) {
+  if (!args.slo) return 0;
+  int failures = 0;
+  for (const auto& record : campaign.runs()) {
+    if (record.results.slo.evaluated && !record.results.slo.pass) ++failures;
+  }
+  if (failures == 0) return 0;
+  std::fprintf(stderr, "SLO: %d run(s) violated their objectives\n",
+               failures);
+  return 1;
+}
+
+/// --csv / --json: the raw per-run rows instead of tables. The JSON carries
+/// the (nondeterministic) timing fields: it is for humans and dashboards.
+bool print_rows(const CampaignArgs& args, const core::Campaign& campaign) {
+  if (!args.csv && !args.json) return false;
+  std::printf("%s", args.csv ? campaign.csv().c_str()
+                             : campaign.json(/*include_timing=*/true).c_str());
+  return true;
+}
+
+int cmd_run(int argc, char** argv) {
+  const CampaignArgs args = parse_campaign_args(argc, argv, {});
+
+  const auto& registry = core::builtin_registry();
+  // Resolve ids first (obs enablement looks at the resolved specs).
+  std::vector<core::ScenarioSpec> specs;
+  for (const auto& id : args.targets) {
+    const std::size_t before = specs.size();
+    if (const core::ScenarioSpec* spec = registry.find(id)) {
+      specs.push_back(*spec);
+    } else {
+      for (const core::ScenarioSpec* match : registry.match(id)) {
+        specs.push_back(*match);
       }
     }
+    if (specs.size() == before) {
+      std::fprintf(stderr, "unknown scenario id or prefix: %s\n", id.c_str());
+      std::fprintf(stderr, "(try: %s list)\n", argv[0]);
+      return 2;
+    }
   }
-  auto slo_exit = [&]() -> int {
-    if (!slo || slo_failures == 0) return 0;
-    std::fprintf(stderr, "SLO: %d run(s) violated their objectives\n",
-                 slo_failures);
-    return 1;
-  };
 
-  if (csv) {
-    std::printf("%s", campaign.csv().c_str());
-    return slo_exit();
-  }
-  if (json) {
-    // The CLI snapshot is for humans/dashboards, so it carries the
-    // (nondeterministic) timing fields; determinism tests use the default
-    // timing-free form.
-    std::printf("%s", campaign.json(/*include_timing=*/true).c_str());
-    return slo_exit();
-  }
+  core::CampaignRunner runner = make_runner(args, std::move(specs));
+  const core::Campaign campaign = run_campaign(args, runner);
+  if (print_rows(args, campaign)) return slo_exit(args, campaign);
   // Aggregated per-scenario table (pooled seeds, the paper's merge). Chaos
   // scenarios (any injected faults) get the availability columns appended.
   bool any_faults = false;
@@ -516,7 +434,7 @@ int cmd_run(int argc, char** argv) {
 
   // SLO verdict table: one row per (scenario, seed) with a declared spec,
   // worst run first within a scenario.
-  if (slo) {
+  if (args.slo) {
     util::TextTable slo_table(
         {"scenario", "seed", "verdict", "worst burn", "worst violation"});
     int slo_rows = 0;
@@ -585,7 +503,64 @@ int cmd_run(int argc, char** argv) {
       }
     }
   }
-  return slo_exit();
+  return slo_exit(args, campaign);
+}
+
+int cmd_report(int argc, char** argv) {
+  // The paper's 30 virtual minutes (CampaignOptions already defaults to its
+  // 2 seeds), on one worker per hardware thread.
+  CampaignArgs defaults;
+  defaults.minutes = 30;
+  defaults.options.jobs = 0;
+  CampaignArgs args = parse_campaign_args(argc, argv, defaults);
+
+  const auto& catalogue = core::figure_catalogue();
+  std::vector<const core::Figure*> figures;
+  auto select = [&](const core::Figure& figure) {
+    if (std::find(figures.begin(), figures.end(), &figure) == figures.end()) {
+      figures.push_back(&figure);
+    }
+  };
+  for (const auto& name : args.targets) {
+    if (name == "all") {
+      for (const auto& figure : catalogue) select(figure);
+    } else if (const core::Figure* figure = core::find_figure(name)) {
+      select(*figure);
+    } else {
+      std::string names;
+      for (const auto& figure : catalogue) names += " " + figure.name;
+      std::fprintf(stderr, "unknown figure: %s\nfigures:%s all\n",
+                   name.c_str(), names.c_str());
+      return 2;
+    }
+  }
+
+  // Series-only observability: the chaos sparklines and the memory
+  // columns read it, and the sampler never perturbs the model.
+  args.options.obs.enabled = true;
+  const auto& registry = core::builtin_registry();
+  std::vector<core::ScenarioSpec> specs;
+  for (const core::Figure* figure : figures) {
+    for (const auto& id : figure->scenario_ids()) {
+      specs.push_back(*registry.find(id));
+    }
+  }
+  core::CampaignRunner runner = make_runner(args, std::move(specs));
+  const core::Campaign campaign = run_campaign(args, runner);
+  if (print_rows(args, campaign)) return slo_exit(args, campaign);
+
+  const core::FigureContext context{campaign, args.minutes,
+                                    args.options.seeds};
+  int status = 0;
+  for (const core::Figure* figure : figures) {
+    std::printf("%s", core::render_figure(*figure, context).c_str());
+    if (figure->check && !figure->check(campaign)) {
+      std::fprintf(stderr, "report: %s check failed\n",
+                   figure->name.c_str());
+      status = 1;
+    }
+  }
+  return std::max(status, slo_exit(args, campaign));
 }
 
 int cmd_diff(int argc, char** argv) {
@@ -597,11 +572,11 @@ int cmd_diff(int argc, char** argv) {
     if (flag == "--json") {
       json = true;
     } else if (flag == "--tolerance") {
-      if (i + 1 >= argc) usage(argv[0]);
-      options.rel_tolerance_pct = std::atof(argv[++i]);
+      options.rel_tolerance_pct = number_arg(
+          argc, argv, i, 0.0, std::numeric_limits<double>::max());
     } else if (flag == "--timing-tolerance") {
-      if (i + 1 >= argc) usage(argv[0]);
-      options.timing_tolerance_pct = std::atof(argv[++i]);
+      options.timing_tolerance_pct = number_arg(
+          argc, argv, i, 0.0, std::numeric_limits<double>::max());
     } else if (!flag.empty() && flag[0] == '-') {
       usage(argv[0]);
     } else {
@@ -642,52 +617,10 @@ int cmd_diff(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
-  const std::string system = argv[1];
-  if (system == "list") return cmd_list(argc, argv);
-  if (system == "run") return cmd_run(argc, argv);
-  if (system == "diff") return cmd_diff(argc, argv);
-  const Args args = parse(argc, argv);
-
-  if (system == "narada") {
-    core::NaradaConfig config;
-    config.fleet.generators = args.connections;
-    config.duration = units::minutes(args.minutes);
-    config.seed = args.seed;
-    config.transport = args.transport;
-    config.ack_mode = args.ack;
-    config.fleet.pad_bytes = args.pad;
-    config.subscription_aware_routing = args.routing_fix;
-    if (args.persistent) {
-      config.delivery_mode = jms::DeliveryMode::kPersistent;
-    }
-    config.broker_hosts.clear();
-    for (int b = 0; b < args.brokers; ++b) config.broker_hosts.push_back(b);
-    const std::string label =
-        "narada/" + narada::to_string(config.transport) + "/" +
-        std::to_string(args.connections) + "conn/" +
-        std::to_string(args.brokers) + "broker";
-    report(core::run_narada_experiment(config), args.csv, label);
-    return 0;
-  }
-  if (system == "rgma") {
-    core::RgmaConfig config;
-    config.fleet.generators = args.connections;
-    config.duration = units::minutes(args.minutes);
-    config.seed = args.seed;
-    config.distributed = args.distributed;
-    config.via_secondary_producer = args.secondary;
-    config.secondary_delay = units::seconds(args.sp_delay_s);
-    config.secure = args.secure;
-    config.legacy_stream_api = args.legacy;
-    if (args.no_warmup) {
-      config.fleet.warmup_min = 0;
-      config.fleet.warmup_max = 0;
-    }
-    const std::string label = std::string("rgma/") +
-                              (args.distributed ? "distributed" : "single") +
-                              "/" + std::to_string(args.connections) + "conn";
-    report(core::run_rgma_experiment(config), args.csv, label);
-    return 0;
-  }
+  const std::string command = argv[1];
+  if (command == "list") return cmd_list(argc, argv);
+  if (command == "run") return cmd_run(argc, argv);
+  if (command == "report") return cmd_report(argc, argv);
+  if (command == "diff") return cmd_diff(argc, argv);
   usage(argv[0]);
 }

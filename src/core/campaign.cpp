@@ -10,12 +10,15 @@
 
 namespace gridmon::core {
 
-Results Repetitions::pooled() const {
+Results Campaign::pooled(std::string_view scenario_id) const {
   Results out;
-  if (runs_.empty()) return out;
   double idle = 0.0;
   std::int64_t mem = 0;
-  for (const auto& run : runs_) {
+  std::int64_t count = 0;
+  for (const auto& record : runs_) {
+    if (record.scenario_id != scenario_id) continue;
+    const Results& run = record.results;
+    ++count;
     out.metrics.count_sent(run.metrics.sent());
     for (double rtt : run.metrics.rtt_ms().raw()) {
       // Re-record with zeroed phases; percentiles/mean come from here.
@@ -72,8 +75,9 @@ Results Repetitions::pooled() const {
     }
     out.mem.peak_total = std::max(out.mem.peak_total, run.mem.peak_total);
   }
-  out.servers.cpu_idle_pct = idle / static_cast<double>(runs_.size());
-  out.servers.memory_bytes = mem / static_cast<std::int64_t>(runs_.size());
+  if (count == 0) return out;
+  out.servers.cpu_idle_pct = idle / static_cast<double>(count);
+  out.servers.memory_bytes = mem / count;
   return out;
 }
 
@@ -84,14 +88,6 @@ std::vector<const RunRecord*> Campaign::records(
     if (run.scenario_id == scenario_id) out.push_back(&run);
   }
   return out;
-}
-
-Repetitions Campaign::repetitions(std::string_view scenario_id) const {
-  Repetitions reps;
-  for (const auto& run : runs_) {
-    if (run.scenario_id == scenario_id) reps.add(run.results);
-  }
-  return reps;
 }
 
 namespace {
@@ -302,15 +298,17 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
   if (options_.seeds < 1) options_.seeds = 1;
 }
 
-void CampaignRunner::add(ScenarioSpec spec) {
+bool CampaignRunner::add(ScenarioSpec spec) {
+  if (!queued_.insert(spec.id).second) return false;
   scenarios_.push_back(std::move(spec));
+  return true;
 }
 
 bool CampaignRunner::add(const ScenarioRegistry& registry,
                          std::string_view id) {
   const ScenarioSpec* spec = registry.find(id);
   if (spec == nullptr) return false;
-  scenarios_.push_back(*spec);
+  add(*spec);
   return true;
 }
 
@@ -318,8 +316,7 @@ int CampaignRunner::add_matching(const ScenarioRegistry& registry,
                                  std::string_view prefix) {
   int added = 0;
   for (const ScenarioSpec* spec : registry.match(prefix)) {
-    scenarios_.push_back(*spec);
-    ++added;
+    added += add(*spec) ? 1 : 0;
   }
   return added;
 }

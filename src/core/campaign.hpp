@@ -13,6 +13,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -69,24 +70,6 @@ struct CampaignOptions {
   std::function<void(int done, int total, const RunRecord&)> progress;
 };
 
-/// Merge per-seed repetitions the way the paper aggregates its two runs:
-/// pool all RTT samples, average resources.
-class Repetitions {
- public:
-  void add(const Results& results) { runs_.push_back(results); }
-
-  [[nodiscard]] const std::vector<Results>& runs() const { return runs_; }
-
-  /// Pooled results across repetitions.
-  [[nodiscard]] Results pooled() const;
-
-  /// Decomposition means come from the first run (they are means already).
-  [[nodiscard]] const Results& first() const { return runs_.front(); }
-
- private:
-  std::vector<Results> runs_;
-};
-
 /// Ordered results of a completed campaign.
 class Campaign {
  public:
@@ -101,11 +84,9 @@ class Campaign {
   [[nodiscard]] std::vector<const RunRecord*> records(
       std::string_view scenario_id) const;
 
-  /// All seeds of one scenario merged (paper aggregation).
-  [[nodiscard]] Repetitions repetitions(std::string_view scenario_id) const;
-  [[nodiscard]] Results pooled(std::string_view scenario_id) const {
-    return repetitions(scenario_id).pooled();
-  }
+  /// All seeds of one scenario merged the way the paper aggregates its two
+  /// runs: pool every RTT sample, average the server resources.
+  [[nodiscard]] Results pooled(std::string_view scenario_id) const;
 
   /// Total harness wall-clock for the whole campaign.
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
@@ -131,10 +112,13 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignOptions options = {});
 
   /// Queue a scenario (by value; later registry mutations cannot race).
-  void add(ScenarioSpec spec);
+  /// Each id runs once: re-adding a queued id is a no-op that keeps its
+  /// first position and returns false.
+  bool add(ScenarioSpec spec);
   /// Queue a registry scenario by id; returns false if the id is unknown.
   bool add(const ScenarioRegistry& registry, std::string_view id);
-  /// Queue every registry scenario matching an id prefix; returns how many.
+  /// Queue every registry scenario matching an id prefix; returns how many
+  /// were newly queued.
   int add_matching(const ScenarioRegistry& registry, std::string_view prefix);
 
   [[nodiscard]] const std::vector<ScenarioSpec>& scenarios() const {
@@ -150,6 +134,7 @@ class CampaignRunner {
  private:
   CampaignOptions options_;
   std::vector<ScenarioSpec> scenarios_;
+  std::unordered_set<std::string> queued_;
 };
 
 }  // namespace gridmon::core

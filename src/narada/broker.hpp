@@ -19,7 +19,7 @@
 // broker in a Distributed Broker Network whether or not a subscriber lives
 // there — is the default (`subscription_aware_routing = false`); flipping
 // the flag enables subscription-aware shortest-path routing over the Broker
-// Network Map, which bench_ablation_dbn_routing measures.
+// Network Map, which `gridmon_cli report ablation_dbn_routing` measures.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,14 @@
 #include "core/campaign.hpp"
 
 #include <atomic>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/figures.hpp"
 #include "core/registry.hpp"
 #include "core/scenarios.hpp"
 
@@ -263,6 +265,30 @@ TEST(CampaignTest, AddFromRegistry) {
   EXPECT_EQ(runner.scenarios().size(), 4u);
 }
 
+TEST(CampaignTest, ReAddedIdRunsOnce) {
+  // An id plus a prefix that covers it: the id is queued once, in its first
+  // position, so pooling counts each run's samples once.
+  CampaignOptions options;
+  options.seeds = 1;
+  options.duration = units::minutes(1);
+  const auto& registry = builtin_registry();
+  CampaignRunner runner(options);
+  EXPECT_TRUE(runner.add(registry, "narada/comparison/80"));
+  EXPECT_EQ(runner.add_matching(registry, "narada/comparison/"), 5);
+  EXPECT_TRUE(runner.add(registry, "narada/comparison/80"));
+  ASSERT_EQ(runner.scenarios().size(), 6u);
+  EXPECT_EQ(runner.scenarios().front().id, "narada/comparison/80");
+
+  CampaignRunner single(options);
+  single.add(registry, "narada/comparison/80");
+  const Campaign campaign = runner.run();
+  const Campaign one = single.run();
+  ASSERT_EQ(campaign.records("narada/comparison/80").size(), 1u);
+  EXPECT_GT(one.pooled("narada/comparison/80").metrics.sent(), 0u);
+  EXPECT_EQ(campaign.pooled("narada/comparison/80").metrics.sent(),
+            one.pooled("narada/comparison/80").metrics.sent());
+}
+
 TEST(CampaignTest, CsvShapeIsStable) {
   CampaignOptions options;
   options.seeds = 1;
@@ -287,6 +313,87 @@ TEST(CampaignTest, CsvShapeIsStable) {
   EXPECT_EQ(
       csv.substr(csv.size() - std::string(",narada,0.0000,0,60\n").size()),
       ",narada,0.0000,0,60\n");
+}
+
+// --- Figure catalogue (`gridmon_cli report`) -------------------------------
+
+TEST(FigureCatalogue, NamesAreUniqueAndEveryIdResolves) {
+  const std::vector<std::string> expected = {
+      "table1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
+      "fig11", "fig12", "fig13", "fig14", "fig15", "table3",
+      "rgma_warmup_loss", "ablation_dbn_routing", "ablation_ack_transport",
+      "ablation_sp_delay", "ablation_aggregation", "ablation_webservices",
+      "ablation_delivery_modes", "chaos_recovery", "mqtt_qos", "replication",
+      "hier_scale"};
+  // `report all` prints the catalogue in order, each figure once.
+  std::vector<std::string> names;
+  std::set<std::string> all_ids;
+  for (const Figure& figure : figure_catalogue()) {
+    names.push_back(figure.name);
+    EXPECT_EQ(find_figure(figure.name), &figure);
+    for (const auto& id : figure.scenario_ids()) {
+      EXPECT_NE(builtin_registry().find(id), nullptr)
+          << figure.name << " reads unknown scenario " << id;
+      all_ids.insert(id);
+    }
+  }
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+  EXPECT_EQ(find_figure("all"), nullptr);
+  EXPECT_EQ(all_ids.size(), 96u);
+}
+
+const std::vector<std::string> kSharedFigures = {
+    "fig3", "fig4", "fig15", "table3", "rgma_warmup_loss",
+    "ablation_webservices"};
+
+/// Queue `names` the way `gridmon_cli report` does: one campaign, each id
+/// once, series-only obs on.
+CampaignRunner queue_figures(const std::vector<std::string>& names,
+                             int jobs) {
+  CampaignOptions options;
+  options.jobs = jobs;
+  options.seeds = 2;
+  options.duration = units::minutes(1);
+  options.obs.enabled = true;
+  options.obs.span_sample_every = 0;
+  CampaignRunner runner(options);
+  for (const auto& name : names) {
+    for (const auto& id : find_figure(name)->scenario_ids()) {
+      EXPECT_TRUE(runner.add(builtin_registry(), id));
+    }
+  }
+  return runner;
+}
+
+std::string render_figures(const std::vector<std::string>& names, int jobs) {
+  CampaignRunner runner = queue_figures(names, jobs);
+  const Campaign campaign = runner.run();
+  const FigureContext context{campaign, 1, 2};
+  std::string out;
+  for (const auto& name : names) {
+    out += render_figure(*find_figure(name), context);
+  }
+  return out;
+}
+
+TEST(FigureCatalogue, RenderIsByteIdenticalAcrossJobs) {
+  const std::string serial = render_figures(kSharedFigures, 1);
+  EXPECT_EQ(serial, render_figures(kSharedFigures, 4));
+  EXPECT_NE(serial.find("Table II + Fig 3"), std::string::npos);
+  EXPECT_NE(serial.find("SOAP (WS proxy)"), std::string::npos);
+}
+
+TEST(FigureCatalogue, SharedPointsRunOnce) {
+  // The six figures read 24 ids (what their separate binaries ran); the
+  // points they share run once.
+  std::size_t read = 0;
+  for (const auto& name : kSharedFigures) {
+    read += find_figure(name)->scenario_ids().size();
+  }
+  EXPECT_EQ(read, 24u);
+  EXPECT_EQ(queue_figures(kSharedFigures, 1).scenarios().size(), 16u);
 }
 
 }  // namespace

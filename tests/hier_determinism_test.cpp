@@ -26,8 +26,8 @@ std::uint64_t fnv1a(const std::string& data) {
 }
 
 /// The 10k sweep over all three backends plus the architecture ablation.
-/// The larger scales (50k/200k/1m) stay out of tier-1 — bench_hier_scale
-/// covers them.
+/// The larger scales (50k/200k/1m) stay out of tier-1 — `gridmon_cli
+/// report hier_scale` covers them.
 constexpr const char* kHierScenarios[] = {
     "hier/narada/10k",
     "hier/rgma/10k",
