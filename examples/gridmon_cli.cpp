@@ -2,8 +2,8 @@
 //
 //   gridmon_cli list [prefix] [--system NAME]
 //       Print every scenario id in the built-in registry (optionally
-//       filtered by id prefix and/or backend name: narada, rgma, mqtt,
-//       custom) with its description.
+//       filtered by id prefix and/or backend name: narada, rgma, mqtt)
+//       with its description.
 //
 //   gridmon_cli run <id|prefix>... [--seeds N] [--jobs N]
 //               [--minutes M | --quick] [--csv|--json] [--slo]

@@ -33,8 +33,7 @@ inline constexpr int kCampaignSchemaVersion = 2;
 struct RunRecord {
   std::string scenario_id;
   std::uint64_t seed = 0;
-  /// Backend name from ScenarioSpec::system() ("narada", "rgma", "mqtt",
-  /// or a custom scenario's own tag).
+  /// Backend name from ScenarioSpec::system() ("narada", "rgma", "mqtt").
   std::string system;
   Results results;
   /// Host wall-clock seconds for this run. Excluded from csv()/json(): it
@@ -59,10 +58,11 @@ struct CampaignOptions {
   /// every test twice.
   int seeds = 2;
   std::uint64_t first_seed = 1;
-  /// Virtual duration applied to every run (overrides the spec's config).
+  /// Virtual duration applied to every run (overrides the spec's config;
+  /// a spec's fixed window overrides this).
   SimTime duration = units::minutes(30);
-  /// Observability options applied to every Narada/R-GMA run (off by
-  /// default; custom scenarios ignore it). See obs/recorder.hpp.
+  /// Observability options applied to every run when enabled (off by
+  /// default). See obs/recorder.hpp.
   obs::Options obs;
   /// Optional progress sink, invoked after every completed run. Called
   /// from worker threads but serialised by the runner, so the callback

@@ -45,7 +45,7 @@ struct Results {
   bool completed = true;               ///< false if the run hit a hard wall
   /// Fleet size of the run (generator tier for hier scenarios, client
   /// fleet otherwise). Drives the campaign `generators` column and the
-  /// bytes/generator figure of merit; 0 = unknown (legacy custom bodies).
+  /// bytes/generator figure of merit.
   std::int64_t generators = 0;
   /// Availability under injected faults (all-zero when the scenario's
   /// FaultPlan is empty).
@@ -148,6 +148,14 @@ struct NaradaConfig : RunConfig {
   /// reconnecting clients replay their gap, including after failing over
   /// to a surviving DBN broker).
   ReplayConfig replay;
+  /// Sender-side aggregation (the IBM RMM technique, related work §IV):
+  /// each publisher combines up to this many messages into one frame,
+  /// flushed after 20 ms (1 = off).
+  int aggregation_batch = 1;
+  /// The Web Services data path the paper rejected (§III.D): SOAP proxies
+  /// encode every publish and decode every delivery (gma/webservices.hpp);
+  /// the proxied subscribers acknowledge automatically.
+  bool soap_proxy = false;
 };
 
 [[nodiscard]] Results run_narada_experiment(const NaradaConfig& config);
@@ -219,18 +227,10 @@ struct MqttConfig : RunConfig {
   /// messages and in-flight QoS windows across disconnects.
   bool clean_session = true;
   SimTime keep_alive = units::seconds(30);  ///< 0 disables keep-alive
-  /// Publishers set the retain flag (broker keeps the latest per topic).
-  bool retain_last = false;
-  /// Publishers register a last-will status message, published by the
-  /// broker when their keep-alive expires.
-  bool last_will = false;
   /// Fan-in edge gateway batching: each client models a gateway fronting
   /// this many sensors, aggregating their samples into one proportionally
   /// larger PUBLISH per period (1 = every sample its own PUBLISH).
   int gateway_batch = 1;
-  /// Client-side QoS 1/2 redelivery timeout (DUP retransmission).
-  SimTime retransmit_timeout = units::seconds(2);
-  int broker_host = 0;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
   /// Offline-queue retention for persistent sessions: bounds the QoS 1/2

@@ -512,10 +512,12 @@ std::vector<Figure> build_catalogue() {
       "(a second\nor two) — the 30 s constant explains nearly all of Fig "
       "10.\n");
   // One 1,000 msg/s publisher (a gateway concentrating many generators):
-  // aggregation amortises per-message broker overhead (IBM RMM, §IV).
+  // aggregation amortises per-message broker overhead (IBM RMM, §IV). The
+  // two gateway ablations publish for a fixed 120 s at any duration.
   add("ablation_aggregation",
       {{"Ablation",
-        "sender-side message aggregation at 1,000 msg/s through one broker",
+        "sender-side message aggregation at 1,000 msg/s through one broker, "
+        "fixed 120 s window",
         {"aggregation"}, sweep("ablation/aggregation/", {1, 2, 4, 8, 16, 32}),
         {rtt_mean(2), p99,
          num("broker CPU busy (%)", 1,
@@ -529,7 +531,8 @@ std::vector<Figure> build_catalogue() {
   Figure& webservices = add(
       "ablation_webservices",
       {{"Ablation (§III.D)",
-        "binary JMS vs SOAP-proxied Web Services data path, 150 msg/s",
+        "binary JMS vs SOAP-proxied Web Services data path, 150 msg/s, "
+        "fixed 120 s window",
         {"encoding"},
         {{{"binary JMS"}, "ablation/webservices/binary"},
          {{"SOAP (WS proxy)"}, "ablation/webservices/soap"}},

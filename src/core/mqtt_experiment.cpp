@@ -1,6 +1,6 @@
-// MQTT port, the modern baseline: one MqttBroker, generator clients
-// publishing samples at QoS 0/1/2, and one monitoring subscriber holding
-// a 'powergrid/#' wildcard subscription.
+// MQTT port, the modern baseline: one MqttBroker on host 0, generator
+// clients publishing samples at QoS 0/1/2, and one monitoring subscriber on
+// host 1 holding a 'powergrid/#' wildcard subscription.
 
 #include <memory>
 #include <string>
@@ -13,25 +13,27 @@
 namespace gridmon::core {
 namespace {
 
+constexpr int kBrokerHost = 0;
+constexpr int kSubscriberHost = 1;
+
 class MqttPort final : public BackendPort {
  public:
   MqttPort(RunScaffold& run, MqttConfig config, bool hier)
       : run_(run),
         config_(std::move(config)),
         hier_(hier),
-        endpoint_{config_.broker_host, 1883},
+        endpoint_{kBrokerHost, 1883},
         broker_(run.hydra().host(endpoint_.node), run.hydra().lan(),
                 run.hydra().streams(),
                 {.endpoint = endpoint_,
                  .retention = config_.replay.retention}) {
     broker_.start();
     // The subscriber gets the first non-broker host; publishers the rest.
-    subscriber_host_ = config_.broker_host == 0 ? 1 : 0;
-    for (int h = subscriber_host_ + 1; h < run.hydra().node_count(); ++h) {
-      if (h != config_.broker_host) publisher_hosts_.push_back(h);
+    for (int h = kSubscriberHost + 1; h < run.hydra().node_count(); ++h) {
+      publisher_hosts_.push_back(h);
     }
     policy_ = reconnect_policy<mqtt::ReconnectPolicy>(config_.fleet);
-    traits_.server_hosts = {config_.broker_host};
+    traits_.server_hosts = {kBrokerHost};
     traits_.targets.brokers = 1;
     // A gateway batches `gateway_batch` sensors into one larger PUBLISH.
     traits_.sample_bytes =
@@ -60,16 +62,12 @@ class MqttPort final : public BackendPort {
   }
 
   void add_publisher(std::int64_t id) override {
-    mqtt::MqttClientOptions options =
-        client_options((hier_ ? "regional-" : "gen-") + std::to_string(id));
-    if (config_.last_will) {
-      options.will_topic = "powergrid/status/gen" + std::to_string(id);
-      options.will_bytes = 24;
-      options.will_qos = 0;
-    }
     const int host = publisher_hosts_[static_cast<std::size_t>(id) %
                                       publisher_hosts_.size()];
-    publishers_.push_back(client(host, 10000 + id % 50000, std::move(options)));
+    publishers_.push_back(
+        client(host, 10000 + id % 50000,
+               client_options((hier_ ? "regional-" : "gen-") +
+                              std::to_string(id))));
   }
 
   void connect(std::int64_t id, std::function<void(bool)> on_ready) override {
@@ -91,19 +89,18 @@ class MqttPort final : public BackendPort {
     run_.open(key, {p.before, p.before, trace, std::move(p.segments)});
     const int qos =
         config_.mixed_qos ? static_cast<int>(p.publisher % 3) : config_.qos;
-    sender.publish(topic, p.bytes, qos, config_.retain_last, key,
+    sender.publish(topic, p.bytes, qos, /*retain=*/false, key,
                    [&run = run_, key, trace](SimTime after) {
                      run.sent(key, trace, after);
                    });
   }
 
   void subscribe() override {
-    // One wildcard subscription covers the whole fleet ('powergrid/#'
-    // also matches will/status topics, which the ledger ignores).
+    // One wildcard subscription covers the whole fleet.
     const int qos = config_.subscriber_qos >= 0
                         ? config_.subscriber_qos
                         : (config_.mixed_qos ? 2 : config_.qos);
-    subscriber_ = client(subscriber_host_, 9000,
+    subscriber_ = client(kSubscriberHost, 9000,
                          client_options(hier_ ? "root" : "monitor"));
     subscriber_->connect([sub = subscriber_.get(), qos, &run = run_](bool ok) {
       if (!ok) return;
@@ -133,7 +130,6 @@ class MqttPort final : public BackendPort {
     options.client_id = std::move(client_id);
     options.clean_session = config_.clean_session;
     options.keep_alive = config_.keep_alive;
-    options.retransmit_timeout = config_.retransmit_timeout;
     return options;
   }
 
@@ -153,7 +149,6 @@ class MqttPort final : public BackendPort {
   net::Endpoint endpoint_;
   mqtt::MqttBroker broker_;
   std::vector<int> publisher_hosts_;
-  int subscriber_host_ = 0;
   mqtt::ReconnectPolicy policy_;
   std::vector<std::shared_ptr<mqtt::MqttClient>> publishers_;
   std::shared_ptr<mqtt::MqttClient> subscriber_;

@@ -1,12 +1,15 @@
 // NaradaBrokering port: brokers (single or DBN), generator clients and
-// subscriber programs on the Hydra model.
+// subscriber programs on the Hydra model, optionally with sender-side
+// aggregation or behind Web-Services (SOAP) proxies.
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 
 #include "cluster/costs.hpp"
 #include "core/payloads.hpp"
 #include "core/run_scaffold.hpp"
+#include "gma/webservices.hpp"
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
 
@@ -93,7 +96,14 @@ class NaradaPort final : public BackendPort {
                                       publisher_hosts_.size()];
     const net::Endpoint broker = multi_broker_ ? dbn_.assign_publisher_broker()
                                                : dbn_.broker_endpoint(0);
-    publishers_.push_back(client(host, 10000 + id % 50000, broker, policy_));
+    auto publisher = client(host, 10000 + id % 50000, broker, policy_);
+    // A batch of 1 leaves aggregation off.
+    publisher->enable_aggregation(config_.aggregation_batch,
+                                  units::milliseconds(20));
+    if (config_.soap_proxy) {
+      soap_publishers_.emplace_back(run_.hydra().host(host), publisher);
+    }
+    publishers_.push_back(std::move(publisher));
   }
 
   void connect(std::int64_t id, std::function<void(bool)> on_ready) override {
@@ -115,9 +125,16 @@ class NaradaPort final : public BackendPort {
                       std::to_string(p.seq + 1);
     const obs::TraceKey trace = obs::tracer() ? obs::key_of(key) : 0;
     run_.open(key, {p.before, p.before, trace, std::move(p.segments)});
-    sender.publish(std::move(msg), [&run = run_, key, trace](SimTime after) {
+    auto on_sent = [&run = run_, key, trace](SimTime after) {
       run.sent(key, trace, after);
-    });
+    };
+    if (config_.soap_proxy) {
+      // Encoding runs before the client's send, so PRT includes it.
+      soap_publishers_[static_cast<std::size_t>(p.publisher)].publish(
+          std::move(msg), std::move(on_sent));
+    } else {
+      sender.publish(std::move(msg), std::move(on_sent));
+    }
   }
 
   void subscribe() override {
@@ -178,14 +195,24 @@ class NaradaPort final : public BackendPort {
     if (config_.replay.enabled) {
       sub->set_replay(config_.replay.settle, config_.replay.max_retries);
     }
-    // The port owns the client (a shared capture would be a leaking cycle).
-    sub->connect([sub = sub.get(), selector, ack, &run = run_](bool ok) {
+    // Decoding runs before the listener, so SRT includes it.
+    gma::WsProxySubscriber* proxy =
+        config_.soap_proxy
+            ? &soap_subscribers_.emplace_back(run_.hydra().host(host), sub)
+            : nullptr;
+    // The port owns the client and its proxy (a shared capture would be a
+    // leaking cycle).
+    sub->connect([sub = sub.get(), proxy, selector, ack, &run = run_](bool ok) {
       if (!ok) return;
-      sub->subscribe(kTopic, selector, ack,
-                     [&run](const jms::MessagePtr& message, SimTime arrived) {
-                       run.arrival();
-                       run.deliver(message->message_id, arrived);
-                     });
+      auto listener = [&run](const jms::MessagePtr& message, SimTime arrived) {
+        run.arrival();
+        run.deliver(message->message_id, arrived);
+      };
+      if (proxy != nullptr) {
+        proxy->subscribe(kTopic, selector, std::move(listener));
+      } else {
+        sub->subscribe(kTopic, selector, ack, std::move(listener));
+      }
     });
     subscribers_.push_back(std::move(sub));
   }
@@ -200,6 +227,10 @@ class NaradaPort final : public BackendPort {
   narada::ReconnectPolicy policy_;
   std::vector<std::shared_ptr<narada::NaradaClient>> publishers_;
   std::vector<std::shared_ptr<narada::NaradaClient>> subscribers_;
+  // One per client when `soap_proxy` is set; a deque keeps the
+  // subscribers' addresses stable for their delivery callbacks.
+  std::vector<gma::WsProxyPublisher> soap_publishers_;
+  std::deque<gma::WsProxySubscriber> soap_subscribers_;
 };
 
 }  // namespace

@@ -7,9 +7,6 @@
 
 namespace gridmon::core {
 
-// Defined in ablation_scenarios.cpp: the two ablations with bespoke
-// topologies (sender-side aggregation, Web-Services proxies).
-void register_ablation_scenarios(ScenarioRegistry& registry);
 // Defined in chaos_scenarios.cpp: the chaos/* fault-injection family.
 void register_chaos_scenarios(ScenarioRegistry& registry);
 // Defined in mqtt_scenarios.cpp: the mqtt/* modern-baseline family.
@@ -28,9 +25,7 @@ const char* ScenarioSpec::system() const {
   return std::visit(
       [](const auto& config) -> const char* {
         using T = std::decay_t<decltype(config)>;
-        if constexpr (std::is_same_v<T, CustomScenario>) {
-          return config.backend.c_str();
-        } else if constexpr (std::is_same_v<T, HierConfig>) {
+        if constexpr (std::is_same_v<T, HierConfig>) {
           // A hier scenario's "system" is the backend its regional tier
           // publishes into — the column exists to compare middlewares.
           return to_string(config.backend);
@@ -48,18 +43,13 @@ Results run_scenario(const ScenarioSpec& spec, SimTime duration,
       [](const RgmaConfig& c) { return run_rgma_experiment(c); },
       [](const MqttConfig& c) { return run_mqtt_experiment(c); },
       [](const HierConfig& c) { return run_hier_experiment(c); }};
+  if (spec.fixed_window > 0) duration = spec.fixed_window;
   Results results = std::visit(
-      [&](const auto& config) -> Results {
-        using T = std::decay_t<decltype(config)>;
-        if constexpr (std::is_same_v<T, CustomScenario>) {
-          return config.run(RunContext{duration, seed, {}});
-        } else {
-          T run = config;
-          run.duration = duration;
-          run.seed = seed;
-          if (obs.enabled) run.obs = obs;
-          return run_harness(run);
-        }
+      [&](auto config) {
+        config.duration = duration;
+        config.seed = seed;
+        if (obs.enabled) config.obs = obs;
+        return run_harness(config);
       },
       spec.config);
   // SLO verdicts ride on every run of a spec that declares objectives;
@@ -245,7 +235,42 @@ ScenarioRegistry build_catalogue() {
 
   register_mqtt_scenarios(reg);
   register_hier_scenarios(reg);
-  register_ablation_scenarios(reg);
+
+  // Ablations on one gateway publisher (a node concentrating many
+  // generators) through a single broker. They are fixed-rate
+  // microbenchmarks: 120 s of publishing at any campaign duration.
+  const auto gateway = [](SimTime period) {
+    NaradaConfig config = scenarios::narada_single(1);
+    // No ramp: the steady window vmstat measures opens with the first
+    // publish.
+    config.fleet.creation_interval = 0;
+    config.fleet.warmup_min = 0;
+    config.fleet.warmup_max = 0;
+    config.fleet.publish_period = period;
+    return config;
+  };
+  constexpr SimTime kAblationWindow = units::seconds(120);
+  // Related work §IV: sender-side aggregation (IBM RMM) at 1,000 msg/s.
+  for (int batch : {1, 2, 4, 8, 16, 32}) {
+    NaradaConfig config = gateway(units::milliseconds(1));
+    config.aggregation_batch = batch;
+    reg.add({"ablation/aggregation/" + std::to_string(batch),
+             "Ablation (SIV related work): sender-side aggregation, batch " +
+                 std::to_string(batch) + ", one 1,000 msg/s gateway publisher",
+             config, {}, kAblationWindow});
+  }
+  // §III.D: the Web Services data path the paper rejected, 150 msg/s.
+  NaradaConfig webservices = gateway(units::seconds(1) / 150);
+  reg.add({"ablation/webservices/binary",
+           "Ablation (SIII.D): 150 msg/s monitoring stream over binary JMS "
+           "(baseline)",
+           webservices, {}, kAblationWindow});
+  webservices.soap_proxy = true;
+  reg.add({"ablation/webservices/soap",
+           "Ablation (SIII.D): the same stream SOAP-encoded through "
+           "Web-Services proxies",
+           webservices, {}, kAblationWindow});
+
   register_chaos_scenarios(reg);
   return reg;
 }

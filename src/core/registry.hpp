@@ -7,11 +7,11 @@
 // run_narada_experiment / run_rgma_experiment with hand-built configs.
 //
 // Duration and seed are *campaign* knobs: `run_scenario` always overrides
-// the config's own duration/seed fields, so a spec is a pure description
-// and two runs of the same (id, duration, seed) triple are bit-identical.
+// the config's own duration/seed fields (the duration with the spec's
+// fixed window when it has one), so a spec is a pure description and two
+// runs of the same (id, duration, seed) triple are bit-identical.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -22,24 +22,8 @@
 
 namespace gridmon::core {
 
-/// Handed to a custom scenario body: the per-run knobs the campaign owns
-/// (bespoke topologies read `duration` and `seed`).
-using RunContext = RunConfig;
-
-/// A scenario whose topology is not a plain Narada/R-GMA experiment (the
-/// aggregation and Web-Services ablations build their own client graphs).
-/// The body must be a pure function of the RunContext — it runs on campaign
-/// worker threads.
-struct CustomScenario {
-  std::function<Results(const RunContext&)> run;
-  /// Backend name for display/filtering. Bespoke topologies set this to
-  /// the middleware they are built on ("narada", ...); plain "custom"
-  /// otherwise.
-  std::string backend = "custom";
-};
-
-using ScenarioConfig = std::variant<NaradaConfig, RgmaConfig, MqttConfig,
-                                    HierConfig, CustomScenario>;
+using ScenarioConfig =
+    std::variant<NaradaConfig, RgmaConfig, MqttConfig, HierConfig>;
 
 /// One named experiment: the unit the registry stores and the campaign
 /// runner schedules.
@@ -51,17 +35,22 @@ struct ScenarioSpec {
   /// run_scenario fills Results::slo from this; `gridmon_cli run --slo`
   /// turns the verdicts into an exit code.
   obs::SloSpec slo = {};
+  /// Publishing window that replaces the campaign duration, for the run
+  /// and its SLO evaluation (0 = the campaign duration). The fixed-rate
+  /// ablation microbenchmarks publish for 120 s at any `--minutes`.
+  SimTime fixed_window = 0;
 
   /// Backend name ("narada", "rgma", "mqtt", ...). Data-driven: read from
-  /// the config type's kBackend constant (or CustomScenario::backend), so
-  /// adding a backend never touches a switch here. Used by `gridmon_cli
-  /// list --system` and exported as the campaign `system` column.
+  /// the config type's kBackend constant (a hier config's regional
+  /// backend), so adding a backend never touches a switch here. Used by
+  /// `gridmon_cli list --system` and exported as the campaign `system`
+  /// column.
   [[nodiscard]] const char* system() const;
 };
 
-/// Run one scenario at an explicit duration and seed. Single-threaded and
-/// deterministic; campaign parallelism is strictly *across* calls. `obs`
-/// applies to every harness config when enabled (custom scenarios ignore it).
+/// Run one scenario at an explicit duration (or the spec's fixed window)
+/// and seed. Single-threaded and deterministic; campaign parallelism is
+/// strictly *across* calls. `obs` applies when enabled.
 [[nodiscard]] Results run_scenario(const ScenarioSpec& spec, SimTime duration,
                                    std::uint64_t seed,
                                    const obs::Options& obs = {});

@@ -5,8 +5,8 @@
 // bottlenecks, with interoperability recoverable through a WS proxy at the
 // edge. This module quantifies exactly that decision: it models the SOAP
 // envelope a monitoring message would become and the CPU it costs to
-// encode/decode, so the ablation bench can measure the overhead the paper
-// avoided.
+// encode/decode, so the ablation/webservices scenarios (the Narada port's
+// `soap_proxy` option) can measure the overhead the paper avoided.
 #pragma once
 
 #include <cstdint>
@@ -110,6 +110,9 @@ class WsProxySubscriber {
                     std::shared_ptr<narada::NaradaClient> client,
                     SoapCostModel model = {})
       : host_(host), client_(std::move(client)), model_(model) {}
+  // subscribe() hands the client a listener that holds `this`.
+  WsProxySubscriber(const WsProxySubscriber&) = delete;
+  WsProxySubscriber& operator=(const WsProxySubscriber&) = delete;
 
   void subscribe(const std::string& topic, const std::string& selector,
                  narada::NaradaClient::DeliveryListener listener) {

@@ -52,7 +52,7 @@ const std::vector<std::string> kSection4Ids = {
     "rgma/secondary_delay/15", "rgma/secondary_delay/30",
     // §III.F loss + delivery-quality ablations
     "rgma/no_warmup", "rgma/https/200", "rgma/legacy/200",
-    // Bespoke-topology ablations
+    // Gateway-publisher ablations (fixed 120 s window)
     "ablation/aggregation/1", "ablation/aggregation/2",
     "ablation/aggregation/4", "ablation/aggregation/8",
     "ablation/aggregation/16", "ablation/aggregation/32",
@@ -106,7 +106,7 @@ TEST(RegistryTest, FindAndMatch) {
   EXPECT_EQ(registry.match("rgma/secondary_delay/").size(), 4u);
   EXPECT_TRUE(registry.match("no/such/prefix").empty());
   EXPECT_STREQ(registry.find("ablation/webservices/soap")->system(),
-               "custom");
+               "narada");
   EXPECT_STREQ(registry.find("mqtt/single/800")->system(), "mqtt");
   EXPECT_STREQ(registry.find("rgma/single/100")->system(), "rgma");
 }

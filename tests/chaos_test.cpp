@@ -96,7 +96,7 @@ TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
   };
   auto spec = [](const Case& c) {
     const FaultPlan faults = FaultPlan::parse(c.plan);
-    ScenarioSpec spec{c.plan, "bad fault", CustomScenario{}};
+    ScenarioSpec spec{c.plan, "bad fault", NaradaConfig{}};
     if (std::string(c.backend) == "narada") {
       NaradaConfig config = scenarios::narada_single(20);
       config.faults = faults;

@@ -2,7 +2,9 @@
 // experiments through the public harness and assert the headline shapes.
 #include <gtest/gtest.h>
 
+#include "core/campaign.hpp"
 #include "core/experiment.hpp"
+#include "core/registry.hpp"
 #include "core/scenarios.hpp"
 
 namespace gridmon::core {
@@ -145,6 +147,41 @@ TEST(CrossSystem, NaradaBeatsRgmaOnLatencyAtEqualLoad) {
   // The paper's central comparison: two orders of magnitude apart.
   EXPECT_LT(narada.metrics.rtt_mean_ms() * 50.0,
             rgma.metrics.rtt_mean_ms());
+}
+
+// The aggregation and Web-Services ablations run through the Narada port
+// like every other id: one gateway publisher for a fixed 120 s at any
+// campaign duration, every delivery timed as RTT = PRT + PT + SRT (Fig 15),
+// and the broker host sampled by vmstat.
+TEST(AblationScenarios, RunOnTheNaradaPortForAFixedWindow) {
+  for (int minutes : {1, 5}) {
+    // The campaign runs each id through run_scenario on four workers.
+    CampaignOptions options;
+    options.jobs = 4;
+    options.duration = units::minutes(minutes);
+    CampaignRunner runner(options);
+    ASSERT_EQ(runner.add_matching(builtin_registry(), "ablation/"), 8);
+    const Campaign campaign = runner.run();
+    for (const RunRecord& run : campaign.runs()) {
+      SCOPED_TRACE(run.scenario_id + " at " + std::to_string(minutes) +
+                   " min");
+      const bool webservices =
+          run.scenario_id.starts_with("ablation/webservices/");
+      EXPECT_EQ(run.system, "narada");
+      const Results& results = run.results;
+      const Metrics& metrics = results.metrics;
+      EXPECT_EQ(results.generators, 1);
+      // 120 s at 150 msg/s or at 1,000 msg/s.
+      EXPECT_EQ(metrics.sent(), webservices ? 18'000u : 120'000u);
+      EXPECT_EQ(metrics.received(), metrics.sent());
+      EXPECT_GT(metrics.prt_ms().mean(), 0.0);
+      EXPECT_GT(metrics.srt_ms().mean(), 0.0);
+      EXPECT_NEAR(metrics.prt_ms().mean() + metrics.pt_ms().mean() +
+                      metrics.srt_ms().mean(),
+                  metrics.rtt_mean_ms(), 1e-6);
+      if (webservices) EXPECT_LT(results.servers.cpu_idle_pct, 100.0);
+    }
+  }
 }
 
 TEST(ScaledHelper, ShrinksDuration) {

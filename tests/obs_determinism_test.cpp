@@ -77,6 +77,8 @@ TEST(ObsDeterminism, ChaosSeriesByteIdenticalAcrossJobs) {
 TEST(ObsDeterminism, SteadyStateSeriesByteIdenticalAcrossJobs) {
   GRIDMON_REQUIRE_OBS();
   expect_byte_identical("narada/comparison/80");
+  // The fixed-window Web-Services ablation runs on the scaffold too.
+  expect_byte_identical("ablation/webservices/");
 }
 
 TEST(ObsDeterminism, SameSeedSameSeriesAcrossCampaigns) {
