@@ -686,11 +686,12 @@ std::vector<Figure> build_catalogue() {
                "hier/ablation/edge_10k"}),
         hier_columns}},
       "Expectation: every hier scale completes — 1M generators fit in under "
-      "10 MB of\nmodel state (8 B/generator of fleet arrays plus pending "
-      "frames), where the\nflat ablation hits the 1 GiB heap wall near 3800 "
-      "connections and refuses the\nrest of its 10k fleet. Bytes/generator "
-      "*falls* with scale as the fixed broker\nfootprint amortises; the "
-      "tree arm (raw pass-through) pays an order of magnitude\nmore wire "
+      "1 MB of\nmodel state (the fleet is hashed from the seed and holds "
+      "no per-generator\nbytes; pending frames and the broker footprint "
+      "remain), where the flat ablation\nhits the 1 GiB heap wall near 3800 "
+      "connections and refuses the rest of its 10k\nfleet. Bytes/generator "
+      "*falls* with scale as the fixed broker footprint\namortises; the "
+      "tree arm (raw pass-through) pays an order of magnitude more\nwire "
       "bytes than the reducing edge arm at identical fleet sizes.\n");
   return figures;
 }

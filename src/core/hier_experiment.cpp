@@ -148,7 +148,8 @@ Results run_hier_experiment(const HierConfig& config) {
 
   // Observability first so the flyweight allocations below are accounted.
   run.install_obs();
-  // The flyweight fleet: 8 bytes per generator, shared by every edge.
+  // The flyweight fleet: a few dozen bytes for the whole generator tier,
+  // shared by every edge.
   hier::FleetState fleet(config.topology, config.seed);
   tree.fleet = &fleet;
   obs::mem_add(obs::MemCategory::kHier, fleet.bytes());

@@ -38,6 +38,7 @@ class Metrics {
   /// Deadline for the delivered-late count (0 disables, the default). Grid
   /// monitoring's soft real-time bound is 5 s end-to-end.
   void set_deadline(SimTime deadline) { deadline_ = deadline; }
+  [[nodiscard]] SimTime deadline() const { return deadline_; }
 
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t received() const {

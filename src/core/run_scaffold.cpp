@@ -73,26 +73,33 @@ bool RunScaffold::deliver(const std::string& key, SimTime arrived_at,
   }
   if (tree_ != nullptr) {
     // A hier frame: record() covered its oldest sample (RTT is honest
-    // about staleness); the rest are recomputed from the flyweight state
-    // so the received/late counters stay per-sample.
-    constexpr SimTime kDeadline = units::seconds(5);
+    // about staleness) and counted it late if it was; the frame's other
+    // samples are counted here so the received/late counters stay
+    // per-sample.
     std::int64_t collected = 0;
-    std::uint64_t late = 0;
     for (const hier::EdgeFrame& segment : record.segments) {
-      tree_->for_each_sample(
-          segment.edge, segment.window,
-          [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
-            if (lost) return;
-            ++collected;
-            if (now - send > kDeadline) ++late;
-          });
+      collected += segment.collected;
     }
     if (collected > 0) {
       metrics.count_received(static_cast<std::uint64_t>(collected - 1));
     }
-    const std::uint64_t oldest_late =
-        now - record.before_sending > kDeadline ? 1 : 0;
-    if (late > oldest_late) metrics.count_delivered_late(late - oldest_late);
+    // No sample was sent before the oldest, so only a frame whose oldest
+    // sample missed the deadline can carry late ones. Only those segments
+    // are re-walked from the flyweight state.
+    const SimTime deadline = metrics.deadline();
+    if (deadline > 0 && now - record.before_sending > deadline) {
+      std::uint64_t late = 0;
+      for (const hier::EdgeFrame& segment : record.segments) {
+        if (now - segment.oldest_send <= deadline) continue;
+        tree_->for_each_sample(
+            segment.edge, segment.window,
+            [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
+              if (!lost && now - send > deadline) ++late;
+            });
+      }
+      // The oldest sample is among them and record() counted it.
+      if (late > 1) metrics.count_delivered_late(late - 1);
+    }
   }
   ++delivered_;
   in_flight_.erase(it);

@@ -12,10 +12,12 @@
 // in the experiment harness; the regional hands it finished UpstreamFrames
 // through a callback, so this layer depends on nothing middleware-specific.
 //
-// Accounting contract: the root recomputes each frame's constituent
-// samples with the same for_each_sample() walk the edge used, so the two
-// sides agree on exactly which samples a frame covers without shipping or
-// storing any of them.
+// Accounting contract: each EdgeFrame carries the count of samples it
+// collected, which the root adds to its received count. A frame whose
+// oldest sample missed the deadline may hold other late samples; for those
+// the root recomputes the constituent samples with the same
+// for_each_sample() walk the edge used, so the two sides agree on exactly
+// which samples a frame covers without shipping or storing any of them.
 #pragma once
 
 #include <cstdint>
@@ -52,31 +54,24 @@ struct TreeConfig {
 
   /// Walk every sample of edge `edge` whose send time falls inside edge
   /// window `window` — including the ones lost on the generator→edge link
-  /// (`fn(generator, sample_index, send_time, lost)`). Samples are
-  /// enumerated in (generator, index) order on both the edge and the root
-  /// side.
+  /// (`fn(generator, sample_index, send_time, lost)`). For each sample
+  /// period the window overlaps, only the generators the fleet phases into
+  /// the overlapped part are visited, so the cost is the window's samples,
+  /// not the edge's generators. Samples are enumerated in (sample index,
+  /// generator) order on both the edge and the root side.
   template <typename Fn>
   void for_each_sample(std::int64_t edge, std::int64_t window, Fn&& fn) const {
-    const SimTime w = spec.edge.window;
     const SimTime period = spec.sample_period;
-    const SimTime begin = window * w;        // relative to epoch
-    const SimTime end = begin + w;
-    for (std::int64_t g = shape.generator_begin(edge),
-                      last = shape.generator_end(edge);
-         g < last; ++g) {
-      const SimTime phase = fleet->phase(g);
-      // Sample i of generator g is sent at epoch + i*period + phase; find
-      // the i range landing in [begin, end).
-      std::int64_t lo = (begin - phase + period - 1) / period;
-      if (lo < 0) lo = 0;
-      // Floor division: with sub-period windows `end - phase - 1` goes
-      // negative for every window preceding the generator's first sample,
-      // and truncation toward zero would pull sample 0 into all of them.
-      // phase < period, so -1 is the only negative floor possible.
-      const std::int64_t num = end - phase - 1;
-      const std::int64_t hi = num >= 0 ? num / period : -1;
-      for (std::int64_t i = lo; i <= hi; ++i) {
-        fn(g, i, epoch + i * period + phase, fleet->sample_lost(g, i));
+    const SimTime begin = window * spec.edge.window;  // relative to epoch
+    const SimTime end = begin + spec.edge.window;
+    // Sample i of generator g is sent at epoch + i*period + phase(g).
+    for (std::int64_t i = begin / period; i * period < end; ++i) {
+      const SimTime start = i * period;
+      const FleetState::Range range =
+          fleet->phased_in(edge, begin > start ? begin - start : 0,
+                           end - start < period ? end - start : period);
+      for (std::int64_t g = range.begin; g < range.end; ++g) {
+        fn(g, i, epoch + start + fleet->phase(g), fleet->sample_lost(g, i));
       }
     }
   }

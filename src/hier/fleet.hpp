@@ -1,18 +1,23 @@
-// Flyweight fleet state: the whole generator tier in struct-of-arrays form.
+// Flyweight fleet state: the whole generator tier with no per-generator
+// storage.
 //
 // A flat scenario holds one middleware client object (~KBs of model state
 // plus simulated broker-side threads) per generator — the 2 GB heap caps
-// that at ~4000. Here a generator is 8 bytes: a phase fraction and a value
-// seed, both u32, in two parallel arrays shared by every edge aggregator.
-// Everything else about a generator (its sample times, values, per-sample
-// loss draws) is *recomputed* from (seed, generator, sample index) on
-// demand — the edge computes it when a window closes, and the root
-// recomputes the identical values when the frame arrives, so no per-sample
-// state is ever stored or shipped.
+// that at ~4000. Here a generator holds no bytes at all: its phase and its
+// value seed are hashed from (seed, generator), and everything else about
+// it (its sample times, values, per-sample loss draws) is *recomputed* from
+// (seed, generator, sample index) on demand — the edge computes it when a
+// window closes, and the root recomputes the identical values when a late
+// frame arrives, so no per-sample state is ever stored or shipped.
+//
+// Phase layout: generator j of an edge with n generators samples at a
+// hashed offset inside the j-th of n equal slots of the sample period. An
+// edge's phases therefore rise with j, and the generators sampling in any
+// part of the period form one contiguous range (phased_in), so a window
+// visits only the generators that sample in it.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "hier/topology.hpp"
 #include "util/rng.hpp"
@@ -21,28 +26,40 @@ namespace gridmon::hier {
 
 class FleetState {
  public:
-  /// Expands per-generator arrays from the spec. `seed` drives the phase
-  /// and value streams (splitmix over seed ^ index — no sequential RNG, so
-  /// construction is O(generators) with no draw-order coupling).
+  /// `spec` must pass TopologySpec::expand(), except that an out-of-range
+  /// loss probability is clamped. `seed` drives the phase, value and loss
+  /// hashes (splitmix over seed and generator — no sequential RNG, so
+  /// construction is O(1) with no draw-order coupling).
   FleetState(const TopologySpec& spec, std::uint64_t seed);
 
-  [[nodiscard]] std::int64_t generators() const {
-    return static_cast<std::int64_t>(phase_.size());
-  }
+  [[nodiscard]] std::int64_t generators() const { return generators_; }
 
   /// Offset of generator `g`'s sample inside each sample period, in
-  /// [0, sample_period). Stored as a u32 fraction so 10 s periods fit.
+  /// [0, sample_period): floor((j * period + offset) / n) for the j-th of
+  /// the edge's n generators and a hashed offset in [0, period).
   [[nodiscard]] SimTime phase(std::int64_t g) const {
-    return static_cast<SimTime>(
-        (static_cast<std::uint64_t>(phase_[static_cast<std::size_t>(g)]) *
-         static_cast<std::uint64_t>(sample_period_)) >>
-        32);
+    const std::int64_t first = g / fan_in_ * fan_in_;
+    return ((g - first) * sample_period_ + offset(g)) / edge_size(first);
   }
 
-  /// The reading generator `g` publishes as sample `k` (k counts samples
-  /// globally: window * samples_per_window + slot). Pure function.
+  /// The generators of edge `edge` whose phase lies in [from, to), for
+  /// 0 <= from <= to <= sample_period. Phases rise with the generator
+  /// index inside an edge, so they form one contiguous range.
+  struct Range {
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+  };
+  [[nodiscard]] Range phased_in(std::int64_t edge, SimTime from,
+                                SimTime to) const {
+    const std::int64_t first = edge * fan_in_;
+    return {first + first_phased_at(first, from),
+            first + first_phased_at(first, to)};
+  }
+
+  /// The reading generator `g` publishes as sample `k` (k counts the
+  /// generator's samples from the epoch). Pure function.
   [[nodiscard]] double value(std::int64_t g, std::int64_t k) const {
-    std::uint64_t s = value_seed_[static_cast<std::size_t>(g)] +
+    std::uint64_t s = hash(value_salt_, g) +
                       static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ULL;
     return static_cast<double>(util::splitmix64(s) >> 11) * 0x1.0p-53 * 100.0;
   }
@@ -58,19 +75,45 @@ class FleetState {
     return util::splitmix64(s) < loss_threshold_;
   }
 
-  /// Model bytes held by the arrays (mirrored into mem_hier by the owner).
+  /// Model bytes the fleet holds (mirrored into mem_hier by the owner):
+  /// this object, whatever the generator count.
   [[nodiscard]] std::int64_t bytes() const {
-    return static_cast<std::int64_t>(phase_.capacity() * sizeof(std::uint32_t) +
-                                     value_seed_.capacity() *
-                                         sizeof(std::uint32_t));
+    return static_cast<std::int64_t>(sizeof(FleetState));
   }
 
  private:
+  [[nodiscard]] static std::uint64_t hash(std::uint64_t salt,
+                                          std::int64_t g) {
+    std::uint64_t s =
+        salt ^ (static_cast<std::uint64_t>(g) * 0x9E3779B97F4A7C15ULL);
+    return util::splitmix64(s);
+  }
+
+  /// Where in its slot generator `g` samples: a hashed offset in
+  /// [0, sample_period), scaled down by the edge size in phase().
+  [[nodiscard]] std::int64_t offset(std::int64_t g) const {
+    return static_cast<std::int64_t>(
+        hash(phase_salt_, g) % static_cast<std::uint64_t>(sample_period_));
+  }
+
+  /// Generators in the edge whose first generator is `first`.
+  [[nodiscard]] std::int64_t edge_size(std::int64_t first) const {
+    return generators_ - first < fan_in_ ? generators_ - first : fan_in_;
+  }
+
+  /// The smallest index j in [0, n] of the edge starting at generator
+  /// `first` whose phase is >= `at` (n when none is), for at in
+  /// [0, sample_period].
+  [[nodiscard]] std::int64_t first_phased_at(std::int64_t first,
+                                             SimTime at) const;
+
   SimTime sample_period_;
+  std::int64_t generators_;
+  std::int64_t fan_in_;
+  std::uint64_t phase_salt_;
+  std::uint64_t value_salt_;
   std::uint64_t loss_salt_;
   std::uint64_t loss_threshold_;  ///< loss probability scaled to 2^64
-  std::vector<std::uint32_t> phase_;
-  std::vector<std::uint32_t> value_seed_;
 };
 
 }  // namespace gridmon::hier

@@ -1,6 +1,7 @@
 #include "hier/topology.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,6 +85,10 @@ TopologySpec::Expansion TopologySpec::expand() const {
   check(regional.fan_in > 0, "regional fan_in must be positive");
   check(edge.window > 0, "edge window must be positive");
   check(regional.window > 0, "regional window must be positive");
+  // FleetState places generator j of an edge in the j-th of fan_in slots
+  // of the period in int64 arithmetic, up to fan_in × sample_period.
+  check(edge.fan_in <= std::numeric_limits<std::int64_t>::max() / sample_period,
+        "edge fan_in × sample_period overflows int64");
   check(edge.link.loss >= 0.0 && edge.link.loss < 1.0,
         "edge link loss must be in [0, 1)");
   // FleetState draws loss only on the generator→edge hop; reject rather

@@ -62,7 +62,8 @@ struct TopologySpec {
 
   /// Deterministic expansion of the tree shape. Validates the spec and
   /// throws std::invalid_argument on nonsense (zero fan-in, a negative
-  /// window, an out-of-range loss probability, ...).
+  /// window, an out-of-range loss probability, an edge fan-in whose
+  /// phase slots overflow int64, ...).
   struct Expansion {
     std::int64_t generators = 0;
     std::int64_t edges = 0;

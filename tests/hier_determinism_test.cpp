@@ -53,9 +53,12 @@ Campaign hier_campaign(int jobs) {
 // code change moves it, every hier metric moved with it — rerecord only
 // when the shift is understood and intended. A GRIDMON_OBS=OFF build has
 // its own golden: the hier presets turn memprof on, so the mem_* and
-// peak_model_bytes columns are zero there.
+// peak_model_bytes columns are zero there. Last rerecorded when phases
+// moved to one slot per generator of an edge: every 2 s window now
+// carries a frame (wire bytes), and the fleet holds no per-generator
+// arrays (peak_model_bytes).
 constexpr std::uint64_t kGoldenHierFamily =
-    obs::kEnabled ? 12357158956727552299ULL : 3943492006778802230ULL;
+    obs::kEnabled ? 10844277123711822149ULL : 18393468989594166698ULL;
 
 TEST(HierDeterminism, TenKFamilyByteIdenticalAcrossJobs) {
   const Campaign serial = hier_campaign(1);

@@ -4,7 +4,10 @@
 // regional subtree counts every descendant generator as refused.
 #include "hier/aggregator.hpp"
 
+#include <limits>
 #include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -107,6 +110,20 @@ TEST(TopologySpecTest, ExpandValidates) {
   bad = small_spec();
   bad.regional.link.loss = 0.05;
   EXPECT_THROW((void)bad.expand(), std::invalid_argument);
+  // The fleet's phase slots run up to fan_in × sample_period in int64: a
+  // fan-in that overflows it is rejected, and the error names the field.
+  bad = small_spec();
+  bad.edge.fan_in = std::numeric_limits<std::int64_t>::max() /
+                        bad.sample_period + 1;
+  try {
+    (void)bad.expand();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("fan_in"), std::string::npos)
+        << error.what();
+  }
+  bad.edge.fan_in -= 1;  // the largest fan-in that fits
+  EXPECT_NO_THROW((void)bad.expand());
 }
 
 TEST(FleetStateTest, PureFunctionOfSeed) {
@@ -123,8 +140,36 @@ TEST(FleetStateTest, PureFunctionOfSeed) {
     any_differs |= a.phase(g) != c.phase(g);
   }
   EXPECT_TRUE(any_differs);
-  // 8 bytes of model state per generator, SoA.
-  EXPECT_GE(a.bytes(), a.generators() * 8);
+  // No per-generator state: the fleet's bytes do not grow with its size.
+  TopologySpec big = spec;
+  big.generators = 1'000'000;
+  const FleetState million(big, 42);
+  EXPECT_EQ(million.generators(), 1'000'000);
+  EXPECT_EQ(million.bytes(), a.bytes());
+}
+
+TEST(FleetStateTest, EachFifthOfThePeriodHoldsAFifthOfEveryEdge) {
+  // Regression: phases used to be (u32 fraction × period) >> 32 in 64
+  // bits. With a 10 s period in ns the product wraps, so every phase
+  // landed below 2^32 ns = 4.295 s and the last two of five 2 s windows
+  // of every period carried no frame.
+  const TopologySpec spec = small_spec();  // 10 s period, 20 per edge
+  ASSERT_EQ(spec.sample_period, units::seconds(10));
+  ASSERT_EQ(spec.edge.fan_in % 5, 0);
+  const FleetState fleet(spec, 42);
+  const auto shape = spec.expand();
+  const SimTime fifth = spec.sample_period / 5;
+  for (std::int64_t e = 0; e < shape.edges; ++e) {
+    std::int64_t per_fifth[5] = {};
+    for (std::int64_t g = shape.generator_begin(e);
+         g < shape.generator_end(e); ++g) {
+      ++per_fifth[fleet.phase(g) / fifth];
+    }
+    for (int f = 0; f < 5; ++f) {
+      EXPECT_EQ(per_fifth[f], spec.edge.fan_in / 5)
+          << "edge " << e << " fifth " << f;
+    }
+  }
 }
 
 TEST(FleetStateTest, SampleLossMatchesConfiguredRate) {
@@ -188,6 +233,84 @@ TEST(AggregatorTest, SubPeriodWindowsEnumerateEachSampleExactlyOnce) {
                         << key.second;
   }
 }
+
+// for_each_sample visits only the generators the fleet phases into each
+// period the window overlaps. A brute-force walk over every generator of
+// the edge and every sample index must find the same samples.
+struct WalkShape {
+  const char* name;
+  std::int64_t generators;
+  std::int64_t fan_in;
+  SimTime window;
+  double loss;
+};
+
+class RangeWalkTest : public ::testing::TestWithParam<WalkShape> {};
+
+TEST_P(RangeWalkTest, MatchesBruteForceWalk) {
+  const WalkShape& param = GetParam();
+  TopologySpec spec = small_spec();  // 10 s sample period
+  spec.generators = param.generators;
+  spec.edge.fan_in = param.fan_in;
+  spec.edge.window = param.window;
+  spec.edge.link.loss = param.loss;
+  const FleetState fleet(spec, 5);
+  TreeConfig tree;
+  tree.spec = spec;
+  tree.shape = spec.expand();
+  tree.fleet = &fleet;
+  tree.epoch = units::seconds(1);
+  // At least three sample periods of windows.
+  const std::int64_t windows =
+      (3 * spec.sample_period + param.window - 1) / param.window + 1;
+
+  using Sample = std::tuple<std::int64_t, std::int64_t, SimTime, bool>;
+  std::int64_t total = 0;
+  std::int64_t lost_total = 0;
+  for (const std::int64_t edge : {std::int64_t{0}, tree.shape.edges - 1}) {
+    for (std::int64_t w = 0; w < windows; ++w) {
+      std::set<Sample> walked;
+      tree.for_each_sample(edge, w, [&](std::int64_t g, std::int64_t k,
+                                        SimTime send, bool lost) {
+        EXPECT_TRUE(walked.insert({g, k, send, lost}).second)
+            << "generator " << g << " sample " << k << " visited twice";
+      });
+      const SimTime begin = tree.epoch + w * param.window;
+      const SimTime end = begin + param.window;
+      std::set<Sample> brute;
+      for (std::int64_t g = tree.shape.generator_begin(edge);
+           g < tree.shape.generator_end(edge); ++g) {
+        for (std::int64_t k = 0;; ++k) {
+          const SimTime send =
+              tree.epoch + k * spec.sample_period + fleet.phase(g);
+          if (send >= end) break;
+          if (send < begin) continue;
+          const bool lost = fleet.sample_lost(g, k);
+          brute.insert({g, k, send, lost});
+          lost_total += lost;
+        }
+      }
+      EXPECT_EQ(walked, brute) << "edge " << edge << " window " << w;
+      total += static_cast<std::int64_t>(brute.size());
+    }
+  }
+  EXPECT_GT(total, 0);
+  EXPECT_EQ(lost_total > 0, param.loss > 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, RangeWalkTest,
+    ::testing::Values(
+        WalkShape{"SubPeriodWindows", 400, 20, units::seconds(2), 0.0},
+        WalkShape{"WindowIsPeriod", 400, 20, units::seconds(10), 0.0},
+        WalkShape{"WindowIsThreePeriods", 400, 20, units::seconds(30), 0.0},
+        WalkShape{"StraddlingWindows", 400, 20, units::seconds(7), 0.0},
+        WalkShape{"RaggedLastEdge", 453, 20, units::seconds(3), 0.0},
+        WalkShape{"FanInOne", 40, 1, units::seconds(2), 0.0},
+        WalkShape{"Lossy", 400, 20, units::seconds(2), 0.1}),
+    [](const ::testing::TestParamInfo<WalkShape>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
   // One edge window per sample period: every generator contributes exactly
@@ -309,6 +432,32 @@ TEST(HierExperimentTest, FullFleetDeliversEverySample) {
   EXPECT_TRUE(results.completed);
   EXPECT_GT(results.metrics.sent(), 0u);
   EXPECT_EQ(results.metrics.sent(), results.metrics.received());
+}
+
+// The root counts a frame's samples from its segments and re-walks only
+// frames whose oldest sample missed the 5 s deadline. Windows inside the
+// deadline deliver nothing late; a regional window twice the edge window
+// holds the oldest samples of each flush for up to 8 s, so some of them
+// (not all) arrive late, and every one is still received.
+TEST(HierExperimentTest, DeliveredLateCountsOnlySamplesPastTheDeadline) {
+  core::HierConfig config;
+  config.backend = core::HierBackend::kNarada;
+  config.topology = small_spec();
+  config.topology.edge.window = units::seconds(2);
+  config.topology.regional.window = units::seconds(2);
+  config.duration = units::minutes(1);
+  const core::Results on_time = core::run_hier_experiment(config);
+  EXPECT_GT(on_time.metrics.sent(), 0u);
+  EXPECT_EQ(on_time.metrics.sent(), on_time.metrics.received());
+  EXPECT_EQ(on_time.metrics.delivered_late(), 0u);
+
+  config.topology.edge.window = units::seconds(4);
+  config.topology.regional.window = units::seconds(8);
+  const core::Results late = core::run_hier_experiment(config);
+  EXPECT_GT(late.metrics.sent(), 0u);
+  EXPECT_EQ(late.metrics.sent(), late.metrics.received());
+  EXPECT_GT(late.metrics.delivered_late(), 0u);
+  EXPECT_LT(late.metrics.delivered_late(), late.metrics.received());
 }
 
 }  // namespace

@@ -127,9 +127,12 @@ constexpr ExportGolden kExportGoldens[] = {
      11616385072864528843ULL},
     {"mqtt/qos1/800#2", 13903330743890695420ULL,
      13700677411317488227ULL},
-    {"hier/narada/10k#1", 16337542745424830264ULL,
+    // Series rerecorded when hier phases moved to one slot per generator
+    // of an edge: frames now arrive in every 2 s window, and mem_hier no
+    // longer holds per-generator fleet arrays.
+    {"hier/narada/10k#1", 3828083588950818053ULL,
      18088963067110442184ULL},
-    {"hier/narada/10k#2", 11546029386708423628ULL,
+    {"hier/narada/10k#2", 4009112112202257033ULL,
      18088963067110442184ULL},
     {"chaos/mqtt/flapping_link_replay/800#1", 15577803216617313020ULL,
      17914703032507385578ULL},
