@@ -41,6 +41,18 @@ TEST(Payloads, NaradaMessageCarriesSelectorProperties) {
   EXPECT_EQ(msg.destination, "t");
 }
 
+// Pins the standard message's wire size and RNG draw order: a change that
+// reorders the draws moves `status`, `power_kw` or `state`.
+TEST(Payloads, NaradaMessagePinnedAtSeed1) {
+  util::Rng rng(1);
+  const jms::Message msg =
+      make_generator_message("powergrid/monitoring", 42, 7, 3, rng);
+  EXPECT_EQ(msg.wire_size(), 395);
+  EXPECT_EQ(std::get<std::int32_t>(msg.map_get("status")), 1);
+  EXPECT_EQ(std::get<float>(msg.map_get("power_kw")), 260.218323f);
+  EXPECT_EQ(std::get<std::string>(msg.map_get("state")), "RUNNING");
+}
+
 TEST(Payloads, PaddingGrowsTheWireSize) {
   util::Rng rng1(1);
   util::Rng rng2(1);

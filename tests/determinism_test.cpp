@@ -94,5 +94,37 @@ TEST(KernelDeterminism, RgmaGoldenHashJobs4) {
   EXPECT_EQ(campaign_hash("rgma/single/100", 4), kGoldenRgma);
 }
 
+// Every Narada message shape the registry sends: the Triple pad, DBN
+// forwarding, UDP with CLIENT_ACKNOWLEDGE, persistent delivery, batched
+// aggregation and the SOAP-proxied envelope. The hash covers the full
+// Campaign::csv() (wire bytes included), so a change to how a JMS message
+// is stored or sized that moves any simulated number moves it. Recorded at
+// 1 virtual minute, seeds {1, 2}, jobs=1.
+constexpr const char* kNaradaShapeIds[] = {
+    "narada/comparison/triple", "narada/dbn/2000",
+    "narada/matrix/udp/client", "narada/persistent/800",
+    "ablation/aggregation/8",   "ablation/webservices/soap",
+};
+constexpr std::uint64_t kGoldenNaradaShapes = 18355615438106330772ULL;
+
+std::string shapes_csv(int jobs) {
+  CampaignOptions options;
+  options.jobs = jobs;
+  options.seeds = 2;
+  options.duration = units::minutes(1);
+  CampaignRunner runner(options);
+  for (const char* id : kNaradaShapeIds) {
+    EXPECT_TRUE(runner.add(builtin_registry(), id)) << id;
+  }
+  return runner.run().csv();
+}
+
+TEST(KernelDeterminism, NaradaMessageShapes) {
+  const std::string serial = shapes_csv(1);
+  EXPECT_EQ(serial, shapes_csv(4));
+  EXPECT_EQ(fnv1a(serial), kGoldenNaradaShapes)
+      << "actual hash: " << fnv1a(serial);
+}
+
 }  // namespace
 }  // namespace gridmon::core
