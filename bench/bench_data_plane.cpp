@@ -15,8 +15,12 @@
 //   fanout/*       Narada broker local delivery: one Frame copy per
 //                  subscriber (seed) vs one immutable ref-counted Frame
 //                  shared across the fan-out.
+//   narada_message One Narada publish's message work: build the generator
+//                  reading, share it, read its wire size at the eight
+//                  places a DBN publish does, and match "id<10000".
 //
-// items_per_second is tuples filtered / publishes matched / deliveries.
+// items_per_second is tuples filtered / publishes matched / deliveries /
+// messages.
 // Run with the interleaved-median protocol quoted in BENCH_data_plane.json:
 //   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 //   --benchmark_report_aggregates_only=true --benchmark_min_time=1
@@ -31,6 +35,7 @@
 
 #include "core/payloads.hpp"
 #include "jms/message.hpp"
+#include "jms/selector.hpp"
 #include "mqtt/sub_index.hpp"
 #include "mqtt/topic.hpp"
 #include "narada/frames.hpp"
@@ -207,7 +212,7 @@ struct FanoutWorkload {
     auto frame = std::make_shared<narada::Frame>();
     frame->kind = narada::FrameKind::kDeliver;
     frame->topic = "powergrid/gen7";
-    frame->message = std::make_shared<const jms::Message>(
+    frame->message = jms::share(
         core::make_generator_message("powergrid/gen7", 7, 1, 0, rng));
     prototype = std::move(frame);
   }
@@ -249,6 +254,25 @@ void BM_FanoutRefcount(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * subscribers);
 }
 
+// --- Narada message ---------------------------------------------------------
+
+void BM_NaradaMessage(benchmark::State& state) {
+  util::Rng rng(29);
+  const jms::Selector selector = jms::Selector::parse("id<10000");
+  std::int64_t sequence = 0;
+  std::int64_t bytes = 0;
+  std::int64_t matched = 0;
+  for (auto _ : state) {
+    const jms::MessagePtr message = jms::share(core::make_generator_message(
+        "powergrid/monitoring", 7, sequence++, 0, rng));
+    for (int hop = 0; hop < 8; ++hop) bytes += message->wire_size();
+    if (selector.matches(*message)) ++matched;
+  }
+  benchmark::DoNotOptimize(bytes);
+  benchmark::DoNotOptimize(matched);
+  state.SetItemsProcessed(state.iterations());
+}
+
 }  // namespace
 
 BENCHMARK(BM_PredicateInterpreted)
@@ -271,5 +295,6 @@ BENCHMARK(BM_TopicMatchTrie)
     ->Args({4000, 1});
 BENCHMARK(BM_FanoutCopy)->Name("fanout/copy")->Arg(80)->Arg(400);
 BENCHMARK(BM_FanoutRefcount)->Name("fanout/refcount")->Arg(80)->Arg(400);
+BENCHMARK(BM_NaradaMessage)->Name("narada_message");
 
 BENCHMARK_MAIN();

@@ -1,8 +1,36 @@
 #include "jms/message.hpp"
 
 #include <stdexcept>
+#include <string_view>
 
 namespace gridmon::jms {
+namespace {
+
+const Value* find_field(const Fields& fields, std::string_view name) {
+  for (const auto& [key, value] : fields) {
+    if (key == name) return &value;
+  }
+  return nullptr;
+}
+
+void set_field(Fields& fields, const std::string& name, Value value) {
+  for (auto& [key, stored] : fields) {
+    if (key == name) {
+      stored = std::move(value);
+      return;
+    }
+  }
+  // Messages carry a few properties: start with room for four rather than
+  // reallocating at the first and second append.
+  if (fields.empty()) fields.reserve(4);
+  fields.emplace_back(name, std::move(value));
+}
+
+}  // namespace
+
+void Message::set_property(const std::string& name, Value value) {
+  set_field(properties_, name, std::move(value));
+}
 
 Value Message::property(const std::string& name) const {
   // Header pseudo-properties (JMS 1.1 §3.8.1.1).
@@ -22,9 +50,8 @@ Value Message::property(const std::string& name) const {
                            ? "PERSISTENT"
                            : "NON_PERSISTENT");
   }
-  const auto it = properties_.find(name);
-  if (it == properties_.end()) return NullValue{};
-  return it->second;
+  const Value* value = find_field(properties_, name);
+  return value != nullptr ? *value : Value{NullValue{}};
 }
 
 void Message::map_set(const std::string& name, Value value) {
@@ -37,7 +64,7 @@ void Message::map_set(const std::string& name, Value value) {
       throw std::logic_error("Message::map_set on a non-map body");
     }
   }
-  map->entries[name] = std::move(value);
+  set_field(map->entries, name, std::move(value));
 }
 
 Value Message::map_get(const std::string& name) const {
@@ -45,12 +72,11 @@ Value Message::map_get(const std::string& name) const {
   if (map == nullptr) {
     throw std::logic_error("Message::map_get on a non-map body");
   }
-  const auto it = map->entries.find(name);
-  if (it == map->entries.end()) return NullValue{};
-  return it->second;
+  const Value* value = find_field(map->entries, name);
+  return value != nullptr ? *value : Value{NullValue{}};
 }
 
-std::int64_t Message::wire_size() const {
+std::int64_t Message::measure_wire_size() const {
   // Fixed headers: ids, timestamps, destination, flags.
   std::int64_t size = 96 + static_cast<std::int64_t>(destination.size() +
                                                      message_id.size() +
@@ -78,11 +104,22 @@ std::int64_t Message::wire_size() const {
   return size + std::visit(BodySizer{}, body);
 }
 
-Message make_map_message(std::string destination,
-                         std::map<std::string, Value> entries) {
+MessagePtr share(Message message) {
+  auto shared = std::make_shared<Message>(std::move(message));
+  shared->stored_size_.bytes = shared->measure_wire_size();
+  return shared;
+}
+
+Message make_map_message(std::string destination, Fields entries) {
   Message msg;
   msg.destination = std::move(destination);
-  msg.body = MapBody{std::move(entries)};
+  auto& map = msg.body.emplace<MapBody>().entries;
+  map.reserve(entries.size());
+  for (auto& [name, value] : entries) {
+    if (find_field(map, name) == nullptr) {
+      map.emplace_back(std::move(name), std::move(value));
+    }
+  }
   return msg;
 }
 

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,9 +28,15 @@ enum class AcknowledgeMode {
   kDupsOkAcknowledge,
 };
 
+/// A message's properties or map entries: (name, value) pairs stored
+/// contiguously in insertion order, one entry per name. A generator reading
+/// carries 2 properties and 16 entries (17 with the Triple pad), so names
+/// are found by a linear scan.
+using Fields = std::vector<std::pair<std::string, Value>>;
+
 /// MapMessage body: name → typed value.
 struct MapBody {
-  std::map<std::string, Value> entries;
+  Fields entries;
 };
 
 /// TextMessage body.
@@ -44,6 +50,9 @@ struct BytesBody {
 };
 
 using Body = std::variant<std::monostate, MapBody, TextBody, BytesBody>;
+
+class Message;
+using MessagePtr = std::shared_ptr<const Message>;
 
 class Message {
  public:
@@ -60,15 +69,12 @@ class Message {
   SimTime expiration = 0;  ///< 0 = never
 
   // --- properties (selector-visible) ---
-  void set_property(const std::string& name, Value value) {
-    properties_[name] = std::move(value);
-  }
+  /// Replaces the value of an existing property.
+  void set_property(const std::string& name, Value value);
   /// Property lookup used by selectors: missing → NULL, plus the JMSX /
   /// JMS header pseudo-properties selectors may reference.
   [[nodiscard]] Value property(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, Value>& properties() const {
-    return properties_;
-  }
+  [[nodiscard]] const Fields& properties() const { return properties_; }
 
   // --- body ---
   Body body;
@@ -76,22 +82,45 @@ class Message {
   [[nodiscard]] bool is_map() const { return std::holds_alternative<MapBody>(body); }
   [[nodiscard]] bool is_text() const { return std::holds_alternative<TextBody>(body); }
 
-  /// MapMessage accessors (throw if the body is not a map).
+  /// MapMessage accessors (throw if the body is not a map). map_set
+  /// replaces the value of an existing entry.
   void map_set(const std::string& name, Value value);
   [[nodiscard]] Value map_get(const std::string& name) const;
 
-  /// Approximate serialised size: headers + properties + body.
-  [[nodiscard]] std::int64_t wire_size() const;
+  /// Approximate serialised size: headers + properties + body. A message
+  /// made by share() returns the size measured there.
+  [[nodiscard]] std::int64_t wire_size() const {
+    return stored_size_.bytes >= 0 ? stored_size_.bytes : measure_wire_size();
+  }
 
  private:
-  std::map<std::string, Value> properties_;
+  friend MessagePtr share(Message message);
+
+  /// The size share() measured. A copy or move starts without one: its
+  /// headers and fields can still change.
+  struct StoredSize {
+    std::int64_t bytes = -1;
+    StoredSize() = default;
+    StoredSize(const StoredSize&) noexcept {}
+    StoredSize& operator=(const StoredSize&) noexcept {
+      bytes = -1;
+      return *this;
+    }
+  };
+
+  [[nodiscard]] std::int64_t measure_wire_size() const;
+
+  Fields properties_;
+  StoredSize stored_size_;
 };
 
-using MessagePtr = std::shared_ptr<const Message>;
+/// Freeze a message the provider has stamped (JMSMessageID, JMSTimestamp)
+/// for sending: every hop shares it, and its wire size is measured once.
+[[nodiscard]] MessagePtr share(Message message);
 
-/// Convenience builders.
-Message make_map_message(std::string destination,
-                         std::map<std::string, Value> entries);
+/// Convenience builders. make_map_message keeps the first of two entries
+/// with the same name.
+Message make_map_message(std::string destination, Fields entries);
 Message make_text_message(std::string destination, std::string text);
 
 }  // namespace gridmon::jms

@@ -243,7 +243,7 @@ void NaradaClient::publish_to_queue(jms::Message message,
                        std::to_string(local_.port) + "-" +
                        std::to_string(next_message_seq_++);
   message.timestamp = host_.sim().now();
-  auto shared = std::make_shared<const jms::Message>(std::move(message));
+  auto shared = jms::share(std::move(message));
   const std::int64_t bytes = shared->wire_size();
   const SimTime demand =
       costs::kClientSendBase +
@@ -307,7 +307,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
                        std::to_string(local_.port) + "-" +
                        std::to_string(next_message_seq_++);
   message.timestamp = host_.sim().now();
-  auto shared = std::make_shared<const jms::Message>(std::move(message));
+  auto shared = jms::share(std::move(message));
   const std::int64_t bytes = shared->wire_size();
 
   if (aggregation_size_ > 1) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "jms/destination.hpp"
 #include "jms/value.hpp"
+#include "util/rng.hpp"
 
 namespace gridmon::jms {
 namespace {
@@ -134,6 +138,106 @@ TEST(Message, PaperPayloadIsAFewHundredBytes) {
   }
   EXPECT_GT(msg.wire_size(), 250);
   EXPECT_LT(msg.wire_size(), 800);
+}
+
+TEST(Message, SettingAnExistingNameReplacesIt) {
+  Message msg = make_map_message("t", {});
+  msg.map_set("a", std::int32_t{1});
+  msg.map_set("b", 2.0);
+  msg.map_set("a", std::string("again"));
+  EXPECT_EQ(std::get<std::string>(msg.map_get("a")), "again");
+  EXPECT_EQ(std::get<MapBody>(msg.body).entries.size(), 2u);
+
+  msg.set_property("p", std::int32_t{1});
+  msg.set_property("p", std::int64_t{2});
+  EXPECT_EQ(std::get<std::int64_t>(msg.property("p")), 2);
+  EXPECT_EQ(msg.properties().size(), 1u);
+}
+
+TEST(Message, MakeMapMessageKeepsTheFirstDuplicate) {
+  const Message msg = make_map_message(
+      "t", {{"a", Value{std::int32_t{1}}}, {"b", Value{true}},
+            {"a", Value{std::int32_t{2}}}});
+  EXPECT_EQ(std::get<std::int32_t>(msg.map_get("a")), 1);
+  EXPECT_EQ(std::get<MapBody>(msg.body).entries.size(), 2u);
+}
+
+TEST(Message, FieldsIterateInInsertionOrder) {
+  Message msg;
+  for (const char* name : {"zeta", "alpha", "mid"}) {
+    msg.map_set(name, std::int32_t{0});
+    msg.set_property(name, std::int32_t{0});
+  }
+  msg.map_set("alpha", std::int32_t{1});  // replaced in place
+  std::vector<std::string> body_names;
+  for (const auto& [name, value] : std::get<MapBody>(msg.body).entries) {
+    body_names.push_back(name);
+  }
+  std::vector<std::string> property_names;
+  for (const auto& [name, value] : msg.properties()) {
+    property_names.push_back(name);
+  }
+  const std::vector<std::string> expected = {"zeta", "alpha", "mid"};
+  EXPECT_EQ(body_names, expected);
+  EXPECT_EQ(property_names, expected);
+}
+
+// A random value of any of the seven types; strings run past the 15-char
+// small-string buffer.
+Value random_value(util::Rng& rng) {
+  switch (rng.uniform_int(0, 6)) {
+    case 0: return NullValue{};
+    case 1: return rng.chance(0.5);
+    case 2: return static_cast<std::int32_t>(rng.uniform_int(-100, 100));
+    case 3: return rng.uniform_int(0, 1'000'000'000'000);
+    case 4: return static_cast<float>(rng.uniform(0.0, 1.0));
+    case 5: return rng.uniform(0.0, 1e6);
+    default:
+      return std::string(static_cast<std::size_t>(rng.uniform_int(0, 40)),
+                         'v');
+  }
+}
+
+TEST(Message, SharedWireSizeMatchesAFreshMeasurement) {
+  util::Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    Message msg = make_map_message(
+        "powergrid/gen" + std::to_string(trial), {});
+    msg.message_id = "ID:" + std::to_string(rng.uniform_int(0, 1 << 20));
+    msg.correlation_id = std::string(
+        static_cast<std::size_t>(rng.uniform_int(0, 20)), 'c');
+    msg.timestamp = rng.uniform_int(0, 1'000'000);
+    const auto properties = rng.uniform_int(0, 3);
+    for (std::int64_t i = 0; i < properties; ++i) {
+      msg.set_property("property_name_" + std::to_string(i),
+                       random_value(rng));
+    }
+    const auto entries = rng.uniform_int(0, 17);
+    for (std::int64_t i = 0; i < entries; ++i) {
+      const auto name = std::to_string(rng.uniform_int(0, 20));
+      msg.map_set("field_" + name, random_value(rng));
+    }
+    if (rng.chance(0.3)) msg.map_set("pad", std::string(2 * 430, 'x'));
+
+    const std::int64_t fresh = msg.wire_size();
+    EXPECT_EQ(share(msg)->wire_size(), fresh) << "trial " << trial;
+  }
+}
+
+TEST(Message, CopyOfASharedMessageIsMeasuredAfresh) {
+  Message msg = make_map_message("t", {{"a", Value{1.0}}});
+  msg.message_id = "ID:1";
+  const MessagePtr shared = share(msg);
+  const std::int64_t before = shared->wire_size();
+
+  Message copy = *shared;
+  copy.message_id = "ID:1-with-a-longer-suffix";
+  EXPECT_EQ(copy.wire_size(), before + 21);
+  EXPECT_EQ(shared->wire_size(), before);
+
+  Message moved = std::move(copy);
+  moved.map_set("b", std::int32_t{2});
+  EXPECT_EQ(moved.wire_size(), before + 21 + 1 + 2 + 4);
 }
 
 TEST(Destination, Helpers) {
