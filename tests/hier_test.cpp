@@ -245,6 +245,12 @@ struct WalkShape {
   double loss;
 };
 
+// gtest would otherwise print the raw bytes, address of `name` included, so
+// the "# GetParam() = ..." listing (and the ctest name built from it) would
+// change from run to run. With indexed instances, gtest_discover_tests names
+// each case Shapes/RangeWalkTest.MatchesBruteForceWalk/<name>.
+void PrintTo(const WalkShape& shape, std::ostream* os) { *os << shape.name; }
+
 class RangeWalkTest : public ::testing::TestWithParam<WalkShape> {};
 
 TEST_P(RangeWalkTest, MatchesBruteForceWalk) {
@@ -307,10 +313,7 @@ INSTANTIATE_TEST_SUITE_P(
         WalkShape{"StraddlingWindows", 400, 20, units::seconds(7), 0.0},
         WalkShape{"RaggedLastEdge", 453, 20, units::seconds(3), 0.0},
         WalkShape{"FanInOne", 40, 1, units::seconds(2), 0.0},
-        WalkShape{"Lossy", 400, 20, units::seconds(2), 0.1}),
-    [](const ::testing::TestParamInfo<WalkShape>& info) {
-      return std::string(info.param.name);
-    });
+        WalkShape{"Lossy", 400, 20, units::seconds(2), 0.1}));
 
 TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
   // One edge window per sample period: every generator contributes exactly
