@@ -2,10 +2,11 @@
 // per-sample state from flyweight seeds on both the edge and the root side,
 // so the full campaign CSV/JSON export — generators column, per-frame RTT
 // percentiles, mem_hier peaks — is byte-identical whether the campaign runs
-// on one worker thread or four. Pinned with an FNV-1a golden hash over the
-// 10k sweep plus the flat/tree/edge ablation at 1 virtual minute,
-// seeds {1, 2}.
+// on one worker thread or four. Pinned with FNV-1a golden hashes over the
+// 10k sweep plus the flat/tree/edge ablation, and over the 1m sweep, at
+// 1 virtual minute, seeds {1, 2}.
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -26,8 +27,6 @@ std::uint64_t fnv1a(const std::string& data) {
 }
 
 /// The 10k sweep over all three backends plus the architecture ablation.
-/// The larger scales (50k/200k/1m) stay out of tier-1 — `gridmon_cli
-/// report hier_scale` covers them.
 constexpr const char* kHierScenarios[] = {
     "hier/narada/10k",
     "hier/rgma/10k",
@@ -37,13 +36,22 @@ constexpr const char* kHierScenarios[] = {
     "hier/ablation/edge_10k",
 };
 
-Campaign hier_campaign(int jobs) {
+/// The 1m sweep over all three backends: 500-generator edges under 25-edge
+/// regionals. The 50k and 200k scales stay out of tier-1 — `gridmon_cli
+/// report hier_scale` covers them.
+constexpr const char* kMillionScenarios[] = {
+    "hier/narada/1m",
+    "hier/rgma/1m",
+    "hier/mqtt/1m",
+};
+
+Campaign hier_campaign(std::span<const char* const> ids, int jobs) {
   CampaignOptions options;
   options.jobs = jobs;
   options.seeds = 2;
   options.duration = units::minutes(1);
   CampaignRunner runner(options);
-  for (const char* id : kHierScenarios) {
+  for (const char* id : ids) {
     EXPECT_TRUE(runner.add(builtin_registry(), id)) << id;
   }
   return runner.run();
@@ -61,8 +69,8 @@ constexpr std::uint64_t kGoldenHierFamily =
     obs::kEnabled ? 10844277123711822149ULL : 18393468989594166698ULL;
 
 TEST(HierDeterminism, TenKFamilyByteIdenticalAcrossJobs) {
-  const Campaign serial = hier_campaign(1);
-  const Campaign parallel = hier_campaign(4);
+  const Campaign serial = hier_campaign(kHierScenarios, 1);
+  const Campaign parallel = hier_campaign(kHierScenarios, 4);
   EXPECT_EQ(serial.csv(), parallel.csv());
   EXPECT_EQ(serial.json(), parallel.json());
   EXPECT_EQ(fnv1a(serial.csv()), kGoldenHierFamily)
@@ -90,6 +98,22 @@ TEST(HierDeterminism, TenKFamilyByteIdenticalAcrossJobs) {
     EXPECT_LT(10 * edge.mem.peak_total / edge.generators,
               flat.mem.peak_total / flat.generators);
   }
+}
+
+// Golden hash of the 1m sweep's jobs=1 CSV, recorded like
+// kGoldenHierFamily and with its own GRIDMON_OBS=OFF value. It pins edge
+// synthesis and the root's per-sample accounting at the fan-ins no other
+// tier-1 test reaches: 12 million samples in 500-generator edge windows.
+constexpr std::uint64_t kGoldenHierMillion =
+    obs::kEnabled ? 9860323585007252484ULL : 16835268463713996865ULL;
+
+TEST(HierDeterminism, MillionScaleByteIdenticalAcrossJobs) {
+  const Campaign serial = hier_campaign(kMillionScenarios, 1);
+  const Campaign parallel = hier_campaign(kMillionScenarios, 4);
+  EXPECT_EQ(serial.csv(), parallel.csv());
+  EXPECT_EQ(serial.json(), parallel.json());
+  EXPECT_EQ(fnv1a(serial.csv()), kGoldenHierMillion)
+      << "actual hash: " << fnv1a(serial.csv());
 }
 
 }  // namespace

@@ -441,7 +441,10 @@ TEST(HierExperimentTest, FullFleetDeliversEverySample) {
 // frames whose oldest sample missed the 5 s deadline. Windows inside the
 // deadline deliver nothing late; a regional window twice the edge window
 // holds the oldest samples of each flush for up to 8 s, so some of them
-// (not all) arrive late, and every one is still received.
+// (not all) arrive late, and every one is still received. With a lossy
+// generator link the late count must skip the lost samples too. The exact
+// counts are pinned: they are the per-sample definition the root's walk
+// has to reproduce.
 TEST(HierExperimentTest, DeliveredLateCountsOnlySamplesPastTheDeadline) {
   core::HierConfig config;
   config.backend = core::HierBackend::kNarada;
@@ -450,17 +453,22 @@ TEST(HierExperimentTest, DeliveredLateCountsOnlySamplesPastTheDeadline) {
   config.topology.regional.window = units::seconds(2);
   config.duration = units::minutes(1);
   const core::Results on_time = core::run_hier_experiment(config);
-  EXPECT_GT(on_time.metrics.sent(), 0u);
-  EXPECT_EQ(on_time.metrics.sent(), on_time.metrics.received());
+  EXPECT_EQ(on_time.metrics.sent(), 2400u);
+  EXPECT_EQ(on_time.metrics.received(), 2400u);
   EXPECT_EQ(on_time.metrics.delivered_late(), 0u);
 
   config.topology.edge.window = units::seconds(4);
   config.topology.regional.window = units::seconds(8);
   const core::Results late = core::run_hier_experiment(config);
-  EXPECT_GT(late.metrics.sent(), 0u);
-  EXPECT_EQ(late.metrics.sent(), late.metrics.received());
-  EXPECT_GT(late.metrics.delivered_late(), 0u);
-  EXPECT_LT(late.metrics.delivered_late(), late.metrics.received());
+  EXPECT_EQ(late.metrics.sent(), 2400u);
+  EXPECT_EQ(late.metrics.received(), 2400u);
+  EXPECT_EQ(late.metrics.delivered_late(), 966u);
+
+  config.topology.edge.link.loss = 0.1;
+  const core::Results lossy = core::run_hier_experiment(config);
+  EXPECT_EQ(lossy.metrics.sent(), 2400u);
+  EXPECT_EQ(lossy.metrics.received(), 2163u);
+  EXPECT_EQ(lossy.metrics.delivered_late(), 870u);
 }
 
 }  // namespace
