@@ -18,9 +18,14 @@
 //   narada_message One Narada publish's message work: build the generator
 //                  reading, share it, read its wire size at the eight
 //                  places a DBN publish does, and match "id<10000".
+//   hier_close_window
+//                  Hier edge synthesis: every edge of the hier/narada/1m
+//                  topology (seed 1) closes 60 windows, 12 million samples
+//                  per iteration; the time_per_sample counter is the
+//                  figure.
 //
 // items_per_second is tuples filtered / publishes matched / deliveries /
-// messages.
+// messages / samples.
 // Run with the interleaved-median protocol quoted in BENCH_data_plane.json:
 //   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 //   --benchmark_report_aggregates_only=true --benchmark_min_time=1
@@ -31,9 +36,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/payloads.hpp"
+#include "core/registry.hpp"
+#include "hier/aggregator.hpp"
 #include "jms/message.hpp"
 #include "jms/selector.hpp"
 #include "mqtt/sub_index.hpp"
@@ -273,6 +281,40 @@ void BM_NaradaMessage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// --- hier edge windows -----------------------------------------------------
+
+void BM_HierCloseWindow(benchmark::State& state) {
+  const auto& config = std::get<core::HierConfig>(
+      core::builtin_registry().find("hier/narada/1m")->config);
+  const hier::FleetState fleet(config.topology, 1);
+  hier::TreeConfig tree;
+  tree.spec = config.topology;
+  tree.shape = config.topology.expand();
+  tree.fleet = &fleet;
+  tree.epoch = units::seconds(1);
+  tree.windows = 60;
+  std::vector<hier::EdgeAggregator> edges;
+  for (std::int64_t e = 0; e < tree.shape.edges; ++e) {
+    edges.emplace_back(tree, e);
+  }
+  std::int64_t samples = 0;
+  for (auto _ : state) {
+    for (std::int64_t w = 0; w < tree.windows; ++w) {
+      for (const hier::EdgeAggregator& edge : edges) {
+        std::int64_t generated = 0;
+        const hier::EdgeFrame frame = edge.close_window(w, generated);
+        benchmark::DoNotOptimize(frame);
+        samples += generated;
+      }
+    }
+  }
+  state.SetItemsProcessed(samples);
+  // Samples per second, inverted: seconds per sample (shown as ns).
+  state.counters["time_per_sample"] = benchmark::Counter(
+      static_cast<double>(samples),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 }  // namespace
 
 BENCHMARK(BM_PredicateInterpreted)
@@ -296,5 +338,6 @@ BENCHMARK(BM_TopicMatchTrie)
 BENCHMARK(BM_FanoutCopy)->Name("fanout/copy")->Arg(80)->Arg(400);
 BENCHMARK(BM_FanoutRefcount)->Name("fanout/refcount")->Arg(80)->Arg(400);
 BENCHMARK(BM_NaradaMessage)->Name("narada_message");
+BENCHMARK(BM_HierCloseWindow)->Name("hier_close_window");
 
 BENCHMARK_MAIN();
