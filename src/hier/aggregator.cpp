@@ -1,5 +1,6 @@
 #include "hier/aggregator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/memprof.hpp"
@@ -14,6 +15,26 @@ namespace {
 }
 
 }  // namespace
+
+std::int64_t TreeConfig::collected_before(std::int64_t edge,
+                                          std::int64_t window,
+                                          SimTime cutoff) const {
+  std::int64_t count = 0;
+  for_each_range(edge, window, [&](std::int64_t k, SimTime start,
+                                   FleetState::Range range) {
+    // Sample k of generator g is sent before the cutoff iff its phase lies
+    // below t; phases rise with g, so those generators are a prefix of the
+    // edge, which the clamps cut down to this range.
+    const SimTime t =
+        std::clamp<SimTime>(cutoff - epoch - start, 0, spec.sample_period);
+    const std::int64_t end =
+        std::clamp(fleet->phased_in(edge, 0, t).end, range.begin, range.end);
+    for (std::int64_t g = range.begin; g < end; ++g) {
+      if (!fleet->sample_lost(g, k)) ++count;
+    }
+  });
+  return count;
+}
 
 SimTime EdgeAggregator::close_time(std::int64_t window) const {
   // The edge waits out the generator→edge hop (so the window's last
@@ -33,27 +54,25 @@ EdgeFrame EdgeAggregator::close_window(std::int64_t window,
   frame.window = window;
   generated = 0;
 
+  // Samples come in send-time order (see the accounting contract): the
+  // first collected one is the oldest and the last collected the latest.
   double sum = 0.0;
   double last = 0.0;
-  SimTime last_send = -1;
+  const FleetState& fleet = *config_.fleet;
   const Reduce reduce = config_.spec.edge.reduce;
-  config_.for_each_sample(
-      edge_, window,
-      [&](std::int64_t g, std::int64_t k, SimTime send, bool lost) {
-        ++generated;
-        if (lost) return;
-        if (frame.collected == 0 || send < frame.oldest_send) {
-          frame.oldest_send = send;
-        }
-        ++frame.collected;
-        if (reduce == Reduce::kRaw) return;
-        const double v = config_.fleet->value(g, k);
-        sum += v;
-        if (send >= last_send) {
-          last_send = send;
-          last = v;
-        }
-      });
+  config_.for_each_range(edge_, window, [&](std::int64_t k, SimTime start,
+                                            FleetState::Range range) {
+    generated += range.end - range.begin;
+    for (std::int64_t g = range.begin; g < range.end; ++g) {
+      if (fleet.sample_lost(g, k)) continue;
+      if (frame.collected++ == 0) {
+        frame.oldest_send = config_.epoch + start + fleet.phase(g);
+      }
+      if (reduce == Reduce::kRaw) continue;
+      last = fleet.value(g, k);
+      sum += last;
+    }
+  });
 
   if (frame.collected == 0) return frame;
   switch (reduce) {

@@ -15,9 +15,18 @@
 // Accounting contract: each EdgeFrame carries the count of samples it
 // collected, which the root adds to its received count. A frame whose
 // oldest sample missed the deadline may hold other late samples; for those
-// the root recomputes the constituent samples with the same
-// for_each_sample() walk the edge used, so the two sides agree on exactly
-// which samples a frame covers without shipping or storing any of them.
+// the root recomputes the frame's samples from the same for_each_range()
+// enumeration the edge used, so the two sides agree on exactly which
+// samples a frame covers without shipping or storing any of them.
+//
+// Both sides lean on one invariant: an edge's phases never decrease with
+// the generator index, and each (period, range) pair for_each_range()
+// yields lies in a later period than the one before. So a window's
+// samples come out in send-time order: the edge takes its oldest sample
+// from the first collected generator and its latest from the last, and
+// the samples the root finds late, those sent before now - deadline, are
+// a prefix of each range, the part whose phase lies below a threshold
+// (collected_before()). Neither side computes a phase per sample.
 #pragma once
 
 #include <cstdint>
@@ -52,29 +61,50 @@ struct TreeConfig {
                                 static_cast<std::uint64_t>(jitter + 1));
   }
 
-  /// Walk every sample of edge `edge` whose send time falls inside edge
-  /// window `window` — including the ones lost on the generator→edge link
-  /// (`fn(generator, sample_index, send_time, lost)`). For each sample
-  /// period the window overlaps, only the generators the fleet phases into
-  /// the overlapped part are visited, so the cost is the window's samples,
-  /// not the edge's generators. Samples are enumerated in (sample index,
-  /// generator) order on both the edge and the root side.
+  /// Walk the sample periods edge window `window` overlaps, in time order:
+  /// `fn(sample_index, period_start, range)` per period, where
+  /// `period_start` is relative to the epoch and `range` holds the edge's
+  /// generators whose sample `sample_index` (sent at epoch + period_start
+  /// + phase) falls inside the window. The one map from an edge window to
+  /// its samples: the edge, the root and for_each_sample() all use it, so
+  /// the cost is the window's samples, not the edge's generators.
   template <typename Fn>
-  void for_each_sample(std::int64_t edge, std::int64_t window, Fn&& fn) const {
+  void for_each_range(std::int64_t edge, std::int64_t window, Fn&& fn) const {
     const SimTime period = spec.sample_period;
     const SimTime begin = window * spec.edge.window;  // relative to epoch
     const SimTime end = begin + spec.edge.window;
-    // Sample i of generator g is sent at epoch + i*period + phase(g).
     for (std::int64_t i = begin / period; i * period < end; ++i) {
       const SimTime start = i * period;
-      const FleetState::Range range =
-          fleet->phased_in(edge, begin > start ? begin - start : 0,
-                           end - start < period ? end - start : period);
+      fn(i, start,
+         fleet->phased_in(edge, begin > start ? begin - start : 0,
+                          end - start < period ? end - start : period));
+    }
+  }
+
+  /// Walk every sample of edge `edge` whose send time falls inside edge
+  /// window `window` — including the ones lost on the generator→edge link
+  /// (`fn(generator, sample_index, send_time, lost)`), in (sample index,
+  /// generator) order, which is send-time order. The per-sample definition
+  /// of a window; close_window() and collected_before() compute the same
+  /// results per range.
+  template <typename Fn>
+  void for_each_sample(std::int64_t edge, std::int64_t window, Fn&& fn) const {
+    for_each_range(edge, window, [&](std::int64_t i, SimTime start,
+                                     FleetState::Range range) {
       for (std::int64_t g = range.begin; g < range.end; ++g) {
         fn(g, i, epoch + start + fleet->phase(g), fleet->sample_lost(g, i));
       }
-    }
+    });
   }
+
+  /// Samples of edge `edge`'s window `window` that survived the generator
+  /// link and were sent before `cutoff` (absolute time). The root's late
+  /// count: a frame delivered at `now` holds
+  /// collected_before(edge, window, now - deadline) samples past the
+  /// deadline.
+  [[nodiscard]] std::int64_t collected_before(std::int64_t edge,
+                                              std::int64_t window,
+                                              SimTime cutoff) const;
 };
 
 /// One edge's output for one window.

@@ -4,11 +4,13 @@
 // regional subtree counts every descendant generator as refused.
 #include "hier/aggregator.hpp"
 
+#include <bit>
 #include <limits>
 #include <map>
 #include <set>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,7 +52,7 @@ TEST(TopologySpecTest, SerialiseRoundTrips) {
 }
 
 TEST(TopologySpecTest, ParseRejectsMalformedInput) {
-  EXPECT_THROW(TopologySpec::parse("nonsense 1"), std::invalid_argument);
+  EXPECT_THROW((void)TopologySpec::parse("nonsense 1"), std::invalid_argument);
   EXPECT_THROW((void)parse_reduce("median"), std::invalid_argument);
 }
 
@@ -236,7 +238,9 @@ TEST(AggregatorTest, SubPeriodWindowsEnumerateEachSampleExactlyOnce) {
 
 // for_each_sample visits only the generators the fleet phases into each
 // period the window overlaps. A brute-force walk over every generator of
-// the edge and every sample index must find the same samples.
+// the edge and every sample index must find the same samples. The edge's
+// close_window and the root's collected_before work per range instead,
+// and must agree with folds of the per-sample walk.
 struct WalkShape {
   const char* name;
   std::int64_t generators;
@@ -248,50 +252,67 @@ struct WalkShape {
 // gtest would otherwise print the raw bytes, address of `name` included, so
 // the "# GetParam() = ..." listing (and the ctest name built from it) would
 // change from run to run. With indexed instances, gtest_discover_tests names
-// each case Shapes/RangeWalkTest.MatchesBruteForceWalk/<name>.
+// each case Shapes/RangeWalkTest.<test>/<name>.
 void PrintTo(const WalkShape& shape, std::ostream* os) { *os << shape.name; }
 
-class RangeWalkTest : public ::testing::TestWithParam<WalkShape> {};
+class RangeWalkTest : public ::testing::TestWithParam<WalkShape> {
+ protected:
+  RangeWalkTest() : spec_(shape_spec(GetParam())), fleet_(spec_, 5) {
+    tree_.spec = spec_;
+    tree_.shape = spec_.expand();
+    tree_.fleet = &fleet_;
+    tree_.epoch = units::seconds(1);
+  }
+
+  static TopologySpec shape_spec(const WalkShape& shape) {
+    TopologySpec spec = small_spec();  // 10 s sample period
+    spec.generators = shape.generators;
+    spec.edge.fan_in = shape.fan_in;
+    spec.edge.window = shape.window;
+    spec.edge.link.loss = shape.loss;
+    return spec;
+  }
+
+  /// At least three sample periods of windows.
+  [[nodiscard]] std::int64_t windows() const {
+    return (3 * spec_.sample_period + spec_.edge.window - 1) /
+               spec_.edge.window +
+           1;
+  }
+
+  /// The first edge and the last, which a ragged shape cuts short.
+  [[nodiscard]] std::vector<std::int64_t> edges() const {
+    return {0, tree_.shape.edges - 1};
+  }
+
+  TopologySpec spec_;
+  FleetState fleet_;
+  TreeConfig tree_;
+};
 
 TEST_P(RangeWalkTest, MatchesBruteForceWalk) {
-  const WalkShape& param = GetParam();
-  TopologySpec spec = small_spec();  // 10 s sample period
-  spec.generators = param.generators;
-  spec.edge.fan_in = param.fan_in;
-  spec.edge.window = param.window;
-  spec.edge.link.loss = param.loss;
-  const FleetState fleet(spec, 5);
-  TreeConfig tree;
-  tree.spec = spec;
-  tree.shape = spec.expand();
-  tree.fleet = &fleet;
-  tree.epoch = units::seconds(1);
-  // At least three sample periods of windows.
-  const std::int64_t windows =
-      (3 * spec.sample_period + param.window - 1) / param.window + 1;
-
   using Sample = std::tuple<std::int64_t, std::int64_t, SimTime, bool>;
   std::int64_t total = 0;
   std::int64_t lost_total = 0;
-  for (const std::int64_t edge : {std::int64_t{0}, tree.shape.edges - 1}) {
-    for (std::int64_t w = 0; w < windows; ++w) {
+  for (const std::int64_t edge : edges()) {
+    for (std::int64_t w = 0; w < windows(); ++w) {
       std::set<Sample> walked;
-      tree.for_each_sample(edge, w, [&](std::int64_t g, std::int64_t k,
-                                        SimTime send, bool lost) {
+      tree_.for_each_sample(edge, w, [&](std::int64_t g, std::int64_t k,
+                                         SimTime send, bool lost) {
         EXPECT_TRUE(walked.insert({g, k, send, lost}).second)
             << "generator " << g << " sample " << k << " visited twice";
       });
-      const SimTime begin = tree.epoch + w * param.window;
-      const SimTime end = begin + param.window;
+      const SimTime begin = tree_.epoch + w * spec_.edge.window;
+      const SimTime end = begin + spec_.edge.window;
       std::set<Sample> brute;
-      for (std::int64_t g = tree.shape.generator_begin(edge);
-           g < tree.shape.generator_end(edge); ++g) {
+      for (std::int64_t g = tree_.shape.generator_begin(edge);
+           g < tree_.shape.generator_end(edge); ++g) {
         for (std::int64_t k = 0;; ++k) {
           const SimTime send =
-              tree.epoch + k * spec.sample_period + fleet.phase(g);
+              tree_.epoch + k * spec_.sample_period + fleet_.phase(g);
           if (send >= end) break;
           if (send < begin) continue;
-          const bool lost = fleet.sample_lost(g, k);
+          const bool lost = fleet_.sample_lost(g, k);
           brute.insert({g, k, send, lost});
           lost_total += lost;
         }
@@ -301,7 +322,127 @@ TEST_P(RangeWalkTest, MatchesBruteForceWalk) {
     }
   }
   EXPECT_GT(total, 0);
-  EXPECT_EQ(lost_total > 0, param.loss > 0.0);
+  EXPECT_EQ(lost_total > 0, GetParam().loss > 0.0);
+}
+
+// Both range walks assume it: the edge takes its oldest and latest samples
+// from the ends of the walk, and the root's late samples are a prefix.
+TEST_P(RangeWalkTest, PhasesNeverDecreaseInsideAnEdge) {
+  for (std::int64_t e = 0; e < tree_.shape.edges; ++e) {
+    for (std::int64_t g = tree_.shape.generator_begin(e) + 1;
+         g < tree_.shape.generator_end(e); ++g) {
+      EXPECT_LE(fleet_.phase(g - 1), fleet_.phase(g))
+          << "edge " << e << " generator " << g;
+    }
+  }
+}
+
+// The per-sample definition of an edge frame: the oldest send time is the
+// minimum, the latest sample is the one with the greatest send time (the
+// later one in walk order on a tie), and values fold in walk order.
+EdgeFrame fold_samples(const TreeConfig& tree, std::int64_t edge,
+                       std::int64_t window, std::int64_t& generated) {
+  EdgeFrame frame;
+  frame.edge = edge;
+  frame.window = window;
+  generated = 0;
+  double sum = 0.0;
+  double last = 0.0;
+  SimTime last_send = -1;
+  tree.for_each_sample(edge, window, [&](std::int64_t g, std::int64_t k,
+                                         SimTime send, bool lost) {
+    ++generated;
+    if (lost) return;
+    if (frame.collected == 0 || send < frame.oldest_send) {
+      frame.oldest_send = send;
+    }
+    ++frame.collected;
+    const double v = tree.fleet->value(g, k);
+    sum += v;
+    if (send >= last_send) {
+      last_send = send;
+      last = v;
+    }
+  });
+  if (frame.collected == 0) return frame;
+  const Reduce reduce = tree.spec.edge.reduce;
+  frame.bytes = kFrameHeaderBytes +
+                (reduce == Reduce::kRaw
+                     ? frame.collected * tree.spec.sample_bytes
+                     : kAggRecordBytes);
+  frame.aggregate = reduce == Reduce::kSum    ? sum
+                    : reduce == Reduce::kMean
+                        ? sum / static_cast<double>(frame.collected)
+                    : reduce == Reduce::kLast ? last
+                                              : 0.0;
+  return frame;
+}
+
+TEST_P(RangeWalkTest, CloseWindowFoldsTheSampleWalk) {
+  for (const Reduce reduce :
+       {Reduce::kRaw, Reduce::kSum, Reduce::kMean, Reduce::kLast}) {
+    tree_.spec.edge.reduce = reduce;
+    for (const std::int64_t edge : edges()) {
+      const EdgeAggregator aggregator(tree_, edge);
+      for (std::int64_t w = 0; w < windows(); ++w) {
+        std::int64_t generated = 0;
+        const EdgeFrame frame = aggregator.close_window(w, generated);
+        std::int64_t expected_generated = 0;
+        const EdgeFrame expected =
+            fold_samples(tree_, edge, w, expected_generated);
+        SCOPED_TRACE(testing::Message() << to_string(reduce) << " edge "
+                                        << edge << " window " << w);
+        EXPECT_EQ(generated, expected_generated);
+        EXPECT_EQ(frame.edge, edge);
+        EXPECT_EQ(frame.window, w);
+        EXPECT_EQ(frame.collected, expected.collected);
+        EXPECT_EQ(frame.oldest_send, expected.oldest_send);
+        EXPECT_EQ(frame.bytes, expected.bytes);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(frame.aggregate),
+                  std::bit_cast<std::uint64_t>(expected.aggregate));
+      }
+    }
+  }
+}
+
+// A frame delivered at `now` holds collected_before(now - deadline) late
+// samples. Cutoffs run from far before each window to far after it and hit
+// every send time exactly, where a sample is on time, and one tick past it.
+TEST_P(RangeWalkTest, LateCountMatchesPerSampleCount) {
+  const SimTime deadline = units::seconds(5);
+  std::int64_t late_total = 0;
+  for (const std::int64_t edge : edges()) {
+    for (std::int64_t w = 0; w < windows(); ++w) {
+      const SimTime begin = tree_.epoch + w * spec_.edge.window;
+      const SimTime end = begin + spec_.edge.window;
+      std::vector<SimTime> cutoffs = {
+          std::numeric_limits<SimTime>::min() / 2,
+          begin - spec_.sample_period,
+          begin - 1,
+          begin,
+          end - 1,
+          end,
+          end + spec_.sample_period,
+          std::numeric_limits<SimTime>::max() / 2};
+      tree_.for_each_sample(
+          edge, w, [&](std::int64_t, std::int64_t, SimTime send, bool) {
+            cutoffs.push_back(send);
+            cutoffs.push_back(send + 1);
+          });
+      for (const SimTime cutoff : cutoffs) {
+        const SimTime now = cutoff + deadline;
+        std::int64_t expected = 0;
+        tree_.for_each_sample(
+            edge, w, [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
+              if (!lost && now - send > deadline) ++expected;
+            });
+        EXPECT_EQ(tree_.collected_before(edge, w, now - deadline), expected)
+            << "edge " << edge << " window " << w << " now " << now;
+        late_total += expected;
+      }
+    }
+  }
+  EXPECT_GT(late_total, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -312,8 +453,10 @@ INSTANTIATE_TEST_SUITE_P(
         WalkShape{"WindowIsThreePeriods", 400, 20, units::seconds(30), 0.0},
         WalkShape{"StraddlingWindows", 400, 20, units::seconds(7), 0.0},
         WalkShape{"RaggedLastEdge", 453, 20, units::seconds(3), 0.0},
+        WalkShape{"OneGeneratorLastEdge", 401, 20, units::seconds(3), 0.0},
         WalkShape{"FanInOne", 40, 1, units::seconds(2), 0.0},
-        WalkShape{"Lossy", 400, 20, units::seconds(2), 0.1}));
+        WalkShape{"Lossy", 400, 20, units::seconds(2), 0.1},
+        WalkShape{"LossyStraddling", 400, 20, units::seconds(7), 0.1}));
 
 TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
   // One edge window per sample period: every generator contributes exactly
