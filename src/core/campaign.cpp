@@ -111,6 +111,14 @@ void append_row(std::string& out, const RunRecord& run, bool json,
       generators > 0 ? static_cast<double>(run.results.mem.peak_total) /
                            static_cast<double>(generators)
                      : 0.0;
+  // The percentiles sort the samples and the mean's last bits depend on
+  // their order, so the statistics are computed in one fixed order, not
+  // in whatever order the compiler evaluates snprintf's arguments.
+  const double p100 = m.rtt_percentile_ms(100);
+  const double p99 = m.rtt_percentile_ms(99);
+  const double p95 = m.rtt_percentile_ms(95);
+  const double stddev = m.rtt_stddev_ms();
+  const double mean = m.rtt_mean_ms();
   char buffer[2048];
   if (json) {
     std::snprintf(
@@ -130,8 +138,7 @@ void append_row(std::string& out, const RunRecord& run, bool json,
         run.scenario_id.c_str(), static_cast<unsigned long long>(run.seed),
         static_cast<unsigned long long>(m.sent()),
         static_cast<unsigned long long>(m.received()), m.loss_rate() * 100.0,
-        m.rtt_mean_ms(), m.rtt_stddev_ms(), m.rtt_percentile_ms(95),
-        m.rtt_percentile_ms(99), m.rtt_percentile_ms(100), m.pt_ms().mean(),
+        mean, stddev, p95, p99, p100, m.pt_ms().mean(),
         run.results.servers.cpu_idle_pct,
         static_cast<long long>(run.results.servers.memory_bytes / units::MiB),
         static_cast<unsigned long long>(run.results.events_forwarded),
@@ -215,9 +222,7 @@ void append_row(std::string& out, const RunRecord& run, bool json,
         run.scenario_id.c_str(), static_cast<unsigned long long>(run.seed),
         static_cast<unsigned long long>(m.sent()),
         static_cast<unsigned long long>(m.received()), m.loss_rate() * 100.0,
-        m.rtt_mean_ms(), m.rtt_stddev_ms(), m.rtt_percentile_ms(95),
-        m.rtt_percentile_ms(99), m.rtt_percentile_ms(100),
-        run.results.servers.cpu_idle_pct,
+        mean, stddev, p95, p99, p100, run.results.servers.cpu_idle_pct,
         static_cast<long long>(run.results.servers.memory_bytes / units::MiB),
         static_cast<unsigned long long>(run.results.events_forwarded),
         static_cast<long long>(run.results.wire_bytes),
