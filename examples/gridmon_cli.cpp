@@ -386,8 +386,8 @@ int cmd_run(int argc, char** argv) {
   // Aggregated per-scenario table (pooled seeds, the paper's merge). Chaos
   // scenarios (any injected faults) get the availability columns appended.
   bool any_faults = false;
-  for (const auto& spec : runner.scenarios()) {
-    any_faults |= campaign.pooled(spec.id).availability.fault_events > 0;
+  for (const core::RunRecord& run : campaign.runs()) {
+    any_faults |= run.results.availability.fault_events > 0;
   }
   std::vector<std::string> headers = {"scenario",     "RTT (ms)",
                                       "STDDEV (ms)",  "loss (%)",
