@@ -88,16 +88,14 @@ bool RunScaffold::deliver(const std::string& key, SimTime arrived_at,
     // are recounted from the flyweight state.
     const SimTime deadline = metrics.deadline();
     if (deadline > 0 && now - record.before_sending > deadline) {
-      std::int64_t late = 0;
+      std::uint64_t late = 0;
       for (const hier::EdgeFrame& segment : record.segments) {
         if (now - segment.oldest_send <= deadline) continue;
-        late += tree_->collected_before(segment.edge, segment.window,
-                                        now - deadline);
+        late += static_cast<std::uint64_t>(tree_->collected_before(
+            segment.edge, segment.window, now - deadline));
       }
       // The oldest sample is among them and record() counted it.
-      if (late > 1) {
-        metrics.count_delivered_late(static_cast<std::uint64_t>(late - 1));
-      }
+      if (late > 1) metrics.count_delivered_late(late - 1);
     }
   }
   ++delivered_;

@@ -24,7 +24,8 @@ std::int64_t TreeConfig::collected_before(std::int64_t edge,
                                    FleetState::Range range) {
     // Sample k of generator g is sent before the cutoff iff its phase lies
     // below t; phases rise with g, so those generators are a prefix of the
-    // edge, which the clamps cut down to this range.
+    // edge, which the second clamp cuts down to this range. The first keeps
+    // t inside the period, the domain phased_in() takes.
     const SimTime t =
         std::clamp<SimTime>(cutoff - epoch - start, 0, spec.sample_period);
     const std::int64_t end =

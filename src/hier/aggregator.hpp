@@ -22,10 +22,11 @@
 // Both sides lean on one invariant: an edge's phases never decrease with
 // the generator index, and each (period, range) pair for_each_range()
 // yields lies in a later period than the one before. So a window's
-// samples come out in send-time order: the edge takes its oldest sample
-// from the first collected generator and its latest from the last, and
-// the samples the root finds late, those sent before now - deadline, are
-// a prefix of each range, the part whose phase lies below a threshold
+// samples come out in send-time order. The edge takes its oldest sample
+// from the first collected generator and its latest from the last. The
+// root's late samples, those sent before now - deadline, are a prefix of
+// each range: the generators whose phase lies below
+// now - deadline - epoch - period_start, less the prefix's lost draws
 // (collected_before()). Neither side computes a phase per sample.
 #pragma once
 
@@ -64,10 +65,11 @@ struct TreeConfig {
   /// Walk the sample periods edge window `window` overlaps, in time order:
   /// `fn(sample_index, period_start, range)` per period, where
   /// `period_start` is relative to the epoch and `range` holds the edge's
-  /// generators whose sample `sample_index` (sent at epoch + period_start
-  /// + phase) falls inside the window. The one map from an edge window to
-  /// its samples: the edge, the root and for_each_sample() all use it, so
-  /// the cost is the window's samples, not the edge's generators.
+  /// generators g whose sample `sample_index`, sent at
+  /// epoch + period_start + phase(g), falls inside the window. The one map
+  /// from an edge window to its samples: the edge, the root and
+  /// for_each_sample() all use it, so the cost is the window's samples,
+  /// not the edge's generators.
   template <typename Fn>
   void for_each_range(std::int64_t edge, std::int64_t window, Fn&& fn) const {
     const SimTime period = spec.sample_period;
