@@ -85,14 +85,17 @@ bool RunScaffold::deliver(const std::string& key, SimTime arrived_at,
     }
     // No sample was sent before the oldest, so only a frame whose oldest
     // sample missed the deadline can carry late ones. Only those segments
-    // are recounted from the flyweight state.
+    // are re-walked from the flyweight state.
     const SimTime deadline = metrics.deadline();
     if (deadline > 0 && now - record.before_sending > deadline) {
       std::uint64_t late = 0;
       for (const hier::EdgeFrame& segment : record.segments) {
         if (now - segment.oldest_send <= deadline) continue;
-        late += static_cast<std::uint64_t>(tree_->collected_before(
-            segment.edge, segment.window, now - deadline));
+        tree_->for_each_sample(
+            segment.edge, segment.window,
+            [&](std::int64_t, std::int64_t, SimTime send, bool lost) {
+              if (!lost && now - send > deadline) ++late;
+            });
       }
       // The oldest sample is among them and record() counted it.
       if (late > 1) metrics.count_delivered_late(late - 1);

@@ -1,6 +1,5 @@
 #include "hier/aggregator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/memprof.hpp"
@@ -15,27 +14,6 @@ namespace {
 }
 
 }  // namespace
-
-std::int64_t TreeConfig::collected_before(std::int64_t edge,
-                                          std::int64_t window,
-                                          SimTime cutoff) const {
-  std::int64_t count = 0;
-  for_each_range(edge, window, [&](std::int64_t k, SimTime start,
-                                   FleetState::Range range) {
-    // Sample k of generator g is sent before the cutoff iff its phase lies
-    // below t; phases rise with g, so those generators are a prefix of the
-    // edge, which the second clamp cuts down to this range. The first keeps
-    // t inside the period, the domain phased_in() takes.
-    const SimTime t =
-        std::clamp<SimTime>(cutoff - epoch - start, 0, spec.sample_period);
-    const std::int64_t end =
-        std::clamp(fleet->phased_in(edge, 0, t).end, range.begin, range.end);
-    for (std::int64_t g = range.begin; g < end; ++g) {
-      if (!fleet->sample_lost(g, k)) ++count;
-    }
-  });
-  return count;
-}
 
 SimTime EdgeAggregator::close_time(std::int64_t window) const {
   // The edge waits out the generator→edge hop (so the window's last

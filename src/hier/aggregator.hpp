@@ -15,19 +15,17 @@
 // Accounting contract: each EdgeFrame carries the count of samples it
 // collected, which the root adds to its received count. A frame whose
 // oldest sample missed the deadline may hold other late samples; for those
-// the root recomputes the frame's samples from the same for_each_range()
-// enumeration the edge used, so the two sides agree on exactly which
-// samples a frame covers without shipping or storing any of them.
+// the root re-walks the frame's samples with for_each_sample(), which is
+// built on the same for_each_range() enumeration the edge uses, so the two
+// sides agree on exactly which samples a frame covers without shipping or
+// storing any of them.
 //
-// Both sides lean on one invariant: an edge's phases never decrease with
+// The edge leans on one invariant: an edge's phases never decrease with
 // the generator index, and each (period, range) pair for_each_range()
 // yields lies in a later period than the one before. So a window's
-// samples come out in send-time order. The edge takes its oldest sample
-// from the first collected generator and its latest from the last. The
-// root's late samples, those sent before now - deadline, are a prefix of
-// each range: the generators whose phase lies below
-// now - deadline - epoch - period_start, less the prefix's lost draws
-// (collected_before()). Neither side computes a phase per sample.
+// samples come out in send-time order, and the edge takes its oldest
+// sample from the first collected generator and its latest from the last,
+// with one phase() call per window rather than one per sample.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +65,9 @@ struct TreeConfig {
   /// `period_start` is relative to the epoch and `range` holds the edge's
   /// generators g whose sample `sample_index`, sent at
   /// epoch + period_start + phase(g), falls inside the window. The one map
-  /// from an edge window to its samples: the edge, the root and
-  /// for_each_sample() all use it, so the cost is the window's samples,
-  /// not the edge's generators.
+  /// from an edge window to its samples: the edge and for_each_sample()
+  /// both use it, so the cost is the window's samples, not the edge's
+  /// generators.
   template <typename Fn>
   void for_each_range(std::int64_t edge, std::int64_t window, Fn&& fn) const {
     const SimTime period = spec.sample_period;
@@ -87,8 +85,8 @@ struct TreeConfig {
   /// window `window` — including the ones lost on the generator→edge link
   /// (`fn(generator, sample_index, send_time, lost)`), in (sample index,
   /// generator) order, which is send-time order. The per-sample definition
-  /// of a window; close_window() and collected_before() compute the same
-  /// results per range.
+  /// of a window: the root's late count walks it, and close_window()
+  /// computes the same results per range.
   template <typename Fn>
   void for_each_sample(std::int64_t edge, std::int64_t window, Fn&& fn) const {
     for_each_range(edge, window, [&](std::int64_t i, SimTime start,
@@ -98,15 +96,6 @@ struct TreeConfig {
       }
     });
   }
-
-  /// Samples of edge `edge`'s window `window` that survived the generator
-  /// link and were sent before `cutoff` (absolute time). The root's late
-  /// count: a frame delivered at `now` holds
-  /// collected_before(edge, window, now - deadline) samples past the
-  /// deadline.
-  [[nodiscard]] std::int64_t collected_before(std::int64_t edge,
-                                              std::int64_t window,
-                                              SimTime cutoff) const;
 };
 
 /// One edge's output for one window.
