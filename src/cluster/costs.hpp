@@ -173,6 +173,17 @@ constexpr SimTime kMqttFanoutCost = microseconds(25);
 /// admission wall sits far beyond Narada's ~4000-thread OOM).
 constexpr std::int64_t kMqttSessionBytes = 16 * KiB;
 
+/// Bytes the model-memory profile (obs/memprof) charges per record: a
+/// Narada broker's subscription entry (plus its topic's characters), a
+/// Narada or MQTT client, and an MQTT packet a broker parks or queues (plus
+/// its topic and payload). Fixed numbers rather than sizeof, so the memory
+/// figures do not follow host struct layout; they are the x86-64 GCC 12 /
+/// libstdc++ sizes of those structs when the figures were pinned.
+constexpr std::int64_t kNaradaSubscriptionBytes = 184;
+constexpr std::int64_t kNaradaClientBytes = 640;
+constexpr std::int64_t kMqttClientBytes = 624;
+constexpr std::int64_t kMqttPacketBytes = 192;
+
 /// Event-loop service-time inflation per live session (timer wheel +
 /// session table pressure); much gentler than a thread-per-connection JVM.
 constexpr double kMqttSessionLoadFactor = 0.00004;

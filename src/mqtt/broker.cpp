@@ -33,7 +33,8 @@ std::int64_t subscription_footprint(const std::string& filter) {
 }
 
 std::int64_t parked_footprint(const PacketPtr& packet) {
-  return static_cast<std::int64_t>(sizeof(Packet) + packet->topic.size()) +
+  return costs::kMqttPacketBytes +
+         static_cast<std::int64_t>(packet->topic.size()) +
          packet->payload_bytes;
 }
 

@@ -29,11 +29,11 @@ MqttClient::MqttClient(cluster::Host& host, net::Lan& lan,
       broker_(broker),
       local_(local),
       options_(std::move(options)) {
-  obs::mem_add(obs::MemCategory::kClientRecords, sizeof(MqttClient));
+  obs::mem_add(obs::MemCategory::kClientRecords, costs::kMqttClientBytes);
 }
 
 MqttClient::~MqttClient() {
-  obs::mem_sub(obs::MemCategory::kClientRecords, sizeof(MqttClient));
+  obs::mem_sub(obs::MemCategory::kClientRecords, costs::kMqttClientBytes);
 }
 
 void MqttClient::notify_ready(bool ok) {

@@ -63,8 +63,8 @@ void Broker::crash() {
   for (const auto& sub : subscriptions_) {
     if (sub.via_udp) host_.heap().release(costs::kConnectionBufferBytes / 4);
     obs::mem_sub(obs::MemCategory::kBrokerRouting,
-                 static_cast<std::int64_t>(sizeof(Subscription) +
-                                           sub.topic.size()));
+                 costs::kNaradaSubscriptionBytes +
+                     static_cast<std::int64_t>(sub.topic.size()));
   }
   subscriptions_.clear();
   queue_cursor_.clear();
@@ -175,8 +175,8 @@ void Broker::on_client_frame(const net::StreamConnectionPtr& conn,
       sub.conn = conn;
       sub.conn_side = 1;
       obs::mem_add(obs::MemCategory::kBrokerRouting,
-                   static_cast<std::int64_t>(sizeof(Subscription) +
-                                             sub.topic.size()));
+                   costs::kNaradaSubscriptionBytes +
+                       static_cast<std::int64_t>(sub.topic.size()));
       subscriptions_.push_back(std::move(sub));
       advertise_subscription(frame->topic);
       break;
@@ -186,8 +186,8 @@ void Broker::on_client_frame(const net::StreamConnectionPtr& conn,
         const bool drop = s.conn == conn && s.topic == frame->topic;
         if (drop) {
           obs::mem_sub(obs::MemCategory::kBrokerRouting,
-                       static_cast<std::int64_t>(sizeof(Subscription) +
-                                                 s.topic.size()));
+                       costs::kNaradaSubscriptionBytes +
+                           static_cast<std::int64_t>(s.topic.size()));
         }
         return drop;
       });
@@ -240,8 +240,8 @@ void Broker::on_udp_datagram(const net::Datagram& datagram) {
       sub.via_udp = true;
       sub.udp = frame->reply_to;
       obs::mem_add(obs::MemCategory::kBrokerRouting,
-                   static_cast<std::int64_t>(sizeof(Subscription) +
-                                             sub.topic.size()));
+                   costs::kNaradaSubscriptionBytes +
+                       static_cast<std::int64_t>(sub.topic.size()));
       subscriptions_.push_back(std::move(sub));
       advertise_subscription(frame->topic);
       // Welcome datagram completes the client's registration.

@@ -28,12 +28,12 @@ NaradaClient::NaradaClient(cluster::Host& host, net::Lan& lan,
       transport_(transport) {
   // Model-memory accounting: one per-client record (the ROADMAP's
   // million-generator wall is exactly this state times a million).
-  obs::mem_add(obs::MemCategory::kClientRecords, sizeof(NaradaClient));
+  obs::mem_add(obs::MemCategory::kClientRecords, costs::kNaradaClientBytes);
 }
 
 NaradaClient::~NaradaClient() {
   if (udp_bound_) lan_.unbind(local_);
-  obs::mem_sub(obs::MemCategory::kClientRecords, sizeof(NaradaClient));
+  obs::mem_sub(obs::MemCategory::kClientRecords, costs::kNaradaClientBytes);
 }
 
 void NaradaClient::notify_ready(bool ok) {
