@@ -45,10 +45,10 @@
 #include "jms/message.hpp"
 #include "jms/selector.hpp"
 #include "mqtt/sub_index.hpp"
-#include "mqtt/topic.hpp"
+#include "oracles/mqtt_topic.hpp"
 #include "narada/frames.hpp"
 #include "rgma/sql_compile.hpp"
-#include "rgma/sql_eval.hpp"
+#include "oracles/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
 #include "util/rng.hpp"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
 namespace gridmon::core {
@@ -22,22 +21,6 @@ std::string_view to_string(FaultKind kind) {
   }
   return "unknown";
 }
-
-namespace {
-
-FaultKind kind_from_string(std::string_view name) {
-  for (FaultKind kind :
-       {FaultKind::kNicDown, FaultKind::kLossBurst, FaultKind::kLinkLoss,
-        FaultKind::kDbnPartition, FaultKind::kBrokerCrash,
-        FaultKind::kRegistryRestart, FaultKind::kProducerServletRestart,
-        FaultKind::kConsumerServletRestart, FaultKind::kRegistryExpiry,
-        FaultKind::kRegistryHalfOpen}) {
-    if (to_string(kind) == name) return kind;
-  }
-  throw std::invalid_argument("unknown fault kind: " + std::string(name));
-}
-
-}  // namespace
 
 FaultPlan& FaultPlan::nic_down(SimTime at, int node, SimTime duration,
                                FaultAnchor anchor) {
@@ -124,50 +107,24 @@ std::string FaultPlan::serialise() const {
   return out;
 }
 
-FaultPlan FaultPlan::parse(std::string_view text) {
-  FaultPlan plan;
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string kind, anchor;
-    long long at = 0;
-    long long duration = 0;
-    FaultEvent event;
-    if (!(fields >> kind >> anchor >> at >> duration >> event.target >>
-          event.target2 >> event.param)) {
-      throw std::invalid_argument("malformed fault event: " + line);
-    }
-    event.kind = kind_from_string(kind);
-    if (anchor == "steady") {
-      event.anchor = FaultAnchor::kSteady;
-    } else if (anchor == "start") {
-      event.anchor = FaultAnchor::kRunStart;
-    } else {
-      throw std::invalid_argument("unknown fault anchor: " + anchor);
-    }
-    event.at = at;
-    event.duration = duration;
-    if (duration < 0 || (event.anchor == FaultAnchor::kRunStart && at < 0) ||
-        !(event.param >= 0.0 && event.param <= 1.0)) {
-      throw std::invalid_argument("fault event out of range: " + line);
-    }
-    plan.events.push_back(event);
-  }
-  return plan;
-}
-
 void FaultPlan::check_targets(const FaultTargets& targets) const {
   for (const FaultEvent& event : events) {
-    auto require = [&](int target, int count, const char* what) {
-      if (target >= 0 && target < count) return;
+    auto reject = [&](const std::string& why) {
       std::string line = FaultPlan{{event}}.serialise();
       line.pop_back();  // the newline
-      throw std::invalid_argument("fault event '" + line + "': " + what +
-                                  " target " + std::to_string(target) +
-                                  " outside [0, " + std::to_string(count) +
-                                  ")");
+      throw std::invalid_argument("fault event '" + line + "': " + why);
+    };
+    if (event.duration < 0) reject("negative duration");
+    if (event.anchor == FaultAnchor::kRunStart && event.at < 0) {
+      reject("starts before the run");
+    }
+    if (!(event.param >= 0.0 && event.param <= 1.0)) {
+      reject("probability outside [0, 1]");
+    }
+    auto require = [&](int target, int count, const char* what) {
+      if (target >= 0 && target < count) return;
+      reject(std::string(what) + " target " + std::to_string(target) +
+             " outside [0, " + std::to_string(count) + ")");
     };
     switch (event.kind) {
       case FaultKind::kNicDown:

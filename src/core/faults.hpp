@@ -12,8 +12,8 @@
 // extra RNG draws.
 //
 // Three pieces live here:
-//  - FaultPlan / FaultEvent: the schedule (builder helpers + a line-based
-//    serialisation so plans can be logged or diffed).
+//  - FaultPlan / FaultEvent: the schedule (builder helpers, a setup-time
+//    range check, and a one-line-per-event text form that its errors quote).
 //  - FaultInjector: binds a plan to a Simulation through FaultHooks — a
 //    struct of std::function slots the experiment fills in with whatever its
 //    topology exposes (LAN NICs, brokers, R-GMA servlets). Events whose hook
@@ -113,13 +113,11 @@ struct FaultPlan {
 
   /// One event per line: `kind anchor at_ns duration_ns target target2 param`.
   [[nodiscard]] std::string serialise() const;
-  /// Inverse of serialise(); throws std::invalid_argument on malformed input
-  /// (including a negative duration, a negative `at` under the start anchor
-  /// or a probability outside [0, 1]).
-  [[nodiscard]] static FaultPlan parse(std::string_view text);
 
-  /// Throws std::invalid_argument naming the first event whose target the
-  /// topology does not have.
+  /// Throws std::invalid_argument naming the first event that is out of
+  /// range (a negative duration, a negative `at` under the start anchor or
+  /// a probability outside [0, 1]) or whose target the topology does not
+  /// have.
   void check_targets(const FaultTargets& targets) const;
 };
 

@@ -26,7 +26,7 @@ enum class HierBackend { kNarada, kRgma, kMqtt };
 struct HierConfig : RunConfig {
   static constexpr const char* kBackend = "hier";
   HierBackend backend = HierBackend::kNarada;
-  /// The tree shape (serialisable, expanded deterministically at setup).
+  /// The tree shape (expanded deterministically at setup).
   hier::TopologySpec topology;
   /// One regional client is created every `creation_interval`, starting at
   /// t=1 s (the paper's staggered connection ramp, applied to the tier

@@ -89,7 +89,7 @@ class MqttPort final : public BackendPort {
     run_.open(key, {p.before, p.before, trace, std::move(p.segments)});
     const int qos =
         config_.mixed_qos ? static_cast<int>(p.publisher % 3) : config_.qos;
-    sender.publish(topic, p.bytes, qos, /*retain=*/false, key,
+    sender.publish(topic, p.bytes, qos, key,
                    [&run = run_, key, trace](SimTime after) {
                      run.sent(key, trace, after);
                    });

@@ -1,4 +1,4 @@
-// TopologySpec: a serialisable description of a hierarchical monitoring
+// TopologySpec: a declarative description of a hierarchical monitoring
 // tree — generator → edge aggregator → regional publisher → root.
 //
 // The paper's campaigns stop at 4000 flat connections because every
@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 #include "util/units.hpp"
 
@@ -26,10 +24,6 @@ enum class Reduce {
   kMean,  ///< one aggregate record per window: mean of sample values
   kLast,  ///< one aggregate record per window: latest sample value
 };
-
-[[nodiscard]] std::string_view to_string(Reduce reduce);
-/// Inverse of to_string(); throws std::invalid_argument on unknown names.
-[[nodiscard]] Reduce parse_reduce(std::string_view name);
 
 /// The link children of a tier use to reach their parent. Jitter is a
 /// deterministic per-child spread in [0, jitter] (hashed from the child
@@ -102,13 +96,6 @@ struct TopologySpec {
     }
   };
   [[nodiscard]] Expansion expand() const;
-
-  /// One `key value...` line per field, like FaultPlan::serialise, so specs
-  /// can be logged, diffed and round-tripped.
-  [[nodiscard]] std::string serialise() const;
-  /// Inverse of serialise(); throws std::invalid_argument on malformed
-  /// input or unknown keys.
-  [[nodiscard]] static TopologySpec parse(std::string_view text);
 };
 
 }  // namespace gridmon::hier

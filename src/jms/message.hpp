@@ -60,7 +60,7 @@ class Message {
 
   // --- headers ---
   std::string message_id;
-  std::string destination;  ///< topic or queue name
+  std::string destination;  ///< topic name
   SimTime timestamp = 0;    ///< JMSTimestamp: set on send
   DeliveryMode delivery_mode = DeliveryMode::kNonPersistent;
   int priority = 4;  ///< JMS default priority

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "cluster/costs.hpp"
-#include "mqtt/topic.hpp"
 #include "obs/memprof.hpp"
 #include "obs/recorder.hpp"
 #include "util/log.hpp"
@@ -68,7 +67,7 @@ void MqttBroker::crash() {
   streams_.close_listener(config_.endpoint);
   // The process dies: every connection and all in-memory state goes.
   // Sessions are detached before the close so the deferred on_close
-  // callbacks (and any will publication) no-op.
+  // callbacks no-op.
   for (auto& [id, session] : sessions_) {
     if (session.connected) {
       host_.heap().release(costs::kMqttSessionBytes);
@@ -90,10 +89,6 @@ void MqttBroker::crash() {
   }
   sessions_.clear();
   sub_index_.clear();
-  for (const auto& [topic, packet] : retained_) {
-    obs::mem_sub(obs::MemCategory::kBrokerRouting, parked_footprint(packet));
-  }
-  retained_.clear();
   GRIDMON_WARN("mqtt.broker") << "broker " << config_.broker_id << " crashed";
 }
 
@@ -170,7 +165,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
     Session& existing = it->second;
     if (existing.connected) {
       // Client takeover: the old connection is superseded (MQTT allows one
-      // connection per client id). Detach first so its close is graceful.
+      // connection per client id). Detach first so its close handler no-ops.
       auto old = std::move(existing.conn);
       existing.conn.reset();
       existing.connected = false;
@@ -185,7 +180,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
     }
   }
   if (it == sessions_.end()) {
-    it = sessions_.emplace(id, Session{}).first;
+    it = sessions_.try_emplace(id).first;
     it->second.client_id = id;
     it->second.offline_queue = core::HistoryBuffer(config_.retention);
   }
@@ -195,14 +190,10 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
   session.conn = conn;
   session.keep_alive = packet->keep_alive;
   session.last_seen = host_.sim().now();
-  session.will_topic = packet->will_topic;
-  session.will_bytes = packet->will_bytes;
-  session.will_qos = packet->will_qos;
-  session.will_retain = packet->will_retain;
   if (resumed) ++stats_.sessions_resumed;
 
-  // Route subsequent packets through the session; notice ungraceful
-  // connection loss (will publication) via the close handler.
+  // Route subsequent packets through the session; notice connection loss
+  // via the close handler.
   conn->set_handler(
       1,
       [this, id](const net::Datagram& dg) { on_session_packet(id, dg); },
@@ -213,7 +204,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
         // Only the connection we still consider current counts: a detach
         // (takeover, expiry, crash) already reset session.conn.
         if (it->second.conn != wconn.lock()) return;
-        drop_connection(id, /*graceful=*/false);
+        drop_connection(id);
       });
 
   Packet ack;
@@ -243,8 +234,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
           const auto* queued = std::any_cast<PacketPtr>(&payload);
           if (queued == nullptr || !*queued) return;
           mark_packet(*queued, "backfill");
-          deliver(session, (*queued)->qos, *queued,
-                  /*retained_replay=*/false);
+          deliver(session, (*queued)->qos, *queued);
           ++drained;
           drained_bytes += bytes;
         });
@@ -293,7 +283,6 @@ void MqttBroker::on_session_packet(const std::string& client_id,
       sub_index_.subscribe(packet->topic, session.client_id, &session,
                            granted);
       reply(session, PacketType::kSubAck, packet->packet_id);
-      replay_retained(session, packet->topic, granted);
       break;
     }
     case PacketType::kPublish:
@@ -332,10 +321,6 @@ void MqttBroker::on_session_packet(const std::string& client_id,
     case PacketType::kPingReq:
       host_.cpu().charge(costs::kMqttPacketBase);
       reply(session, PacketType::kPingResp, 0);
-      break;
-    case PacketType::kDisconnect:
-      // Graceful: the will is discarded, per the specification.
-      drop_connection(client_id, /*graceful=*/true);
       break;
     default:
       break;
@@ -376,7 +361,6 @@ void MqttBroker::handle_publish(Session& session, const PacketPtr& packet) {
 void MqttBroker::ingest_publish(const PacketPtr& packet) {
   if (crashed_) return;
   mark_packet(packet, "ingress");
-  if (packet->retain) store_retained(packet);
 
   // Fan-out is part of the service demand: count matching subscriptions
   // first. One trie walk replaces the per-session filter scan the event
@@ -393,29 +377,22 @@ void MqttBroker::ingest_publish(const PacketPtr& packet) {
         host_.heap().release(transient);
         if (crashed_) return;
         // Re-match at dispatch: sessions may have come or gone during the
-        // service delay (the old code re-walked the table here too). Take
-        // the results out of the scratch vector so a re-entrant publish
-        // (e.g. a will) cannot clobber them mid-loop.
+        // service delay (the old code re-walked the table here too).
         sub_index_.match(packet->topic, match_scratch_);
-        std::vector<SubscriptionIndex::Match> matches;
-        matches.swap(match_scratch_);
-        for (const auto& m : matches) {
+        for (const auto& m : match_scratch_) {
           // One delivery per session, at its best-matching grant.
-          deliver(*static_cast<Session*>(m.handle), m.qos, packet,
-                  /*retained_replay=*/false);
+          deliver(*static_cast<Session*>(m.handle), m.qos, packet);
         }
-        match_scratch_ = std::move(matches);
       });
 }
 
 void MqttBroker::deliver(Session& session, int granted_qos,
-                         const PacketPtr& publish, bool retained_replay) {
+                         const PacketPtr& publish) {
   const int qos = publish->qos < granted_qos ? publish->qos : granted_qos;
   if (qos == 0) {
     if (!session.connected) return;  // fire-and-forget: offline drops
     auto out = std::make_shared<Packet>(*publish);
     out->qos = 0;
-    out->retain = retained_replay;
     out->duplicate = false;
     out->packet_id = 0;
     ++stats_.publishes_delivered;
@@ -429,7 +406,6 @@ void MqttBroker::deliver(Session& session, int granted_qos,
     // counted instead of growing without limit.
     auto queued = std::make_shared<Packet>(*publish);
     queued->qos = qos;
-    queued->retain = retained_replay;
     const std::int64_t bytes = parked_footprint(queued);
     const std::int64_t dropped_before = session.offline_queue.dropped();
     session.offline_queue.append(PacketPtr(std::move(queued)), bytes,
@@ -440,7 +416,6 @@ void MqttBroker::deliver(Session& session, int granted_qos,
   }
   auto out = std::make_shared<Packet>(*publish);
   out->qos = qos;
-  out->retain = retained_replay;
   out->duplicate = false;
   // Broker-assigned id for the outbound QoS 1/2 window (0 is reserved).
   if (session.next_packet_id == 0) session.next_packet_id = 1;
@@ -466,43 +441,7 @@ void MqttBroker::reply(Session& session, PacketType type,
   send_to(session, std::make_shared<const Packet>(packet));
 }
 
-void MqttBroker::store_retained(const PacketPtr& packet) {
-  const auto it = retained_.find(packet->topic);
-  if (it != retained_.end()) {
-    obs::mem_sub(obs::MemCategory::kBrokerRouting,
-                 parked_footprint(it->second));
-    retained_.erase(it);
-  }
-  // A zero-byte retained publish clears the slot (MQTT semantics).
-  if (packet->payload_bytes <= 0) return;
-  retained_.emplace(packet->topic, packet);
-  obs::mem_add(obs::MemCategory::kBrokerRouting, parked_footprint(packet));
-}
-
-void MqttBroker::replay_retained(Session& session, const std::string& filter,
-                                 int granted_qos) {
-  for (const auto& [topic, packet] : retained_) {
-    if (!topic_matches(filter, topic)) continue;
-    ++stats_.retained_replayed;
-    deliver(session, granted_qos, packet, /*retained_replay=*/true);
-  }
-}
-
-void MqttBroker::publish_will(Session& session) {
-  if (session.will_topic.empty()) return;
-  auto will = std::make_shared<Packet>();
-  will->type = PacketType::kPublish;
-  will->topic = session.will_topic;
-  will->qos = session.will_qos;
-  will->retain = session.will_retain;
-  will->payload_bytes = session.will_bytes;
-  will->published_at = host_.sim().now();
-  ++stats_.wills_published;
-  ingest_publish(std::move(will));
-}
-
-void MqttBroker::drop_connection(const std::string& client_id,
-                                 bool graceful) {
+void MqttBroker::drop_connection(const std::string& client_id) {
   const auto it = sessions_.find(client_id);
   if (it == sessions_.end()) return;
   Session& session = it->second;
@@ -513,7 +452,6 @@ void MqttBroker::drop_connection(const std::string& client_id,
     session.conn.reset();
     if (conn && conn->open()) conn->close();
   }
-  if (!graceful) publish_will(session);
   if (session.clean) erase_session(client_id);
 }
 
@@ -567,7 +505,7 @@ void MqttBroker::expire_sessions() {
   for (const std::string& id : expired) {
     ++stats_.sessions_expired;
     GRIDMON_DEBUG("mqtt.broker") << "session " << id << " keep-alive expired";
-    drop_connection(id, /*graceful=*/false);  // publishes the last will
+    drop_connection(id);
   }
 }
 

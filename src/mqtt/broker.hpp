@@ -10,20 +10,18 @@
 //    messages and in-flight QoS state across disconnects; CONNACK reports
 //    session_present so the client knows whether to resubscribe);
 //  - keep-alive: a session silent for 1.5 × its keep-alive interval is
-//    expired — its last-will message (registered at CONNECT) is published;
+//    expired;
 //  - SUBSCRIBE with topic filters ('+' one level, '#' trailing levels);
 //  - PUBLISH at QoS 0 (fire-and-forget), QoS 1 (PUBACK, at-least-once:
 //    DUP redeliveries are re-ingested), QoS 2 (PUBREC/PUBREL/PUBCOMP,
 //    exactly-once: duplicates parked by packet id until released);
-//  - retained messages: the latest retained publish per topic is replayed
-//    to new matching subscribers (zero-byte retained publish clears it);
 //  - unacknowledged QoS 1/2 deliveries are re-sent with DUP on a periodic
 //    retransmission sweep.
 //
 // crash() models a broker-process kill: every connection is torn down and
-// all in-memory state — sessions, retained store, in-flight windows — is
-// lost; restart() comes back empty, so recovery depends on the clients
-// (reconnect, resubscribe, redeliver their own in-flight QoS 1/2 windows).
+// all in-memory state — sessions, in-flight windows — is lost; restart()
+// comes back empty, so recovery depends on the clients (reconnect,
+// resubscribe, redeliver their own in-flight QoS 1/2 windows).
 #pragma once
 
 #include <cstdint>
@@ -66,8 +64,6 @@ struct MqttBrokerStats {
   std::uint64_t publishes_received = 0;   ///< PUBLISH packets from clients
   std::uint64_t publishes_delivered = 0;  ///< deliveries to subscribers
   std::uint64_t qos2_duplicates_parked = 0;  ///< exactly-once dedup hits
-  std::uint64_t retained_replayed = 0;    ///< retained sends on subscribe
-  std::uint64_t wills_published = 0;      ///< keep-alive expiry last-wills
   std::uint64_t sessions_expired = 0;
   std::uint64_t retransmissions = 0;      ///< broker-side DUP re-sends
   std::uint64_t crashes = 0;
@@ -89,8 +85,8 @@ class MqttBroker {
   void start();
 
   /// Fault injection: kill the broker process. Every client connection is
-  /// torn down and all soft state (sessions, retained messages, in-flight
-  /// QoS windows) is lost.
+  /// torn down and all soft state (sessions, in-flight QoS windows) is
+  /// lost.
   void crash();
   /// Bring a crashed broker back up, empty: clients must reconnect,
   /// resubscribe and redeliver their own in-flight messages.
@@ -102,9 +98,6 @@ class MqttBroker {
   [[nodiscard]] net::Endpoint endpoint() const { return config_.endpoint; }
   [[nodiscard]] int session_count() const {
     return static_cast<int>(sessions_.size());
-  }
-  [[nodiscard]] int retained_count() const {
-    return static_cast<int>(retained_.size());
   }
   [[nodiscard]] int subscription_count() const;
 
@@ -123,11 +116,6 @@ class MqttBroker {
     net::StreamConnectionPtr conn;
     SimTime keep_alive = 0;
     SimTime last_seen = 0;
-    // Last will, registered at CONNECT, published on ungraceful loss.
-    std::string will_topic;
-    std::int64_t will_bytes = 0;
-    int will_qos = 0;
-    bool will_retain = false;
     /// (filter, granted max QoS), replace-on-resubscribe.
     std::vector<std::pair<std::string, int>> subscriptions;
     /// Outbound QoS 1/2 window, keyed by broker-assigned packet id.
@@ -149,20 +137,13 @@ class MqttBroker {
   void handle_publish(Session& session, const PacketPtr& packet);
   /// Route a publish to matching subscribers (after CPU service time).
   void ingest_publish(const PacketPtr& packet);
-  void deliver(Session& session, int granted_qos, const PacketPtr& publish,
-               bool retained_replay);
+  void deliver(Session& session, int granted_qos, const PacketPtr& publish);
   void send_to(Session& session, const PacketPtr& packet);
   void reply(Session& session, PacketType type, std::uint16_t packet_id);
-  /// Publish the session's last will (keep-alive expiry / ungraceful drop).
-  void publish_will(Session& session);
-  /// Detach the connection. Graceful (DISCONNECT / broker-initiated) drops
-  /// skip the will; a clean session is erased entirely.
-  void drop_connection(const std::string& client_id, bool graceful);
+  /// Detach the connection; a clean session is erased entirely.
+  void drop_connection(const std::string& client_id);
   void retransmit_packets();
   void expire_sessions();
-  void store_retained(const PacketPtr& packet);
-  void replay_retained(Session& session, const std::string& filter,
-                       int granted_qos);
   void erase_session(const std::string& client_id);
 
   [[nodiscard]] SimTime packet_service_demand(std::int64_t bytes,
@@ -182,8 +163,6 @@ class MqttBroker {
   SubscriptionIndex sub_index_;
   /// Match-result scratch, reused across publishes.
   std::vector<SubscriptionIndex::Match> match_scratch_;
-  /// Latest retained message per topic.
-  std::map<std::string, PacketPtr> retained_;
 
   sim::PeriodicTimer retransmit_timer_;
   sim::PeriodicTimer keep_alive_timer_;

@@ -79,11 +79,6 @@ void MqttClient::adopt_connection(net::StreamConnectionPtr conn) {
       [self] {
         auto c = self.lock();
         if (!c) return;
-        if (c->disconnected_) {
-          // We asked for this close (graceful DISCONNECT).
-          c->conn_.reset();
-          return;
-        }
         if (!c->ready_) {
           if (c->reconnecting_) {
             // A reconnect attempt died before its CONNACK (broker still
@@ -112,10 +107,6 @@ void MqttClient::send_connect() {
   connect->client_id = options_.client_id;
   connect->clean_session = options_.clean_session;
   connect->keep_alive = options_.keep_alive;
-  connect->will_topic = options_.will_topic;
-  connect->will_bytes = options_.will_bytes;
-  connect->will_qos = options_.will_qos;
-  connect->will_retain = options_.will_retain;
   host_.cpu().charge(costs::kMqttClientSendBase);
   if (conn_ && conn_->open()) {
     const std::int64_t bytes = packet_wire_size(*connect);
@@ -265,13 +256,12 @@ void MqttClient::subscribe(const std::string& filter, int qos,
 }
 
 void MqttClient::publish(const std::string& topic, std::int64_t payload_bytes,
-                         int qos, bool retain, std::string message_id,
+                         int qos, std::string message_id,
                          SendCallback on_sent) {
   auto packet = std::make_shared<Packet>();
   packet->type = PacketType::kPublish;
   packet->topic = topic;
   packet->qos = qos;
-  packet->retain = retain;
   packet->payload_bytes = payload_bytes;
   packet->message_id = std::move(message_id);
   packet->published_at = host_.sim().now();
@@ -327,19 +317,6 @@ void MqttClient::arm_retransmit(std::uint16_t packet_id) {
         }
         c->arm_retransmit(packet_id);
       });
-}
-
-void MqttClient::disconnect() {
-  if (!ready_) return;
-  auto bye = std::make_shared<Packet>();
-  bye->type = PacketType::kDisconnect;
-  send_packet(PacketPtr(std::move(bye)));
-  // The broker closes the link once it processes the DISCONNECT (closing
-  // here would drop the in-flight packet — stream delivery checks the
-  // connection is still open on arrival).
-  disconnected_ = true;
-  ready_ = false;
-  keep_alive_timer_ = sim::PeriodicTimer();
 }
 
 void MqttClient::on_packet(const net::Datagram& datagram) {

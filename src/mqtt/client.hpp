@@ -53,11 +53,6 @@ struct MqttClientOptions {
   std::string client_id;  ///< deterministic, e.g. "gen-0042"
   bool clean_session = true;
   SimTime keep_alive = units::seconds(30);  ///< 0 = no keep-alive contract
-  /// Last will registered at CONNECT (empty topic = none).
-  std::string will_topic;
-  std::int64_t will_bytes = 0;
-  int will_qos = 0;
-  bool will_retain = false;
   /// Unacknowledged QoS 1/2 publishes are re-sent (DUP) after this long.
   SimTime retransmit_timeout = units::seconds(2);
 };
@@ -92,11 +87,7 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   /// Publish `payload_bytes` to `topic` at `qos`. `message_id` identifies
   /// the sample end to end (metrics/obs); headers are stamped here.
   void publish(const std::string& topic, std::int64_t payload_bytes, int qos,
-               bool retain, std::string message_id,
-               SendCallback on_sent = nullptr);
-
-  /// Graceful DISCONNECT: the broker discards the will.
-  void disconnect();
+               std::string message_id, SendCallback on_sent = nullptr);
 
   /// Install the recovery policy (call before or after connect). Without
   /// one a lost link is permanent — the no-recovery baseline.
@@ -153,7 +144,6 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   net::StreamConnectionPtr conn_;
   bool ready_ = false;
   bool refused_ = false;
-  bool disconnected_ = false;  ///< graceful DISCONNECT requested
   ReadyHandler on_ready_;
   std::deque<PacketPtr> backlog_;
 

@@ -28,7 +28,6 @@ enum class PacketType {
   kPubComp,  ///< QoS 2 step 3: handshake complete
   kPingReq,
   kPingResp,
-  kDisconnect,
 };
 
 struct Packet {
@@ -38,19 +37,14 @@ struct Packet {
   std::string client_id;
   bool clean_session = true;
   SimTime keep_alive = 0;        ///< 0 = no keep-alive contract
-  std::string will_topic;        ///< empty = no last-will registered
-  std::int64_t will_bytes = 0;
-  int will_qos = 0;
-  bool will_retain = false;
 
   // kConnAck
   bool session_present = false;
 
   // kSubscribe (topic = filter, qos = requested max) / kSubAck (granted)
-  // kPublish (topic = name, qos/retain/duplicate = header flags)
+  // kPublish (topic = name, qos/duplicate = header flags)
   std::string topic;
   int qos = 0;
-  bool retain = false;
   bool duplicate = false;        ///< DUP: this is a redelivery
   std::uint16_t packet_id = 0;   ///< QoS > 0 flows and SUBSCRIBE
   std::int64_t payload_bytes = 0;
@@ -65,7 +59,7 @@ using PacketPtr = std::shared_ptr<const Packet>;
 
 /// Fixed header (control type + remaining length).
 constexpr std::int64_t kFixedHeaderBytes = 2;
-/// PUBACK/PUBREC/PUBREL/PUBCOMP/PINGREQ/PINGRESP/DISCONNECT/CONNACK.
+/// PUBACK/PUBREC/PUBREL/PUBCOMP/PINGREQ/PINGRESP/CONNACK.
 constexpr std::int64_t kControlPacketBytes = 4;
 /// CONNECT variable header: protocol name + level + flags + keep-alive.
 constexpr std::int64_t kConnectOverheadBytes = 12;
@@ -76,15 +70,9 @@ constexpr std::int64_t kConnectOverheadBytes = 12;
       return kFixedHeaderBytes + 2 +
              static_cast<std::int64_t>(packet.topic.size()) +
              (packet.qos > 0 ? 2 : 0) + packet.payload_bytes;
-    case PacketType::kConnect: {
-      std::int64_t size = kFixedHeaderBytes + kConnectOverheadBytes +
-                          static_cast<std::int64_t>(packet.client_id.size());
-      if (!packet.will_topic.empty()) {
-        size += 2 + static_cast<std::int64_t>(packet.will_topic.size()) +
-                packet.will_bytes;
-      }
-      return size;
-    }
+    case PacketType::kConnect:
+      return kFixedHeaderBytes + kConnectOverheadBytes +
+             static_cast<std::int64_t>(packet.client_id.size());
     case PacketType::kSubscribe:
     case PacketType::kSubAck:
       return kFixedHeaderBytes + 2 +

@@ -9,7 +9,8 @@
 // levels finds every matching subscription.
 //
 // Semantics contract: match() returns exactly the sessions for which
-// topic_matches(filter, topic) holds for at least one of the session's
+// topic_matches(filter, topic) (the test oracle in
+// tests/oracles/mqtt_topic.hpp) holds for at least one of the session's
 // filters — including the '$'-topic rule (root-level wildcards never match
 // broker-internal topics), "sport/#" matching "sport" itself, and the
 // tolerated-but-invalid mid-filter '#' ("a/#/b"), which topic_matches

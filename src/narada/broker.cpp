@@ -67,7 +67,6 @@ void Broker::crash() {
                      static_cast<std::int64_t>(sub.topic.size()));
   }
   subscriptions_.clear();
-  queue_cursor_.clear();
   udp_pending_.clear();
   // Retained frames die with the process (the HistoryBuffer destructors
   // release the mem_history accounting). The per-topic sequence counters
@@ -169,7 +168,6 @@ void Broker::on_client_frame(const net::StreamConnectionPtr& conn,
       Subscription sub;
       sub.id = next_subscription_id_++;
       sub.topic = frame->topic;
-      sub.is_queue = frame->is_queue;
       sub.selector = jms::Selector::parse(frame->selector);
       sub.ack_mode = frame->ack_mode;
       sub.conn = conn;
@@ -234,7 +232,6 @@ void Broker::on_udp_datagram(const net::Datagram& datagram) {
       Subscription sub;
       sub.id = next_subscription_id_++;
       sub.topic = frame->topic;
-      sub.is_queue = frame->is_queue;
       sub.selector = jms::Selector::parse(frame->selector);
       sub.ack_mode = frame->ack_mode;
       sub.via_udp = true;
@@ -321,7 +318,7 @@ void Broker::ingest_publish(const FramePtr& frame) {
   // it under (topic, this broker) before dispatch, so a later gap replay
   // can serve it even if every subscriber is away right now.
   std::uint64_t first_seq = 0;
-  if (config_.replay && !frame->is_queue) {
+  if (config_.replay) {
     auto& next = next_history_seq_[frame->topic];
     first_seq = next + 1;
     if (aggregated) {
@@ -339,12 +336,12 @@ void Broker::ingest_publish(const FramePtr& frame) {
     if (aggregated) {
       std::uint64_t seq = first_seq;
       for (const auto& message : frame->batch) {
-        deliver_local(message, frame->topic, frame->is_queue,
+        deliver_local(message, frame->topic,
                       first_seq > 0 ? config_.broker_id : -1, seq);
         if (seq > 0) ++seq;
       }
     } else {
-      deliver_local(frame->message, frame->topic, frame->is_queue,
+      deliver_local(frame->message, frame->topic,
                     first_seq > 0 ? config_.broker_id : -1, first_seq);
     }
     disseminate(frame, first_seq);
@@ -353,72 +350,48 @@ void Broker::ingest_publish(const FramePtr& frame) {
 }
 
 void Broker::deliver_local(const jms::MessagePtr& message,
-                           const std::string& topic, bool is_queue,
-                           int origin, std::uint64_t seq) {
+                           const std::string& topic, int origin,
+                           std::uint64_t seq) {
   // Zero-copy fan-out: one immutable frame shared by every local delivery.
   // Clients consuming a kDeliver read only kind/topic/message (acking is
   // governed by their own mode), and the wire size is field-independent,
   // so the per-subscriber Frame allocation was pure overhead.
-  auto deliver = std::make_shared<const Frame>(
-      Frame{FrameKind::kDeliver, topic, {}, jms::AcknowledgeMode::kAutoAcknowledge,
-            0, message, -1, -1, {}});
-  const std::int64_t wire = frame_wire_size(*deliver);
-  auto send_to = [&](const Subscription& sub) {
-    if (sub.via_udp) {
-      lan_.send_datagram(config_.endpoint, sub.udp, wire, deliver);
-    } else if (sub.conn && sub.conn->open()) {
-      sub.conn->send(sub.conn_side, wire, deliver);
-    }
-    ++stats_.events_delivered;
-  };
-
-  if (!is_queue) {
+  FramePtr shared;
+  std::int64_t shared_wire = 0;
+  if (seq == 0) {
+    shared = std::make_shared<const Frame>(
+        Frame{FrameKind::kDeliver, topic, {},
+              jms::AcknowledgeMode::kAutoAcknowledge, 0, message, -1, -1, {}});
+    shared_wire = frame_wire_size(*shared);
+  }
+  for (auto& sub : subscriptions_) {
+    if (sub.topic != topic) continue;
+    if (!sub.selector.matches(*message)) continue;
+    FramePtr frame = shared;
+    std::int64_t wire = shared_wire;
     if (seq > 0) {
       // Replay-stamped fan-out: each subscriber gets its own frame carrying
       // (origin, seq) plus the per-subscription prev_seq chain — the price
       // of gap detection through selectors. Fan-out in the replay scenarios
       // is small, so giving up the shared frame here is cheap.
-      for (auto& sub : subscriptions_) {
-        if (sub.topic != topic || sub.is_queue) continue;
-        if (!sub.selector.matches(*message)) continue;
-        Frame stamped;
-        stamped.kind = FrameKind::kDeliver;
-        stamped.topic = topic;
-        stamped.message = message;
-        stamped.origin_broker = origin;
-        stamped.history_seq = seq;
-        stamped.prev_seq = sub.last_sent[origin];
-        sub.last_sent[origin] = seq;
-        auto frame = std::make_shared<const Frame>(std::move(stamped));
-        const std::int64_t stamped_wire = frame_wire_size(*frame);
-        if (sub.via_udp) {
-          lan_.send_datagram(config_.endpoint, sub.udp, stamped_wire, frame);
-        } else if (sub.conn && sub.conn->open()) {
-          sub.conn->send(sub.conn_side, stamped_wire, frame);
-        }
-        ++stats_.events_delivered;
-      }
-      return;
+      Frame stamped;
+      stamped.kind = FrameKind::kDeliver;
+      stamped.topic = topic;
+      stamped.message = message;
+      stamped.origin_broker = origin;
+      stamped.history_seq = seq;
+      stamped.prev_seq = sub.last_sent[origin];
+      sub.last_sent[origin] = seq;
+      frame = std::make_shared<const Frame>(std::move(stamped));
+      wire = frame_wire_size(*frame);
     }
-    for (const auto& sub : subscriptions_) {
-      if (sub.topic != topic || sub.is_queue) continue;
-      if (!sub.selector.matches(*message)) continue;
-      send_to(sub);
+    if (sub.via_udp) {
+      lan_.send_datagram(config_.endpoint, sub.udp, wire, frame);
+    } else if (sub.conn && sub.conn->open()) {
+      sub.conn->send(sub.conn_side, wire, frame);
     }
-    return;
+    ++stats_.events_delivered;
   }
-
-  // PTP queue: exactly one matching receiver gets the message, rotating
-  // round-robin so load spreads across competing receivers.
-  std::vector<const Subscription*> matching;
-  for (const auto& sub : subscriptions_) {
-    if (sub.topic != topic || !sub.is_queue) continue;
-    if (!sub.selector.matches(*message)) continue;
-    matching.push_back(&sub);
-  }
-  if (matching.empty()) return;  // no receiver: dropped (no queue persistence)
-  const std::size_t pick = queue_cursor_[topic]++ % matching.size();
-  send_to(*matching[pick]);
 }
 
 void Broker::disseminate(const FramePtr& frame, std::uint64_t first_seq) {
@@ -481,7 +454,7 @@ void Broker::ingest_forward(const FramePtr& frame) {
   // append_at dedups, so repeated peer-replay sweeps cost nothing extra;
   // a frame every replica already has is also not re-delivered locally.
   const std::uint64_t first_seq =
-      config_.replay && !frame->is_queue ? frame->history_seq : 0;
+      config_.replay ? frame->history_seq : 0;
   std::vector<bool> fresh;
   if (first_seq > 0) {
     std::uint64_t seq = first_seq;
@@ -530,14 +503,12 @@ void Broker::ingest_forward(const FramePtr& frame) {
             std::uint64_t seq = first_seq;
             for (std::size_t i = 0; i < frame->batch.size(); ++i) {
               if (fresh.empty() || fresh[i]) {
-                deliver_local(frame->batch[i], frame->topic, frame->is_queue,
-                              origin, seq);
+                deliver_local(frame->batch[i], frame->topic, origin, seq);
               }
               if (seq > 0) ++seq;
             }
           } else if (fresh.empty() || fresh.front()) {
-            deliver_local(frame->message, frame->topic, frame->is_queue,
-                          origin, first_seq);
+            deliver_local(frame->message, frame->topic, origin, first_seq);
           }
           // Broadcast mode (-1) is terminal here: full mesh, single hop.
           return;
@@ -618,12 +589,6 @@ bool Broker::retain(const std::string& topic, int origin, std::uint64_t seq,
   return it->second.append_at(seq, message, bytes, host_.sim().now());
 }
 
-std::int64_t Broker::retained_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& [key, buffer] : history_) total += buffer.stored_bytes();
-  return total;
-}
-
 void Broker::handle_backfill_request(const net::StreamConnectionPtr& conn,
                                      const FramePtr& frame) {
   if (!config_.replay || crashed_) return;
@@ -631,9 +596,7 @@ void Broker::handle_backfill_request(const net::StreamConnectionPtr& conn,
   // matches, then close with a per-origin summary so the client can
   // advance its cursors past anything retention already evicted.
   for (auto& sub : subscriptions_) {
-    if (sub.conn != conn || sub.topic != frame->topic || sub.is_queue) {
-      continue;
-    }
+    if (sub.conn != conn || sub.topic != frame->topic) continue;
     Frame reply;
     reply.kind = FrameKind::kBackfillReply;
     reply.topic = frame->topic;
@@ -742,9 +705,7 @@ void Broker::request_peer_backfill() {
   // watermarks: peers replay only what we are missing.
   std::set<std::string> topics;
   for (const auto& [key, buffer] : history_) topics.insert(key.first);
-  for (const auto& sub : subscriptions_) {
-    if (!sub.is_queue) topics.insert(sub.topic);
-  }
+  for (const auto& sub : subscriptions_) topics.insert(sub.topic);
   for (const std::string& topic : topics) {
     Frame request;
     request.kind = FrameKind::kBackfillRequest;

@@ -83,9 +83,9 @@ class Broker {
 
   /// Fault injection: kill the broker process. The listener closes, every
   /// client connection is torn down (their threads/buffers are reclaimed),
-  /// and all soft state — subscriptions, queue cursors, pending UDP acks —
-  /// is lost. Inter-broker links are owned by the DBN controller and assumed
-  /// warm across the restart (the unit-controller keeps them up); chaos DBN
+  /// and all soft state — subscriptions, pending UDP acks — is lost.
+  /// Inter-broker links are owned by the DBN controller and assumed warm
+  /// across the restart (the unit-controller keeps them up); chaos DBN
   /// scenarios cut them explicitly via Lan::set_path_blocked instead.
   void crash();
   /// Bring a crashed broker back up, empty: clients must reconnect and
@@ -104,8 +104,6 @@ class Broker {
   /// the retained frames we are missing (per-origin high watermarks).
   /// No-op unless `config.replay` is on.
   void request_peer_backfill();
-  /// Bytes currently held in retention (sums every (topic, origin) tier).
-  [[nodiscard]] std::int64_t retained_bytes() const;
 
   [[nodiscard]] const BrokerStats& stats() const { return stats_; }
   [[nodiscard]] cluster::Host& host() { return host_; }
@@ -119,7 +117,6 @@ class Broker {
   struct Subscription {
     std::uint64_t id = 0;
     std::string topic;
-    bool is_queue = false;  ///< PTP receiver rather than topic subscriber
     jms::Selector selector;
     jms::AcknowledgeMode ack_mode = jms::AcknowledgeMode::kAutoAcknowledge;
     // Delivery target: stream connection (broker side) or UDP endpoint.
@@ -150,11 +147,11 @@ class Broker {
   /// Relay/terminate a forwarded event from a peer.
   void ingest_forward(const FramePtr& frame);
 
-  /// Match subscriptions and deliver to local subscribers. Topics fan out;
-  /// queues round-robin among their receivers (JMS PTP). `origin`/`seq`
-  /// carry the retention stamp when replay is on (-1/0 otherwise).
+  /// Match subscriptions and deliver to every matching local subscriber.
+  /// `origin`/`seq` carry the retention stamp when replay is on (-1/0
+  /// otherwise).
   void deliver_local(const jms::MessagePtr& message, const std::string& topic,
-                     bool is_queue, int origin = -1, std::uint64_t seq = 0);
+                     int origin = -1, std::uint64_t seq = 0);
   /// Retain one message under (topic, origin) at the given sequence.
   /// Returns false for duplicates (stale peer-replay traffic).
   bool retain(const std::string& topic, int origin, std::uint64_t seq,
@@ -188,8 +185,6 @@ class Broker {
   /// Topic interest advertised by each broker in the network (flooded
   /// kPeerSubscribe frames, deduplicated by (origin, topic)).
   std::map<int, std::set<std::string>> remote_topics_;
-  /// Round-robin cursor per queue destination (PTP dispatch).
-  std::map<std::string, std::size_t> queue_cursor_;
   std::uint64_t next_subscription_id_ = 1;
   std::uint64_t next_message_seq_ = 1;
 

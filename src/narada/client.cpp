@@ -179,7 +179,6 @@ void NaradaClient::resubscribe() {
   Frame frame;
   frame.kind = FrameKind::kSubscribe;
   frame.topic = subscribed_topic_;
-  frame.is_queue = subscribed_is_queue_;
   frame.selector = subscribed_selector_;
   frame.ack_mode = ack_mode_;
   frame.reply_to = local_;
@@ -205,7 +204,6 @@ void NaradaClient::subscribe(const std::string& topic,
                              DeliveryListener listener) {
   subscribed_topic_ = topic;
   subscribed_selector_ = selector;
-  subscribed_is_queue_ = false;
   has_subscription_ = true;
   ack_mode_ = ack_mode;
   listener_ = std::move(listener);
@@ -214,54 +212,6 @@ void NaradaClient::subscribe(const std::string& topic,
       FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1, -1,
       local_});
   send_frame(std::move(frame));
-}
-
-void NaradaClient::receive_from_queue(const std::string& queue,
-                                      const std::string& selector,
-                                      jms::AcknowledgeMode ack_mode,
-                                      DeliveryListener listener) {
-  subscribed_topic_ = queue;
-  subscribed_selector_ = selector;
-  subscribed_is_queue_ = true;
-  has_subscription_ = true;
-  ack_mode_ = ack_mode;
-  listener_ = std::move(listener);
-
-  Frame frame;
-  frame.kind = FrameKind::kSubscribe;
-  frame.topic = queue;
-  frame.is_queue = true;
-  frame.selector = selector;
-  frame.ack_mode = ack_mode;
-  frame.reply_to = local_;
-  send_frame(std::make_shared<const Frame>(std::move(frame)));
-}
-
-void NaradaClient::publish_to_queue(jms::Message message,
-                                    SendCallback on_sent) {
-  message.message_id = "ID:" + std::to_string(local_.node) + "-" +
-                       std::to_string(local_.port) + "-" +
-                       std::to_string(next_message_seq_++);
-  message.timestamp = host_.sim().now();
-  auto shared = jms::share(std::move(message));
-  const std::int64_t bytes = shared->wire_size();
-  const SimTime demand =
-      costs::kClientSendBase +
-      static_cast<SimTime>(static_cast<double>(bytes) *
-                           costs::kSerializePerByteNs);
-  host_.cpu().execute(demand, [self = shared_from_this(), shared,
-                               on_sent = std::move(on_sent)] {
-    Frame frame;
-    frame.kind = FrameKind::kPublish;
-    frame.topic = shared->destination;
-    frame.is_queue = true;
-    frame.ack_mode = self->ack_mode_;
-    frame.message = shared;
-    frame.reply_to = self->local_;
-    self->send_frame(std::make_shared<const Frame>(std::move(frame)));
-    ++self->published_;
-    if (on_sent) on_sent(self->host_.sim().now());
-  });
 }
 
 void NaradaClient::enable_aggregation(int batch_size, SimTime max_delay) {
@@ -370,8 +320,7 @@ void NaradaClient::on_frame(const net::Datagram& datagram) {
       }
       // Close the disconnection gap: once resubscribed, ask the (possibly
       // new) broker to replay what we missed since our cursors.
-      if (was_reconnect && replay_enabled_ && has_subscription_ &&
-          !subscribed_is_queue_) {
+      if (was_reconnect && replay_enabled_ && has_subscription_) {
         schedule_backfill();
       }
     }
@@ -450,7 +399,7 @@ void NaradaClient::on_backfill_reply(const FramePtr& frame) {
 
 void NaradaClient::schedule_backfill() {
   if (!replay_enabled_ || backfill_pending_) return;
-  if (!has_subscription_ || subscribed_is_queue_) return;
+  if (!has_subscription_) return;
   backfill_pending_ = true;
   host_.sim().schedule_after(replay_settle_, [self = weak_from_this()] {
     if (auto c = self.lock()) c->request_backfill();

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "cluster/host.hpp"
-#include "jms/destination.hpp"
+#include "jms/message.hpp"
 #include "narada/frames.hpp"
 #include "narada/transport.hpp"
 #include "net/stream.hpp"
@@ -72,15 +72,6 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   /// Register a topic subscription with a JMS selector.
   void subscribe(const std::string& topic, const std::string& selector,
                  jms::AcknowledgeMode ack_mode, DeliveryListener listener);
-
-  /// Register as a PTP queue receiver: each message on the queue goes to
-  /// exactly one receiver (round-robin among competing receivers).
-  void receive_from_queue(const std::string& queue, const std::string& selector,
-                          jms::AcknowledgeMode ack_mode,
-                          DeliveryListener listener);
-
-  /// Publish to a PTP queue instead of a topic.
-  void publish_to_queue(jms::Message message, SendCallback on_sent = nullptr);
 
   /// Publish to a topic. Headers (JMSMessageID, JMSTimestamp) are stamped
   /// here, as the JMS provider does on send.
@@ -161,7 +152,6 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
 
   std::string subscribed_topic_;
   std::string subscribed_selector_;
-  bool subscribed_is_queue_ = false;
   bool has_subscription_ = false;
   jms::AcknowledgeMode ack_mode_ = jms::AcknowledgeMode::kAutoAcknowledge;
   DeliveryListener listener_;

@@ -112,10 +112,4 @@ void Dbn::request_peer_backfill() {
   for (auto& broker : brokers_) broker->request_peer_backfill();
 }
 
-std::int64_t Dbn::retained_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& broker : brokers_) total += broker->retained_bytes();
-  return total;
-}
-
 }  // namespace gridmon::narada

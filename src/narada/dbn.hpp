@@ -57,8 +57,6 @@ class Dbn {
   /// Replication repair: every broker asks its peers to replay the retained
   /// frames it is missing. Call after a partition heals.
   void request_peer_backfill();
-  /// Bytes currently held in retention across the whole network.
-  [[nodiscard]] std::int64_t retained_bytes() const;
 
  private:
   cluster::Hydra& hydra_;

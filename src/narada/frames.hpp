@@ -44,13 +44,10 @@ struct Frame {
   int origin_broker = -1;           ///< kForward: broker the event entered at
   int final_broker = -1;            ///< kForward: routed destination broker
   net::Endpoint reply_to;           ///< kSubscribe over UDP: delivery address
-  /// JMS destination kind: topics fan out to every matching subscriber,
-  /// queues (PTP) deliver each message to exactly one receiver.
-  bool is_queue = false;
   /// Sender-side message aggregation (the RMM technique from the paper's
   /// related work, §IV): several publishes to the same destination carried
   /// in one wire frame. Non-empty only for aggregated kPublish frames.
-  std::vector<jms::MessagePtr> batch;
+  std::vector<jms::MessagePtr> batch{};
   // Backfill replication fields (all zero/empty unless the run enabled
   // replay, so replay-off frames — and their wire sizes — are unchanged).
   /// Per-(topic, origin) retention sequence stamped by the origin broker.
@@ -61,7 +58,7 @@ struct Frame {
   /// True when the frame was served from retention, not the live stream.
   bool backfill = false;
   /// kBackfillRequest / kBackfillReply cursor list.
-  std::vector<BackfillCursor> cursors;
+  std::vector<BackfillCursor> cursors{};
 };
 
 using FramePtr = std::shared_ptr<const Frame>;

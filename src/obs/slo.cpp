@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
-#include <stdexcept>
 
 namespace gridmon::obs {
 
@@ -62,63 +60,6 @@ SloSpec& SloSpec::max_loss_after_recovery_pct(double pct) {
   objectives.push_back({SloObjective::Kind::kLossAfterRecoveryPct,
                         SloScope::kWholeRun, pct});
   return *this;
-}
-
-std::string SloSpec::serialise() const {
-  std::string out;
-  char line[96];
-  for (const SloObjective& objective : objectives) {
-    std::snprintf(line, sizeof line, "%s %s %.17g\n",
-                  std::string(to_string(objective.kind)).c_str(),
-                  std::string(to_string(objective.scope)).c_str(),
-                  objective.bound);
-    out += line;
-  }
-  return out;
-}
-
-SloSpec SloSpec::parse(std::string_view text) {
-  SloSpec spec;
-  std::istringstream lines{std::string(text)};
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream fields(line);
-    std::string kind_word;
-    if (!(fields >> kind_word)) continue;  // blank line
-    std::string scope_word;
-    double bound = 0.0;
-    if (!(fields >> scope_word >> bound)) {
-      throw std::invalid_argument("SloSpec::parse: malformed line: " + line);
-    }
-    SloObjective objective;
-    if (kind_word == "loss_pct") {
-      objective.kind = SloObjective::Kind::kLossPct;
-    } else if (kind_word == "deadline_miss_pct") {
-      objective.kind = SloObjective::Kind::kDeadlineMissPct;
-    } else if (kind_word == "ttr_ms") {
-      objective.kind = SloObjective::Kind::kTtrMs;
-    } else if (kind_word == "availability_pct") {
-      objective.kind = SloObjective::Kind::kAvailabilityPct;
-    } else if (kind_word == "loss_after_recovery_pct") {
-      objective.kind = SloObjective::Kind::kLossAfterRecoveryPct;
-    } else {
-      throw std::invalid_argument("SloSpec::parse: unknown kind: " +
-                                  kind_word);
-    }
-    if (scope_word == "whole") {
-      objective.scope = SloScope::kWholeRun;
-    } else if (scope_word == "steady") {
-      objective.scope = SloScope::kSteady;
-    } else if (scope_word == "windows") {
-      objective.scope = SloScope::kFaultWindows;
-    } else {
-      throw std::invalid_argument("SloSpec::parse: unknown scope: " +
-                                  scope_word);
-    }
-    objective.bound = bound;
-    spec.objectives.push_back(objective);
-  }
-  return spec;
 }
 
 namespace {

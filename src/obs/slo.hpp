@@ -18,10 +18,6 @@
 // deliveries by window); a narrower requested scope is recorded but the
 // measurement is whole-run. TTR objectives are per-window by nature.
 //
-// Specs serialise to the same line-oriented text format FaultPlan uses
-// ("<kind> <scope> <bound>\n"), so scenario SLOs can live in files and
-// round-trip losslessly.
-//
 // Layering: this header sees only plain numbers (SloInput), never
 // core::Results — core depends on obs, not the other way around.
 #pragma once
@@ -71,12 +67,6 @@ struct SloSpec {
   /// its chance: fault-attributed losses as a percentage of sent. Replay
   /// scenarios gate on this going to ~0.
   SloSpec& max_loss_after_recovery_pct(double pct);
-
-  /// One "<kind> <scope> <bound>" line per objective.
-  [[nodiscard]] std::string serialise() const;
-  /// Inverse of serialise(); throws std::invalid_argument on malformed
-  /// input. Blank lines and leading/trailing spaces are tolerated.
-  [[nodiscard]] static SloSpec parse(std::string_view text);
 };
 
 /// The numbers an evaluation consumes — a plain-data mirror of the

@@ -2,7 +2,7 @@
 
 #include "obs/memprof.hpp"
 #include "obs/recorder.hpp"
-#include "rgma/sql_eval.hpp"
+#include "rgma/sql_compile.hpp"
 #include "rgma/sql_parser.hpp"
 #include "util/log.hpp"
 

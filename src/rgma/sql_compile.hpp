@@ -1,6 +1,6 @@
 // Predicate compiler: lowers a parsed WHERE Expr into a flat program.
 //
-// The interpreter in sql_eval.cpp re-walks the shared_ptr AST — a visit
+// An AST interpreter re-walks the shared_ptr AST — a visit
 // dispatch, a by-name column lookup and an SqlValue variant round-trip per
 // node — for every tuple. A continuous query evaluates its predicate tens
 // of thousands of times against the same TableDef, so the AST walk is pure
@@ -10,7 +10,8 @@
 // constant subtrees fold at compile time, and evaluation becomes a tight
 // postfix loop over a tagged-scalar stack.
 //
-// Semantics contract: evaluate() returns exactly what evaluate_predicate()
+// Semantics contract: evaluate() returns exactly what the AST interpreter
+// evaluate_predicate() (the test oracle in tests/oracles/sql_eval.hpp)
 // returns for every (expr, table, row) — including NULL/UNKNOWN
 // propagation, type-mismatch rules, division by zero, and unknown or
 // out-of-range columns. AND/OR short-circuit through relative skip ops on
@@ -28,9 +29,31 @@
 
 #include "rgma/schema.hpp"
 #include "rgma/sql_ast.hpp"
-#include "rgma/sql_eval.hpp"
 
 namespace gridmon::rgma::sql {
+
+/// SQL three-valued logic: only a TRUE predicate selects a row.
+enum class Tri { kFalse, kTrue, kUnknown };
+
+[[nodiscard]] constexpr Tri tri_not(Tri t) {
+  if (t == Tri::kTrue) return Tri::kFalse;
+  if (t == Tri::kFalse) return Tri::kTrue;
+  return Tri::kUnknown;
+}
+[[nodiscard]] constexpr Tri tri_and(Tri a, Tri b) {
+  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
+  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
+  return Tri::kTrue;
+}
+[[nodiscard]] constexpr Tri tri_or(Tri a, Tri b) {
+  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
+  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
+  return Tri::kFalse;
+}
+
+/// SQL LIKE match with % and _ (no escape support in the R-GMA subset).
+[[nodiscard]] bool sql_like(const std::string& text,
+                            const std::string& pattern);
 
 class CompiledPredicate {
  public:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 namespace gridmon::util {
 
@@ -83,53 +81,6 @@ double SampleSet::fraction_below(double threshold) const {
   const auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
   return static_cast<double>(it - samples_.begin()) /
          static_cast<double>(samples_.size());
-}
-
-LogHistogram::LogHistogram(double lo, double hi, double growth) {
-  double upper = lo;
-  while (upper < hi) {
-    uppers_.push_back(upper);
-    upper *= growth;
-  }
-  uppers_.push_back(hi);
-  // +1 bucket for overflow.
-  counts_.assign(uppers_.size() + 1, 0);
-}
-
-void LogHistogram::add(double x) {
-  ++total_;
-  const auto it = std::lower_bound(uppers_.begin(), uppers_.end(), x);
-  counts_[static_cast<std::size_t>(it - uppers_.begin())]++;
-}
-
-double LogHistogram::bucket_upper(std::size_t i) const {
-  if (i < uppers_.size()) return uppers_[i];
-  return std::numeric_limits<double>::infinity();
-}
-
-std::string LogHistogram::render(int width) const {
-  std::ostringstream out;
-  std::size_t peak = 0;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  if (peak == 0) peak = 1;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double upper = bucket_upper(i);
-    out << "<= ";
-    if (std::isinf(upper)) {
-      out << "inf      ";
-    } else {
-      out.setf(std::ios::fixed);
-      out.precision(3);
-      out.width(9);
-      out << upper;
-    }
-    out << " | ";
-    const int bar = static_cast<int>(static_cast<double>(counts_[i]) /
-                                     static_cast<double>(peak) * width);
-    for (int b = 0; b < bar; ++b) out << '#';
-    out << ' ' << counts_[i] << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace gridmon::util

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace gridmon::util {
@@ -63,28 +62,6 @@ class SampleSet {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-boundary histogram with logarithmically spaced buckets, used for
-/// latency distributions in reports.
-class LogHistogram {
- public:
-  /// Buckets: [0, lo), [lo, lo*growth), ... up to hi, plus overflow.
-  LogHistogram(double lo, double hi, double growth = 2.0);
-
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return total_; }
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t bucket_value(std::size_t i) const { return counts_[i]; }
-  /// Inclusive upper bound of bucket i (infinity for the overflow bucket).
-  [[nodiscard]] double bucket_upper(std::size_t i) const;
-
-  [[nodiscard]] std::string render(int width = 40) const;
-
- private:
-  std::vector<double> uppers_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace gridmon::util

@@ -14,16 +14,6 @@ TextTable& TextTable::add_row(std::vector<std::string> cells) {
   return *this;
 }
 
-TextTable& TextTable::add_numeric_row(const std::string& label,
-                                      const std::vector<double>& values,
-                                      int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(format(v, precision));
-  return add_row(std::move(cells));
-}
-
 std::string TextTable::format(double value, int precision) {
   std::ostringstream out;
   out.setf(std::ios::fixed);

@@ -1,5 +1,5 @@
-// ASCII table / CSV emitters used by the benchmark harness to print the
-// paper's tables and figure series.
+// ASCII table / CSV emitters used by gridmon_cli to print the paper's
+// tables and figure series.
 #pragma once
 
 #include <cstddef>
@@ -8,18 +8,13 @@
 
 namespace gridmon::util {
 
-/// Column-aligned text table. Cells are strings; numeric helpers format with
-/// a fixed precision so bench output is stable across runs.
+/// Column-aligned text table. Cells are strings; format() renders numbers
+/// with a fixed precision so output is stable across runs.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> headers);
 
   TextTable& add_row(std::vector<std::string> cells);
-
-  /// Append a row built from doubles (formatted with `precision` decimals).
-  TextTable& add_numeric_row(const std::string& label,
-                             const std::vector<double>& values,
-                             int precision = 2);
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   [[nodiscard]] std::string render() const;

@@ -37,66 +37,38 @@ TEST(FaultPlan, BuildersChainAndRecordFields) {
   EXPECT_FALSE(plan.empty());
 }
 
-TEST(FaultPlan, SerialiseParseRoundTrip) {
-  FaultPlan plan;
-  plan.nic_down(units::seconds(5), 3, units::seconds(2))
-      .loss_burst(units::seconds(1), 0.3, units::seconds(4),
-                  FaultAnchor::kRunStart)
-      .link_loss(units::seconds(2), 0, 4, 0.5, units::seconds(1))
-      .dbn_partition(units::seconds(6), units::seconds(7))
-      .broker_crash(units::seconds(9), 1, units::seconds(10))
-      .registry_restart(units::seconds(60), units::seconds(120))
-      .producer_servlet_restart(units::seconds(15), 0, units::seconds(10))
-      .consumer_servlet_restart(units::seconds(45), -1, units::seconds(10))
-      .registry_half_open(units::seconds(50), units::seconds(30))
-      .registry_expiry(units::seconds(3));
-  const std::string text = plan.serialise();
-  const FaultPlan parsed = FaultPlan::parse(text);
-  ASSERT_EQ(parsed.events.size(), plan.events.size());
-  // Re-serialising the parsed plan must reproduce the text byte-for-byte.
-  EXPECT_EQ(parsed.serialise(), text);
-  EXPECT_EQ(parsed.events[5].anchor, FaultAnchor::kRunStart);
-  EXPECT_EQ(parsed.events[7].target, -1);
-  EXPECT_EQ(parsed.events[8].kind, FaultKind::kRegistryHalfOpen);
-  EXPECT_EQ(parsed.events[8].duration, units::seconds(30));
-}
-
-TEST(FaultPlan, ParseRejectsMalformedInput) {
-  EXPECT_THROW((void)FaultPlan::parse("nic_down steady 5"),
-               std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse("warp_core steady 1 2 3 4 0.5"),
-               std::invalid_argument);
-  EXPECT_THROW((void)FaultPlan::parse("nic_down sideways 1 2 3 4 0.5"),
-               std::invalid_argument);
-  EXPECT_TRUE(FaultPlan::parse("").empty());
-}
-
 // Bad fault input is an error at setup on every backend and worker count:
-// FaultPlan::parse rejects impossible numbers, and the harness rejects
-// targets its topology does not have. Before, an out-of-range broker
-// segfaulted in Broker::crash() and a missing servlet counted a fault that
-// never fired.
+// FaultPlan::check_targets rejects impossible numbers and targets the
+// topology does not have. Before, an out-of-range broker segfaulted in
+// Broker::crash(), a missing servlet counted a fault that never fired, and
+// only text plans were range-checked.
 TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
+  constexpr FaultAnchor kSteady = FaultAnchor::kSteady;
   struct Case {
     const char* backend;
-    const char* plan;
+    FaultEvent event;  // at, kind, anchor, target, target2, duration, param
   };
   const Case cases[] = {
-      {"narada", "broker_crash steady 1000 5000 3 -1 0"},  // one broker
-      {"narada", "nic_down steady 1000 5000 8 -1 0"},      // nodes 0-7
-      {"mqtt", "broker_crash steady 1000 5000 1 -1 0"},
-      {"mqtt", "link_loss steady 1000 5000 1 -1 0.5"},
-      {"rgma", "producer_servlet_restart steady 1000 5000 7 -1 0"},
-      {"rgma", "consumer_servlet_restart steady 1000 5000 -1 -1 0"},
-      {"rgma", "broker_crash steady 1000 5000 0 -1 0"},     // no brokers
-      {"narada", "broker_crash steady -5000 -1 -9 -1 0"},   // duration < 0
-      {"rgma", "registry_restart start -1000 5000 -1 -1 0"},  // before t=0
-      {"mqtt", "loss_burst steady 1000 5000 -1 -1 1.5"},    // not in [0, 1]
-      {"mqtt", "loss_burst steady 1000 5000 -1 -1 -0.1"},
+      {"narada", {1000, FaultKind::kBrokerCrash, kSteady, 3, -1, 5000, 0}},
+      {"narada", {1000, FaultKind::kNicDown, kSteady, 8, -1, 5000, 0}},
+      {"mqtt", {1000, FaultKind::kBrokerCrash, kSteady, 1, -1, 5000, 0}},
+      {"mqtt", {1000, FaultKind::kLinkLoss, kSteady, 1, -1, 5000, 0.5}},
+      {"rgma",
+       {1000, FaultKind::kProducerServletRestart, kSteady, 7, -1, 5000, 0}},
+      {"rgma",
+       {1000, FaultKind::kConsumerServletRestart, kSteady, -1, -1, 5000, 0}},
+      {"rgma", {1000, FaultKind::kBrokerCrash, kSteady, 0, -1, 5000, 0}},
+      // The target is valid: only the negative duration is wrong.
+      {"narada", {-5000, FaultKind::kBrokerCrash, kSteady, 0, -1, -1, 0}},
+      {"rgma",
+       {-1000, FaultKind::kRegistryRestart, FaultAnchor::kRunStart, -1, -1,
+        5000, 0}},  // before t=0
+      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, -1, 5000, 1.5}},
+      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, -1, 5000, -0.1}},
   };
   auto spec = [](const Case& c) {
-    const FaultPlan faults = FaultPlan::parse(c.plan);
-    ScenarioSpec spec{c.plan, "bad fault", NaradaConfig{}};
+    const FaultPlan faults{{c.event}};
+    ScenarioSpec spec{faults.serialise(), "bad fault", NaradaConfig{}};
     if (std::string(c.backend) == "narada") {
       NaradaConfig config = scenarios::narada_single(20);
       config.faults = faults;
@@ -121,11 +93,12 @@ TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
         CampaignRunner runner(options);
         runner.add(spec(c));
         (void)runner.run();
-        ADD_FAILURE() << "accepted " << c.plan << " at jobs=" << jobs;
+        ADD_FAILURE() << "accepted " << FaultPlan{{c.event}}.serialise()
+                      << " at jobs=" << jobs;
       } catch (const std::invalid_argument& error) {
         // The error names the event.
-        const std::string kind(c.plan, std::string_view(c.plan).find(' '));
-        EXPECT_NE(std::string(error.what()).find(kind), std::string::npos)
+        EXPECT_NE(std::string(error.what()).find(to_string(c.event.kind)),
+                  std::string::npos)
             << error.what();
       }
     }

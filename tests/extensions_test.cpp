@@ -1,5 +1,5 @@
-// Tests for the extension features: JMS PTP queues, R-GMA one-time
-// (latest/history) queries, and failure injection.
+// Tests for the extension features: Narada message aggregation, R-GMA
+// one-time (latest/history) queries, and failure injection.
 #include <gtest/gtest.h>
 
 #include "cluster/hydra.hpp"
@@ -31,95 +31,6 @@ struct ExtensionFixture : ::testing::Test {
                                         narada::TransportKind::kTcp);
   }
 };
-
-// --- JMS PTP queues ---
-
-TEST_F(ExtensionFixture, QueueDeliversEachMessageToExactlyOneReceiver) {
-  auto dbn = start_broker();
-  std::vector<int> counts(3, 0);
-  std::vector<std::shared_ptr<narada::NaradaClient>> receivers;
-  for (int i = 0; i < 3; ++i) {
-    auto receiver = client(1, static_cast<std::uint16_t>(9100 + i),
-                           dbn->broker_endpoint(0));
-    receiver->connect([&, receiver, i](bool) {
-      receiver->receive_from_queue(
-          "jobs", "", jms::AcknowledgeMode::kAutoAcknowledge,
-          [&counts, i](const jms::MessagePtr&, SimTime) { ++counts[i]; });
-    });
-    receivers.push_back(std::move(receiver));
-  }
-  auto sender = client(2, 9001, dbn->broker_endpoint(0));
-  sender->connect([&](bool) {
-    for (int i = 0; i < 9; ++i) {
-      sender->publish_to_queue(jms::make_text_message("jobs", "job"));
-    }
-  });
-  hydra.sim().run_until(units::seconds(10));
-  // Every message delivered exactly once, spread round-robin.
-  EXPECT_EQ(counts[0] + counts[1] + counts[2], 9);
-  EXPECT_EQ(counts[0], 3);
-  EXPECT_EQ(counts[1], 3);
-  EXPECT_EQ(counts[2], 3);
-  EXPECT_EQ(dbn->broker(0).stats().events_delivered, 9u);
-}
-
-TEST_F(ExtensionFixture, QueueAndTopicNamespacesAreSeparate) {
-  auto dbn = start_broker();
-  int topic_got = 0;
-  int queue_got = 0;
-  auto topic_sub = client(1, 9000, dbn->broker_endpoint(0));
-  topic_sub->connect([&](bool) {
-    topic_sub->subscribe("dest", "", jms::AcknowledgeMode::kAutoAcknowledge,
-                         [&](const jms::MessagePtr&, SimTime) { ++topic_got; });
-  });
-  auto queue_recv = client(1, 9002, dbn->broker_endpoint(0));
-  queue_recv->connect([&](bool) {
-    queue_recv->receive_from_queue(
-        "dest", "", jms::AcknowledgeMode::kAutoAcknowledge,
-        [&](const jms::MessagePtr&, SimTime) { ++queue_got; });
-  });
-  auto pub = client(2, 9001, dbn->broker_endpoint(0));
-  pub->connect([&](bool) {
-    pub->publish(jms::make_text_message("dest", "t"));        // topic
-    pub->publish_to_queue(jms::make_text_message("dest", "q"));  // queue
-  });
-  hydra.sim().run_until(units::seconds(10));
-  EXPECT_EQ(topic_got, 1);
-  EXPECT_EQ(queue_got, 1);
-}
-
-TEST_F(ExtensionFixture, QueueWithoutReceiversDropsMessages) {
-  auto dbn = start_broker();
-  auto pub = client(2, 9001, dbn->broker_endpoint(0));
-  pub->connect([&](bool) {
-    pub->publish_to_queue(jms::make_text_message("empty", "x"));
-  });
-  hydra.sim().run_until(units::seconds(5));
-  EXPECT_EQ(dbn->broker(0).stats().events_delivered, 0u);
-}
-
-TEST_F(ExtensionFixture, QueueSelectorsStillApply) {
-  auto dbn = start_broker();
-  int got = 0;
-  auto receiver = client(1, 9000, dbn->broker_endpoint(0));
-  receiver->connect([&](bool) {
-    receiver->receive_from_queue("jobs", "priority > 5",
-                                 jms::AcknowledgeMode::kAutoAcknowledge,
-                                 [&](const jms::MessagePtr&, SimTime) {
-                                   ++got;
-                                 });
-  });
-  auto sender = client(2, 9001, dbn->broker_endpoint(0));
-  sender->connect([&](bool) {
-    for (int p = 0; p < 10; ++p) {
-      jms::Message msg = jms::make_text_message("jobs", "x");
-      msg.set_property("priority", static_cast<std::int32_t>(p));
-      sender->publish_to_queue(std::move(msg));
-    }
-  });
-  hydra.sim().run_until(units::seconds(10));
-  EXPECT_EQ(got, 4);  // priorities 6..9
-}
 
 // --- aggregation timer flush ---
 

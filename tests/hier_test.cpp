@@ -1,7 +1,7 @@
-// The hierarchical aggregation tier: TopologySpec round-trips and expands
-// deterministically, the flyweight fleet is a pure function of the seed,
-// edges and the root agree on per-sample accounting, and an OOM-refused
-// regional subtree counts every descendant generator as refused.
+// The hierarchical aggregation tier: TopologySpec expands deterministically,
+// the flyweight fleet is a pure function of the seed, edges and the root
+// agree on per-sample accounting, and an OOM-refused regional subtree
+// counts every descendant generator as refused.
 #include "hier/aggregator.hpp"
 
 #include <bit>
@@ -27,33 +27,6 @@ TopologySpec small_spec() {
   spec.edge.fan_in = 20;
   spec.regional.fan_in = 5;
   return spec;
-}
-
-TEST(TopologySpecTest, SerialiseRoundTrips) {
-  TopologySpec spec = small_spec();
-  spec.sample_period = units::seconds(5);
-  spec.sample_bytes = 64;
-  spec.edge.link.latency = units::milliseconds(3);
-  spec.edge.link.jitter = units::milliseconds(2);
-  spec.edge.link.loss = 0.05;
-  spec.edge.reduce = Reduce::kSum;
-  spec.edge.window = units::seconds(2);
-  spec.regional.reduce = Reduce::kLast;
-
-  const std::string text = spec.serialise();
-  const TopologySpec parsed = TopologySpec::parse(text);
-  // Field-order-stable text form: re-serialising reproduces it exactly.
-  EXPECT_EQ(parsed.serialise(), text);
-  EXPECT_EQ(parsed.generators, spec.generators);
-  EXPECT_EQ(parsed.sample_period, spec.sample_period);
-  EXPECT_EQ(parsed.edge.link.loss, spec.edge.link.loss);
-  EXPECT_EQ(parsed.edge.reduce, Reduce::kSum);
-  EXPECT_EQ(parsed.regional.reduce, Reduce::kLast);
-}
-
-TEST(TopologySpecTest, ParseRejectsMalformedInput) {
-  EXPECT_THROW((void)TopologySpec::parse("nonsense 1"), std::invalid_argument);
-  EXPECT_THROW((void)parse_reduce("median"), std::invalid_argument);
 }
 
 TEST(TopologySpecTest, ExpandIsDeterministicAndCoversEveryGenerator) {
@@ -390,8 +363,9 @@ TEST_P(RangeWalkTest, CloseWindowFoldsTheSampleWalk) {
         std::int64_t expected_generated = 0;
         const EdgeFrame expected =
             fold_samples(tree_, edge, w, expected_generated);
-        SCOPED_TRACE(testing::Message() << to_string(reduce) << " edge "
-                                        << edge << " window " << w);
+        SCOPED_TRACE(testing::Message()
+                     << "reduce " << static_cast<int>(reduce) << " edge "
+                     << edge << " window " << w);
         EXPECT_EQ(generated, expected_generated);
         EXPECT_EQ(frame.edge, edge);
         EXPECT_EQ(frame.window, w);

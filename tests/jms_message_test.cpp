@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "jms/destination.hpp"
 #include "jms/value.hpp"
 #include "util/rng.hpp"
 
@@ -238,16 +237,6 @@ TEST(Message, CopyOfASharedMessageIsMeasuredAfresh) {
   Message moved = std::move(copy);
   moved.map_set("b", std::int32_t{2});
   EXPECT_EQ(moved.wire_size(), before + 21 + 1 + 2 + 4);
-}
-
-TEST(Destination, Helpers) {
-  const Destination t = topic("a/b");
-  EXPECT_EQ(t.kind, DestinationKind::kTopic);
-  EXPECT_EQ(t.name, "a/b");
-  const Destination q = queue("jobs");
-  EXPECT_EQ(q.kind, DestinationKind::kQueue);
-  EXPECT_NE(t, q);
-  EXPECT_EQ(t, topic("a/b"));
 }
 
 }  // namespace

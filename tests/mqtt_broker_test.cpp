@@ -1,5 +1,5 @@
-// The MQTT broker model: QoS state machines, retained messages, last
-// wills, keep-alive expiry, and persistent-session resumption.
+// The MQTT broker model: QoS state machines, keep-alive expiry, and
+// persistent-session resumption.
 #include "mqtt/broker.hpp"
 
 #include <gtest/gtest.h>
@@ -53,7 +53,7 @@ TEST_F(MqttFixture, Qos0PublishSubscribeRoundTrip) {
     ASSERT_TRUE(ok);
     for (int i = 0; i < 5; ++i) {
       pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/0,
-                   /*retain=*/false, "m" + std::to_string(i));
+                   "m" + std::to_string(i));
     }
   });
   hydra.sim().run_until(units::seconds(10));
@@ -89,7 +89,7 @@ TEST_F(MqttFixture, Qos1RedeliversAcrossSubscriberNicFlap) {
       hydra.sim().schedule_at(
           units::seconds(2) + units::milliseconds(100) * i, [this, &pub, i] {
             pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                         /*retain=*/false, "m" + std::to_string(i));
+                         "m" + std::to_string(i));
           });
     }
   });
@@ -136,7 +136,7 @@ TEST_F(MqttFixture, Qos2DeliversExactlyOnceUnderDuplicatePublish) {
     // to come back — dropping the NIC 120 us after the send lets the
     // PUBLISH through and eats the PUBREC.
     pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/2,
-                 /*retain=*/false, "m0", [this](SimTime after) {
+                 "m0", [this](SimTime after) {
                    hydra.sim().schedule_at(
                        after + units::microseconds(120),
                        [this] { hydra.lan().set_node_down(2, true); });
@@ -153,70 +153,21 @@ TEST_F(MqttFixture, Qos2DeliversExactlyOnceUnderDuplicatePublish) {
   EXPECT_EQ(broker->stats().publishes_delivered, 1u);
 }
 
-TEST_F(MqttFixture, RetainedMessageReplayedToLateSubscriber) {
+TEST_F(MqttFixture, KeepAliveExpiryDropsSilentSession) {
+  // A client that goes silent past 1.5x its keep-alive is expired, and its
+  // clean session is erased.
   auto broker = start_broker();
-  auto pub = make_client(2, 9001, {.client_id = "pub"});
-  pub->connect([&](bool ok) {
-    ASSERT_TRUE(ok);
-    pub->publish("powergrid/feeder1/gen0", 64, /*qos=*/0, /*retain=*/true,
-                 "state");
-  });
-  hydra.sim().run_until(units::seconds(5));
-  EXPECT_EQ(broker->retained_count(), 1);
-
-  // A subscriber arriving after the fact still gets the retained state.
-  auto late = make_client(1, 9000, {.client_id = "late"});
-  std::vector<std::string> received;
-  late->connect([&](bool ok) {
-    ASSERT_TRUE(ok);
-    late->subscribe("powergrid/+/gen0", 0,
-                    [&](const PacketPtr& packet, SimTime) {
-                      received.push_back(packet->message_id);
-                    });
-  });
-  hydra.sim().run_until(units::seconds(10));
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received.front(), "state");
-  EXPECT_EQ(broker->stats().retained_replayed, 1u);
-
-  // A zero-byte retained publish clears the slot: the next subscriber
-  // sees nothing.
-  pub->publish("powergrid/feeder1/gen0", 0, /*qos=*/0, /*retain=*/true,
-               "clear");
-  hydra.sim().run_until(units::seconds(15));
-  EXPECT_EQ(broker->retained_count(), 0);
-}
-
-TEST_F(MqttFixture, KeepAliveExpiryPublishesLastWill) {
-  // A client that goes silent past 1.5x its keep-alive is expired and its
-  // last will goes out to matching subscribers.
-  auto broker = start_broker();
-  auto sub = make_client(1, 9000, {.client_id = "sub"});
-  auto pub = make_client(2, 9001,
-                         {.client_id = "pub",
-                          .keep_alive = units::seconds(2),
-                          .will_topic = "powergrid/status/gen0",
-                          .will_bytes = 24});
-
-  std::vector<std::string> topics;
-  sub->connect([&](bool ok) {
-    ASSERT_TRUE(ok);
-    sub->subscribe("powergrid/status/+", 0,
-                   [&](const PacketPtr& packet, SimTime) {
-                     topics.push_back(packet->topic);
-                   });
-  });
+  auto pub = make_client(
+      2, 9001, {.client_id = "pub", .keep_alive = units::seconds(2)});
   pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
-  // Yank the publisher's cable for good: pings stop, the broker expires
-  // the session at ~3 s of silence and publishes the will.
+  // Yank the publisher's cable for good: pings stop and the broker expires
+  // the session at ~3 s of silence.
   hydra.sim().schedule_at(units::seconds(2),
                           [this] { hydra.lan().set_node_down(2, true); });
   hydra.sim().run_until(units::seconds(30));
 
-  ASSERT_EQ(topics.size(), 1u);
-  EXPECT_EQ(topics.front(), "powergrid/status/gen0");
   EXPECT_EQ(broker->stats().sessions_expired, 1u);
-  EXPECT_EQ(broker->stats().wills_published, 1u);
+  EXPECT_EQ(broker->session_count(), 0);
 }
 
 TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
@@ -248,8 +199,7 @@ TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
     hydra.sim().schedule_at(units::seconds(2) + units::seconds(1) * i,
                             [&pub, i] {
                               pub->publish("powergrid/feeder1/gen0", 128,
-                                           /*qos=*/1, /*retain=*/false,
-                                           "m" + std::to_string(i));
+                                           /*qos=*/1, "m" + std::to_string(i));
                             });
   }
   // A 5 s outage: long enough for the broker to expire the connection
@@ -312,7 +262,7 @@ TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
     hydra.sim().schedule_at(
         units::seconds(8) + units::milliseconds(500) * i, [&pub, i] {
           pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                       /*retain=*/false, "m" + std::to_string(i));
+                       "m" + std::to_string(i));
         });
   }
   hydra.sim().schedule_at(units::seconds(16),
@@ -352,8 +302,7 @@ TEST_F(MqttFixture, BrokerCrashLosesStateAndClientsRecover) {
   hydra.sim().schedule_at(units::seconds(15), [&pub] {
     pub->connect([&pub](bool ok) {
       ASSERT_TRUE(ok);
-      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                   /*retain=*/false, "after-crash");
+      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1, "after-crash");
     });
   });
   hydra.sim().run_until(units::seconds(60));
@@ -385,8 +334,7 @@ TEST_F(MqttFixture, OverlappingFiltersDeliverOnceAtBestGrant) {
   pub->connect([&](bool ok) {
     ASSERT_TRUE(ok);
     hydra.sim().schedule_at(units::seconds(2), [&pub] {
-      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                   /*retain=*/false, "m0");
+      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1, "m0");
     });
   });
   hydra.sim().run_until(units::seconds(10));

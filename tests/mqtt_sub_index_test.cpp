@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mqtt/topic.hpp"
+#include "oracles/mqtt_topic.hpp"
 #include "obs/memprof.hpp"
 
 namespace gridmon::mqtt {

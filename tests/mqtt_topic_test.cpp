@@ -1,5 +1,5 @@
 // MQTT topic filters: wildcard matching and filter validation edge cases.
-#include "mqtt/topic.hpp"
+#include "oracles/mqtt_topic.hpp"
 
 #include <gtest/gtest.h>
 

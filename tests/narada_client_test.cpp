@@ -1,6 +1,6 @@
 // Client-link behaviours not covered by the broker tests: UDP registration
-// and delivery, pre-ready backlog queueing, refusal reporting, aggregation
-// edge cases, and queue publishing over UDP.
+// and delivery, pre-ready backlog queueing, refusal reporting and
+// aggregation edge cases.
 #include "narada/client.hpp"
 
 #include <gtest/gtest.h>
@@ -98,45 +98,6 @@ TEST_F(ClientFixture, AggregationDisabledBySizeOne) {
   hydra.sim().run_until(units::seconds(5));
   // One wire event per message when aggregation is off.
   EXPECT_EQ(dbn->broker(0).stats().events_received, 1u);
-}
-
-TEST_F(ClientFixture, QueueOverUdpRoundRobins) {
-  auto dbn = start_broker(TransportKind::kUdp);
-  int a = 0;
-  int b = 0;
-  auto recv_a = NaradaClient::create(hydra.host(1), hydra.lan(),
-                                     hydra.streams(), dbn->broker_endpoint(0),
-                                     net::Endpoint{1, 9000},
-                                     TransportKind::kUdp);
-  auto recv_b = NaradaClient::create(hydra.host(1), hydra.lan(),
-                                     hydra.streams(), dbn->broker_endpoint(0),
-                                     net::Endpoint{1, 9002},
-                                     TransportKind::kUdp);
-  recv_a->connect([&](bool) {
-    recv_a->receive_from_queue("jobs", "",
-                               jms::AcknowledgeMode::kAutoAcknowledge,
-                               [&](const jms::MessagePtr&, SimTime) { ++a; });
-  });
-  recv_b->connect([&](bool) {
-    recv_b->receive_from_queue("jobs", "",
-                               jms::AcknowledgeMode::kAutoAcknowledge,
-                               [&](const jms::MessagePtr&, SimTime) { ++b; });
-  });
-  auto sender = NaradaClient::create(hydra.host(2), hydra.lan(),
-                                     hydra.streams(), dbn->broker_endpoint(0),
-                                     net::Endpoint{2, 9001},
-                                     TransportKind::kUdp);
-  sender->connect([&](bool) {
-    hydra.sim().schedule_after(units::seconds(1), [&] {
-      for (int i = 0; i < 6; ++i) {
-        sender->publish_to_queue(jms::make_text_message("jobs", "x"));
-      }
-    });
-  });
-  hydra.sim().run_until(units::seconds(10));
-  EXPECT_EQ(a + b, 6);
-  EXPECT_EQ(a, 3);
-  EXPECT_EQ(b, 3);
 }
 
 TEST_F(ClientFixture, SequentialMessageIdsPerClient) {

@@ -1,4 +1,4 @@
-#include "mqtt/topic.hpp"
+#include "oracles/mqtt_topic.hpp"
 
 namespace gridmon::mqtt {
 

@@ -1,4 +1,4 @@
-#include "rgma/sql_eval.hpp"
+#include "oracles/sql_eval.hpp"
 
 namespace gridmon::rgma::sql {
 namespace {
@@ -208,35 +208,6 @@ class Evaluator {
 };
 
 }  // namespace
-
-bool sql_like(const std::string& text, const std::string& pattern) {
-  const std::size_t tn = text.size();
-  const std::size_t pn = pattern.size();
-  std::size_t ti = 0;
-  std::size_t pi = 0;
-  std::size_t star_pi = std::string::npos;
-  std::size_t star_ti = 0;
-  while (ti < tn) {
-    if (pi < pn && pattern[pi] == '%') {
-      star_pi = pi++;
-      star_ti = ti;
-      continue;
-    }
-    if (pi < pn && (pattern[pi] == '_' || pattern[pi] == text[ti])) {
-      ++pi;
-      ++ti;
-      continue;
-    }
-    if (star_pi != std::string::npos) {
-      pi = star_pi + 1;
-      ti = ++star_ti;
-      continue;
-    }
-    return false;
-  }
-  while (pi < pn && pattern[pi] == '%') ++pi;
-  return pi == pn;
-}
 
 Tri evaluate_predicate(const Expr& expr, const TableDef& table,
                        const std::vector<SqlValue>& row) {

@@ -1,8 +1,7 @@
-// SLO engine: spec round-trips, burn-rate evaluation semantics, scope
+// SLO engine: spec builders, burn-rate evaluation semantics, scope
 // handling, and the determinism contract for the campaign SLO columns.
 #include "obs/slo.hpp"
 
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,34 +28,6 @@ TEST(SloSpec, FluentBuildersAccumulate) {
   EXPECT_EQ(spec.objectives[0].scope, SloScope::kWholeRun);
   EXPECT_EQ(spec.objectives[1].scope, SloScope::kSteady);
   EXPECT_EQ(spec.objectives[4].kind, SloObjective::Kind::kAvailabilityPct);
-}
-
-TEST(SloSpec, SerialiseParseRoundTrip) {
-  SloSpec spec;
-  spec.max_loss_pct(2.5, SloScope::kFaultWindows)
-      .max_ttr_ms(12345.678)
-      .min_availability_pct(99.95);
-  const std::string text = spec.serialise();
-  const SloSpec parsed = SloSpec::parse(text);
-  ASSERT_EQ(parsed.objectives.size(), spec.objectives.size());
-  for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
-    EXPECT_EQ(parsed.objectives[i].kind, spec.objectives[i].kind);
-    EXPECT_EQ(parsed.objectives[i].scope, spec.objectives[i].scope);
-    EXPECT_DOUBLE_EQ(parsed.objectives[i].bound, spec.objectives[i].bound);
-  }
-  // Round-trip is a fixed point at one serialisation.
-  EXPECT_EQ(parsed.serialise(), text);
-}
-
-TEST(SloSpec, ParseToleratesBlankLinesAndRejectsGarbage) {
-  const SloSpec spec = SloSpec::parse("\nloss_pct whole 5\n\nttr_ms whole 1e4\n");
-  ASSERT_EQ(spec.objectives.size(), 2u);
-  EXPECT_THROW((void)SloSpec::parse("loss_pct whole"), std::invalid_argument);
-  EXPECT_THROW((void)SloSpec::parse("bogus whole 5"), std::invalid_argument);
-  EXPECT_THROW((void)SloSpec::parse("loss_pct sideways 5"),
-               std::invalid_argument);
-  EXPECT_THROW((void)SloSpec::parse("loss_pct whole five"),
-               std::invalid_argument);
 }
 
 SloInput steady_input() {

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rgma/sql_eval.hpp"
+#include "oracles/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
 
 namespace gridmon::rgma::sql {

@@ -159,31 +159,5 @@ TEST(SampleSet, QuantileAfterAddingMoreSamples) {
   EXPECT_DOUBLE_EQ(set.quantile(1.0), 10.0);
 }
 
-TEST(LogHistogram, BucketsAndOverflow) {
-  LogHistogram hist(1.0, 8.0);  // uppers: 1, 2, 4, 8, +overflow
-  EXPECT_EQ(hist.bucket_count(), 5u);
-  hist.add(0.5);   // <= 1
-  hist.add(1.5);   // <= 2
-  hist.add(3.0);   // <= 4
-  hist.add(8.0);   // <= 8 (inclusive upper)
-  hist.add(100.0); // overflow
-  EXPECT_EQ(hist.count(), 5u);
-  EXPECT_EQ(hist.bucket_value(0), 1u);
-  EXPECT_EQ(hist.bucket_value(1), 1u);
-  EXPECT_EQ(hist.bucket_value(2), 1u);
-  EXPECT_EQ(hist.bucket_value(3), 1u);
-  EXPECT_EQ(hist.bucket_value(4), 1u);
-  EXPECT_TRUE(std::isinf(hist.bucket_upper(4)));
-}
-
-TEST(LogHistogram, RenderContainsCounts) {
-  LogHistogram hist(1.0, 4.0);
-  hist.add(0.5);
-  hist.add(0.7);
-  const std::string out = hist.render();
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gridmon::util

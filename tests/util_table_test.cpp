@@ -43,14 +43,6 @@ TEST(TextTable, ColumnsAlign) {
   }
 }
 
-TEST(TextTable, NumericRowFormatting) {
-  TextTable table({"label", "v1", "v2"});
-  table.add_numeric_row("row", {1.23456, 7.0}, 2);
-  const std::string csv = table.render_csv();
-  EXPECT_NE(csv.find("1.23"), std::string::npos);
-  EXPECT_NE(csv.find("7.00"), std::string::npos);
-}
-
 TEST(TextTable, Format) {
   EXPECT_EQ(TextTable::format(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::format(3.14159, 0), "3");
