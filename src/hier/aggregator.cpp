@@ -10,7 +10,7 @@ namespace {
 
 /// Model bytes one buffered EdgeFrame costs the regional tier.
 [[nodiscard]] std::int64_t pending_cost(const EdgeFrame&) {
-  return static_cast<std::int64_t>(sizeof(EdgeFrame));
+  return kEdgeFrameBytes;
 }
 
 }  // namespace

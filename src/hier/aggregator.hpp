@@ -42,6 +42,13 @@ namespace gridmon::hier {
 constexpr std::int64_t kFrameHeaderBytes = 32;
 constexpr std::int64_t kAggRecordBytes = 24;
 
+/// Bytes the model-memory profile (obs/memprof) charges the regional tier
+/// per buffered EdgeFrame. A fixed number rather than sizeof, so the memory
+/// figures do not follow host struct layout; it is the x86-64 GCC 12 size
+/// of EdgeFrame when the figure was pinned (the fleet's own charge,
+/// kFleetStateBytes, is pinned the same way).
+constexpr std::int64_t kEdgeFrameBytes = 48;
+
 /// Shared immutable run shape: one instance per experiment, referenced by
 /// every edge and regional (the flyweight's intrinsic state).
 struct TreeConfig {

@@ -24,6 +24,12 @@
 
 namespace gridmon::hier {
 
+/// Bytes the model-memory profile (obs/memprof) charges for the whole
+/// fleet. A fixed number rather than sizeof, so the memory figures do not
+/// follow host struct layout; it is the x86-64 GCC 12 size of FleetState
+/// when the figure was pinned.
+constexpr std::int64_t kFleetStateBytes = 56;
+
 class FleetState {
  public:
   /// `spec` must pass TopologySpec::expand(), except that an out-of-range
@@ -77,9 +83,7 @@ class FleetState {
 
   /// Model bytes the fleet holds (mirrored into mem_hier by the owner):
   /// this object, whatever the generator count.
-  [[nodiscard]] std::int64_t bytes() const {
-    return static_cast<std::int64_t>(sizeof(FleetState));
-  }
+  [[nodiscard]] std::int64_t bytes() const { return kFleetStateBytes; }
 
  private:
   [[nodiscard]] static std::uint64_t hash(std::uint64_t salt,
