@@ -6,15 +6,6 @@
 
 namespace gridmon::hier {
 
-namespace {
-
-/// Model bytes one buffered EdgeFrame costs the regional tier.
-[[nodiscard]] std::int64_t pending_cost(const EdgeFrame&) {
-  return kEdgeFrameBytes;
-}
-
-}  // namespace
-
 SimTime EdgeAggregator::close_time(std::int64_t window) const {
   // The edge waits out the generator→edge hop (so the window's last
   // samples have arrived), then ships the frame over its edge→regional
@@ -33,50 +24,39 @@ EdgeFrame EdgeAggregator::close_window(std::int64_t window,
   frame.window = window;
   generated = 0;
 
-  // Samples come in send-time order (see the accounting contract): the
-  // first collected one is the oldest and the last collected the latest.
-  double sum = 0.0;
-  double last = 0.0;
+  // Ranges come in send-time order (see the accounting contract), so the
+  // first collected sample is the oldest. A lossless link collects a whole
+  // range at once; a lossy one draws each sample's loss.
   const FleetState& fleet = *config_.fleet;
-  const Reduce reduce = config_.spec.edge.reduce;
   config_.for_each_range(edge_, window, [&](std::int64_t k, SimTime start,
                                             FleetState::Range range) {
     generated += range.end - range.begin;
-    for (std::int64_t g = range.begin; g < range.end; ++g) {
-      if (fleet.sample_lost(g, k)) continue;
-      if (frame.collected++ == 0) {
-        frame.oldest_send = config_.epoch + start + fleet.phase(g);
+    std::int64_t first = range.begin;  // the first collected generator
+    std::int64_t collected = range.end - range.begin;
+    if (fleet.lossy()) {
+      collected = 0;
+      for (std::int64_t g = range.begin; g < range.end; ++g) {
+        if (fleet.sample_lost(g, k)) continue;
+        if (collected++ == 0) first = g;
       }
-      if (reduce == Reduce::kRaw) continue;
-      last = fleet.value(g, k);
-      sum += last;
     }
+    if (collected == 0) return;
+    if (frame.collected == 0) {
+      frame.oldest_send = config_.epoch + start + fleet.phase(first);
+    }
+    frame.collected += collected;
   });
 
   if (frame.collected == 0) return frame;
-  switch (reduce) {
-    case Reduce::kRaw:
-      frame.bytes =
-          kFrameHeaderBytes + frame.collected * config_.spec.sample_bytes;
-      break;
-    case Reduce::kSum:
-      frame.aggregate = sum;
-      frame.bytes = kFrameHeaderBytes + kAggRecordBytes;
-      break;
-    case Reduce::kMean:
-      frame.aggregate = sum / static_cast<double>(frame.collected);
-      frame.bytes = kFrameHeaderBytes + kAggRecordBytes;
-      break;
-    case Reduce::kLast:
-      frame.aggregate = last;
-      frame.bytes = kFrameHeaderBytes + kAggRecordBytes;
-      break;
-  }
+  frame.bytes = kFrameHeaderBytes +
+                (config_.spec.edge.reduce == Reduce::kRaw
+                     ? frame.collected * config_.spec.sample_bytes
+                     : kAggRecordBytes);
   return frame;
 }
 
 void RegionalAggregator::deliver(EdgeFrame frame) {
-  obs::mem_add(obs::MemCategory::kHier, pending_cost(frame));
+  obs::mem_add(obs::MemCategory::kHier, kEdgeFrameBytes);
   pending_.push_back(std::move(frame));
 }
 
@@ -84,9 +64,8 @@ void RegionalAggregator::flush() {
   if (pending_.empty()) return;
   std::vector<EdgeFrame> batch;
   batch.swap(pending_);
-  std::int64_t freed = 0;
-  for (const EdgeFrame& frame : batch) freed += pending_cost(frame);
-  obs::mem_sub(obs::MemCategory::kHier, freed);
+  obs::mem_sub(obs::MemCategory::kHier,
+               static_cast<std::int64_t>(batch.size()) * kEdgeFrameBytes);
 
   if (config_.spec.regional.reduce == Reduce::kRaw) {
     // Pure broker tier: re-publish each edge frame as its own upstream

@@ -1,10 +1,10 @@
 // Edge and regional aggregators: the middle tiers of the hierarchy.
 //
 // An EdgeAggregator terminates one group of generator links on a simulated
-// host. It never stores per-sample state: when a window closes it
-// *synthesises* its generators' samples from the shared FleetState (times,
-// values and per-sample loss draws are all pure functions of the seed),
-// reduces them per the tier policy, and emits one EdgeFrame. A
+// host. It never stores per-sample state: when a window closes it counts
+// its generators' samples from the shared FleetState (send times and
+// per-sample loss draws are pure functions of the seed), sizes the frame
+// per the tier policy, and emits one EdgeFrame. A
 // RegionalAggregator buffers the frames of its child edges and flushes
 // them upstream on its own window — either re-publishing each child frame
 // (raw pass-through: a pure broker tree) or folding them into one
@@ -24,8 +24,10 @@
 // the generator index, and each (period, range) pair for_each_range()
 // yields lies in a later period than the one before. So a window's
 // samples come out in send-time order, and the edge takes its oldest
-// sample from the first collected generator and its latest from the last,
-// with one phase() call per window rather than one per sample.
+// sample from the first collected generator, with one phase() call per
+// window rather than one per sample. On a lossless link every sample of a
+// range is collected, so a window costs one step per period it overlaps;
+// a lossy link draws each sample's loss.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +114,6 @@ struct EdgeFrame {
   std::int64_t collected = 0;  ///< samples that survived the generator link
   std::int64_t bytes = 0;      ///< modelled wire size of this frame
   SimTime oldest_send = 0;     ///< earliest collected sample's send time
-  double aggregate = 0.0;      ///< reduced value (kRaw: 0)
 };
 
 class EdgeAggregator {
@@ -125,7 +126,7 @@ class EdgeAggregator {
   /// plus the edge→regional hop with this edge's deterministic spread.
   [[nodiscard]] SimTime close_time(std::int64_t window) const;
 
-  /// Synthesise and reduce window `w`. `generated` returns the number of
+  /// Count window `w` into one frame. `generated` returns the number of
   /// samples the generators emitted (collected + lost) for sent-side
   /// accounting. A window nobody sampled in yields collected == 0 and the
   /// caller drops the frame.

@@ -9,7 +9,6 @@ FleetState::FleetState(const TopologySpec& spec, std::uint64_t seed)
       generators_(spec.generators),
       fan_in_(spec.edge.fan_in),
       phase_salt_(seed ^ 0x6A09E667F3BCC909ULL),
-      value_salt_(seed ^ 0xBB67AE8584CAA73BULL),
       loss_salt_(seed ^ 0xA24BAED4963EE407ULL) {
   // expand() validates loss < 1, but this constructor can see an
   // unvalidated spec, and casting a double >= 2^64 is UB — clamp.

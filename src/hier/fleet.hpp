@@ -3,12 +3,13 @@
 //
 // A flat scenario holds one middleware client object (~KBs of model state
 // plus simulated broker-side threads) per generator — the 2 GB heap caps
-// that at ~4000. Here a generator holds no bytes at all: its phase and its
-// value seed are hashed from (seed, generator), and everything else about
-// it (its sample times, values, per-sample loss draws) is *recomputed* from
-// (seed, generator, sample index) on demand — the edge computes it when a
-// window closes, and the root recomputes the identical values when a late
-// frame arrives, so no per-sample state is ever stored or shipped.
+// that at ~4000. Here a generator holds no bytes at all: its phase is
+// hashed from (seed, generator), and everything else about it (its sample
+// times and per-sample loss draws) is *recomputed* from (seed, generator,
+// sample index) on demand — the edge computes it when a window closes, and
+// the root recomputes the identical draws when a late frame arrives, so no
+// per-sample state is ever stored or shipped. Samples carry no reading:
+// the tier's delays and traffic do not depend on one, so none is modelled.
 //
 // Phase layout: generator j of an edge with n generators samples at a
 // hashed offset inside the j-th of n equal slots of the sample period. An
@@ -33,7 +34,7 @@ constexpr std::int64_t kFleetStateBytes = 56;
 class FleetState {
  public:
   /// `spec` must pass TopologySpec::expand(), except that an out-of-range
-  /// loss probability is clamped. `seed` drives the phase, value and loss
+  /// loss probability is clamped. `seed` drives the phase and loss
   /// hashes (splitmix over seed and generator — no sequential RNG, so
   /// construction is O(1) with no draw-order coupling).
   FleetState(const TopologySpec& spec, std::uint64_t seed);
@@ -62,27 +63,22 @@ class FleetState {
             first + first_phased_at(first, to)};
   }
 
-  /// The reading generator `g` publishes as sample `k` (k counts the
-  /// generator's samples from the epoch). Pure function.
-  [[nodiscard]] double value(std::int64_t g, std::int64_t k) const {
-    std::uint64_t s = hash(value_salt_, g) +
-                      static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ULL;
-    return static_cast<double>(util::splitmix64(s) >> 11) * 0x1.0p-53 * 100.0;
-  }
+  /// Whether the generator→edge link loses any samples at all.
+  [[nodiscard]] bool lossy() const { return loss_threshold_ != 0; }
 
   /// Whether sample `k` of generator `g` is lost on the generator→edge
   /// link. Deterministic Bernoulli(edge.link.loss) — the edge skips lost
-  /// samples when aggregating and the root skips the same ones when
+  /// samples when counting and the root skips the same ones when
   /// accounting, so the two sides agree without any shared state.
   [[nodiscard]] bool sample_lost(std::int64_t g, std::int64_t k) const {
-    if (loss_threshold_ == 0) return false;
+    if (!lossy()) return false;
     std::uint64_t s = loss_salt_ ^ (static_cast<std::uint64_t>(g) * 0x100000001B3ULL +
                                     static_cast<std::uint64_t>(k));
     return util::splitmix64(s) < loss_threshold_;
   }
 
   /// Model bytes the fleet holds (mirrored into mem_hier by the owner):
-  /// this object, whatever the generator count.
+  /// one fixed charge for this object, whatever the generator count.
   [[nodiscard]] std::int64_t bytes() const { return kFleetStateBytes; }
 
  private:
@@ -115,7 +111,6 @@ class FleetState {
   std::int64_t generators_;
   std::int64_t fan_in_;
   std::uint64_t phase_salt_;
-  std::uint64_t value_salt_;
   std::uint64_t loss_salt_;
   std::uint64_t loss_threshold_;  ///< loss probability scaled to 2^64
 };

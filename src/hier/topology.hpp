@@ -20,9 +20,8 @@ namespace gridmon::hier {
 /// How an aggregator folds the samples collected in one window.
 enum class Reduce {
   kRaw,   ///< pass-through: forward every sample record (broker tree)
-  kSum,   ///< one aggregate record per window: sum of sample values
-  kMean,  ///< one aggregate record per window: mean of sample values
-  kLast,  ///< one aggregate record per window: latest sample value
+  kMean,  ///< one aggregate record per window: the model charges one
+          ///< fixed-size record and computes no value
 };
 
 /// The link children of a tier use to reach their parent. Jitter is a

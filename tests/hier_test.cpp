@@ -4,17 +4,18 @@
 // counts every descendant generator as refused.
 #include "hier/aggregator.hpp"
 
-#include <bit>
 #include <limits>
 #include <map>
 #include <set>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/hier_experiment.hpp"
+#include "core/registry.hpp"
 #include "hier/fleet.hpp"
 #include "hier/topology.hpp"
 
@@ -109,7 +110,6 @@ TEST(FleetStateTest, PureFunctionOfSeed) {
   bool any_differs = false;
   for (std::int64_t g = 0; g < a.generators(); ++g) {
     EXPECT_EQ(a.phase(g), b.phase(g));
-    EXPECT_EQ(a.value(g, 7), b.value(g, 7));
     EXPECT_GE(a.phase(g), 0);
     EXPECT_LT(a.phase(g), spec.sample_period);
     any_differs |= a.phase(g) != c.phase(g);
@@ -298,8 +298,8 @@ TEST_P(RangeWalkTest, MatchesBruteForceWalk) {
   EXPECT_EQ(lost_total > 0, GetParam().loss > 0.0);
 }
 
-// close_window assumes it: it takes a window's oldest and latest samples
-// from the ends of the range walk.
+// close_window assumes it: it takes a window's oldest sample from the
+// start of the range walk.
 TEST_P(RangeWalkTest, PhasesNeverDecreaseInsideAnEdge) {
   for (std::int64_t e = 0; e < tree_.shape.edges; ++e) {
     for (std::int64_t g = tree_.shape.generator_begin(e) + 1;
@@ -311,18 +311,14 @@ TEST_P(RangeWalkTest, PhasesNeverDecreaseInsideAnEdge) {
 }
 
 // The per-sample definition of an edge frame: the oldest send time is the
-// minimum, the latest sample is the one with the greatest send time (the
-// later one in walk order on a tie), and values fold in walk order.
+// minimum over the collected samples.
 EdgeFrame fold_samples(const TreeConfig& tree, std::int64_t edge,
                        std::int64_t window, std::int64_t& generated) {
   EdgeFrame frame;
   frame.edge = edge;
   frame.window = window;
   generated = 0;
-  double sum = 0.0;
-  double last = 0.0;
-  SimTime last_send = -1;
-  tree.for_each_sample(edge, window, [&](std::int64_t g, std::int64_t k,
+  tree.for_each_sample(edge, window, [&](std::int64_t, std::int64_t,
                                          SimTime send, bool lost) {
     ++generated;
     if (lost) return;
@@ -330,30 +326,17 @@ EdgeFrame fold_samples(const TreeConfig& tree, std::int64_t edge,
       frame.oldest_send = send;
     }
     ++frame.collected;
-    const double v = tree.fleet->value(g, k);
-    sum += v;
-    if (send >= last_send) {
-      last_send = send;
-      last = v;
-    }
   });
   if (frame.collected == 0) return frame;
-  const Reduce reduce = tree.spec.edge.reduce;
   frame.bytes = kFrameHeaderBytes +
-                (reduce == Reduce::kRaw
+                (tree.spec.edge.reduce == Reduce::kRaw
                      ? frame.collected * tree.spec.sample_bytes
                      : kAggRecordBytes);
-  frame.aggregate = reduce == Reduce::kSum    ? sum
-                    : reduce == Reduce::kMean
-                        ? sum / static_cast<double>(frame.collected)
-                    : reduce == Reduce::kLast ? last
-                                              : 0.0;
   return frame;
 }
 
 TEST_P(RangeWalkTest, CloseWindowFoldsTheSampleWalk) {
-  for (const Reduce reduce :
-       {Reduce::kRaw, Reduce::kSum, Reduce::kMean, Reduce::kLast}) {
+  for (const Reduce reduce : {Reduce::kRaw, Reduce::kMean}) {
     tree_.spec.edge.reduce = reduce;
     for (const std::int64_t edge : edges()) {
       const EdgeAggregator aggregator(tree_, edge);
@@ -372,8 +355,6 @@ TEST_P(RangeWalkTest, CloseWindowFoldsTheSampleWalk) {
         EXPECT_EQ(frame.collected, expected.collected);
         EXPECT_EQ(frame.oldest_send, expected.oldest_send);
         EXPECT_EQ(frame.bytes, expected.bytes);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(frame.aggregate),
-                  std::bit_cast<std::uint64_t>(expected.aggregate));
       }
     }
   }
@@ -394,8 +375,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
   // One edge window per sample period: every generator contributes exactly
-  // one sample per window, and the mean aggregate matches a manual fold
-  // over the same for_each_sample() walk the root uses.
+  // one sample per window, and the oldest send time matches the same
+  // for_each_sample() walk the root uses.
   TopologySpec spec = small_spec();
   spec.edge.reduce = Reduce::kMean;
   FleetState fleet(spec, 9);
@@ -413,17 +394,14 @@ TEST(AggregatorTest, EdgeWindowCollectsExactlyThePhasedSamples) {
     EXPECT_EQ(generated, spec.edge.fan_in);
     EXPECT_EQ(frame.collected, spec.edge.fan_in);  // lossless link
     EXPECT_EQ(frame.window, w);
-    double sum = 0.0;
     SimTime oldest = 0;
     bool first = true;
-    tree.for_each_sample(0, w, [&](std::int64_t g, std::int64_t k,
-                                   SimTime send, bool lost) {
+    tree.for_each_sample(0, w, [&](std::int64_t, std::int64_t, SimTime send,
+                                   bool lost) {
       EXPECT_FALSE(lost);
-      sum += fleet.value(g, k);
       if (first || send < oldest) oldest = send;
       first = false;
     });
-    EXPECT_DOUBLE_EQ(frame.aggregate, sum / static_cast<double>(generated));
     EXPECT_EQ(frame.oldest_send, oldest);
     // Reduced frame: header plus a single aggregate record.
     EXPECT_EQ(frame.bytes, kFrameHeaderBytes + kAggRecordBytes);
@@ -512,6 +490,31 @@ TEST(HierExperimentTest, FullFleetDeliversEverySample) {
   EXPECT_TRUE(results.completed);
   EXPECT_GT(results.metrics.sent(), 0u);
   EXPECT_EQ(results.metrics.sent(), results.metrics.received());
+}
+
+// Every hier preset balances its books in closed form. Each generator
+// sends one sample per 10 s period, so one virtual minute (30 two-second
+// edge windows) sends 6 per generator, and every one arrives on time.
+// hier/ablation/flat_10k is a flat Narada fleet, not a HierConfig.
+TEST(HierExperimentTest, EveryPresetDeliversSixSamplesPerGenerator) {
+  int presets = 0;
+  for (const core::ScenarioSpec& spec : core::builtin_registry().all()) {
+    const auto* config = std::get_if<core::HierConfig>(&spec.config);
+    if (config == nullptr) continue;
+    ++presets;
+    SCOPED_TRACE(spec.id);
+    ASSERT_EQ(config->topology.sample_period, units::seconds(10));
+    ASSERT_EQ(config->topology.edge.window, units::seconds(2));
+    const core::Results results =
+        core::run_scenario(spec, units::minutes(1), 1);
+    const auto expected =
+        static_cast<std::uint64_t>(6 * config->topology.generators);
+    EXPECT_EQ(results.metrics.sent(), expected);
+    EXPECT_EQ(results.metrics.received(), expected);
+    EXPECT_EQ(results.metrics.delivered_late(), 0u);
+    EXPECT_EQ(results.refused, 0u);
+  }
+  EXPECT_EQ(presets, 14);
 }
 
 // The root counts a frame's samples from its segments and re-walks only
