@@ -17,8 +17,8 @@ namespace gridmon::cluster {
 struct HydraConfig {
   int node_count = 8;
   std::uint64_t seed = 1;
-  net::LanConfig lan;  ///< node_count is overridden to match
-  HostConfig host;
+  net::LanConfig lan{};  ///< node_count is overridden to match
+  HostConfig host{};
 };
 
 class Hydra {

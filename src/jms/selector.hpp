@@ -18,33 +18,15 @@
 #include <string_view>
 
 #include "jms/message.hpp"
+#include "util/tri.hpp"
 
 namespace gridmon::jms {
 
 /// SQL three-valued logic.
-enum class Tri { kFalse, kTrue, kUnknown };
-
-[[nodiscard]] constexpr Tri tri_not(Tri t) {
-  switch (t) {
-    case Tri::kTrue:
-      return Tri::kFalse;
-    case Tri::kFalse:
-      return Tri::kTrue;
-    case Tri::kUnknown:
-      return Tri::kUnknown;
-  }
-  return Tri::kUnknown;
-}
-[[nodiscard]] constexpr Tri tri_and(Tri a, Tri b) {
-  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kTrue;
-}
-[[nodiscard]] constexpr Tri tri_or(Tri a, Tri b) {
-  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kFalse;
-}
+using util::Tri;
+using util::tri_and;
+using util::tri_not;
+using util::tri_or;
 
 class SelectorParseError : public std::runtime_error {
  public:

@@ -29,27 +29,15 @@
 
 #include "rgma/schema.hpp"
 #include "rgma/sql_ast.hpp"
+#include "util/tri.hpp"
 
 namespace gridmon::rgma::sql {
 
 /// SQL three-valued logic: only a TRUE predicate selects a row.
-enum class Tri { kFalse, kTrue, kUnknown };
-
-[[nodiscard]] constexpr Tri tri_not(Tri t) {
-  if (t == Tri::kTrue) return Tri::kFalse;
-  if (t == Tri::kFalse) return Tri::kTrue;
-  return Tri::kUnknown;
-}
-[[nodiscard]] constexpr Tri tri_and(Tri a, Tri b) {
-  if (a == Tri::kFalse || b == Tri::kFalse) return Tri::kFalse;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kTrue;
-}
-[[nodiscard]] constexpr Tri tri_or(Tri a, Tri b) {
-  if (a == Tri::kTrue || b == Tri::kTrue) return Tri::kTrue;
-  if (a == Tri::kUnknown || b == Tri::kUnknown) return Tri::kUnknown;
-  return Tri::kFalse;
-}
+using util::Tri;
+using util::tri_and;
+using util::tri_not;
+using util::tri_or;
 
 /// SQL LIKE match with % and _ (no escape support in the R-GMA subset).
 [[nodiscard]] bool sql_like(const std::string& text,

@@ -179,7 +179,9 @@ TEST(AblationScenarios, RunOnTheNaradaPortForAFixedWindow) {
       EXPECT_NEAR(metrics.prt_ms().mean() + metrics.pt_ms().mean() +
                       metrics.srt_ms().mean(),
                   metrics.rtt_mean_ms(), 1e-6);
-      if (webservices) EXPECT_LT(results.servers.cpu_idle_pct, 100.0);
+      if (webservices) {
+        EXPECT_LT(results.servers.cpu_idle_pct, 100.0);
+      }
     }
   }
 }
