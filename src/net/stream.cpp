@@ -17,13 +17,12 @@ StreamConnection::StreamConnection(Lan& lan, Endpoint client, Endpoint server)
   sides_[0].local = client;
   sides_[1].local = server;
   // Model-memory accounting: one live connection's host-side state.
-  obs::mem_add(obs::MemCategory::kNetConnections, sizeof(StreamConnection));
+  obs::mem_add(obs::MemCategory::kNetConnections, kStreamConnectionBytes);
 }
 
 StreamConnection::~StreamConnection() {
   if (open_) {
-    obs::mem_sub(obs::MemCategory::kNetConnections,
-                 sizeof(StreamConnection));
+    obs::mem_sub(obs::MemCategory::kNetConnections, kStreamConnectionBytes);
   }
 }
 
@@ -79,7 +78,7 @@ void StreamConnection::send(int from_side, std::int64_t bytes,
 void StreamConnection::close() {
   if (!open_) return;
   open_ = false;
-  obs::mem_sub(obs::MemCategory::kNetConnections, sizeof(StreamConnection));
+  obs::mem_sub(obs::MemCategory::kNetConnections, kStreamConnectionBytes);
   // FIN/FIN-ACK exchange, then notify both sides.
   auto self = shared_from_this();
   const SimTime fin = lan_.frame_transit(sides_[0].local.node,

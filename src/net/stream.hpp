@@ -25,6 +25,13 @@ namespace gridmon::net {
 class StreamConnection;
 using StreamConnectionPtr = std::shared_ptr<StreamConnection>;
 
+/// Bytes the model-memory profile (obs/memprof) charges per open
+/// StreamConnection (MemCategory::kNetConnections). A fixed number rather
+/// than sizeof, so the memory figures do not follow host struct layout; it
+/// is the x86-64 GCC 12 size of StreamConnection when the figure was
+/// pinned.
+constexpr std::int64_t kStreamConnectionBytes = 192;
+
 /// One end of an established connection.
 class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
  public:

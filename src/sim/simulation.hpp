@@ -101,10 +101,18 @@ struct KernelStats {
   std::uint64_t overflow_events = 0;
   /// Event-node slab chunks allocated (1024 nodes each).
   std::uint64_t slab_chunks = 0;
-  /// Bytes held by the event-node slab (chunks x nodes x node size) —
-  /// the kernel's share of the model memory footprint (obs/memprof).
+  /// Bytes charged for the event-node slab (chunks x nodes x
+  /// kSlabNodeBytes) — the kernel's share of the model memory footprint
+  /// (obs/memprof).
   std::uint64_t slab_bytes = 0;
 };
+
+/// Bytes the model-memory profile (obs/memprof) charges per event-node slab
+/// slot (KernelStats::slab_bytes). A fixed number rather than sizeof, so the
+/// memory figures do not follow the host layout of the kernel's node; it is
+/// the x86-64 GCC 12 size of Simulation's event node when the figure was
+/// pinned.
+constexpr std::uint64_t kSlabNodeBytes = 112;
 
 class Simulation {
  public:
@@ -170,7 +178,7 @@ class Simulation {
     stats.overflow_events = overflow_events_;
     stats.slab_chunks = chunks_.size();
     stats.slab_bytes = static_cast<std::uint64_t>(chunks_.size()) *
-                       (1ull << kChunkShift) * sizeof(EventNode);
+                       (1ull << kChunkShift) * kSlabNodeBytes;
     return stats;
   }
 
