@@ -12,10 +12,7 @@
 #include <cstdio>
 #include <string>
 
-#include <gtest/gtest.h>
-
-#include "core/campaign.hpp"
-#include "core/registry.hpp"
+#include "golden.hpp"
 
 namespace gridmon::core {
 namespace {
@@ -44,29 +41,14 @@ std::string canonical_row(const RunRecord& run) {
   return buffer;
 }
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t campaign_hash(const char* scenario_id, int jobs) {
-  CampaignOptions options;
-  options.jobs = jobs;
-  options.seeds = 2;
-  options.duration = units::minutes(1);
-  CampaignRunner runner(options);
-  EXPECT_TRUE(runner.add(builtin_registry(), scenario_id));
-  const Campaign campaign = runner.run();
+std::uint64_t canonical_hash(const char* scenario_id, int jobs) {
+  const Campaign campaign = golden::run({scenario_id}, jobs);
   std::string canon;
   for (const auto& run : campaign.runs()) {
     canon += canonical_row(run);
     canon += '\n';
   }
-  return fnv1a(canon);
+  return golden::fnv1a(canon);
 }
 
 // Recorded with the seed kernel (commit ffdedbd, std::priority_queue +
@@ -79,51 +61,32 @@ constexpr std::uint64_t kGoldenNarada = 5569179624596317302ULL;
 constexpr std::uint64_t kGoldenRgma = 1694523157429512404ULL;
 
 TEST(KernelDeterminism, NaradaGoldenHashJobs1) {
-  EXPECT_EQ(campaign_hash("narada/comparison/80", 1), kGoldenNarada);
+  EXPECT_EQ(canonical_hash("narada/comparison/80", 1), kGoldenNarada);
 }
 
 TEST(KernelDeterminism, NaradaGoldenHashJobs4) {
-  EXPECT_EQ(campaign_hash("narada/comparison/80", 4), kGoldenNarada);
+  EXPECT_EQ(canonical_hash("narada/comparison/80", 4), kGoldenNarada);
 }
 
 TEST(KernelDeterminism, RgmaGoldenHashJobs1) {
-  EXPECT_EQ(campaign_hash("rgma/single/100", 1), kGoldenRgma);
+  EXPECT_EQ(canonical_hash("rgma/single/100", 1), kGoldenRgma);
 }
 
 TEST(KernelDeterminism, RgmaGoldenHashJobs4) {
-  EXPECT_EQ(campaign_hash("rgma/single/100", 4), kGoldenRgma);
+  EXPECT_EQ(canonical_hash("rgma/single/100", 4), kGoldenRgma);
 }
 
 // Every Narada message shape the registry sends: the Triple pad, DBN
 // forwarding, UDP with CLIENT_ACKNOWLEDGE, persistent delivery, batched
 // aggregation and the SOAP-proxied envelope. The hash covers the full
 // Campaign::csv() (wire bytes included), so a change to how a JMS message
-// is stored or sized that moves any simulated number moves it. Recorded at
-// 1 virtual minute, seeds {1, 2}, jobs=1.
-constexpr const char* kNaradaShapeIds[] = {
-    "narada/comparison/triple", "narada/dbn/2000",
-    "narada/matrix/udp/client", "narada/persistent/800",
-    "ablation/aggregation/8",   "ablation/webservices/soap",
-};
-constexpr std::uint64_t kGoldenNaradaShapes = 18355615438106330772ULL;
-
-std::string shapes_csv(int jobs) {
-  CampaignOptions options;
-  options.jobs = jobs;
-  options.seeds = 2;
-  options.duration = units::minutes(1);
-  CampaignRunner runner(options);
-  for (const char* id : kNaradaShapeIds) {
-    EXPECT_TRUE(runner.add(builtin_registry(), id)) << id;
-  }
-  return runner.run().csv();
-}
-
+// is stored or sized that moves any simulated number moves it.
 TEST(KernelDeterminism, NaradaMessageShapes) {
-  const std::string serial = shapes_csv(1);
-  EXPECT_EQ(serial, shapes_csv(4));
-  EXPECT_EQ(fnv1a(serial), kGoldenNaradaShapes)
-      << "actual hash: " << fnv1a(serial);
+  const Campaign serial = golden::jobs_check(
+      {"narada/comparison/triple", "narada/dbn/2000",
+       "narada/matrix/udp/client", "narada/persistent/800",
+       "ablation/aggregation/8", "ablation/webservices/soap"});
+  EXPECT_EQ(golden::fnv1a(serial.csv()), 18355615438106330772ULL);
 }
 
 }  // namespace

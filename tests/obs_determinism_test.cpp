@@ -3,17 +3,13 @@
 // models and the span sampler is a hash of message identity (no RNG), so
 // every per-run series CSV and trace export is a pure function of
 // (scenario, duration, seed) — byte-identical whether the campaign runs
-// on one worker thread or four. The golden determinism gate of
-// ISSUE/DESIGN: `--jobs 1` vs `--jobs 4` series CSVs must match byte for
-// byte, chaos scenarios included.
+// on one worker thread or four: `--jobs 1` vs `--jobs 4` series CSVs must
+// match byte for byte, chaos scenarios included.
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include <gtest/gtest.h>
-
-#include "core/campaign.hpp"
-#include "core/registry.hpp"
+#include "golden.hpp"
 #include "obs/export.hpp"
 
 namespace gridmon::core {
@@ -25,82 +21,59 @@ namespace {
   if (!obs::kEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF"
 
 struct RunExports {
-  std::string label;
+  std::string label;  ///< "<scenario id>#<seed>"
   std::string series_csv;
   std::string trace_json;
 };
 
-std::vector<RunExports> campaign_exports(const char* prefix, int jobs) {
-  CampaignOptions options;
-  options.jobs = jobs;
-  options.seeds = 2;
-  options.duration = units::minutes(1);
-  options.obs.enabled = true;
-  options.obs.span_sample_every = 8;
-  CampaignRunner runner(options);
-  EXPECT_GT(runner.add_matching(builtin_registry(), prefix), 0);
-  const Campaign campaign = runner.run();
-
+std::vector<RunExports> exports(const Campaign& campaign) {
   std::vector<RunExports> out;
   for (const auto& record : campaign.runs()) {
-    RunExports exports;
-    exports.label =
-        record.scenario_id + "#" + std::to_string(record.seed);
+    RunExports run{record.scenario_id + "#" + std::to_string(record.seed),
+                   "", ""};
     if (record.results.obs) {
-      exports.series_csv = obs::series_csv(*record.results.obs);
-      exports.trace_json = obs::chrome_trace_json(*record.results.obs);
+      run.series_csv = obs::series_csv(*record.results.obs);
+      run.trace_json = obs::chrome_trace_json(*record.results.obs);
     }
-    out.push_back(std::move(exports));
+    out.push_back(std::move(run));
   }
   return out;
 }
 
-void expect_byte_identical(const char* prefix) {
-  const auto serial = campaign_exports(prefix, 1);
-  const auto parallel = campaign_exports(prefix, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].label, parallel[i].label);
-    EXPECT_FALSE(serial[i].series_csv.empty()) << serial[i].label;
-    EXPECT_EQ(serial[i].series_csv, parallel[i].series_csv)
-        << serial[i].label;
-    EXPECT_EQ(serial[i].trace_json, parallel[i].trace_json)
-        << serial[i].label;
+// Two campaigns of `entry` on different worker counts export the same
+// series and traces, run by run.
+void expect_same_exports(const char* entry, int jobs_a, int jobs_b) {
+  obs::Options traced;
+  traced.enabled = true;
+  traced.span_sample_every = 8;
+  const auto a = exports(golden::run({entry}, jobs_a, traced));
+  const auto b = exports(golden::run({entry}, jobs_b, traced));
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].label, b[i].label);
+    EXPECT_FALSE(a[i].series_csv.empty()) << a[i].label;
+    EXPECT_EQ(a[i].series_csv, b[i].series_csv) << a[i].label;
+    EXPECT_EQ(a[i].trace_json, b[i].trace_json) << a[i].label;
   }
 }
 
 TEST(ObsDeterminism, ChaosSeriesByteIdenticalAcrossJobs) {
   GRIDMON_REQUIRE_OBS();
-  expect_byte_identical("chaos/narada/broker_crash");
+  expect_same_exports("chaos/narada/broker_crash", 1, 4);
 }
 
 TEST(ObsDeterminism, SteadyStateSeriesByteIdenticalAcrossJobs) {
   GRIDMON_REQUIRE_OBS();
-  expect_byte_identical("narada/comparison/80");
+  expect_same_exports("narada/comparison/80", 1, 4);
   // The fixed-window Web-Services ablation runs on the scaffold too.
-  expect_byte_identical("ablation/webservices/");
+  expect_same_exports("ablation/webservices/", 1, 4);
 }
 
 TEST(ObsDeterminism, SameSeedSameSeriesAcrossCampaigns) {
   GRIDMON_REQUIRE_OBS();
   // Two independent campaigns at the same settings reproduce the exact
   // same exports (no hidden process-global state).
-  const auto first = campaign_exports("chaos/rgma/servlet_restart", 2);
-  const auto second = campaign_exports("chaos/rgma/servlet_restart", 3);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].series_csv, second[i].series_csv) << first[i].label;
-    EXPECT_EQ(first[i].trace_json, second[i].trace_json) << first[i].label;
-  }
-}
-
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  expect_same_exports("chaos/rgma/servlet_restart", 2, 3);
 }
 
 struct ExportGolden {
@@ -110,10 +83,9 @@ struct ExportGolden {
 };
 
 // One run per backend and harness shape (steady state, hier, chaos with
-// replay), with obs and memprof on, 1 virtual minute, seeds {1, 2}. The
-// hashes pin the whole export: gauge column order, every mem_* column,
-// the point the MemProfile was installed at, span marks and chaos tracks.
-// Rerecord only when the shift is understood and intended.
+// replay), with obs and memprof on. The hashes pin the whole export: gauge
+// column order, every mem_* column, the point the MemProfile was installed
+// at, span marks and chaos tracks.
 constexpr ExportGolden kExportGoldens[] = {
     {"narada/comparison/80#1", 5961224837063345680ULL,
      9271460134286950593ULL},
@@ -146,34 +118,22 @@ constexpr ExportGolden kExportGoldens[] = {
 
 TEST(ObsDeterminism, ExportsMatchGoldenHashes) {
   GRIDMON_REQUIRE_OBS();
-  CampaignOptions options;
-  options.jobs = 4;
-  options.seeds = 2;
-  options.duration = units::minutes(1);
-  options.obs.enabled = true;
-  options.obs.memprof = true;
-  CampaignRunner runner(options);
-  for (const char* id :
-       {"narada/comparison/80", "rgma/single/100", "mqtt/qos1/800",
-        "hier/narada/10k", "chaos/mqtt/flapping_link_replay/800",
-        "chaos/rgma/servlet_restart_replay"}) {
-    ASSERT_TRUE(runner.add(builtin_registry(), id)) << id;
-  }
-  const Campaign campaign = runner.run();
-  ASSERT_EQ(campaign.runs().size(), std::size(kExportGoldens));
-  for (std::size_t i = 0; i < campaign.runs().size(); ++i) {
-    const RunRecord& record = campaign.runs()[i];
-    const std::string label =
-        record.scenario_id + "#" + std::to_string(record.seed);
-    EXPECT_EQ(label, kExportGoldens[i].label);
-    ASSERT_TRUE(record.results.obs) << label;
-    const std::uint64_t series = fnv1a(obs::series_csv(*record.results.obs));
-    const std::uint64_t trace =
-        fnv1a(obs::chrome_trace_json(*record.results.obs));
-    EXPECT_EQ(series, kExportGoldens[i].series_csv)
-        << label << " series hash: " << series;
-    EXPECT_EQ(trace, kExportGoldens[i].trace_json)
-        << label << " trace hash: " << trace;
+  obs::Options memprof;
+  memprof.enabled = true;
+  memprof.memprof = true;
+  const auto runs = exports(golden::run(
+      {"narada/comparison/80", "rgma/single/100", "mqtt/qos1/800",
+       "hier/narada/10k", "chaos/mqtt/flapping_link_replay/800",
+       "chaos/rgma/servlet_restart_replay"},
+      4, memprof));
+  ASSERT_EQ(runs.size(), std::size(kExportGoldens));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].label, kExportGoldens[i].label);
+    ASSERT_FALSE(runs[i].series_csv.empty()) << runs[i].label;
+    EXPECT_EQ(golden::fnv1a(runs[i].series_csv), kExportGoldens[i].series_csv)
+        << runs[i].label << " series";
+    EXPECT_EQ(golden::fnv1a(runs[i].trace_json), kExportGoldens[i].trace_json)
+        << runs[i].label << " trace";
   }
 }
 

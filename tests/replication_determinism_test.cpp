@@ -3,67 +3,30 @@
 // recovery-only sibling, so the full CSV/JSON export — the new
 // loss_after_recovery_pct and backfill_bytes columns included — is
 // byte-identical whether the campaign runs on one worker thread or four.
-// Pinned with an FNV-1a golden hash over the whole replay family at
-// 1 virtual minute, seeds {1, 2}. The end-to-end contrasts pin the point
-// of the feature: replay closes the disconnection gap that recovery-only
-// leaves open, and the half-open registry fault is survivable only
-// because client requests now time out.
-#include <cstdint>
+// Pinned with an FNV-1a golden hash over the whole replay family. The
+// end-to-end contrasts pin the point of the feature: replay closes the
+// disconnection gap that recovery-only leaves open, and the half-open
+// registry fault is survivable only because client requests now time out.
 #include <string>
 
-#include <gtest/gtest.h>
-
-#include "core/campaign.hpp"
 #include "core/experiment.hpp"
-#include "core/registry.hpp"
 #include "core/scenarios.hpp"
+#include "golden.hpp"
 
 namespace gridmon::core {
 namespace {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-/// The whole replication family: one replay twin per backend, the two DBN
-/// fail-over/partition twins, the NIC-flap twin, and the half-open
-/// registry scenario that exercises the request time-outs.
-constexpr const char* kReplayScenarios[] = {
-    "chaos/narada/broker_crash_replay",  "chaos/narada/dbn_broker_crash_replay",
-    "chaos/narada/dbn_partition_replay", "chaos/narada/nic_flap_replay",
-    "chaos/mqtt/flapping_link_replay",   "chaos/rgma/servlet_restart_replay",
-    "chaos/rgma/registry_halfopen",
-};
-
-Campaign replay_campaign(int jobs) {
-  CampaignOptions options;
-  options.jobs = jobs;
-  options.seeds = 2;
-  options.duration = units::minutes(1);
-  CampaignRunner runner(options);
-  for (const char* id : kReplayScenarios) {
-    EXPECT_GT(runner.add_matching(builtin_registry(), id), 0) << id;
-  }
-  return runner.run();
-}
-
-// Golden hash recorded from the jobs=1 run at the settings above. If a
-// code change moves it, every replication metric moved with it — rerecord
-// only when the shift is understood and intended.
-constexpr std::uint64_t kGoldenReplayFamily = 9043882156356614861ULL;
-
+// The whole replication family: one replay twin per backend, the two DBN
+// fail-over/partition twins, the NIC-flap twin, and the half-open registry
+// scenario that exercises the request time-outs.
 TEST(ReplicationDeterminism, ReplayFamilyByteIdenticalAcrossJobs) {
-  const Campaign serial = replay_campaign(1);
-  const Campaign parallel = replay_campaign(4);
-  EXPECT_EQ(serial.csv(), parallel.csv());
-  EXPECT_EQ(serial.json(), parallel.json());
-  EXPECT_EQ(fnv1a(serial.csv()), kGoldenReplayFamily)
-      << "actual hash: " << fnv1a(serial.csv());
+  const Campaign serial = golden::jobs_check(
+      {"chaos/narada/broker_crash_replay",
+       "chaos/narada/dbn_broker_crash_replay",
+       "chaos/narada/dbn_partition_replay", "chaos/narada/nic_flap_replay",
+       "chaos/mqtt/flapping_link_replay", "chaos/rgma/servlet_restart_replay",
+       "chaos/rgma/registry_halfopen"});
+  EXPECT_EQ(golden::fnv1a(serial.csv()), 9043882156356614861ULL);
 
   // The new columns ride at the end of the schema, after `system`.
   EXPECT_NE(serial.csv().find(",system,loss_after_recovery_pct,backfill_bytes"),

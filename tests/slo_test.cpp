@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/campaign.hpp"
 #include "core/registry.hpp"
 #include "core/report.hpp"
+#include "golden.hpp"
 
 namespace gridmon::obs {
 namespace {
@@ -203,19 +203,8 @@ TEST(SloScenarios, ScenariosWithoutSpecStayUnevaluated) {
 // The slo_determinism ctest entry: SLO verdict columns are a pure function
 // of (scenario, duration, seed) and byte-identical across worker counts.
 TEST(SloDeterminism, SloColumnsByteIdenticalAcrossJobs) {
-  auto campaign_csv = [](int jobs) {
-    CampaignOptions options;
-    options.jobs = jobs;
-    options.seeds = 2;
-    options.duration = units::minutes(1);
-    CampaignRunner runner(options);
-    EXPECT_GT(runner.add_matching(builtin_registry(),
-                                  "chaos/narada/broker_crash"), 0);
-    return runner.run().csv();
-  };
-  const std::string serial = campaign_csv(1);
-  const std::string parallel = campaign_csv(4);
-  EXPECT_EQ(serial, parallel);
+  const std::string serial =
+      golden::jobs_check({"chaos/narada/broker_crash"}).csv();
   // The verdict columns carry real verdicts, not placeholders: both twins
   // are present, so both outcomes appear.
   EXPECT_NE(serial.find(",1,"), std::string::npos);
