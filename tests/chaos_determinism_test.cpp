@@ -3,11 +3,9 @@
 // campaign is a pure function of (scenario, duration, seed) and its full
 // CSV and JSON exports — availability columns included — are byte-identical
 // whether the campaign runs on one worker thread or four. These tests pin
-// that with an FNV-1a golden hash per scenario family (recovery +
+// that with a (model, kernel) golden pair per scenario family (recovery +
 // no-recovery baseline + the `_replay` backfill twin, which the prefix also
-// matches). (Last rerecord: the CSV grew the `generators` fleet-size column
-// for the hierarchical-tier PR; the pre-existing columns' values did not
-// change.)
+// matches).
 #include "golden.hpp"
 
 namespace gridmon::core {
@@ -15,12 +13,16 @@ namespace {
 
 TEST(ChaosDeterminism, BrokerCrashByteIdenticalAcrossJobs) {
   const Campaign serial = golden::jobs_check({"chaos/narada/broker_crash"});
-  EXPECT_EQ(golden::fnv1a(serial.csv()), 11632190684287921003ULL);
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{16710559656801894223ULL,
+                            4132096230754851259ULL}));
 }
 
 TEST(ChaosDeterminism, ServletRestartByteIdenticalAcrossJobs) {
   const Campaign serial = golden::jobs_check({"chaos/rgma/servlet_restart"});
-  EXPECT_EQ(golden::fnv1a(serial.csv()), 13983740680267815231ULL);
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{10493296542855874743ULL,
+                            7179942499874615729ULL}));
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
 // MQTT campaigns are a pure function of (scenario, duration, seed): the
 // full CSV and JSON exports — QoS ablations and chaos availability columns
 // alike — are byte-identical whether the campaign runs on one worker thread
-// or four. Pinned with FNV-1a golden hashes like the Narada/R-GMA chaos
-// goldens. (Last rerecord: the CSV grew the `generators` column, and the
-// subscription index now interns topic levels in a util::StringTable arena,
-// which shifts the mem_sub_index footprint inside peak_model_bytes; no
-// delivery metric changed.)
+// or four. Pinned with (model, kernel) golden pairs like the Narada/R-GMA
+// chaos goldens.
 #include "golden.hpp"
 
 namespace gridmon::core {
@@ -13,12 +10,16 @@ namespace {
 
 TEST(MqttDeterminism, QosAblationByteIdenticalAcrossJobs) {
   const Campaign serial = golden::jobs_check({"mqtt/qos"});
-  EXPECT_EQ(golden::fnv1a(serial.csv()), 134516294299804546ULL);
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{9933115367822186364ULL,
+                            14139268144074596081ULL}));
 }
 
 TEST(MqttDeterminism, ChaosBrokerCrashByteIdenticalAcrossJobs) {
   const Campaign serial = golden::jobs_check({"chaos/mqtt/broker_crash"});
-  EXPECT_EQ(golden::fnv1a(serial.csv()), 3640792209305520063ULL);
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{11914556125147465608ULL,
+                            4936279028429450008ULL}));
 }
 
 }  // namespace

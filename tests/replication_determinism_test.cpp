@@ -3,7 +3,7 @@
 // recovery-only sibling, so the full CSV/JSON export — the new
 // loss_after_recovery_pct and backfill_bytes columns included — is
 // byte-identical whether the campaign runs on one worker thread or four.
-// Pinned with an FNV-1a golden hash over the whole replay family. The
+// Pinned with a (model, kernel) golden pair over the whole replay family. The
 // end-to-end contrasts pin the point of the feature: replay closes the
 // disconnection gap that recovery-only leaves open, and the half-open
 // registry fault is survivable only because client requests now time out.
@@ -26,7 +26,9 @@ TEST(ReplicationDeterminism, ReplayFamilyByteIdenticalAcrossJobs) {
        "chaos/narada/dbn_partition_replay", "chaos/narada/nic_flap_replay",
        "chaos/mqtt/flapping_link_replay", "chaos/rgma/servlet_restart_replay",
        "chaos/rgma/registry_halfopen"});
-  EXPECT_EQ(golden::fnv1a(serial.csv()), 9043882156356614861ULL);
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{3981122919013946885ULL,
+                            2289870738516906165ULL}));
 
   // The new columns ride at the end of the schema, after `system`.
   EXPECT_NE(serial.csv().find(",system,loss_after_recovery_pct,backfill_bytes"),
