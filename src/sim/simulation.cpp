@@ -6,14 +6,6 @@
 
 namespace gridmon::sim {
 
-void EventHandle::cancel() {
-  if (state_) state_->cancelled = true;
-}
-
-bool EventHandle::pending() const {
-  return state_ && !state_->cancelled && !state_->fired;
-}
-
 Simulation::Simulation(std::uint64_t seed)
     : seed_(seed),
       root_rng_(seed),
@@ -43,7 +35,6 @@ void Simulation::recycle_node(std::uint32_t index) {
   EventNode& n = node(index);
   n.seq = 0;  // retire the generation: stale tokens become inert
   n.fn.reset();
-  n.state.reset();
   n.cancelled = false;
   free_nodes_.push_back(index);
 }
@@ -192,11 +183,10 @@ std::uint64_t Simulation::run_loop(SimTime until, bool advance_clock) {
     EventNode& n = node(index);
     --queue_size_;
     now_ = n.time;
-    if (n.cancelled || (n.state && n.state->cancelled)) {
+    if (n.cancelled) {
       recycle_node(index);
       continue;
     }
-    if (n.state) n.state->fired = true;
     // Retire the generation before invoking (stale tokens are inert while
     // the callback runs), then invoke in place: the node cannot be reused
     // mid-invoke because it is not on the free list yet, and slab chunks
@@ -217,24 +207,11 @@ void Simulation::cancel_event(std::uint32_t index, std::uint64_t seq) {
   EventNode& n = node(index);
   if (n.seq != seq) return;  // already fired or recycled
   n.cancelled = true;
-  if (n.state) n.state->cancelled = true;
 }
 
 bool Simulation::event_pending(std::uint32_t index, std::uint64_t seq) const {
   const EventNode& n = node(index);
-  return n.seq == seq && !n.cancelled && !(n.state && n.state->cancelled);
-}
-
-EventHandle Simulation::materialise_handle(std::uint32_t index,
-                                           std::uint64_t seq) {
-  EventNode& n = node(index);
-  if (n.seq != seq) return EventHandle{};  // fired: inert handle
-  if (!n.state) {
-    n.state = std::make_shared<EventHandle::State>();
-    n.state->cancelled = n.cancelled;
-    ++handles_materialised_;
-  }
-  return EventHandle(n.state);
+  return n.seq == seq && !n.cancelled;
 }
 
 PeriodicTimer::PeriodicTimer(Simulation& sim, SimTime first_at, SimTime period,

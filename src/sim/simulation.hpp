@@ -14,10 +14,9 @@
 // queue — a 4096-slot timer wheel of ~1 ms buckets with a binary-heap
 // overflow level for events beyond the ~4.3 s window — and event nodes are
 // recycled through a per-Simulation slab. Callbacks are EventFn (inline
-// captures up to 48 bytes), and cancellation handles are lazy: schedule_*
-// returns a free-to-discard ScheduledEvent token, and the shared control
-// block behind EventHandle is only allocated when a caller actually binds
-// one. A typical fire-and-forget event therefore allocates nothing.
+// captures up to 48 bytes), and schedule_* returns a free-to-discard
+// ScheduledEvent token that cancels by slab index and generation. A typical
+// fire-and-forget event therefore allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -35,46 +34,17 @@ namespace gridmon::sim {
 
 class Simulation;
 
-/// Handle to a scheduled event; allows cancellation. Default-constructed
-/// handles are inert. Handles are cheap to copy (shared control block).
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  /// Cancel the event if it has not fired yet. Idempotent.
-  void cancel();
-  [[nodiscard]] bool pending() const;
-
- private:
-  friend class Simulation;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit EventHandle(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
-  std::shared_ptr<State> state_;
-};
-
-/// Lightweight token returned by Simulation::schedule_*. Discarding it is
-/// free — no control block exists until handle() (or the implicit
-/// EventHandle conversion) materialises one. The token itself supports O(1)
-/// allocation-free cancel()/pending() and stays safe after the event fires:
-/// a generation check makes stale tokens inert.
+/// Lightweight token returned by Simulation::schedule_*: the kernel's one
+/// way to cancel an event. Discarding it is free, cancel()/pending() are
+/// O(1) and allocation-free, and it stays safe after the event fires: a
+/// generation check makes stale tokens inert.
 class ScheduledEvent {
  public:
   ScheduledEvent() = default;
 
-  /// Cancel without allocating (safe no-op once fired).
+  /// Cancel the event if it has not fired yet (safe no-op once fired).
   void cancel() const;
   [[nodiscard]] bool pending() const;
-
-  /// Materialise a copyable, shareable EventHandle (allocates the control
-  /// block on first use).
-  [[nodiscard]] EventHandle handle() const;
-  // NOLINTNEXTLINE(google-explicit-constructor): existing call sites bind
-  // schedule_*() results straight to EventHandle members.
-  operator EventHandle() const { return handle(); }
 
  private:
   friend class Simulation;
@@ -94,7 +64,9 @@ struct KernelStats {
   std::uint64_t peak_queue_depth = 0;
   /// EventFn spills: callbacks whose captures exceeded the inline buffer.
   std::uint64_t callback_heap_allocs = 0;
-  /// Lazy EventHandle control blocks actually materialised.
+  /// Shared cancellation handles materialised. ScheduledEvent is the
+  /// kernel's one way to cancel and allocates none, so this reads 0; the
+  /// campaign CSV (handle_allocs) and gridbench still report it.
   std::uint64_t handles_materialised = 0;
   /// Events scheduled beyond the level-1 wheel window (second-level wheel
   /// slot or, past its ~4.9 h span, the far binary heap).
@@ -174,7 +146,6 @@ class Simulation {
     stats.events_executed = executed_ - stat_discounted_;
     stats.peak_queue_depth = peak_queue_depth_;
     stats.callback_heap_allocs = callback_heap_allocs_;
-    stats.handles_materialised = handles_materialised_;
     stats.overflow_events = overflow_events_;
     stats.slab_chunks = chunks_.size();
     stats.slab_bytes = static_cast<std::uint64_t>(chunks_.size()) *
@@ -206,8 +177,6 @@ class Simulation {
     SimTime time = 0;
     std::uint64_t seq = 0;  ///< 0 = free/retired (generation check)
     EventFn fn;
-    /// Lazily materialised; empty for fire-and-forget events.
-    std::shared_ptr<EventHandle::State> state;
     bool cancelled = false;
   };
 
@@ -251,7 +220,6 @@ class Simulation {
   void cancel_event(std::uint32_t index, std::uint64_t seq);
   [[nodiscard]] bool event_pending(std::uint32_t index,
                                    std::uint64_t seq) const;
-  EventHandle materialise_handle(std::uint32_t index, std::uint64_t seq);
 
   SimTime now_ = 0;
   std::uint64_t seed_;
@@ -287,7 +255,6 @@ class Simulation {
   // Self-metrics.
   std::uint64_t peak_queue_depth_ = 0;
   std::uint64_t callback_heap_allocs_ = 0;
-  std::uint64_t handles_materialised_ = 0;
   std::uint64_t overflow_events_ = 0;
 };
 
@@ -297,11 +264,6 @@ inline void ScheduledEvent::cancel() const {
 
 inline bool ScheduledEvent::pending() const {
   return sim_ != nullptr && seq_ != 0 && sim_->event_pending(node_, seq_);
-}
-
-inline EventHandle ScheduledEvent::handle() const {
-  if (sim_ == nullptr || seq_ == 0) return EventHandle{};
-  return sim_->materialise_handle(node_, seq_);
 }
 
 /// Repeating timer: runs `fn` every `period` starting at `first_at`.

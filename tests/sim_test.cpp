@@ -93,28 +93,23 @@ TEST(Simulation, RunUntilAdvancesClockWhenQueueDrains) {
 TEST(Simulation, CancelPreventsExecution) {
   Simulation sim;
   bool fired = false;
-  EventHandle handle = sim.schedule_at(10, [&] { fired = true; });
-  EXPECT_TRUE(handle.pending());
-  handle.cancel();
-  EXPECT_FALSE(handle.pending());
+  const ScheduledEvent event = sim.schedule_at(10, [&] { fired = true; });
+  EXPECT_TRUE(event.pending());
+  event.cancel();
+  EXPECT_FALSE(event.pending());
   sim.run();
   EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.kernel_stats().events_executed, 0u);
 }
 
 TEST(Simulation, CancelAfterFiringIsHarmless) {
   Simulation sim;
   bool fired = false;
-  EventHandle handle = sim.schedule_at(10, [&] { fired = true; });
+  const ScheduledEvent event = sim.schedule_at(10, [&] { fired = true; });
   sim.run();
   EXPECT_TRUE(fired);
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();  // no effect, no crash
-}
-
-TEST(Simulation, DefaultHandleIsInert) {
-  EventHandle handle;
-  EXPECT_FALSE(handle.pending());
-  handle.cancel();
+  EXPECT_FALSE(event.pending());
+  event.cancel();  // no effect, no crash
 }
 
 TEST(Simulation, StopHaltsTheLoop) {
@@ -236,8 +231,6 @@ TEST(ScheduledEvent, DefaultTokenIsInert) {
   ScheduledEvent event;
   EXPECT_FALSE(event.pending());
   event.cancel();  // no crash
-  EventHandle handle = event.handle();
-  EXPECT_FALSE(handle.pending());
 }
 
 // The generation check: a token held past its event's firing must become
@@ -257,20 +250,6 @@ TEST(ScheduledEvent, StaleTokenCannotCancelARecycledNode) {
   EXPECT_TRUE(fresh.pending());
   sim.run_until(2);
   EXPECT_TRUE(second);
-}
-
-TEST(ScheduledEvent, HandleMaterialisesLazily) {
-  Simulation sim;
-  bool fired = false;
-  ScheduledEvent event = sim.schedule_at(10, [&] { fired = true; });
-  EXPECT_EQ(sim.kernel_stats().handles_materialised, 0u);
-  EventHandle handle = event;  // implicit conversion allocates the block
-  EXPECT_EQ(sim.kernel_stats().handles_materialised, 1u);
-  EXPECT_TRUE(handle.pending());
-  handle.cancel();
-  EXPECT_FALSE(event.pending());
-  sim.run();
-  EXPECT_FALSE(fired);
 }
 
 TEST(Simulation, FarFutureEventsInterleaveWithNearOnes) {
