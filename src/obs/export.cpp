@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 namespace gridmon::obs {
 namespace {
@@ -189,73 +188,6 @@ std::string series_json(const Report& report) {
   }
   out += "]}\n";
   return out;
-}
-
-SpanAnalysis analyse_spans(const Report& report, std::string_view sent_stage,
-                           std::string_view recv_stage) {
-  SpanAnalysis analysis;
-  int sent_id = -1;
-  int recv_id = -1;
-  for (std::size_t i = 0; i < report.stage_names.size(); ++i) {
-    if (report.stage_names[i] == sent_stage) sent_id = static_cast<int>(i);
-    if (report.stage_names[i] == recv_stage) recv_id = static_cast<int>(i);
-  }
-  std::unordered_map<std::uint16_t, std::size_t> stage_slot;
-  std::unordered_map<std::uint16_t, std::size_t> pt_slot;
-  auto stat_for = [](std::vector<StageStat>& stats,
-                     std::unordered_map<std::uint16_t, std::size_t>& slots,
-                     std::uint16_t stage,
-                     const std::string& name) -> StageStat& {
-    auto it = slots.find(stage);
-    if (it == slots.end()) {
-      it = slots.emplace(stage, stats.size()).first;
-      stats.push_back(StageStat{name, 0, 0.0});
-    }
-    return stats[it->second];
-  };
-
-  for (const CompletedTrace& trace : report.traces) {
-    std::size_t sent_at = trace.marks.size();
-    std::size_t recv_at = trace.marks.size();
-    for (std::size_t i = 0; i < trace.marks.size(); ++i) {
-      const int stage = trace.marks[i].stage;
-      if (sent_at == trace.marks.size() && stage == sent_id) sent_at = i;
-      if (recv_at == trace.marks.size() && stage == recv_id &&
-          sent_at != trace.marks.size() && i > sent_at) {
-        recv_at = i;
-      }
-      if (i > 0) {
-        const double dur_ms =
-            static_cast<double>(trace.marks[i].at - trace.marks[i - 1].at) /
-            1e6;
-        StageStat& stat =
-            stat_for(analysis.stages, stage_slot, trace.marks[i].stage,
-                     report.stage_names[trace.marks[i].stage]);
-        ++stat.count;
-        stat.total_ms += dur_ms;
-      }
-    }
-    if (sent_at == trace.marks.size() || recv_at == trace.marks.size()) {
-      continue;
-    }
-    ++analysis.traces;
-    analysis.traced_pt_sum_ms +=
-        static_cast<double>(trace.marks[recv_at].at -
-                            trace.marks[sent_at].at) /
-        1e6;
-    for (std::size_t i = sent_at + 1; i <= recv_at; ++i) {
-      const double dur_ms =
-          static_cast<double>(trace.marks[i].at - trace.marks[i - 1].at) /
-          1e6;
-      StageStat& stat =
-          stat_for(analysis.pt_stages, pt_slot, trace.marks[i].stage,
-                   report.stage_names[trace.marks[i].stage]);
-      ++stat.count;
-      stat.total_ms += dur_ms;
-      analysis.stage_pt_sum_ms += dur_ms;
-    }
-  }
-  return analysis;
 }
 
 LossSeries loss_percent_series(const Report& report,

@@ -1,4 +1,4 @@
-// Exporters and span analytics for obs::Report.
+// Exporters and loss analytics for obs::Report.
 //
 // Three output shapes:
 //
@@ -11,10 +11,8 @@
 //     one row per sampling window. Formatting is locale-free and
 //     deterministic, so the CSV is byte-identical across campaign worker
 //     counts (pinned by obs_determinism_test).
-//   * analyse_spans / loss_percent_series — in-process analytics: the
-//     per-stage PT breakdown (sub-stage sums telescope exactly to the
-//     PT aggregate) and the windowed loss-over-time series the CLI/bench
-//     sparklines draw.
+//   * loss_percent_series — the windowed loss-over-time series the CLI
+//     and report sparklines draw.
 #pragma once
 
 #include <cstdint>
@@ -40,36 +38,6 @@ inline constexpr int kExportSchemaVersion = 1;
 /// Timeline as JSON: {"schema_version": N, "kind": "gridmon_series",
 /// "columns": [...], "samples": [[t_ms, ...], ...], "chaos": [...]}.
 [[nodiscard]] std::string series_json(const Report& report);
-
-struct StageStat {
-  std::string name;
-  std::uint64_t count = 0;
-  double total_ms = 0.0;
-
-  [[nodiscard]] double mean_ms() const {
-    return count == 0 ? 0.0 : total_ms / static_cast<double>(count);
-  }
-};
-
-struct SpanAnalysis {
-  std::uint64_t traces = 0;     // traces containing both boundary marks
-  std::vector<StageStat> stages;     // every inter-mark duration, whole trace
-  std::vector<StageStat> pt_stages;  // durations inside (sent, recv]
-  /// Sum of (recv - sent) across traces — the traced share of the paper's
-  /// PT aggregate.
-  double traced_pt_sum_ms = 0.0;
-  /// Sum of the per-stage durations in `pt_stages`. Telescoping makes
-  /// this equal traced_pt_sum_ms exactly (up to float rounding).
-  double stage_pt_sum_ms = 0.0;
-};
-
-/// Per-stage duration attribution. The duration between consecutive
-/// time-sorted marks is attributed to the *later* mark's stage; the PT
-/// region is delimited by the first `sent_stage` mark and the first
-/// `recv_stage` mark after it.
-[[nodiscard]] SpanAnalysis analyse_spans(const Report& report,
-                                         std::string_view sent_stage = "sent",
-                                         std::string_view recv_stage = "recv");
 
 struct LossSeries {
   std::vector<SimTime> at;        // window end timestamps

@@ -11,7 +11,7 @@ HistogramSketch::HistogramSketch(double alpha) : alpha_(alpha) {
   inv_log_gamma_ = 1.0 / std::log(gamma_);
   // Bucket i covers (gamma^(i-1), gamma^i]; the tracked range maps to a
   // contiguous index span computed once so the layout is a pure function
-  // of alpha and every same-alpha sketch merges exactly.
+  // of alpha.
   index_offset_ =
       static_cast<int>(std::ceil(std::log(kMinTracked) * inv_log_gamma_));
   const int top =
@@ -61,27 +61,6 @@ void HistogramSketch::record(double value, std::uint64_t weight) {
   } else {
     buckets_[static_cast<std::size_t>(index)] += weight;
   }
-}
-
-bool HistogramSketch::merge(const HistogramSketch& other) {
-  if (other.alpha_ != alpha_ || other.buckets_.size() != buckets_.size()) {
-    return false;
-  }
-  if (other.count_ == 0) return true;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  low_ += other.low_;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  return true;
 }
 
 void HistogramSketch::reset() {

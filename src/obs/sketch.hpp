@@ -1,14 +1,11 @@
 // Fixed log-bucket histogram sketch (DDSketch-style, fixed layout).
 //
 // The observability Timeline needs a latency distribution it can record
-// into on the hot path and merge across windows/runs without losing
-// accuracy guarantees. A fixed-layout relative-error sketch gives both:
+// into on the hot path with a bounded error. A fixed-layout relative-error
+// sketch gives both:
 //
 //   * O(1) record: one log() and an array increment, no allocation after
 //     construction, no collapse/rebalance step.
-//   * exact merge: every sketch built with the same `alpha` shares one
-//     global bucket layout, so merging is element-wise addition of counts
-//     and `merge(a, b)` is associative and commutative bit-for-bit.
 //   * bounded error: any quantile estimate q satisfies
 //     |estimate - true| <= alpha * true, for values inside the tracked
 //     range [kMinTracked, kMaxTracked).
@@ -18,7 +15,7 @@
 // clamp into the top bucket. The tracked range (1e-6 .. 1e9, in whatever
 // unit the caller records — milliseconds here) covers nanosecond-scale
 // phase times through multi-day totals, so clamping is a non-event in
-// practice but keeps the layout fixed and merges exact.
+// practice but keeps the layout a pure function of alpha.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +25,12 @@ namespace gridmon::obs {
 
 class HistogramSketch {
  public:
-  /// `alpha` is the relative-error bound (default 1 %). Sketches merge
-  /// only with sketches built with the same alpha.
+  /// `alpha` is the relative-error bound (default 1 %).
   explicit HistogramSketch(double alpha = 0.01);
 
   /// O(1): bucket-index via log, then an increment.
   void record(double value);
   void record(double value, std::uint64_t weight);
-
-  /// Element-wise count addition. Both sketches must share `alpha`
-  /// (same layout); merging a mismatched sketch is ignored and returns
-  /// false so callers can surface the configuration error.
-  bool merge(const HistogramSketch& other);
 
   void reset();
 

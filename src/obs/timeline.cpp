@@ -2,16 +2,6 @@
 
 namespace gridmon::obs {
 
-Counter& Timeline::counter(const std::string& name) {
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) return counters_[order_[it->second].index];
-  by_name_.emplace(name, order_.size());
-  order_.push_back({Kind::kCounter, counters_.size()});
-  columns_.push_back(name);
-  counters_.emplace_back();
-  return counters_.back();
-}
-
 Gauge& Timeline::gauge(const std::string& name) {
   auto it = by_name_.find(name);
   if (it != by_name_.end()) return gauges_[order_[it->second].index];
@@ -41,10 +31,6 @@ void Timeline::sample(SimTime now) {
   row.values.reserve(columns_.size());
   for (const SeriesRef& ref : order_) {
     switch (ref.kind) {
-      case Kind::kCounter:
-        row.values.push_back(
-            static_cast<double>(counters_[ref.index].value()));
-        break;
       case Kind::kGauge:
         row.values.push_back(gauges_[ref.index].value());
         break;

@@ -1,17 +1,16 @@
-// Windowed time-series: counters, gauges and histogram series sampled on
-// a virtual-clock timer.
+// Windowed time-series: gauges and histogram series sampled on a
+// virtual-clock timer.
 //
-// A Timeline owns a set of named series. Models bump counters / set gauges
-// / record into histogram series at event time; a kernel timer (armed by
-// obs::Recorder) calls sample(now) on a fixed period, snapshotting every
-// series into one row. Because the timer runs on the same deterministic
-// event loop as the models, the whole series table is a pure function of
-// (scenario, duration, seed) — byte-identical across campaign worker
-// counts.
+// A Timeline owns a set of named series. Models set gauges and record into
+// histogram series at event time; a kernel timer (armed by obs::Recorder)
+// calls sample(now) on a fixed period, snapshotting every series into one
+// row. Because the timer runs on the same deterministic event loop as the
+// models, the whole series table is a pure function of (scenario, duration,
+// seed) — byte-identical across campaign worker counts.
 //
-// Series handles returned by counter()/gauge()/histogram() are stable for
-// the Timeline's lifetime (deque storage), so callers cache the reference
-// once and pay a pointer write per update.
+// Series handles returned by gauge()/histogram() are stable for the
+// Timeline's lifetime (deque storage), so callers cache the reference once
+// and pay a pointer write per update.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +23,6 @@
 #include "util/units.hpp"
 
 namespace gridmon::obs {
-
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 class Gauge {
  public:
@@ -74,32 +64,29 @@ struct Sample {
 class Timeline {
  public:
   /// Lookup-or-create; series appear in the export in creation order.
-  Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   HistogramSeries& histogram(const std::string& name, double alpha = 0.01);
 
-  /// Column names, one per exported value. Counters and gauges export one
-  /// column each; a histogram series exports `<name>.count`, `.p50`,
+  /// Column names, one per exported value. A gauge exports one column; a
+  /// histogram series exports `<name>.count`, `.p50`,
   /// `.p95`, `.p99` of the window just ended.
   [[nodiscard]] const std::vector<std::string>& columns() const {
     return columns_;
   }
 
   /// Snapshot every series into a new row at `now`, then reset histogram
-  /// windows. Counters export their cumulative value (deltas are a
-  /// subtraction away and cumulative rows survive resampling).
+  /// windows.
   void sample(SimTime now);
 
   [[nodiscard]] const std::vector<Sample>& samples() const { return samples_; }
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kGauge, kHistogram };
   struct SeriesRef {
     Kind kind;
     std::size_t index;  // into the matching deque
   };
 
-  std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<HistogramSeries> histograms_;
   std::vector<SeriesRef> order_;  // creation order

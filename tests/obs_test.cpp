@@ -1,11 +1,13 @@
 // src/obs unit + integration tests: the histogram sketch's layout and
-// error bound, Timeline sampling, hop-span telescoping through a real
-// Narada/R-GMA run, the exporters, and the "observability never perturbs
-// the model" invariant.
+// error bound, Timeline sampling, hop spans that add up to the PT aggregate
+// through a real Narada/R-GMA run, the exporters, and the "observability
+// never perturbs the model" invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #include "core/experiment.hpp"
 #include "obs/export.hpp"
@@ -70,67 +72,16 @@ TEST(Sketch, QuantileErrorBound) {
   EXPECT_NEAR(sketch.max(), 10000.0, 1e-12);
 }
 
-TEST(Sketch, MergeIsAssociativeAndExact) {
-  HistogramSketch a(0.01);
-  HistogramSketch b(0.01);
-  HistogramSketch c(0.01);
-  for (int i = 1; i <= 100; ++i) a.record(i * 0.5);
-  for (int i = 1; i <= 100; ++i) b.record(i * 3.0);
-  for (int i = 1; i <= 100; ++i) c.record(i * 40.0);
-
-  // (a + b) + c
-  HistogramSketch left(0.01);
-  ASSERT_TRUE(left.merge(a));
-  ASSERT_TRUE(left.merge(b));
-  ASSERT_TRUE(left.merge(c));
-  // a + (b + c)
-  HistogramSketch bc(0.01);
-  ASSERT_TRUE(bc.merge(b));
-  ASSERT_TRUE(bc.merge(c));
-  HistogramSketch right(0.01);
-  ASSERT_TRUE(right.merge(a));
-  ASSERT_TRUE(right.merge(bc));
-
-  EXPECT_EQ(left.count(), 300u);
-  EXPECT_EQ(right.count(), 300u);
-  // Bit-identical quantiles: merge is element-wise count addition over a
-  // shared fixed layout.
-  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(left.quantile(q), right.quantile(q)) << q;
-  }
-  EXPECT_DOUBLE_EQ(left.sum(), right.sum());
-
-  // A merged sketch equals recording the union directly.
-  HistogramSketch direct(0.01);
-  for (int i = 1; i <= 100; ++i) direct.record(i * 0.5);
-  for (int i = 1; i <= 100; ++i) direct.record(i * 3.0);
-  for (int i = 1; i <= 100; ++i) direct.record(i * 40.0);
-  for (double q : {0.1, 0.5, 0.9}) {
-    EXPECT_DOUBLE_EQ(left.quantile(q), direct.quantile(q)) << q;
-  }
-}
-
-TEST(Sketch, EmptyAndMismatchedMerges) {
+TEST(Sketch, EmptyAndResetSketchesReadZero) {
   HistogramSketch sketch(0.01);
   EXPECT_TRUE(sketch.empty());
   EXPECT_DOUBLE_EQ(sketch.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(sketch.min(), 0.0);
   EXPECT_DOUBLE_EQ(sketch.max(), 0.0);
 
-  // empty + empty stays empty; merging empty into data changes nothing.
-  HistogramSketch other(0.01);
-  EXPECT_TRUE(sketch.merge(other));
-  EXPECT_TRUE(sketch.empty());
-
   sketch.record(5.0);
-  EXPECT_TRUE(sketch.merge(other));
   EXPECT_EQ(sketch.count(), 1u);
   EXPECT_NEAR(sketch.quantile(0.5), 5.0, 0.01 * 5.0);
-
-  // Mismatched alpha (different layout) is refused.
-  HistogramSketch coarse(0.05);
-  EXPECT_FALSE(sketch.merge(coarse));
-  EXPECT_EQ(sketch.count(), 1u);
 
   sketch.reset();
   EXPECT_TRUE(sketch.empty());
@@ -152,7 +103,7 @@ TEST(Sketch, LowBucketValuesReportZero) {
 
 TEST(Timeline, SamplesSeriesInCreationOrder) {
   Timeline timeline;
-  Counter& sent = timeline.counter("sent");
+  Gauge& sent = timeline.gauge("sent");
   Gauge& depth = timeline.gauge("depth");
   HistogramSeries& rtt = timeline.histogram("rtt_ms");
 
@@ -162,29 +113,29 @@ TEST(Timeline, SamplesSeriesInCreationOrder) {
   EXPECT_EQ(timeline.columns()[2], "rtt_ms.count");
   EXPECT_EQ(timeline.columns()[3], "rtt_ms.p50");
 
-  sent.add(3);
+  sent.set(3);
   depth.set(7.5);
   rtt.record(10.0);
   rtt.record(20.0);
   timeline.sample(units::seconds(1));
 
-  sent.add(2);
+  sent.set(5);
   timeline.sample(units::seconds(2));
 
   ASSERT_EQ(timeline.samples().size(), 2u);
   const Sample& first = timeline.samples()[0];
   EXPECT_EQ(first.at, units::seconds(1));
-  EXPECT_DOUBLE_EQ(first.values[0], 3.0);   // cumulative counter
+  EXPECT_DOUBLE_EQ(first.values[0], 3.0);   // cumulative gauge
   EXPECT_DOUBLE_EQ(first.values[1], 7.5);
   EXPECT_DOUBLE_EQ(first.values[2], 2.0);   // window count
   const Sample& second = timeline.samples()[1];
-  EXPECT_DOUBLE_EQ(second.values[0], 5.0);  // cumulative
+  EXPECT_DOUBLE_EQ(second.values[0], 5.0);  // holds its last value
   EXPECT_DOUBLE_EQ(second.values[2], 0.0);  // window reset after sample
   // Whole-run total survives window resets.
   EXPECT_EQ(rtt.total().count(), 2u);
 
   // Lookup-or-create returns the same series.
-  EXPECT_EQ(&timeline.counter("sent"), &sent);
+  EXPECT_EQ(&timeline.gauge("sent"), &sent);
   EXPECT_EQ(timeline.columns().size(), 6u);
 }
 
@@ -264,6 +215,49 @@ core::NaradaConfig small_narada() {
 #define GRIDMON_REQUIRE_OBS() \
   if (!kEnabled) GTEST_SKIP() << "built with GRIDMON_OBS=OFF"
 
+// The traced share of the paper's PT aggregate: the sum of (recv - sent)
+// over the traces that carry both marks, and how many of those traces carry
+// a `stage` mark in between.
+struct TracedPt {
+  std::uint64_t traces = 0;
+  double sum_ms = 0.0;
+  std::uint64_t with_stage = 0;
+};
+
+TracedPt traced_pt(const Report& report, std::string_view stage = {}) {
+  auto id_of = [&](std::string_view name) {
+    return std::find(report.stage_names.begin(), report.stage_names.end(),
+                     name) -
+           report.stage_names.begin();
+  };
+  const auto sent = id_of("sent");
+  const auto recv = id_of("recv");
+  const auto inner = id_of(stage);
+  TracedPt pt;
+  for (const CompletedTrace& trace : report.traces) {
+    const Mark* sent_mark = nullptr;
+    bool inner_seen = false;
+    for (const Mark& mark : trace.marks) {  // time-sorted
+      if (sent_mark == nullptr) {
+        if (mark.stage == sent) sent_mark = &mark;
+      } else if (mark.stage == recv) {
+        ++pt.traces;
+        pt.sum_ms += static_cast<double>(mark.at - sent_mark->at) / 1e6;
+        if (inner_seen) ++pt.with_stage;
+        break;
+      } else if (mark.stage == inner) {
+        inner_seen = true;
+      }
+    }
+  }
+  return pt;
+}
+
+double metrics_pt_sum_ms(const core::Results& results) {
+  return results.metrics.pt_ms().mean() *
+         static_cast<double>(results.metrics.pt_ms().count());
+}
+
 TEST(ObsIntegration, NaradaSpansTelescopeToPtAggregate) {
   GRIDMON_REQUIRE_OBS();
   core::NaradaConfig config = small_narada();
@@ -273,26 +267,15 @@ TEST(ObsIntegration, NaradaSpansTelescopeToPtAggregate) {
   ASSERT_TRUE(results.obs);
   ASSERT_GT(results.obs->traces.size(), 0u);
 
-  const SpanAnalysis analysis = analyse_spans(*results.obs);
-  EXPECT_EQ(analysis.traces, results.obs->traces.size());
-  // Telescoping: the PT sub-stage durations sum exactly (modulo float
-  // accumulation) to the traced PT aggregate...
-  EXPECT_NEAR(analysis.stage_pt_sum_ms, analysis.traced_pt_sum_ms,
-              1e-6 * std::max(1.0, analysis.traced_pt_sum_ms));
-  // ...and with 1-in-1 sampling the traced aggregate IS the paper's PT
-  // aggregate (single-broker: one delivery per message).
-  const double metrics_pt_sum_ms =
-      results.metrics.pt_ms().mean() *
-      static_cast<double>(results.metrics.pt_ms().count());
+  // With 1-in-1 sampling the traced PT IS the paper's PT aggregate
+  // (single broker: one delivery per message)...
+  const TracedPt pt = traced_pt(*results.obs, "route_fanout");
+  EXPECT_EQ(pt.traces, results.obs->traces.size());
   EXPECT_EQ(results.obs->traces.size(), results.metrics.received());
-  EXPECT_NEAR(analysis.traced_pt_sum_ms, metrics_pt_sum_ms,
-              1e-6 * std::max(1.0, metrics_pt_sum_ms));
-  // The middleware sub-stages the broker marks actually showed up.
-  bool saw_route = false;
-  for (const StageStat& stage : analysis.pt_stages) {
-    if (stage.name == "route_fanout") saw_route = true;
-  }
-  EXPECT_TRUE(saw_route);
+  EXPECT_NEAR(pt.sum_ms, metrics_pt_sum_ms(results),
+              1e-6 * std::max(1.0, metrics_pt_sum_ms(results)));
+  // ...and the broker's routing stage shows up inside it.
+  EXPECT_GT(pt.with_stage, 0u);
 }
 
 TEST(ObsIntegration, RgmaSpansTelescopeToPtAggregate) {
@@ -307,15 +290,10 @@ TEST(ObsIntegration, RgmaSpansTelescopeToPtAggregate) {
   ASSERT_TRUE(results.obs);
   ASSERT_GT(results.obs->traces.size(), 0u);
 
-  const SpanAnalysis analysis = analyse_spans(*results.obs);
-  EXPECT_NEAR(analysis.stage_pt_sum_ms, analysis.traced_pt_sum_ms,
-              1e-6 * std::max(1.0, analysis.traced_pt_sum_ms));
-  const double metrics_pt_sum_ms =
-      results.metrics.pt_ms().mean() *
-      static_cast<double>(results.metrics.pt_ms().count());
+  const TracedPt pt = traced_pt(*results.obs);
   EXPECT_EQ(results.obs->traces.size(), results.metrics.received());
-  EXPECT_NEAR(analysis.traced_pt_sum_ms, metrics_pt_sum_ms,
-              1e-6 * std::max(1.0, metrics_pt_sum_ms));
+  EXPECT_NEAR(pt.sum_ms, metrics_pt_sum_ms(results),
+              1e-6 * std::max(1.0, metrics_pt_sum_ms(results)));
 }
 
 TEST(ObsIntegration, ObservabilityNeverPerturbsTheModel) {
