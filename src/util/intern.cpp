@@ -1,16 +1,19 @@
 #include "util/intern.hpp"
 
 namespace gridmon::util {
+namespace {
 
-std::uint64_t StringTable::hash(std::string_view s) {
-  // FNV-1a: the same cheap, stable hash the determinism goldens use.
-  std::uint64_t h = 1469598103934665603ULL;
+// FNV-1a: the same cheap, stable hash the determinism goldens use.
+std::uint64_t hash(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ULL;
   for (unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ULL;
   }
   return h;
 }
+
+}  // namespace
 
 StringTable::Id StringTable::intern(std::string_view s) {
   const Id existing = find(s);

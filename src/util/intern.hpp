@@ -49,7 +49,6 @@ class StringTable {
     std::uint32_t length;
   };
 
-  [[nodiscard]] static std::uint64_t hash(std::string_view s);
   [[nodiscard]] std::string_view at(const Span& span) const {
     return {arena_.data() + span.offset, span.length};
   }
