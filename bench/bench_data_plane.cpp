@@ -20,12 +20,15 @@
 //                  places a DBN publish does, and match "id<10000".
 //   hier_close_window
 //                  Hier edge synthesis: every edge of the hier/narada/1m
-//                  topology (seed 1) closes 60 windows, 12 million samples
-//                  per iteration; the time_per_sample counter is the
-//                  figure.
+//                  topology (seed 1) closes 60 windows, 120,000 edge
+//                  windows of 12 million samples per iteration. The
+//                  lossless link every preset uses counts whole generator
+//                  ranges, so the figure is time_per_window; /lossy (10 %
+//                  generator->edge loss) draws each sample's loss, so its
+//                  figure is time_per_sample.
 //
 // items_per_second is tuples filtered / publishes matched / deliveries /
-// messages / samples.
+// messages / edge windows (hier_close_window) or samples (/lossy).
 // Run with the interleaved-median protocol quoted in BENCH_data_plane.json:
 //   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 //   --benchmark_report_aggregates_only=true --benchmark_min_time=1
@@ -283,13 +286,23 @@ void BM_NaradaMessage(benchmark::State& state) {
 
 // --- hier edge windows -----------------------------------------------------
 
-void BM_HierCloseWindow(benchmark::State& state) {
-  const auto& config = std::get<core::HierConfig>(
-      core::builtin_registry().find("hier/narada/1m")->config);
-  const hier::FleetState fleet(config.topology, 1);
+struct ClosedWindows {
+  std::int64_t windows = 0;
+  std::int64_t samples = 0;
+};
+
+/// Close 60 windows on every edge of the hier/narada/1m topology (seed 1)
+/// per iteration, with `loss` on the generator->edge link.
+ClosedWindows close_windows(benchmark::State& state, double loss) {
+  hier::TopologySpec topology =
+      std::get<core::HierConfig>(
+          core::builtin_registry().find("hier/narada/1m")->config)
+          .topology;
+  topology.edge.link.loss = loss;
+  const hier::FleetState fleet(topology, 1);
   hier::TreeConfig tree;
-  tree.spec = config.topology;
-  tree.shape = config.topology.expand();
+  tree.spec = topology;
+  tree.shape = topology.expand();
   tree.fleet = &fleet;
   tree.epoch = units::seconds(1);
   tree.windows = 60;
@@ -297,22 +310,38 @@ void BM_HierCloseWindow(benchmark::State& state) {
   for (std::int64_t e = 0; e < tree.shape.edges; ++e) {
     edges.emplace_back(tree, e);
   }
-  std::int64_t samples = 0;
+  ClosedWindows closed;
   for (auto _ : state) {
     for (std::int64_t w = 0; w < tree.windows; ++w) {
       for (const hier::EdgeAggregator& edge : edges) {
         std::int64_t generated = 0;
         const hier::EdgeFrame frame = edge.close_window(w, generated);
         benchmark::DoNotOptimize(frame);
-        samples += generated;
+        closed.samples += generated;
+        ++closed.windows;
       }
     }
   }
-  state.SetItemsProcessed(samples);
-  // Samples per second, inverted: seconds per sample (shown as ns).
-  state.counters["time_per_sample"] = benchmark::Counter(
-      static_cast<double>(samples),
+  return closed;
+}
+
+/// Counts per second, inverted: seconds per count (shown as ns).
+benchmark::Counter time_per(std::int64_t count) {
+  return benchmark::Counter(
+      static_cast<double>(count),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_HierCloseWindow(benchmark::State& state) {
+  const ClosedWindows closed = close_windows(state, 0.0);
+  state.SetItemsProcessed(closed.windows);
+  state.counters["time_per_window"] = time_per(closed.windows);
+}
+
+void BM_HierCloseWindowLossy(benchmark::State& state) {
+  const ClosedWindows closed = close_windows(state, 0.1);
+  state.SetItemsProcessed(closed.samples);
+  state.counters["time_per_sample"] = time_per(closed.samples);
 }
 
 }  // namespace
@@ -339,5 +368,6 @@ BENCHMARK(BM_FanoutCopy)->Name("fanout/copy")->Arg(80)->Arg(400);
 BENCHMARK(BM_FanoutRefcount)->Name("fanout/refcount")->Arg(80)->Arg(400);
 BENCHMARK(BM_NaradaMessage)->Name("narada_message");
 BENCHMARK(BM_HierCloseWindow)->Name("hier_close_window");
+BENCHMARK(BM_HierCloseWindowLossy)->Name("hier_close_window/lossy");
 
 BENCHMARK_MAIN();
