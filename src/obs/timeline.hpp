@@ -68,8 +68,8 @@ class Timeline {
   HistogramSeries& histogram(const std::string& name, double alpha = 0.01);
 
   /// Column names, one per exported value. A gauge exports one column; a
-  /// histogram series exports `<name>.count`, `.p50`,
-  /// `.p95`, `.p99` of the window just ended.
+  /// histogram series exports `<name>.count`, `.p50`, `.p95`, `.p99` of the
+  /// window just ended.
   [[nodiscard]] const std::vector<std::string>& columns() const {
     return columns_;
   }
