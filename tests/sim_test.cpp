@@ -112,6 +112,20 @@ TEST(Simulation, CancelAfterFiringIsHarmless) {
   event.cancel();  // no effect, no crash
 }
 
+// A default token names no event. The first event of a run sits in slab
+// node 0, the index a default token holds, and must be left alone.
+TEST(Simulation, DefaultHandleIsInert) {
+  Simulation sim;
+  bool fired = false;
+  const ScheduledEvent live = sim.schedule_at(10, [&] { fired = true; });
+  const ScheduledEvent inert;
+  EXPECT_FALSE(inert.pending());
+  inert.cancel();
+  EXPECT_TRUE(live.pending());
+  sim.run();
+  EXPECT_TRUE(fired);
+}
+
 TEST(Simulation, StopHaltsTheLoop) {
   Simulation sim;
   int fired = 0;
