@@ -92,13 +92,11 @@ struct FleetConfig {
   /// Extra payload bytes (0 = the paper's standard message; the Triple test
   /// pads to three times the standard size and publishes at 1/3 rate).
   std::int64_t pad_bytes = 0;
-  /// Client recovery under injected faults: reconnect/redeclare with capped
-  /// exponential backoff and restore subscriptions/registrations. Off by
-  /// default so the no-recovery baselines stay reproducible.
+  /// Client recovery under injected faults: reconnect (net::ReconnectPolicy)
+  /// or redeclare (rgma::kRedeclareBackoff) with capped exponential backoff
+  /// and restore subscriptions/registrations. Off by default so the
+  /// no-recovery baselines stay reproducible.
   bool recovery = false;
-  SimTime backoff_initial = units::milliseconds(500);
-  SimTime backoff_max = units::seconds(8);
-  double backoff_jitter = 0.2;
 };
 
 /// Reconnect backfill replication (the `_replay` chaos twins). When
@@ -131,7 +129,7 @@ struct NaradaConfig : RunConfig {
   /// Backend name, carried by the config type itself so dispatch and
   /// display never switch on variant indices (see ScenarioSpec::system()).
   static constexpr const char* kBackend = "narada";
-  /// Shared fleet/recovery knobs (backoff_* drive the reconnect policy).
+  /// Shared fleet/recovery knobs.
   FleetConfig fleet;
   narada::TransportKind transport = narada::TransportKind::kTcp;
   jms::AcknowledgeMode ack_mode = jms::AcknowledgeMode::kAutoAcknowledge;
@@ -166,13 +164,8 @@ struct RgmaConfig : RunConfig {
   static constexpr const char* kBackend = "rgma";
   /// Shared fleet/recovery knobs. `fleet.generators` is the paper's
   /// producer count; `fleet.recovery` enables the redeclare/renewal/retry
-  /// policies and `fleet.backoff_*` drive the producer redeclare backoff
-  /// (no jitter: redeclares piggyback on the deterministic insert path).
-  FleetConfig fleet{.generators = 400,
-                    .creation_interval = units::seconds(1),
-                    .backoff_initial = units::seconds(1),
-                    .backoff_max = units::seconds(10),
-                    .backoff_jitter = 0.0};
+  /// policies.
+  FleetConfig fleet{.generators = 400, .creation_interval = units::seconds(1)};
   /// Single server: all three services on one host. Distributed: the
   /// paper's 2 producer + 2 consumer nodes.
   bool distributed = false;
@@ -211,9 +204,8 @@ struct RgmaConfig : RunConfig {
 
 struct MqttConfig : RunConfig {
   static constexpr const char* kBackend = "mqtt";
-  /// Shared fleet/recovery knobs (backoff_* drive the reconnect policy).
-  /// The modern fleet boots faster than the 2007 clients, hence the
-  /// tighter default creation stagger.
+  /// Shared fleet/recovery knobs. The modern fleet boots faster than the
+  /// 2007 clients, hence the tighter default creation stagger.
   FleetConfig fleet{.creation_interval = units::milliseconds(100)};
   /// Publisher QoS tier: 0 fire-and-forget, 1 at-least-once (PUBACK),
   /// 2 exactly-once (PUBREC/PUBREL/PUBCOMP).

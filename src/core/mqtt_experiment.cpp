@@ -32,7 +32,6 @@ class MqttPort final : public BackendPort {
     for (int h = kSubscriberHost + 1; h < run.hydra().node_count(); ++h) {
       publisher_hosts_.push_back(h);
     }
-    policy_ = reconnect_policy<mqtt::ReconnectPolicy>(config_.fleet);
     traits_.server_hosts = {kBrokerHost};
     traits_.targets.brokers = 1;
     // A gateway batches `gateway_batch` sensors into one larger PUBLISH.
@@ -114,10 +113,10 @@ class MqttPort final : public BackendPort {
 
   void finish(Results& results) override {
     for (const auto& client : publishers_) {
-      results.availability.reconnects += client->reconnects();
+      results.availability.reconnects += client->link().reconnects();
       results.availability.resubscribes += client->resubscribes();
     }
-    results.availability.reconnects += subscriber_->reconnects();
+    results.availability.reconnects += subscriber_->link().reconnects();
     results.availability.resubscribes += subscriber_->resubscribes();
     // Offline-queue drains at session resumption are MQTT's backfill path.
     results.availability.backfill_msgs = broker_.stats().backfill_msgs;
@@ -136,10 +135,10 @@ class MqttPort final : public BackendPort {
   std::shared_ptr<mqtt::MqttClient> client(int host, std::int64_t port,
                                            mqtt::MqttClientOptions options) {
     auto client = mqtt::MqttClient::create(
-        run_.hydra().host(host), run_.hydra().lan(), run_.hydra().streams(),
-        endpoint_, net::Endpoint{host, static_cast<std::uint16_t>(port)},
+        run_.hydra().host(host), run_.hydra().streams(), endpoint_,
+        net::Endpoint{host, static_cast<std::uint16_t>(port)},
         std::move(options));
-    if (config_.fleet.recovery) client->set_reconnect_policy(policy_);
+    if (config_.fleet.recovery) client->set_reconnect_policy({});
     return client;
   }
 
@@ -149,7 +148,6 @@ class MqttPort final : public BackendPort {
   net::Endpoint endpoint_;
   mqtt::MqttBroker broker_;
   std::vector<int> publisher_hosts_;
-  mqtt::ReconnectPolicy policy_;
   std::vector<std::shared_ptr<mqtt::MqttClient>> publishers_;
   std::shared_ptr<mqtt::MqttClient> subscriber_;
 };

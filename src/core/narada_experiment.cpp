@@ -48,7 +48,6 @@ class NaradaPort final : public BackendPort {
     }
     subscriber_host_ = publisher_hosts_.front();
     if (!multi_broker_) publisher_hosts_.erase(publisher_hosts_.begin());
-    policy_ = reconnect_policy<narada::ReconnectPolicy>(config_.fleet);
     traits_.server_hosts = config_.broker_hosts;
     traits_.targets.brokers = dbn_.broker_count();
     traits_.sample_bytes =
@@ -96,7 +95,7 @@ class NaradaPort final : public BackendPort {
                                       publisher_hosts_.size()];
     const net::Endpoint broker = multi_broker_ ? dbn_.assign_publisher_broker()
                                                : dbn_.broker_endpoint(0);
-    auto publisher = client(host, 10000 + id % 50000, broker, policy_);
+    auto publisher = client(host, 10000 + id % 50000, broker, {});
     // A batch of 1 leaves aggregation off.
     publisher->enable_aggregation(config_.aggregation_batch,
                                   units::milliseconds(20));
@@ -138,7 +137,7 @@ class NaradaPort final : public BackendPort {
   }
 
   void subscribe() override {
-    narada::ReconnectPolicy policy = policy_;
+    net::ReconnectPolicy policy;
     if (config_.replay.enabled && multi_broker_) {
       // Fail-over targets: with replication any broker can serve the
       // subscriber's stream and backfill.
@@ -167,7 +166,7 @@ class NaradaPort final : public BackendPort {
     results.events_forwarded = stats.events_forwarded;
     for (const auto* clients : {&publishers_, &subscribers_}) {
       for (const auto& client : *clients) {
-        results.availability.reconnects += client->reconnects();
+        results.availability.reconnects += client->link().reconnects();
         results.availability.resubscribes += client->resubscribes();
       }
     }
@@ -179,7 +178,7 @@ class NaradaPort final : public BackendPort {
  private:
   std::shared_ptr<narada::NaradaClient> client(
       int host, std::int64_t port, net::Endpoint broker,
-      const narada::ReconnectPolicy& policy) {
+      const net::ReconnectPolicy& policy) {
     auto client = narada::NaradaClient::create(
         run_.hydra().host(host), run_.hydra().lan(), run_.hydra().streams(),
         broker, net::Endpoint{host, static_cast<std::uint16_t>(port)},
@@ -189,7 +188,7 @@ class NaradaPort final : public BackendPort {
   }
 
   void add_subscriber(int host, std::uint16_t port, net::Endpoint broker,
-                      const narada::ReconnectPolicy& policy,
+                      const net::ReconnectPolicy& policy,
                       std::string selector, jms::AcknowledgeMode ack) {
     auto sub = client(host, port, broker, policy);
     if (config_.replay.enabled) {
@@ -224,7 +223,6 @@ class NaradaPort final : public BackendPort {
   narada::Dbn dbn_;
   std::vector<int> publisher_hosts_;
   int subscriber_host_ = 0;
-  narada::ReconnectPolicy policy_;
   std::vector<std::shared_ptr<narada::NaradaClient>> publishers_;
   std::vector<std::shared_ptr<narada::NaradaClient>> subscribers_;
   // One per client when `soap_proxy` is set; a deque keeps the

@@ -191,8 +191,7 @@ class RgmaPort final : public BackendPort {
         replay ? retention.raw_window : units::seconds(30),
         replay ? retention.downsampled_window : units::seconds(60));
     if (config_.fleet.recovery) {
-      producer.enable_redeclare(config_.fleet.backoff_initial,
-                                config_.fleet.backoff_max);
+      producer.enable_redeclare();
     }
   }
 

@@ -154,17 +154,6 @@ class RunScaffold {
   std::optional<obs::ScopedRecorder> scoped_recorder_;
 };
 
-/// A backend's reconnect policy from the fleet's recovery knobs.
-template <typename Policy>
-[[nodiscard]] Policy reconnect_policy(const FleetConfig& fleet) {
-  Policy policy;
-  policy.enabled = fleet.recovery;
-  policy.backoff_initial = fleet.backoff_initial;
-  policy.backoff_max = fleet.backoff_max;
-  policy.jitter = fleet.backoff_jitter;
-  return policy;
-}
-
 /// The per-middleware ports. `hier` selects the hier tier's client names
 /// and host layout (regionals publish, the root subscribes).
 [[nodiscard]] std::unique_ptr<BackendPort> make_narada_port(

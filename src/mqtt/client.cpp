@@ -11,24 +11,20 @@ namespace gridmon::mqtt {
 namespace costs = cluster::costs;
 
 std::shared_ptr<MqttClient> MqttClient::create(cluster::Host& host,
-                                               net::Lan& lan,
                                                net::StreamTransport& streams,
                                                net::Endpoint broker,
                                                net::Endpoint local,
                                                MqttClientOptions options) {
   return std::shared_ptr<MqttClient>(
-      new MqttClient(host, lan, streams, broker, local, std::move(options)));
+      new MqttClient(host, streams, broker, local, std::move(options)));
 }
 
-MqttClient::MqttClient(cluster::Host& host, net::Lan& lan,
-                       net::StreamTransport& streams, net::Endpoint broker,
-                       net::Endpoint local, MqttClientOptions options)
+MqttClient::MqttClient(cluster::Host& host, net::StreamTransport& streams,
+                       net::Endpoint broker, net::Endpoint local,
+                       MqttClientOptions options)
     : host_(host),
-      lan_(lan),
-      streams_(streams),
-      broker_(broker),
-      local_(local),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      link_(streams, broker, local) {
   obs::mem_add(obs::MemCategory::kClientRecords, costs::kMqttClientBytes);
 }
 
@@ -36,69 +32,19 @@ MqttClient::~MqttClient() {
   obs::mem_sub(obs::MemCategory::kClientRecords, costs::kMqttClientBytes);
 }
 
-void MqttClient::notify_ready(bool ok) {
-  // One-shot semantics: holding the handler would keep whatever the caller
-  // captured (typically its own shared_ptr) alive for the client's whole
-  // lifetime — the reference cycle the Narada client leaked under ASan.
-  auto callback = std::move(on_ready_);
-  on_ready_ = nullptr;
-  if (callback) callback(ok);
-}
-
-void MqttClient::set_reconnect_policy(ReconnectPolicy policy) {
-  reconnect_ = policy;
-  reconnect_rng_ = host_.sim()
-                       .rng_stream("mqtt.reconnect")
-                       .stream((static_cast<std::uint64_t>(local_.node) << 16) |
-                               local_.port);
+void MqttClient::set_reconnect_policy(net::ReconnectPolicy policy) {
+  link_.enable_reconnect(std::move(policy), "mqtt.reconnect");
 }
 
 void MqttClient::connect(ReadyHandler on_ready) {
-  on_ready_ = std::move(on_ready);
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto client = self.lock();
-    if (!client) return;
-    if (!conn) {
-      client->refused_ = true;
-      client->notify_ready(false);
-      return;
-    }
-    client->adopt_connection(std::move(conn));
-  });
-}
-
-void MqttClient::adopt_connection(net::StreamConnectionPtr conn) {
-  conn_ = conn;
-  auto self = weak_from_this();
-  conn->set_handler(
-      0,
-      [self](const net::Datagram& dg) {
-        if (auto c = self.lock()) c->on_packet(dg);
-      },
-      [self] {
-        auto c = self.lock();
-        if (!c) return;
-        if (!c->ready_) {
-          if (c->reconnecting_) {
-            // A reconnect attempt died before its CONNACK (broker still
-            // down, or down again): back off and retry.
-            c->schedule_reconnect();
-            return;
-          }
-          // Closed before CONNACK: the broker refused us (admission).
-          c->refused_ = true;
-          c->notify_ready(false);
-          return;
-        }
-        // Established link lost (broker crash, NIC failure). Without a
-        // reconnect policy this is permanent — the no-recovery baseline.
-        c->ready_ = false;
-        c->conn_.reset();
-        c->keep_alive_timer_ = sim::PeriodicTimer();
-        if (c->reconnect_.enabled) c->schedule_reconnect();
-      });
-  send_connect();
+  link_.connect(weak_from_this(),
+                {.on_message =
+                     [self = weak_from_this()](const net::Datagram& dg) {
+                       if (auto c = self.lock()) c->on_packet(dg);
+                     },
+                 .on_open = [this] { send_connect(); },
+                 .on_lost = [this] { keep_alive_timer_ = sim::PeriodicTimer(); }},
+                std::move(on_ready));
 }
 
 void MqttClient::send_connect() {
@@ -108,59 +54,15 @@ void MqttClient::send_connect() {
   connect->clean_session = options_.clean_session;
   connect->keep_alive = options_.keep_alive;
   host_.cpu().charge(costs::kMqttClientSendBase);
-  if (conn_ && conn_->open()) {
-    const std::int64_t bytes = packet_wire_size(*connect);
-    conn_->send(0, bytes, PacketPtr(std::move(connect)));
-  }
-}
-
-void MqttClient::schedule_reconnect() {
-  if (reconnect_.max_attempts > 0 &&
-      reconnect_attempt_ >= reconnect_.max_attempts) {
-    reconnecting_ = false;
-    return;
-  }
-  reconnecting_ = true;
-  ++reconnect_attempt_;
-  ++reconnects_;
-  double delay = static_cast<double>(reconnect_.backoff_initial);
-  for (int i = 1; i < reconnect_attempt_; ++i) {
-    delay *= reconnect_.multiplier;
-    if (delay >= static_cast<double>(reconnect_.backoff_max)) break;
-  }
-  delay = std::min(delay, static_cast<double>(reconnect_.backoff_max));
-  if (reconnect_.jitter > 0.0) {
-    delay *= 1.0 + reconnect_rng_.uniform(0.0, reconnect_.jitter);
-  }
-  host_.sim().schedule_after(
-      static_cast<SimTime>(delay), [self = weak_from_this()] {
-        if (auto c = self.lock()) c->attempt_reconnect();
-      });
-}
-
-void MqttClient::attempt_reconnect() {
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto c = self.lock();
-    if (!c) return;
-    if (!conn) {
-      // Listener still closed: the broker has not restarted yet.
-      c->schedule_reconnect();
-      return;
-    }
-    c->adopt_connection(std::move(conn));
-  });
+  const std::int64_t bytes = packet_wire_size(*connect);
+  link_.send(bytes, PacketPtr(std::move(connect)));
 }
 
 void MqttClient::on_connack(const PacketPtr& packet) {
-  if (ready_) return;
-  ready_ = true;
-  const bool was_reconnect = reconnecting_;
-  reconnecting_ = false;
-  reconnect_attempt_ = 0;
+  if (link_.ready()) return;
+  // Keep-alive is armed before the ready handler runs.
   start_keep_alive();
-  notify_ready(true);
-  if (was_reconnect) {
+  if (link_.established()) {
     // Session resumption: if the broker came back empty (or we run clean
     // sessions), broker-side state must be rebuilt before anything else.
     if (!packet->session_present && has_subscription_) resubscribe();
@@ -179,7 +81,7 @@ void MqttClient::start_keep_alive() {
       host_.sim(), host_.sim().now() + options_.keep_alive,
       options_.keep_alive, [self = weak_from_this()] {
         auto c = self.lock();
-        if (!c || !c->ready_) return;
+        if (!c || !c->link_.ready()) return;
         auto ping = std::make_shared<Packet>();
         ping->type = PacketType::kPingReq;
         c->send_packet(PacketPtr(std::move(ping)));
@@ -223,7 +125,7 @@ void MqttClient::redeliver_in_flight() {
 }
 
 void MqttClient::send_packet(PacketPtr packet) {
-  if (!ready_ && packet->type != PacketType::kConnect) {
+  if (!link_.ready()) {
     // A disconnected QoS 1/2 publish is owned by the in-flight window and
     // redelivered at resumption — backlogging it too would double-send.
     // Acknowledgement traffic for broker state that no longer exists is
@@ -235,9 +137,8 @@ void MqttClient::send_packet(PacketPtr packet) {
     if (queueable && !windowed) backlog_.push_back(std::move(packet));
     return;
   }
-  if (conn_ && conn_->open()) {
-    conn_->send(0, packet_wire_size(*packet), packet);
-  }
+  const std::int64_t bytes = packet_wire_size(*packet);
+  link_.send(bytes, std::move(packet));
 }
 
 void MqttClient::subscribe(const std::string& filter, int qos,
@@ -296,7 +197,7 @@ void MqttClient::arm_retransmit(std::uint16_t packet_id) {
         if (!c) return;
         const auto it = c->in_flight_.find(packet_id);
         if (it == c->in_flight_.end()) return;
-        if (!c->ready_) {
+        if (!c->link_.ready()) {
           // Link is down: the check dies here; redeliver_in_flight()
           // restarts it at session resumption.
           it->second.timer_armed = false;

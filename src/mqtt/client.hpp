@@ -11,13 +11,13 @@
 //  - inbound QoS 2 deliveries are deduplicated by packet id, so the
 //    application listener sees each exactly once.
 //
-// Recovery mirrors the Narada client: an optional reconnect policy with
-// capped exponential backoff and deterministic jitter. After a reconnect
-// the client resumes its session — if the broker kept it (CONNACK
-// session_present) only the in-flight QoS 1/2 window is redelivered; if
-// the broker came back empty, the client resubscribes first, then
-// redelivers, then flushes whatever the application published during the
-// outage.
+// The stream lifecycle (refusal, loss, reconnect under backoff) is the
+// shared net::ClientLink, as for the Narada client; CONNACK completes the
+// handshake. After a reconnect the client resumes its session: if the
+// broker kept it (CONNACK session_present) only the in-flight QoS 1/2
+// window is redelivered; if the broker came back empty, the client
+// resubscribes first, then redelivers, then flushes whatever the
+// application published during the outage.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +30,9 @@
 
 #include "cluster/host.hpp"
 #include "mqtt/packets.hpp"
-#include "net/lan.hpp"
-#include "net/stream.hpp"
-#include "util/rng.hpp"
+#include "net/client_link.hpp"
 
 namespace gridmon::mqtt {
-
-/// Client-side recovery knob (same shape as the Narada policy): when an
-/// established broker link drops, retry with capped exponential backoff.
-/// Jitter is deterministic — drawn from a named kernel RNG stream keyed by
-/// the client's endpoint.
-struct ReconnectPolicy {
-  bool enabled = false;
-  SimTime backoff_initial = units::milliseconds(500);
-  SimTime backoff_max = units::seconds(8);
-  double multiplier = 2.0;
-  double jitter = 0.2;
-  int max_attempts = 0;  ///< 0 = keep trying until the run ends
-};
 
 struct MqttClientOptions {
   std::string client_id;  ///< deterministic, e.g. "gen-0042"
@@ -60,7 +45,7 @@ struct MqttClientOptions {
 class MqttClient : public std::enable_shared_from_this<MqttClient> {
  public:
   /// ok=false means the broker refused the connection.
-  using ReadyHandler = std::function<void(bool ok)>;
+  using ReadyHandler = net::ClientLink::ReadyHandler;
   /// `arrived_at` is when the packet reached this host; the callback runs
   /// after the client library's receive-path CPU.
   using DeliveryListener =
@@ -69,7 +54,6 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   using SendCallback = std::function<void(SimTime after_sending)>;
 
   static std::shared_ptr<MqttClient> create(cluster::Host& host,
-                                            net::Lan& lan,
                                             net::StreamTransport& streams,
                                             net::Endpoint broker,
                                             net::Endpoint local,
@@ -89,12 +73,12 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   void publish(const std::string& topic, std::int64_t payload_bytes, int qos,
                std::string message_id, SendCallback on_sent = nullptr);
 
-  /// Install the recovery policy (call before or after connect). Without
-  /// one a lost link is permanent — the no-recovery baseline.
-  void set_reconnect_policy(ReconnectPolicy policy);
+  /// Recover a lost link under `policy` (see net::ClientLink). Without it
+  /// a lost link is permanent: the no-recovery baseline.
+  void set_reconnect_policy(net::ReconnectPolicy policy);
 
-  [[nodiscard]] bool ready() const { return ready_; }
-  [[nodiscard]] bool refused() const { return refused_; }
+  /// Readiness, refusal and the reconnect counter.
+  [[nodiscard]] const net::ClientLink& link() const { return link_; }
   [[nodiscard]] std::uint64_t published() const { return published_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   [[nodiscard]] std::uint64_t duplicates_received() const {
@@ -103,9 +87,8 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   [[nodiscard]] std::uint64_t retransmissions() const {
     return retransmissions_;
   }
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
   [[nodiscard]] std::uint64_t resubscribes() const { return resubscribes_; }
-  [[nodiscard]] net::Endpoint local() const { return local_; }
+  [[nodiscard]] net::Endpoint local() const { return link_.local(); }
 
  private:
   struct InFlightPub {
@@ -115,19 +98,15 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
     SimTime last_sent = 0;
   };
 
-  MqttClient(cluster::Host& host, net::Lan& lan,
-             net::StreamTransport& streams, net::Endpoint broker,
+  MqttClient(cluster::Host& host, net::StreamTransport& streams,
+             net::Endpoint broker,
              net::Endpoint local, MqttClientOptions options);
 
-  void adopt_connection(net::StreamConnectionPtr conn);
   void send_connect();
   void send_packet(PacketPtr packet);
   void on_packet(const net::Datagram& datagram);
   void handle_publish(const PacketPtr& packet, SimTime arrived_at);
   void on_connack(const PacketPtr& packet);
-  void notify_ready(bool ok);
-  void schedule_reconnect();
-  void attempt_reconnect();
   void resubscribe();
   /// Redeliver the unacknowledged QoS 1/2 window (DUP) after resumption.
   void redeliver_in_flight();
@@ -135,16 +114,9 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
   void start_keep_alive();
 
   cluster::Host& host_;
-  net::Lan& lan_;
-  net::StreamTransport& streams_;
-  net::Endpoint broker_;
-  net::Endpoint local_;
   MqttClientOptions options_;
 
-  net::StreamConnectionPtr conn_;
-  bool ready_ = false;
-  bool refused_ = false;
-  ReadyHandler on_ready_;
+  net::ClientLink link_;
   std::deque<PacketPtr> backlog_;
 
   std::string subscribed_filter_;
@@ -160,12 +132,6 @@ class MqttClient : public std::enable_shared_from_this<MqttClient> {
 
   sim::PeriodicTimer keep_alive_timer_;
 
-  // Recovery state.
-  ReconnectPolicy reconnect_;
-  util::Rng reconnect_rng_;
-  int reconnect_attempt_ = 0;
-  bool reconnecting_ = false;
-  std::uint64_t reconnects_ = 0;
   std::uint64_t resubscribes_ = 0;
 
   std::uint64_t published_ = 0;

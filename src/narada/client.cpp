@@ -22,34 +22,20 @@ NaradaClient::NaradaClient(cluster::Host& host, net::Lan& lan,
                            net::Endpoint local, TransportKind transport)
     : host_(host),
       lan_(lan),
-      streams_(streams),
-      broker_(broker),
-      local_(local),
-      transport_(transport) {
+      transport_(transport),
+      link_(streams, broker, local) {
   // Model-memory accounting: one per-client record (the ROADMAP's
   // million-generator wall is exactly this state times a million).
   obs::mem_add(obs::MemCategory::kClientRecords, costs::kNaradaClientBytes);
 }
 
 NaradaClient::~NaradaClient() {
-  if (udp_bound_) lan_.unbind(local_);
+  if (udp_bound_) lan_.unbind(local());
   obs::mem_sub(obs::MemCategory::kClientRecords, costs::kNaradaClientBytes);
 }
 
-void NaradaClient::notify_ready(bool ok) {
-  auto callback = std::move(on_ready_);
-  on_ready_ = nullptr;
-  if (callback) callback(ok);
-}
-
-void NaradaClient::set_reconnect_policy(ReconnectPolicy policy) {
-  reconnect_ = policy;
-  // Deterministic jitter: a named kernel stream keyed by the client's
-  // endpoint, independent of event-arrival order.
-  reconnect_rng_ = host_.sim()
-                       .rng_stream("narada.reconnect")
-                       .stream((static_cast<std::uint64_t>(local_.node) << 16) |
-                               local_.port);
+void NaradaClient::set_reconnect_policy(net::ReconnectPolicy policy) {
+  link_.enable_reconnect(std::move(policy), "narada.reconnect");
 }
 
 void NaradaClient::set_replay(SimTime settle, int max_retries) {
@@ -59,119 +45,36 @@ void NaradaClient::set_replay(SimTime settle, int max_retries) {
 }
 
 void NaradaClient::connect(ReadyHandler on_ready) {
-  on_ready_ = std::move(on_ready);
+  auto on_message = [self = weak_from_this()](const net::Datagram& dg) {
+    if (auto client = self.lock()) client->on_frame(dg);
+  };
   if (transport_ == TransportKind::kUdp) {
     // Connectionless: bind the local port for deliveries/acks and become
     // ready immediately; registration happens per subscription.
-    lan_.bind(local_, [self = weak_from_this()](const net::Datagram& dg) {
-      if (auto client = self.lock()) client->on_frame(dg);
-    });
+    lan_.bind(local(), std::move(on_message));
     udp_bound_ = true;
-    ready_ = true;
-    notify_ready(true);
-    while (!backlog_.empty()) {
-      FramePtr frame = backlog_.front();
-      backlog_.pop_front();
-      send_frame(std::move(frame));
-    }
+    link_.connect_without_stream(std::move(on_ready));
+    flush_backlog();
     return;
   }
-
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto client = self.lock();
-    if (!client) return;
-    if (!conn) {
-      client->refused_ = true;
-      client->notify_ready(false);
-      return;
-    }
-    client->adopt_connection(std::move(conn));
-  });
+  link_.connect(weak_from_this(),
+                {.on_message = std::move(on_message),
+                 .on_lost =
+                     [this] {
+                       // Any in-flight backfill died with the link; the
+                       // post-welcome resubscribe path starts a fresh round.
+                       backfill_pending_ = false;
+                       backfill_round_ = 0;
+                     }},
+                std::move(on_ready));
 }
 
-void NaradaClient::adopt_connection(net::StreamConnectionPtr conn) {
-  conn_ = conn;
-  auto self = weak_from_this();
-  conn->set_handler(
-      0,
-      [self](const net::Datagram& dg) {
-        if (auto c = self.lock()) c->on_frame(dg);
-      },
-      [self] {
-        auto c = self.lock();
-        if (!c) return;
-        if (!c->ready_) {
-          if (c->reconnecting_) {
-            // A reconnect attempt died before its welcome frame (broker
-            // still down, or down again): back off and retry.
-            c->schedule_reconnect();
-            return;
-          }
-          // Closed before the welcome frame: the broker refused us
-          // (out of memory creating the connection thread).
-          c->refused_ = true;
-          c->notify_ready(false);
-          return;
-        }
-        // Established link lost (broker crash, NIC failure). Without a
-        // reconnect policy this is permanent — the no-recovery baseline.
-        c->ready_ = false;
-        c->conn_.reset();
-        // Any in-flight backfill died with the link; the post-welcome
-        // resubscribe path starts a fresh round.
-        c->backfill_pending_ = false;
-        c->backfill_round_ = 0;
-        if (c->reconnect_.enabled) c->schedule_reconnect();
-      });
-}
-
-void NaradaClient::schedule_reconnect() {
-  if (reconnect_.max_attempts > 0 &&
-      reconnect_attempt_ >= reconnect_.max_attempts) {
-    reconnecting_ = false;
-    return;
+void NaradaClient::flush_backlog() {
+  while (!backlog_.empty()) {
+    FramePtr frame = std::move(backlog_.front());
+    backlog_.pop_front();
+    send_frame(std::move(frame));
   }
-  reconnecting_ = true;
-  ++reconnect_attempt_;
-  ++reconnects_;
-  if (!reconnect_.fallbacks.empty() && reconnect_.rehome_after > 0 &&
-      reconnect_attempt_ % reconnect_.rehome_after == 0) {
-    // Persistent failures: fail over to the next surviving broker in the
-    // network instead of waiting out the crashed one.
-    broker_ =
-        reconnect_.fallbacks[fallback_index_ % reconnect_.fallbacks.size()];
-    ++fallback_index_;
-    ++rehomes_;
-  }
-  double delay = static_cast<double>(reconnect_.backoff_initial);
-  for (int i = 1; i < reconnect_attempt_; ++i) {
-    delay *= reconnect_.multiplier;
-    if (delay >= static_cast<double>(reconnect_.backoff_max)) break;
-  }
-  delay = std::min(delay, static_cast<double>(reconnect_.backoff_max));
-  if (reconnect_.jitter > 0.0) {
-    delay *= 1.0 + reconnect_rng_.uniform(0.0, reconnect_.jitter);
-  }
-  host_.sim().schedule_after(
-      static_cast<SimTime>(delay),
-      [self = weak_from_this()] {
-        if (auto c = self.lock()) c->attempt_reconnect();
-      });
-}
-
-void NaradaClient::attempt_reconnect() {
-  streams_.connect(local_, broker_, [self = weak_from_this()](
-                                        net::StreamConnectionPtr conn) {
-    auto c = self.lock();
-    if (!c) return;
-    if (!conn) {
-      // Listener still closed: the broker has not restarted yet.
-      c->schedule_reconnect();
-      return;
-    }
-    c->adopt_connection(std::move(conn));
-  });
 }
 
 void NaradaClient::resubscribe() {
@@ -181,20 +84,20 @@ void NaradaClient::resubscribe() {
   frame.topic = subscribed_topic_;
   frame.selector = subscribed_selector_;
   frame.ack_mode = ack_mode_;
-  frame.reply_to = local_;
+  frame.reply_to = local();
   send_frame(std::make_shared<const Frame>(std::move(frame)));
 }
 
 void NaradaClient::send_frame(FramePtr frame) {
-  if (!ready_) {
+  if (!link_.ready()) {
     backlog_.push_back(std::move(frame));
     return;
   }
   const std::int64_t wire = frame_wire_size(*frame);
   if (transport_ == TransportKind::kUdp) {
-    lan_.send_datagram(local_, broker_, wire, frame);
-  } else if (conn_ && conn_->open()) {
-    conn_->send(0, wire, frame);
+    lan_.send_datagram(local(), link_.broker(), wire, std::move(frame));
+  } else {
+    link_.send(wire, std::move(frame));
   }
 }
 
@@ -210,7 +113,7 @@ void NaradaClient::subscribe(const std::string& topic,
 
   auto frame = std::make_shared<const Frame>(Frame{
       FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1, -1,
-      local_});
+      local()});
   send_frame(std::move(frame));
 }
 
@@ -239,7 +142,7 @@ void NaradaClient::flush_aggregation() {
     frame.kind = FrameKind::kPublish;
     frame.topic = batch.front().first->destination;
     frame.ack_mode = self->ack_mode_;
-    frame.reply_to = self->local_;
+    frame.reply_to = self->local();
     frame.batch.reserve(batch.size());
     for (const auto& [message, cb] : batch) frame.batch.push_back(message);
     self->send_frame(std::make_shared<const Frame>(std::move(frame)));
@@ -253,8 +156,9 @@ void NaradaClient::flush_aggregation() {
 
 void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
   // JMS provider stamps headers on send.
-  message.message_id = "ID:" + std::to_string(local_.node) + "-" +
-                       std::to_string(local_.port) + "-" +
+  const net::Endpoint sender = local();
+  message.message_id = "ID:" + std::to_string(sender.node) + "-" +
+                       std::to_string(sender.port) + "-" +
                        std::to_string(next_message_seq_++);
   message.timestamp = host_.sim().now();
   auto shared = jms::share(std::move(message));
@@ -282,7 +186,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
                                on_sent = std::move(on_sent)] {
     auto frame = std::make_shared<const Frame>(Frame{
         FrameKind::kPublish, shared->destination, {}, self->ack_mode_, 0,
-        shared, -1, -1, self->local_});
+        shared, -1, -1, self->local()});
     self->send_frame(std::move(frame));
     ++self->published_;
     if (on_sent) on_sent(self->host_.sim().now());
@@ -293,7 +197,7 @@ void NaradaClient::acknowledge() {
   host_.cpu().charge(costs::kClientAckCost);
   auto frame = std::make_shared<const Frame>(Frame{
       FrameKind::kClientAck, subscribed_topic_, {}, ack_mode_, 0, nullptr, -1,
-      -1, local_});
+      -1, local()});
   send_frame(std::move(frame));
 }
 
@@ -304,20 +208,12 @@ void NaradaClient::on_frame(const net::Datagram& datagram) {
   const FramePtr& frame = *maybe;
 
   if (frame->kind == FrameKind::kDeliver && frame->topic == "$welcome") {
-    if (!ready_) {
-      ready_ = true;
-      const bool was_reconnect = reconnecting_;
-      reconnecting_ = false;
-      reconnect_attempt_ = 0;
-      notify_ready(true);
+    if (!link_.ready()) {
+      const bool was_reconnect = link_.established();
       // Re-establish broker-side state lost in the crash before flushing
       // anything the application published during the outage.
       if (was_reconnect && has_subscription_) resubscribe();
-      while (!backlog_.empty()) {
-        FramePtr queued = backlog_.front();
-        backlog_.pop_front();
-        send_frame(std::move(queued));
-      }
+      flush_backlog();
       // Close the disconnection gap: once resubscribed, ask the (possibly
       // new) broker to replay what we missed since our cursors.
       if (was_reconnect && replay_enabled_ && has_subscription_) {
@@ -408,7 +304,7 @@ void NaradaClient::schedule_backfill() {
 
 void NaradaClient::request_backfill() {
   if (!replay_enabled_) return;
-  if (!ready_) {
+  if (!link_.ready()) {
     // The link dropped again while we were settling; the next welcome's
     // resubscribe path schedules a fresh round.
     backfill_pending_ = false;

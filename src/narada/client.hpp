@@ -5,6 +5,12 @@
 // over TCP, NIO or UDP, then publishes and/or subscribes. Client-library
 // CPU costs (message assembly, serialisation, listener dispatch) are charged
 // to the host the client runs on.
+//
+// The stream lifecycle (refusal, loss, reconnect under backoff, fail-over
+// to another DBN broker) is the shared net::ClientLink. The broker's
+// "$welcome" frame completes the handshake; after a reconnect the client
+// resubscribes, flushes what was published during the outage and, with
+// replay on, asks the broker to backfill the gap.
 #pragma once
 
 #include <cstdint>
@@ -21,35 +27,14 @@
 #include "jms/message.hpp"
 #include "narada/frames.hpp"
 #include "narada/transport.hpp"
-#include "net/stream.hpp"
-#include "util/rng.hpp"
+#include "net/client_link.hpp"
 
 namespace gridmon::narada {
-
-/// Client-side recovery knob: when an established broker link drops, retry
-/// the connection with capped exponential backoff. Jitter is deterministic —
-/// drawn from a named kernel RNG stream keyed by the client's endpoint — so
-/// chaos runs stay a pure function of (scenario, duration, seed).
-struct ReconnectPolicy {
-  bool enabled = false;
-  SimTime backoff_initial = units::milliseconds(500);
-  SimTime backoff_max = units::seconds(8);
-  double multiplier = 2.0;
-  /// Each delay is stretched by uniform[0, jitter] of itself.
-  double jitter = 0.2;
-  int max_attempts = 0;  ///< 0 = keep trying until the run ends
-  /// Fail-over: after every `rehome_after` consecutive failed attempts the
-  /// client re-homes to the next fallback broker (round-robin through
-  /// `fallbacks`). Empty keeps hammering the original broker — the classic
-  /// single-broker recovery behaviour.
-  std::vector<net::Endpoint> fallbacks;
-  int rehome_after = 2;
-};
 
 class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
  public:
   /// ok=false means the broker refused the connection (its OOM wall).
-  using ReadyHandler = std::function<void(bool ok)>;
+  using ReadyHandler = net::ClientLink::ReadyHandler;
   /// `arrived_at` is when the frame reached this host (before_receiving in
   /// the paper's RTT decomposition); the callback itself runs at
   /// after_receiving.
@@ -87,10 +72,10 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   void enable_aggregation(int batch_size,
                           SimTime max_delay = units::milliseconds(100));
 
-  /// Install the recovery policy (call before or after connect). Without a
-  /// policy a lost link is permanent: sends are silently dropped, the
+  /// Recover a lost link under `policy` (see net::ClientLink). Without it
+  /// a lost link is permanent: sends are silently dropped, the
   /// paper-faithful no-recovery baseline.
-  void set_reconnect_policy(ReconnectPolicy policy);
+  void set_reconnect_policy(net::ReconnectPolicy policy);
 
   /// Enable reconnect gap replay. After a reconnect resubscribe (or a gap
   /// detected in the live delivery chain) the client waits `settle`, then
@@ -98,18 +83,16 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   /// `max_retries` bounds follow-up rounds when a reply leaves gaps open.
   void set_replay(SimTime settle, int max_retries);
 
-  [[nodiscard]] bool ready() const { return ready_; }
-  [[nodiscard]] bool refused() const { return refused_; }
+  /// Readiness, refusal and the reconnect/rehome counters.
+  [[nodiscard]] const net::ClientLink& link() const { return link_; }
   [[nodiscard]] std::uint64_t published() const { return published_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
   [[nodiscard]] std::uint64_t resubscribes() const { return resubscribes_; }
-  [[nodiscard]] std::uint64_t rehomes() const { return rehomes_; }
   [[nodiscard]] std::uint64_t backfill_received() const {
     return backfill_received_;
   }
   [[nodiscard]] std::int64_t backfill_bytes() const { return backfill_bytes_; }
-  [[nodiscard]] net::Endpoint local() const { return local_; }
+  [[nodiscard]] net::Endpoint local() const { return link_.local(); }
 
  private:
   NaradaClient(cluster::Host& host, net::Lan& lan,
@@ -119,14 +102,7 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   void send_frame(FramePtr frame);
   void on_frame(const net::Datagram& datagram);
   void handle_deliver(const FramePtr& frame, SimTime arrived_at);
-  /// Invoke and clear the ready handler. One-shot semantics: keeping the
-  /// handler alive held whatever the caller captured (typically its own
-  /// shared_ptr to this client) for the client's whole lifetime — a
-  /// reference cycle that leaked every client under ASan.
-  void notify_ready(bool ok);
-  void adopt_connection(net::StreamConnectionPtr conn);
-  void schedule_reconnect();
-  void attempt_reconnect();
+  void flush_backlog();
   void resubscribe();
   /// Returns false when the stamped frame duplicates a sequence already
   /// delivered (the caller must drop it); otherwise records the delivery,
@@ -138,16 +114,10 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
 
   cluster::Host& host_;
   net::Lan& lan_;
-  net::StreamTransport& streams_;
-  net::Endpoint broker_;
-  net::Endpoint local_;
   TransportKind transport_;
 
-  net::StreamConnectionPtr conn_;
-  bool ready_ = false;
-  bool refused_ = false;
+  net::ClientLink link_;
   bool udp_bound_ = false;
-  ReadyHandler on_ready_;
   std::deque<FramePtr> backlog_;
 
   std::string subscribed_topic_;
@@ -156,15 +126,7 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   jms::AcknowledgeMode ack_mode_ = jms::AcknowledgeMode::kAutoAcknowledge;
   DeliveryListener listener_;
 
-  // Recovery state.
-  ReconnectPolicy reconnect_;
-  util::Rng reconnect_rng_;
-  int reconnect_attempt_ = 0;
-  bool reconnecting_ = false;
-  std::uint64_t reconnects_ = 0;
   std::uint64_t resubscribes_ = 0;
-  std::size_t fallback_index_ = 0;
-  std::uint64_t rehomes_ = 0;
 
   // Replay (reconnect backfill) state.
   struct OriginCursor {

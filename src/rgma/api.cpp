@@ -71,23 +71,11 @@ void PrimaryProducer::insert(
   });
 }
 
-void PrimaryProducer::enable_redeclare(SimTime backoff, SimTime backoff_max) {
-  redeclare_enabled_ = true;
-  redeclare_backoff_ = backoff;
-  redeclare_backoff_max_ = backoff_max;
-}
-
 void PrimaryProducer::schedule_redeclare() {
   if (redeclaring_) return;
   redeclaring_ = true;
   ++redeclares_;
-  SimTime delay = redeclare_backoff_;
-  for (int i = 0; i < redeclare_attempt_ && delay < redeclare_backoff_max_;
-       ++i) {
-    delay *= 2;
-  }
-  if (delay > redeclare_backoff_max_) delay = redeclare_backoff_max_;
-  ++redeclare_attempt_;
+  const SimTime delay = kRedeclareBackoff.delay(++redeclare_attempt_);
   host_.sim().schedule_after(delay, [this] {
     declare([this](bool ok) {
       // Leave redeclaring_ set until the response: while the service is

@@ -14,10 +14,16 @@
 #include <vector>
 
 #include "cluster/host.hpp"
+#include "net/client_link.hpp"
 #include "net/http.hpp"
 #include "rgma/wire.hpp"
 
 namespace gridmon::rgma {
+
+/// Producer redeclare backoff. No jitter: redeclares piggyback on the
+/// deterministic insert path.
+inline constexpr net::Backoff kRedeclareBackoff{units::seconds(1),
+                                                units::seconds(10)};
 
 class PrimaryProducer {
  public:
@@ -37,10 +43,10 @@ class PrimaryProducer {
               std::function<void(bool ok, SimTime after_sending)> on_done = {});
 
   /// Recovery policy: when an insert fails (producer container restarted,
-  /// or the producer expired server-side), re-declare the producer after a
-  /// capped exponential backoff. One redeclare is in flight at a time; the
-  /// backoff resets on success.
-  void enable_redeclare(SimTime backoff, SimTime backoff_max);
+  /// or the producer expired server-side), re-declare the producer after
+  /// kRedeclareBackoff. One redeclare is in flight at a time; the backoff
+  /// resets on success.
+  void enable_redeclare() { redeclare_enabled_ = true; }
 
   [[nodiscard]] int id() const { return id_; }
   [[nodiscard]] bool declared() const { return declared_; }
@@ -62,9 +68,7 @@ class PrimaryProducer {
   bool refused_ = false;
   std::uint64_t inserts_ = 0;
   bool redeclare_enabled_ = false;
-  SimTime redeclare_backoff_ = 0;
-  SimTime redeclare_backoff_max_ = 0;
-  int redeclare_attempt_ = 0;
+  int redeclare_attempt_ = 0;  ///< redeclares since the last success
   bool redeclaring_ = false;
   std::uint64_t redeclares_ = 0;
 };

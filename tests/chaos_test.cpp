@@ -1,11 +1,13 @@
 // Chaos-engineering surface: FaultPlan schedules, the FaultInjector's
 // anchor/window resolution, AvailabilityTracker accounting, registry
-// re-mediation after a producer-container restart, and end-to-end
+// re-mediation after a producer-container restart, the shared client
+// link's reconnect schedule on both stream clients, and end-to-end
 // recovery-vs-no-recovery contrasts for both middlewares.
 #include "core/faults.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +17,11 @@
 #include "core/experiment.hpp"
 #include "core/payloads.hpp"
 #include "core/scenarios.hpp"
+#include "mqtt/broker.hpp"
+#include "mqtt/client.hpp"
+#include "narada/client.hpp"
+#include "narada/dbn.hpp"
+#include "net/client_link.hpp"
 #include "rgma/api.hpp"
 #include "rgma/network.hpp"
 
@@ -286,6 +293,166 @@ TEST(ChaosRgma, RegistryCrashReturns503UntilRestart) {
   sim.run_until(units::seconds(10));
   EXPECT_TRUE(second_ok);
   (void)first_ok;
+}
+
+// --- The shared client link (net::ClientLink) on both stream clients --------
+
+/// One broker on host 0 and one client on host 1, per middleware.
+struct NaradaSide {
+  std::unique_ptr<narada::Dbn> dbn;
+  net::Endpoint start(cluster::Hydra& hydra) {
+    narada::DbnConfig config;
+    config.broker_hosts = {0};
+    dbn = std::make_unique<narada::Dbn>(hydra, config);
+    dbn->start();
+    return dbn->broker_endpoint(0);
+  }
+  void crash() { dbn->broker(0).crash(); }
+  static std::shared_ptr<narada::NaradaClient> client(cluster::Hydra& hydra,
+                                                      net::Endpoint broker) {
+    return narada::NaradaClient::create(hydra.host(1), hydra.lan(),
+                                        hydra.streams(), broker, {1, 9000},
+                                        narada::TransportKind::kTcp);
+  }
+};
+
+struct MqttSide {
+  std::unique_ptr<mqtt::MqttBroker> broker;
+  net::Endpoint start(cluster::Hydra& hydra) {
+    mqtt::MqttBrokerConfig config;
+    config.endpoint = {0, 1883};
+    broker = std::make_unique<mqtt::MqttBroker>(hydra.host(0), hydra.lan(),
+                                                hydra.streams(), config);
+    broker->start();
+    return config.endpoint;
+  }
+  void crash() { broker->crash(); }
+  static std::shared_ptr<mqtt::MqttClient> client(cluster::Hydra& hydra,
+                                                  net::Endpoint broker) {
+    return mqtt::MqttClient::create(hydra.host(1), hydra.streams(), broker,
+                                    {1, 9000}, {.client_id = "link"});
+  }
+};
+
+struct SideNames {
+  template <typename Side>
+  static std::string GetName(int) {
+    return std::is_same_v<Side, NaradaSide> ? "Narada" : "Mqtt";
+  }
+};
+
+template <typename Side>
+class ClientLinkTest : public ::testing::Test {
+ protected:
+  /// A broker that accepts every connection and closes it before the
+  /// handshake, logging each attempt's arrival. The link treats it like a
+  /// broker that is still down.
+  void dead_listener(net::Endpoint endpoint) {
+    hydra_.streams().listen(endpoint, [this, endpoint](
+                                          net::StreamConnectionPtr conn) {
+      attempts_.push_back({hydra_.sim().now(), endpoint});
+      conn->close();
+    });
+  }
+
+  struct Attempt {
+    SimTime at;
+    net::Endpoint broker;
+  };
+  cluster::Hydra hydra_{cluster::HydraConfig{.seed = 11}};
+  std::vector<Attempt> attempts_;
+};
+
+using Sides = ::testing::Types<NaradaSide, MqttSide>;
+TYPED_TEST_SUITE(ClientLinkTest, Sides, SideNames);
+
+constexpr SimTime kCrashAt = units::seconds(5);
+
+TYPED_TEST(ClientLinkTest, AttemptsBackOffFromHalfASecondToEight) {
+  TypeParam side;
+  const net::Endpoint broker = side.start(this->hydra_);
+  auto client = TypeParam::client(this->hydra_, broker);
+  client->set_reconnect_policy({});
+  std::vector<bool> ready;
+  client->connect([&](bool ok) { ready.push_back(ok); });
+  this->hydra_.sim().schedule_at(kCrashAt, [&] {
+    side.crash();
+    this->dead_listener(broker);
+  });
+  // Six attempts take 23.5 s before jitter and at most 28.2 s with it; the
+  // seventh waits at least another 8 s.
+  this->hydra_.sim().run_until(kCrashAt + units::seconds(30));
+
+  const std::vector<SimTime> nominal = {
+      units::milliseconds(500), units::seconds(1), units::seconds(2),
+      units::seconds(4),        units::seconds(8), units::seconds(8)};
+  ASSERT_EQ(this->attempts_.size(), nominal.size());
+  SimTime previous = kCrashAt;
+  for (std::size_t i = 0; i < nominal.size(); ++i) {
+    // Each gap is the jittered delay plus the close and handshake
+    // transits, well under a millisecond on the LAN.
+    const SimTime gap = this->attempts_[i].at - previous;
+    EXPECT_GE(gap, nominal[i]) << "attempt " << i + 1;
+    EXPECT_LE(gap, nominal[i] + nominal[i] / 5 + units::milliseconds(1))
+        << "attempt " << i + 1;
+    EXPECT_EQ(this->attempts_[i].broker, broker);
+    previous = this->attempts_[i].at;
+  }
+  EXPECT_EQ(ready, std::vector<bool>{true});
+  EXPECT_FALSE(client->link().ready());
+  EXPECT_EQ(client->link().rehomes(), 0u);
+}
+
+TYPED_TEST(ClientLinkTest, CloseBeforeTheHandshakeIsARefusalNeverRetried) {
+  const net::Endpoint broker{0, 7000};
+  this->dead_listener(broker);
+  auto client = TypeParam::client(this->hydra_, broker);
+  client->set_reconnect_policy({});
+  std::vector<bool> ready;
+  client->connect([&](bool ok) { ready.push_back(ok); });
+  this->hydra_.sim().run_until(units::seconds(60));
+
+  EXPECT_EQ(ready, std::vector<bool>{false});
+  EXPECT_EQ(this->attempts_.size(), 1u);
+  EXPECT_TRUE(client->link().refused());
+  EXPECT_EQ(client->link().reconnects(), 0u);
+}
+
+TYPED_TEST(ClientLinkTest, FallbacksRehomeOnEverySecondAttempt) {
+  TypeParam side;
+  const net::Endpoint home = side.start(this->hydra_);
+  const net::Endpoint first{2, 7000};
+  const net::Endpoint second{3, 7000};
+  this->dead_listener(first);
+  this->dead_listener(second);
+  auto client = TypeParam::client(this->hydra_, home);
+  client->set_reconnect_policy({.fallbacks = {first, second}});
+  client->connect(nullptr);
+  this->hydra_.sim().schedule_at(kCrashAt, [&] {
+    side.crash();
+    this->dead_listener(home);
+  });
+  this->hydra_.sim().run_until(kCrashAt + units::seconds(30));
+
+  // Attempts 2, 4 and 6 each move on to the next fallback, round-robin.
+  const std::vector<net::Endpoint> expected = {home,   first,  first,
+                                               second, second, first};
+  std::vector<net::Endpoint> tried;
+  for (const auto& attempt : this->attempts_) tried.push_back(attempt.broker);
+  EXPECT_EQ(tried, expected);
+  EXPECT_EQ(client->link().rehomes(), 3u);
+  EXPECT_EQ(client->link().broker(), first);
+}
+
+TEST(ChaosRgma, RedeclareBacksOffFromOneSecondToTen) {
+  std::vector<SimTime> delays;
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    delays.push_back(rgma::kRedeclareBackoff.delay(attempt));
+  }
+  const std::vector<SimTime> expected = {
+      units::seconds(1), units::seconds(2),  units::seconds(4),
+      units::seconds(8), units::seconds(10), units::seconds(10)};
+  EXPECT_EQ(delays, expected);
 }
 
 // End-to-end: a broker crash with client recovery must reconnect,

@@ -30,9 +30,8 @@ struct MqttFixture : ::testing::Test {
 
   std::shared_ptr<MqttClient> make_client(int host, std::uint16_t port,
                                           MqttClientOptions options) {
-    return MqttClient::create(hydra.host(host), hydra.lan(), hydra.streams(),
-                              broker_ep, net::Endpoint{host, port},
-                              std::move(options));
+    return MqttClient::create(hydra.host(host), hydra.streams(), broker_ep,
+                              net::Endpoint{host, port}, std::move(options));
   }
 };
 
@@ -180,10 +179,7 @@ TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
                          {.client_id = "sub",
                           .clean_session = false,
                           .keep_alive = units::seconds(2)});
-  ReconnectPolicy policy;
-  policy.enabled = true;
-  policy.backoff_initial = units::milliseconds(500);
-  sub->set_reconnect_policy(policy);
+  sub->set_reconnect_policy({});
   auto pub = make_client(2, 9001, {.client_id = "pub"});
 
   std::vector<std::string> received;
@@ -210,7 +206,7 @@ TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
                           [this] { hydra.lan().set_node_down(1, false); });
   hydra.sim().run_until(units::seconds(60));
 
-  EXPECT_GE(sub->reconnects(), 1u);
+  EXPECT_GE(sub->link().reconnects(), 1u);
   EXPECT_EQ(sub->resubscribes(), 0u);  // session held the subscription
   EXPECT_GE(broker->stats().sessions_resumed, 1u);
   for (int i = 0; i < 10; ++i) {
@@ -237,10 +233,7 @@ TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
                          {.client_id = "sub",
                           .clean_session = false,
                           .keep_alive = units::seconds(2)});
-  ReconnectPolicy policy;
-  policy.enabled = true;
-  policy.backoff_initial = units::milliseconds(500);
-  sub->set_reconnect_policy(policy);
+  sub->set_reconnect_policy({});
   auto pub = make_client(2, 9001, {.client_id = "pub"});
 
   std::vector<std::string> received;
@@ -284,10 +277,7 @@ TEST_F(MqttFixture, BrokerCrashLosesStateAndClientsRecover) {
   auto broker = start_broker();
   auto sub = make_client(1, 9000,
                          {.client_id = "sub", .clean_session = false});
-  ReconnectPolicy policy;
-  policy.enabled = true;
-  policy.backoff_initial = units::milliseconds(500);
-  sub->set_reconnect_policy(policy);
+  sub->set_reconnect_policy({});
 
   int received = 0;
   sub->connect([&](bool ok) {
@@ -308,7 +298,7 @@ TEST_F(MqttFixture, BrokerCrashLosesStateAndClientsRecover) {
   hydra.sim().run_until(units::seconds(60));
 
   EXPECT_EQ(broker->stats().crashes, 1u);
-  EXPECT_GE(sub->reconnects(), 1u);
+  EXPECT_GE(sub->link().reconnects(), 1u);
   EXPECT_GE(sub->resubscribes(), 1u);  // broker came back empty
   EXPECT_EQ(received, 1);              // post-crash traffic flows again
 }

@@ -167,7 +167,7 @@ TEST_F(BrokerFixture, RefusesConnectionsWhenOutOfMemory) {
   // Refused clients report it.
   int flagged = 0;
   for (const auto& client : clients) {
-    if (client->refused()) ++flagged;
+    if (client->link().refused()) ++flagged;
   }
   EXPECT_EQ(flagged, refused);
 }

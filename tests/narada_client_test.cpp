@@ -68,9 +68,9 @@ TEST_F(ClientFixture, PublishesBeforeReadyAreQueuedNotLost) {
   pub->connect(nullptr);
   pub->publish(jms::make_text_message("t", "early-1"));
   pub->publish(jms::make_text_message("t", "early-2"));
-  EXPECT_FALSE(pub->ready());
+  EXPECT_FALSE(pub->link().ready());
   hydra.sim().run_until(units::seconds(10));
-  EXPECT_TRUE(pub->ready());
+  EXPECT_TRUE(pub->link().ready());
   EXPECT_EQ(received, 2);
 }
 
@@ -83,7 +83,7 @@ TEST_F(ClientFixture, ConnectToNothingReportsRefusal) {
   client->connect([&](bool ok) { ready = ok; });
   hydra.sim().run_until(units::seconds(5));
   EXPECT_FALSE(ready);
-  EXPECT_TRUE(client->refused());
+  EXPECT_TRUE(client->link().refused());
 }
 
 TEST_F(ClientFixture, AggregationDisabledBySizeOne) {
