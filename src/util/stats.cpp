@@ -6,16 +6,9 @@
 namespace gridmon::util {
 
 void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
 void OnlineStats::merge(const OnlineStats& other) {
@@ -24,23 +17,12 @@ void OnlineStats::merge(const OnlineStats& other) {
     *this = other;
     return;
   }
-  const auto na = static_cast<double>(n_);
   const auto nb = static_cast<double>(other.n_);
   const double delta = other.mean_ - mean_;
-  const double total = na + nb;
+  const double total = static_cast<double>(n_) + nb;
   mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
   n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSet::ensure_sorted() const {
   if (!sorted_) {

@@ -7,7 +7,7 @@
 
 namespace gridmon::util {
 
-/// Numerically stable streaming mean/variance/min/max (Welford's algorithm).
+/// Numerically stable streaming mean (Welford's running update).
 class OnlineStats {
  public:
   void add(double x);
@@ -15,19 +15,10 @@ class OnlineStats {
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance; 0 for fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Exact sample set with quantile queries. Stores every sample; the study's
