@@ -361,7 +361,7 @@ void Broker::deliver_local(const jms::MessagePtr& message,
   if (seq == 0) {
     shared = std::make_shared<const Frame>(
         Frame{FrameKind::kDeliver, topic, {},
-              jms::AcknowledgeMode::kAutoAcknowledge, 0, message, -1, -1, {}});
+              jms::AcknowledgeMode::kAutoAcknowledge, 0, message, -1, {}});
     shared_wire = frame_wire_size(*shared);
   }
   for (auto& sub : subscriptions_) {
@@ -401,48 +401,40 @@ void Broker::disseminate(const FramePtr& frame, std::uint64_t first_seq) {
   for (const auto& message : frame->batch) bytes += message->wire_size();
   const auto copy_cost = static_cast<SimTime>(static_cast<double>(bytes) *
                                               costs::kSerializePerByteNs);
-  auto make_forward = [&](int final_broker) {
-    Frame fwd;
-    fwd.kind = FrameKind::kForward;
-    fwd.topic = frame->topic;
-    fwd.ack_mode = frame->ack_mode;
-    fwd.message = frame->message;
-    fwd.batch = frame->batch;
-    fwd.origin_broker = config_.broker_id;
-    fwd.final_broker = final_broker;
-    fwd.history_seq = first_seq;
-    return std::make_shared<const Frame>(std::move(fwd));
-  };
+  // The frame is identical for every peer, so one shared instance fans
+  // out; each copy still costs the origin broker serialisation CPU and
+  // link bandwidth.
+  Frame fwd;
+  fwd.kind = FrameKind::kForward;
+  fwd.topic = frame->topic;
+  fwd.ack_mode = frame->ack_mode;
+  fwd.message = frame->message;
+  fwd.batch = frame->batch;
+  fwd.origin_broker = config_.broker_id;
+  fwd.history_seq = first_seq;
+  const FramePtr forward = std::make_shared<const Frame>(std::move(fwd));
 
   if (!config_.subscription_aware_routing) {
     // v1.1.3 behaviour: broadcast the event to every peer, whether or not a
     // subscriber lives there (the deficiency the paper observed as
-    // "unnecessary data flow between nodes"). Each extra copy costs the
-    // origin broker serialisation CPU and link bandwidth — but the frame
-    // itself is identical for every peer, so one shared instance fans out.
-    const FramePtr broadcast = make_forward(-1);
+    // "unnecessary data flow between nodes").
     for (const Peer& peer : peers_) {
       host_.cpu().charge(host_.loaded(copy_cost, costs::kThreadLoadFactor));
-      send_to_peer(peer.id, broadcast);
+      send_to_peer(peer.id, forward);
     }
     return;
   }
 
-  // Subscription-aware routing: an event travels only toward brokers that
-  // advertised interest in the topic, along shortest paths in the map.
-  // Advertisements flood (deduplicated), so every broker knows every
-  // broker's topic interest.
-  if (map_ == nullptr) return;
-  for (int target = 0; target < map_->broker_count(); ++target) {
-    if (target == config_.broker_id) continue;
-    const auto it = remote_topics_.find(target);
-    const bool interested =
-        it != remote_topics_.end() && it->second.contains(frame->topic);
-    if (!interested) continue;
-    const int hop = map_->next_hop(config_.broker_id, target);
-    if (hop < 0) continue;
+  // Subscription-aware routing: an event travels only to brokers that
+  // advertised interest in the topic. Advertisements flood (deduplicated),
+  // so every broker knows every broker's topic interest, and on the full
+  // mesh each interested broker is one hop away.
+  for (const auto& [target, topics] : remote_topics_) {
+    if (target == config_.broker_id || !topics.contains(frame->topic)) {
+      continue;
+    }
     host_.cpu().charge(host_.loaded(copy_cost, costs::kThreadLoadFactor));
-    send_to_peer(hop, make_forward(target));
+    send_to_peer(target, forward);
   }
 }
 
@@ -496,27 +488,19 @@ void Broker::ingest_forward(const FramePtr& frame) {
       [this, frame, transient, first_seq, fresh = std::move(fresh)] {
         mark_frame(frame, "relay_route");
         host_.heap().release(transient);
-        if (frame->final_broker == -1 ||
-            frame->final_broker == config_.broker_id) {
-          const int origin = first_seq > 0 ? frame->origin_broker : -1;
-          if (!frame->batch.empty()) {
-            std::uint64_t seq = first_seq;
-            for (std::size_t i = 0; i < frame->batch.size(); ++i) {
-              if (fresh.empty() || fresh[i]) {
-                deliver_local(frame->batch[i], frame->topic, origin, seq);
-              }
-              if (seq > 0) ++seq;
+        // Terminal: the DBN is a full mesh, so every forward is one hop.
+        const int origin = first_seq > 0 ? frame->origin_broker : -1;
+        if (!frame->batch.empty()) {
+          std::uint64_t seq = first_seq;
+          for (std::size_t i = 0; i < frame->batch.size(); ++i) {
+            if (fresh.empty() || fresh[i]) {
+              deliver_local(frame->batch[i], frame->topic, origin, seq);
             }
-          } else if (fresh.empty() || fresh.front()) {
-            deliver_local(frame->message, frame->topic, origin, first_seq);
+            if (seq > 0) ++seq;
           }
-          // Broadcast mode (-1) is terminal here: full mesh, single hop.
-          return;
+        } else if (fresh.empty() || fresh.front()) {
+          deliver_local(frame->message, frame->topic, origin, first_seq);
         }
-        // Relay toward the routed destination.
-        if (map_ == nullptr) return;
-        const int hop = map_->next_hop(config_.broker_id, frame->final_broker);
-        if (hop >= 0) send_to_peer(hop, frame);
       });
 }
 
@@ -533,7 +517,7 @@ void Broker::advertise_subscription(const std::string& topic) {
     if (!peer.conn || !peer.conn->open()) continue;
     auto ad = std::make_shared<const Frame>(Frame{
         FrameKind::kPeerSubscribe, topic, {}, {}, 0, nullptr,
-        config_.broker_id, -1, {}});
+        config_.broker_id, {}});
     peer.conn->send(peer.side, kControlFrameBytes, ad);
   }
 }
@@ -676,7 +660,6 @@ void Broker::handle_peer_backfill_request(std::size_t peer_index,
           out.topic = frame->topic;
           out.message = *message;
           out.origin_broker = origin;
-          out.final_broker = -1;
           out.history_seq = seq;
           out.backfill = true;
           auto shared = std::make_shared<const Frame>(std::move(out));

@@ -18,8 +18,8 @@
 // The v1.1.3 deficiency the paper discovered — events broadcast to every
 // broker in a Distributed Broker Network whether or not a subscriber lives
 // there — is the default (`subscription_aware_routing = false`); flipping
-// the flag enables subscription-aware shortest-path routing over the Broker
-// Network Map, which `gridmon_cli report ablation_dbn_routing` measures.
+// the flag forwards each event only to the brokers that advertised interest
+// in its topic, which `gridmon_cli report ablation_dbn_routing` measures.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include "cluster/host.hpp"
 #include "core/history.hpp"
 #include "jms/selector.hpp"
-#include "narada/bnm.hpp"
 #include "narada/frames.hpp"
 #include "narada/transport.hpp"
 #include "net/http.hpp"
@@ -97,8 +96,6 @@ class Broker {
   /// stream, `side` our side of it. Called by the Dbn assembler.
   void add_peer(int peer_id, net::StreamConnectionPtr conn, int side);
 
-  /// Provide the network map used for subscription-aware routing.
-  void set_network_map(const BrokerNetworkMap* map) { map_ = map; }
 
   /// Replication repair after a partition heals: ask every peer to replay
   /// the retained frames we are missing (per-origin high watermarks).
@@ -174,7 +171,6 @@ class Broker {
   net::Lan& lan_;
   net::StreamTransport& streams_;
   BrokerConfig config_;
-  const BrokerNetworkMap* map_ = nullptr;
   util::Rng rng_;
 
   std::vector<Subscription> subscriptions_;

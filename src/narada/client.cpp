@@ -112,7 +112,7 @@ void NaradaClient::subscribe(const std::string& topic,
   listener_ = std::move(listener);
 
   auto frame = std::make_shared<const Frame>(Frame{
-      FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1, -1,
+      FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1,
       local()});
   send_frame(std::move(frame));
 }
@@ -186,7 +186,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
                                on_sent = std::move(on_sent)] {
     auto frame = std::make_shared<const Frame>(Frame{
         FrameKind::kPublish, shared->destination, {}, self->ack_mode_, 0,
-        shared, -1, -1, self->local()});
+        shared, -1, self->local()});
     self->send_frame(std::move(frame));
     ++self->published_;
     if (on_sent) on_sent(self->host_.sim().now());
@@ -197,7 +197,7 @@ void NaradaClient::acknowledge() {
   host_.cpu().charge(costs::kClientAckCost);
   auto frame = std::make_shared<const Frame>(Frame{
       FrameKind::kClientAck, subscribed_topic_, {}, ack_mode_, 0, nullptr, -1,
-      -1, local()});
+      local()});
   send_frame(std::move(frame));
 }
 

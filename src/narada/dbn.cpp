@@ -12,7 +12,6 @@ Dbn::Dbn(cluster::Hydra& hydra, DbnConfig config)
     throw std::invalid_argument("Dbn: needs at least one broker host");
   }
   for (std::size_t i = 0; i < config_.broker_hosts.size(); ++i) {
-    map_.add_broker();
     BrokerConfig bc;
     bc.endpoint = net::Endpoint{config_.broker_hosts[i], config_.base_port};
     bc.transport = config_.transport;
@@ -23,22 +22,6 @@ Dbn::Dbn(cluster::Hydra& hydra, DbnConfig config)
     brokers_.push_back(std::make_unique<Broker>(
         hydra_.host(config_.broker_hosts[i]), hydra_.lan(), hydra_.streams(),
         bc));
-    brokers_.back()->set_network_map(&map_);
-  }
-
-  const int n = broker_count();
-  switch (config_.topology) {
-    case DbnTopology::kFullMesh:
-      for (int a = 0; a < n; ++a) {
-        for (int b = a + 1; b < n; ++b) map_.add_link(a, b);
-      }
-      break;
-    case DbnTopology::kChain:
-      for (int a = 0; a + 1 < n; ++a) map_.add_link(a, a + 1);
-      break;
-    case DbnTopology::kStar:
-      for (int b = 1; b < n; ++b) map_.add_link(0, b);
-      break;
   }
 }
 
@@ -50,11 +33,10 @@ net::Endpoint Dbn::broker_endpoint(int i) const {
 void Dbn::start() {
   for (auto& broker : brokers_) broker->start();
 
-  // Establish one stream per map link; the initiator is the lower id.
+  // Establish one stream per pair of brokers; the initiator is the lower id.
   const int n = broker_count();
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) {
-      if (!map_.linked(a, b)) continue;
       const net::Endpoint from{config_.broker_hosts[static_cast<std::size_t>(a)],
                                next_link_port_++};
       Broker* broker_a = brokers_[static_cast<std::size_t>(a)].get();

@@ -5,26 +5,23 @@
 // network, publishers attached to publishing brokers and subscribers to
 // subscribing brokers. This class plays the unit-controller/Broker
 // Discovery Node role: it instantiates one broker per given host, assigns
-// endpoints, wires the inter-broker topology, and hands out broker
-// addresses to connecting clients.
+// endpoints, links every pair of brokers (a full mesh, so any broker is one
+// hop from any other), and hands out broker addresses to connecting
+// clients.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "cluster/hydra.hpp"
-#include "narada/bnm.hpp"
 #include "narada/broker.hpp"
 
 namespace gridmon::narada {
-
-enum class DbnTopology { kFullMesh, kChain, kStar };
 
 struct DbnConfig {
   std::vector<int> broker_hosts;  ///< Hydra host indices, one broker each
   TransportKind transport = TransportKind::kTcp;
   bool subscription_aware_routing = false;
-  DbnTopology topology = DbnTopology::kFullMesh;
   std::uint16_t base_port = 5000;
   /// Reconnect backfill replication (forwarded into each BrokerConfig).
   bool replay = false;
@@ -42,7 +39,6 @@ class Dbn {
   [[nodiscard]] int broker_count() const { return static_cast<int>(brokers_.size()); }
   [[nodiscard]] Broker& broker(int i) { return *brokers_[static_cast<std::size_t>(i)]; }
   [[nodiscard]] net::Endpoint broker_endpoint(int i) const;
-  [[nodiscard]] const BrokerNetworkMap& map() const { return map_; }
 
   /// Broker Discovery Node service: hand out broker addresses round-robin
   /// within the given role partition. With N brokers, the first half serve
@@ -61,7 +57,6 @@ class Dbn {
  private:
   cluster::Hydra& hydra_;
   DbnConfig config_;
-  BrokerNetworkMap map_;
   std::vector<std::unique_ptr<Broker>> brokers_;
   int next_pub_ = 0;
   int next_sub_ = 0;

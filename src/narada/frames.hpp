@@ -42,7 +42,6 @@ struct Frame {
   std::uint64_t subscription_id = 0;
   jms::MessagePtr message;          ///< kPublish / kDeliver / kForward
   int origin_broker = -1;           ///< kForward: broker the event entered at
-  int final_broker = -1;            ///< kForward: routed destination broker
   net::Endpoint reply_to;           ///< kSubscribe over UDP: delivery address
   /// Sender-side message aggregation (the RMM technique from the paper's
   /// related work, §IV): several publishes to the same destination carried
