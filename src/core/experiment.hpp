@@ -107,11 +107,6 @@ struct FleetConfig {
 struct ReplayConfig {
   bool enabled = false;
   RetentionConfig retention;
-  /// How long a client lets the live stream settle after reconnect before
-  /// requesting a backfill (batches the gap into one request).
-  SimTime settle = units::milliseconds(500);
-  /// Backfill request retries before giving up on the gap.
-  int max_retries = 2;
 };
 
 /// The knobs every harness config shares. `run_scenario` overrides all
@@ -171,7 +166,6 @@ struct RgmaConfig : RunConfig {
   bool distributed = false;
   bool via_secondary_producer = false;  ///< Fig 10 chain
   SimTime secondary_delay = units::seconds(30);
-  SimTime poll_period = units::milliseconds(100);
   /// HTTPS between R-GMA components (the paper avoided it; ablation).
   bool secure = false;
   /// Legacy StreamProducer/Archiver delivery path (the API related work
@@ -179,13 +173,9 @@ struct RgmaConfig : RunConfig {
   bool legacy_stream_api = false;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
-  /// Services renew registrations every `renewal_period` when
-  /// `fleet.recovery` is on (re-registering after a registry wipe).
-  SimTime renewal_period = units::seconds(20);
   /// Registry soft-state TTL (0 = no expiry; chaos scenarios set it so
   /// stale entries age out and renewals matter).
   SimTime registry_ttl = 0;
-  SimTime consumer_retry = units::seconds(2);
   /// Client-side HTTP request time-out (0 = wait forever). The half-open
   /// registry fault only makes progress when this is set: a request the
   /// registry accepted but never answers fails with 408 after this long.

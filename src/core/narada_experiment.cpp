@@ -191,9 +191,7 @@ class NaradaPort final : public BackendPort {
                       const net::ReconnectPolicy& policy,
                       std::string selector, jms::AcknowledgeMode ack) {
     auto sub = client(host, port, broker, policy);
-    if (config_.replay.enabled) {
-      sub->set_replay(config_.replay.settle, config_.replay.max_retries);
-    }
+    if (config_.replay.enabled) sub->enable_replay();
     // Decoding runs before the listener, so SRT includes it.
     gma::WsProxySubscriber* proxy =
         config_.soap_proxy

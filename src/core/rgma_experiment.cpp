@@ -9,6 +9,7 @@
 
 #include "core/payloads.hpp"
 #include "core/run_scaffold.hpp"
+#include "rgma/api.hpp"
 #include "rgma/network.hpp"
 #include "rgma/secondary_producer.hpp"
 #include "util/log.hpp"
@@ -19,13 +20,19 @@ namespace {
 constexpr const char* kTable = "generators";
 constexpr const char* kSecondaryTable = "generators_sp";
 
+/// Recovery (`fleet.recovery`): services renew their registrations this
+/// often (re-registering after a registry wipe), and a subscriber whose
+/// consumer was refused or lost re-creates it after this long.
+constexpr SimTime kRenewalPeriod = units::seconds(20);
+constexpr SimTime kConsumerRetry = units::seconds(2);
+
 /// Ledger key of row (id, seq).
 [[nodiscard]] std::string row_key(std::int64_t id, std::int64_t seq) {
   return std::to_string(id * 1'000'000'000 + seq);
 }
 
-/// The subscriber program: polls the Consumer every 100 ms (up to 100 ms
-/// of measurement quantisation, as the paper notes).
+/// The subscriber program: polls the Consumer every rgma::kPollPeriod (up
+/// to 100 ms of measurement quantisation, as the paper notes).
 class Subscriber {
  public:
   Subscriber(RunScaffold& run, int host, net::HttpClient& http,
@@ -33,8 +40,7 @@ class Subscriber {
              const RgmaConfig& config)
       : run_(run),
         consumer_(run.hydra().host(host), http, service, id, std::move(query)),
-        poll_period_(config.poll_period),
-        create_retry_(config.fleet.recovery ? config.consumer_retry : 0) {
+        create_retry_(config.fleet.recovery ? kConsumerRetry : 0) {
     if (create_retry_ > 0) consumer_.enable_retry(create_retry_);
     // Reconnect backfill: after each re-create, replay the poll gap from
     // producer history; rows already delivered miss the ledger.
@@ -56,8 +62,9 @@ class Subscriber {
         return;
       }
       if (timer_.active()) return;
-      timer_ = sim::PeriodicTimer(run_.sim(), run_.sim().now() + poll_period_,
-                                  poll_period_, [this] { poll(); });
+      timer_ = sim::PeriodicTimer(run_.sim(),
+                                  run_.sim().now() + rgma::kPollPeriod,
+                                  rgma::kPollPeriod, [this] { poll(); });
     });
   }
 
@@ -88,7 +95,6 @@ class Subscriber {
 
   RunScaffold& run_;
   rgma::Consumer consumer_;
-  SimTime poll_period_;
   SimTime create_retry_;
   sim::PeriodicTimer timer_;
   bool polling_ = false;
@@ -112,7 +118,7 @@ class RgmaPort final : public BackendPort {
     // rescues a half-open one (wedged requests fail with 408).
     auto harden = [this](auto& service) {
       if (config_.fleet.recovery) {
-        service.enable_registration_renewal(config_.renewal_period);
+        service.enable_registration_renewal(kRenewalPeriod);
       }
       if (config_.request_timeout > 0) {
         service.set_registry_timeout(config_.request_timeout);

@@ -14,6 +14,14 @@ namespace costs = cluster::costs;
 
 namespace {
 
+/// Unacknowledged QoS 1/2 deliveries are re-sent (DUP) once they are older
+/// than kRetransmitTimeout, checked every kRetransmitSweep.
+constexpr SimTime kRetransmitTimeout = units::seconds(4);
+constexpr SimTime kRetransmitSweep = units::seconds(1);
+/// Keep-alive sessions expire after this many keep-alive periods of
+/// silence (1.5 per the MQTT specification).
+constexpr double kKeepAliveGrace = 1.5;
+
 /// Hop-span mark for the sample a packet carries (no-op unless the run has
 /// an observability recorder installed and the message is sampled).
 void mark_packet(const PacketPtr& packet, std::string_view stage) {
@@ -53,8 +61,8 @@ void MqttBroker::start() {
     on_stream_accept(std::move(conn));
   });
   retransmit_timer_ = sim::PeriodicTimer(
-      host_.sim(), host_.sim().now() + config_.retransmit_sweep,
-      config_.retransmit_sweep, [this] { retransmit_packets(); });
+      host_.sim(), host_.sim().now() + kRetransmitSweep, kRetransmitSweep,
+      [this] { retransmit_packets(); });
   keep_alive_timer_ = sim::PeriodicTimer(
       host_.sim(), host_.sim().now() + units::seconds(1), units::seconds(1),
       [this] { expire_sessions(); });
@@ -477,7 +485,7 @@ void MqttBroker::retransmit_packets() {
   for (auto& [id, session] : sessions_) {
     if (!session.connected) continue;
     for (auto& [pid, entry] : session.in_flight) {
-      if (now - entry.last_sent < config_.retransmit_timeout) continue;
+      if (now - entry.last_sent < kRetransmitTimeout) continue;
       entry.last_sent = now;
       ++stats_.retransmissions;
       if (entry.awaiting_comp) {
@@ -499,7 +507,7 @@ void MqttBroker::expire_sessions() {
   for (const auto& [id, session] : sessions_) {
     if (!session.connected || session.keep_alive <= 0) continue;
     const auto deadline = static_cast<SimTime>(
-        static_cast<double>(session.keep_alive) * config_.keep_alive_grace);
+        static_cast<double>(session.keep_alive) * kKeepAliveGrace);
     if (now - session.last_seen > deadline) expired.push_back(id);
   }
   for (const std::string& id : expired) {

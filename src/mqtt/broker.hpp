@@ -43,13 +43,6 @@ namespace gridmon::mqtt {
 struct MqttBrokerConfig {
   net::Endpoint endpoint;
   int broker_id = 0;
-  /// Unacknowledged QoS 1/2 deliveries are re-sent (DUP) once they are
-  /// older than `retransmit_timeout`, checked every `retransmit_sweep`.
-  SimTime retransmit_timeout = units::seconds(4);
-  SimTime retransmit_sweep = units::seconds(1);
-  /// Keep-alive sessions expire after `keep_alive_grace` × keep-alive of
-  /// silence (1.5 per the MQTT specification).
-  double keep_alive_grace = 1.5;
   /// Retention policy bounding each persistent session's offline queue
   /// (QoS 1/2 messages parked while the client is away). Drop-oldest
   /// evictions are counted in `queue_dropped` — the fix for the formerly

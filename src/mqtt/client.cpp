@@ -10,6 +10,13 @@ namespace gridmon::mqtt {
 
 namespace costs = cluster::costs;
 
+namespace {
+
+/// Unacknowledged QoS 1/2 publishes are re-sent (DUP) after this long.
+constexpr SimTime kRetransmitTimeout = units::seconds(2);
+
+}  // namespace
+
 std::shared_ptr<MqttClient> MqttClient::create(cluster::Host& host,
                                                net::StreamTransport& streams,
                                                net::Endpoint broker,
@@ -192,7 +199,7 @@ void MqttClient::publish(const std::string& topic, std::int64_t payload_bytes,
 
 void MqttClient::arm_retransmit(std::uint16_t packet_id) {
   host_.sim().schedule_after(
-      options_.retransmit_timeout, [self = weak_from_this(), packet_id] {
+      kRetransmitTimeout, [self = weak_from_this(), packet_id] {
         auto c = self.lock();
         if (!c) return;
         const auto it = c->in_flight_.find(packet_id);

@@ -38,8 +38,6 @@ struct MqttClientOptions {
   std::string client_id;  ///< deterministic, e.g. "gen-0042"
   bool clean_session = true;
   SimTime keep_alive = units::seconds(30);  ///< 0 = no keep-alive contract
-  /// Unacknowledged QoS 1/2 publishes are re-sent (DUP) after this long.
-  SimTime retransmit_timeout = units::seconds(2);
 };
 
 class MqttClient : public std::enable_shared_from_this<MqttClient> {

@@ -10,6 +10,15 @@ namespace gridmon::narada {
 
 namespace costs = cluster::costs;
 
+namespace {
+
+/// Replay: the settle before a backfill request, and the follow-up rounds
+/// a reply that leaves gaps open may trigger.
+constexpr SimTime kReplaySettle = units::milliseconds(500);
+constexpr int kReplayMaxRetries = 2;
+
+}  // namespace
+
 std::shared_ptr<NaradaClient> NaradaClient::create(
     cluster::Host& host, net::Lan& lan, net::StreamTransport& streams,
     net::Endpoint broker, net::Endpoint local, TransportKind transport) {
@@ -36,12 +45,6 @@ NaradaClient::~NaradaClient() {
 
 void NaradaClient::set_reconnect_policy(net::ReconnectPolicy policy) {
   link_.enable_reconnect(std::move(policy), "narada.reconnect");
-}
-
-void NaradaClient::set_replay(SimTime settle, int max_retries) {
-  replay_enabled_ = true;
-  replay_settle_ = settle;
-  replay_max_retries_ = max_retries;
 }
 
 void NaradaClient::connect(ReadyHandler on_ready) {
@@ -283,7 +286,7 @@ void NaradaClient::on_backfill_reply(const FramePtr& frame) {
     }
     if (!cursor.ahead.empty()) gap_remains = true;
   }
-  if (gap_remains && backfill_round_ < replay_max_retries_) {
+  if (gap_remains && backfill_round_ < kReplayMaxRetries) {
     // Live frames raced past the served window while the reply was in
     // flight; one more bounded round picks up the stragglers.
     ++backfill_round_;
@@ -297,7 +300,7 @@ void NaradaClient::schedule_backfill() {
   if (!replay_enabled_ || backfill_pending_) return;
   if (!has_subscription_) return;
   backfill_pending_ = true;
-  host_.sim().schedule_after(replay_settle_, [self = weak_from_this()] {
+  host_.sim().schedule_after(kReplaySettle, [self = weak_from_this()] {
     if (auto c = self.lock()) c->request_backfill();
   });
 }

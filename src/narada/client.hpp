@@ -78,10 +78,11 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
   void set_reconnect_policy(net::ReconnectPolicy policy);
 
   /// Enable reconnect gap replay. After a reconnect resubscribe (or a gap
-  /// detected in the live delivery chain) the client waits `settle`, then
-  /// asks its broker to backfill everything past its per-origin cursors.
-  /// `max_retries` bounds follow-up rounds when a reply leaves gaps open.
-  void set_replay(SimTime settle, int max_retries);
+  /// detected in the live delivery chain) the client lets the live stream
+  /// settle for 500 ms, batching the gap into one request, then asks its
+  /// broker to backfill everything past its per-origin cursors. At most two
+  /// follow-up rounds chase gaps a reply leaves open.
+  void enable_replay() { replay_enabled_ = true; }
 
   /// Readiness, refusal and the reconnect/rehome counters.
   [[nodiscard]] const net::ClientLink& link() const { return link_; }
@@ -134,8 +135,6 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
     std::set<std::uint64_t> ahead;  ///< delivered sequences beyond a gap
   };
   bool replay_enabled_ = false;
-  SimTime replay_settle_ = 0;
-  int replay_max_retries_ = 0;
   std::map<int, OriginCursor> cursors_;  ///< keyed by origin broker id
   bool backfill_pending_ = false;
   int backfill_round_ = 0;

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace gridmon::obs {
+namespace {
+
+/// Timeline sampling period (virtual time).
+constexpr SimTime kSamplePeriod = units::seconds(5);
+
+}  // namespace
 
 TraceKey key_of(std::string_view id) {
   std::uint64_t hash = 14695981039346656037ULL;
@@ -76,7 +82,7 @@ void Recorder::add_chaos(std::string name, SimTime begin, SimTime end) {
 }
 
 void Recorder::arm(SimTime first_at) {
-  timer_ = sim::PeriodicTimer(sim_, first_at, options_.sample_period, [this] {
+  timer_ = sim::PeriodicTimer(sim_, first_at, kSamplePeriod, [this] {
     // The sampling tick is a pure observer: discount it so
     // KernelStats.events_executed is identical with obs on or off.
     sim_.discount_stat_event();

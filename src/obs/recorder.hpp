@@ -53,8 +53,6 @@ using TraceKey = std::uint64_t;
 
 struct Options {
   bool enabled = false;
-  /// Timeline sampling period (virtual time).
-  SimTime sample_period = units::seconds(5);
   /// Trace every Nth message (deterministic, keyed on TraceKey hash);
   /// 0 disables span collection entirely, 1 traces every message.
   std::uint32_t span_sample_every = 16;

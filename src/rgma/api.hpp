@@ -20,6 +20,10 @@
 
 namespace gridmon::rgma {
 
+/// The paper's subscriber polled its Consumer every 100 ms (the API could
+/// not notify), quantising SRT to that granularity.
+inline constexpr SimTime kPollPeriod = units::milliseconds(100);
+
 /// Producer redeclare backoff. No jitter: redeclares piggyback on the
 /// deterministic insert path.
 inline constexpr net::Backoff kRedeclareBackoff{units::seconds(1),

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rgma/api.hpp"
+
 namespace gridmon::core::scenarios {
 namespace {
 
@@ -78,7 +80,7 @@ TEST(ScenariosTest, RgmaDeploymentsMatchSectionIIIF) {
   EXPECT_FALSE(single.distributed);
   EXPECT_EQ(single.fleet.creation_interval, units::seconds(1));
   EXPECT_EQ(single.fleet.publish_period, units::seconds(10));
-  EXPECT_EQ(single.poll_period, units::milliseconds(100));
+  EXPECT_EQ(rgma::kPollPeriod, units::milliseconds(100));
 
   const auto distributed = rgma_distributed(1000);
   EXPECT_TRUE(distributed.distributed);
