@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
 
   // The sampler reads state without drawing model RNG: everything,
   // *including* kernel event counts, must match bit-for-bit. The sampling
-  // timer's own firings are discounted from KernelStats.events_executed
-  // (Simulation::discount_stat_event), so an obs-enabled run reports the
-  // same event count as a disabled one.
+  // ticks are observer events (sim::EventKind::kObserver), which
+  // KernelStats leaves out, so an obs-enabled run reports the same event
+  // count as a disabled one.
   const bool metrics_identical =
       off_results.metrics.sent() == series_results.metrics.sent() &&
       off_results.metrics.received() == series_results.metrics.received() &&

@@ -82,13 +82,14 @@ void Recorder::add_chaos(std::string name, SimTime begin, SimTime end) {
 }
 
 void Recorder::arm(SimTime first_at) {
-  timer_ = sim::PeriodicTimer(sim_, first_at, kSamplePeriod, [this] {
-    // The sampling tick is a pure observer: discount it so
-    // KernelStats.events_executed is identical with obs on or off.
-    sim_.discount_stat_event();
-    if (sampler_) sampler_(timeline_);
-    timeline_.sample(sim_.now());
-  });
+  // The sampling tick is a pure observer: KernelStats leaves it out.
+  timer_ = sim::PeriodicTimer(
+      sim_, first_at, kSamplePeriod,
+      [this] {
+        if (sampler_) sampler_(timeline_);
+        timeline_.sample(sim_.now());
+      },
+      sim::EventKind::kObserver);
 }
 
 std::shared_ptr<const Report> Recorder::finish(SimTime horizon) {

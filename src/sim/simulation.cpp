@@ -36,6 +36,7 @@ void Simulation::recycle_node(std::uint32_t index) {
   n.seq = 0;  // retire the generation: stale tokens become inert
   n.fn.reset();
   n.cancelled = false;
+  n.kind = EventKind::kModel;
   free_nodes_.push_back(index);
 }
 
@@ -159,7 +160,8 @@ bool Simulation::refill_front() {
   }
 }
 
-ScheduledEvent Simulation::schedule_at(SimTime at, EventFn fn) {
+ScheduledEvent Simulation::schedule_at(SimTime at, EventFn fn,
+                                       EventKind kind) {
   if (at < now_) at = now_;
   if (fn.on_heap()) ++callback_heap_allocs_;
   const std::uint32_t index = allocate_node();
@@ -167,9 +169,14 @@ ScheduledEvent Simulation::schedule_at(SimTime at, EventFn fn) {
   n.time = at;
   n.seq = next_seq_++;
   n.fn = std::move(fn);
+  n.kind = kind;
   enqueue(QueueEntry{at, n.seq, index});
   ++queue_size_;
-  if (queue_size_ > peak_queue_depth_) peak_queue_depth_ = queue_size_;
+  if (kind == EventKind::kObserver) {
+    ++observers_queued_;
+  } else if (queue_size_ - observers_queued_ > peak_queue_depth_) {
+    peak_queue_depth_ = queue_size_ - observers_queued_;
+  }
   return ScheduledEvent(this, index, n.seq);
 }
 
@@ -182,6 +189,8 @@ std::uint64_t Simulation::run_loop(SimTime until, bool advance_clock) {
     front_.pop_back();
     EventNode& n = node(index);
     --queue_size_;
+    const bool observer = n.kind == EventKind::kObserver;
+    if (observer) --observers_queued_;
     now_ = n.time;
     if (n.cancelled) {
       recycle_node(index);
@@ -192,6 +201,7 @@ std::uint64_t Simulation::run_loop(SimTime until, bool advance_clock) {
     // mid-invoke because it is not on the free list yet, and slab chunks
     // never relocate even if the callback schedules new events.
     n.seq = 0;
+    if (observer) ++observers_executed_;
     n.fn();
     recycle_node(index);
     ++executed;
@@ -215,23 +225,27 @@ bool Simulation::event_pending(std::uint32_t index, std::uint64_t seq) const {
 }
 
 PeriodicTimer::PeriodicTimer(Simulation& sim, SimTime first_at, SimTime period,
-                             std::function<void()> fn) {
+                             std::function<void()> fn, EventKind kind) {
   impl_ = std::make_shared<Impl>();
   impl_->sim = &sim;
   impl_->period = period > 0 ? period : 1;
   impl_->fn = std::move(fn);
+  impl_->kind = kind;
   arm(impl_, first_at);
 }
 
 void PeriodicTimer::arm(const std::shared_ptr<Impl>& impl, SimTime at) {
   std::weak_ptr<Impl> weak = impl;
-  impl->next = impl->sim->schedule_at(at, [weak] {
-    auto self = weak.lock();
-    if (!self || !self->active) return;
-    self->fn();
-    // fn may have cancelled the timer.
-    if (self->active) arm(self, self->sim->now() + self->period);
-  });
+  impl->next = impl->sim->schedule_at(
+      at,
+      [weak] {
+        auto self = weak.lock();
+        if (!self || !self->active) return;
+        self->fn();
+        // fn may have cancelled the timer.
+        if (self->active) arm(self, self->sim->now() + self->period);
+      },
+      impl->kind);
 }
 
 void PeriodicTimer::cancel() {

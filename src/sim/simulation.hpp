@@ -60,6 +60,7 @@ class ScheduledEvent {
 /// dividing events_executed by the harness wall clock, which is the only
 /// nondeterministic factor and lives in RunRecord::wall_seconds).
 struct KernelStats {
+  /// Both leave observer events out (see EventKind).
   std::uint64_t events_executed = 0;
   std::uint64_t peak_queue_depth = 0;
   /// EventFn spills: callbacks whose captures exceeded the inline buffer.
@@ -86,6 +87,12 @@ struct KernelStats {
 /// pinned.
 constexpr std::uint64_t kSlabNodeBytes = 112;
 
+/// A model event may change model state; an observer event (the obs
+/// Timeline's sampling tick) only reads it. KernelStats leaves observer
+/// events out of events_executed and peak_queue_depth, so both are
+/// identical with observability on or off.
+enum class EventKind : std::uint8_t { kModel, kObserver };
+
 class Simulation {
  public:
   explicit Simulation(std::uint64_t seed = 1);
@@ -105,7 +112,8 @@ class Simulation {
   }
 
   /// Schedule `fn` at absolute virtual time `at` (clamped to now()).
-  ScheduledEvent schedule_at(SimTime at, EventFn fn);
+  ScheduledEvent schedule_at(SimTime at, EventFn fn,
+                             EventKind kind = EventKind::kModel);
 
   /// Schedule `fn` after `delay` (>= 0) from now.
   ScheduledEvent schedule_after(SimTime delay, EventFn fn) {
@@ -131,19 +139,14 @@ class Simulation {
   /// Request that the run loop stop after the current event.
   void stop() { stop_requested_ = true; }
 
+  /// Every event executed, observer events included.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::size_t queue_size() const { return queue_size_; }
-
-  /// Exclude the event currently executing (or just executed) from
-  /// KernelStats.events_executed. Pure-observer events — the obs Timeline
-  /// sampling timer — call this so kernel event counts are identical with
-  /// observability on or off (raw events_executed() still counts them).
-  void discount_stat_event() { ++stat_discounted_; }
 
   /// Kernel self-metrics (deterministic; see KernelStats).
   [[nodiscard]] KernelStats kernel_stats() const {
     KernelStats stats;
-    stats.events_executed = executed_ - stat_discounted_;
+    stats.events_executed = executed_ - observers_executed_;
     stats.peak_queue_depth = peak_queue_depth_;
     stats.callback_heap_allocs = callback_heap_allocs_;
     stats.overflow_events = overflow_events_;
@@ -178,6 +181,7 @@ class Simulation {
     std::uint64_t seq = 0;  ///< 0 = free/retired (generation check)
     EventFn fn;
     bool cancelled = false;
+    EventKind kind = EventKind::kModel;
   };
 
   [[nodiscard]] EventNode& node(std::uint32_t index) {
@@ -225,7 +229,7 @@ class Simulation {
   std::uint64_t seed_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::uint64_t stat_discounted_ = 0;
+  std::uint64_t observers_executed_ = 0;
   bool stop_requested_ = false;
   util::Rng root_rng_;
 
@@ -251,6 +255,7 @@ class Simulation {
   std::vector<QueueEntry> front_;
   std::vector<QueueEntry> overflow_;
   std::size_t queue_size_ = 0;
+  std::size_t observers_queued_ = 0;  ///< of queue_size_
 
   // Self-metrics.
   std::uint64_t peak_queue_depth_ = 0;
@@ -275,7 +280,7 @@ class PeriodicTimer {
  public:
   PeriodicTimer() = default;
   PeriodicTimer(Simulation& sim, SimTime first_at, SimTime period,
-                std::function<void()> fn);
+                std::function<void()> fn, EventKind kind = EventKind::kModel);
   ~PeriodicTimer() { cancel(); }
 
   PeriodicTimer(const PeriodicTimer&) = delete;
@@ -300,6 +305,7 @@ class PeriodicTimer {
     Simulation* sim = nullptr;
     SimTime period = 0;
     std::function<void()> fn;
+    EventKind kind = EventKind::kModel;
     bool active = true;
     ScheduledEvent next;
   };
