@@ -74,6 +74,8 @@ class ClientLink {
 
   ClientLink(StreamTransport& streams, Endpoint broker, Endpoint local)
       : streams_(streams), broker_(broker), local_(local) {}
+  ClientLink(const ClientLink&) = delete;  // its callbacks hold `this`
+  ClientLink& operator=(const ClientLink&) = delete;
 
   /// Recover lost links under `policy` (call before or after connect).
   /// Without it a lost link is permanent: the paper-faithful no-recovery

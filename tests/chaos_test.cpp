@@ -388,6 +388,7 @@ TYPED_TEST(ClientLinkTest, AttemptsBackOffFromHalfASecondToEight) {
       units::seconds(4),        units::seconds(8), units::seconds(8)};
   ASSERT_EQ(this->attempts_.size(), nominal.size());
   SimTime previous = kCrashAt;
+  int jittered = 0;
   for (std::size_t i = 0; i < nominal.size(); ++i) {
     // Each gap is the jittered delay plus the close and handshake
     // transits, well under a millisecond on the LAN.
@@ -395,9 +396,11 @@ TYPED_TEST(ClientLinkTest, AttemptsBackOffFromHalfASecondToEight) {
     EXPECT_GE(gap, nominal[i]) << "attempt " << i + 1;
     EXPECT_LE(gap, nominal[i] + nominal[i] / 5 + units::milliseconds(1))
         << "attempt " << i + 1;
+    if (gap > nominal[i] + units::milliseconds(1)) ++jittered;
     EXPECT_EQ(this->attempts_[i].broker, broker);
     previous = this->attempts_[i].at;
   }
+  EXPECT_GT(jittered, 0);
   EXPECT_EQ(ready, std::vector<bool>{true});
   EXPECT_FALSE(client->link().ready());
   EXPECT_EQ(client->link().rehomes(), 0u);
