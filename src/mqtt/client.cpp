@@ -1,6 +1,5 @@
 #include "mqtt/client.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "cluster/costs.hpp"
