@@ -43,14 +43,15 @@ void MqttClient::set_reconnect_policy(net::ReconnectPolicy policy) {
 }
 
 void MqttClient::connect(ReadyHandler on_ready) {
-  link_.connect(weak_from_this(),
-                {.on_message =
-                     [self = weak_from_this()](const net::Datagram& dg) {
-                       if (auto c = self.lock()) c->on_packet(dg);
-                     },
-                 .on_open = [this] { send_connect(); },
-                 .on_lost = [this] { keep_alive_timer_ = sim::PeriodicTimer(); }},
-                std::move(on_ready));
+  link_.connect(
+      weak_from_this(),
+      {.on_message =
+           [self = weak_from_this()](const net::Datagram& dg) {
+             if (auto c = self.lock()) c->on_packet(dg);
+           },
+       .on_open = [this] { send_connect(); },
+       .on_lost = [this] { keep_alive_timer_ = sim::PeriodicTimer(); }},
+      std::move(on_ready));
 }
 
 void MqttClient::send_connect() {

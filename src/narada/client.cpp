@@ -159,9 +159,8 @@ void NaradaClient::flush_aggregation() {
 
 void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
   // JMS provider stamps headers on send.
-  const net::Endpoint sender = local();
-  message.message_id = "ID:" + std::to_string(sender.node) + "-" +
-                       std::to_string(sender.port) + "-" +
+  message.message_id = "ID:" + std::to_string(local().node) + "-" +
+                       std::to_string(local().port) + "-" +
                        std::to_string(next_message_seq_++);
   message.timestamp = host_.sim().now();
   auto shared = jms::share(std::move(message));

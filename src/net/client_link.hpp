@@ -48,8 +48,8 @@ struct ReconnectPolicy {
   static constexpr Backoff kBackoff{units::milliseconds(500),
                                     units::seconds(8)};
   static constexpr double kJitter = 0.2;
-  /// Every kRehomeEvery-th consecutive failed attempt re-homes the client
-  /// to the next broker of `fallbacks`.
+  /// Every kRehomeEvery-th attempt of an outage (the 2nd, 4th, ...) goes to
+  /// the next broker of `fallbacks`, and later attempts stay there.
   static constexpr int kRehomeEvery = 2;
   /// Fail-over targets, taken round-robin. Empty keeps retrying the home
   /// broker (the classic single-broker recovery).
