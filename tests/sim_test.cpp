@@ -293,6 +293,22 @@ TEST(Simulation, KernelStatsCountTheRun) {
   EXPECT_EQ(stats.slab_chunks, 1u);
 }
 
+TEST(Simulation, ObserverEventsStayOutOfKernelStats) {
+  Simulation sim;
+  sim.schedule_at(5, [] {}, EventKind::kObserver);
+  sim.schedule_at(10, [] {});
+  sim.schedule_at(15, [] {}, EventKind::kObserver);
+  sim.schedule_at(20, [] {});
+  sim.schedule_at(25, [] {}, EventKind::kObserver).cancel();
+  EXPECT_EQ(sim.kernel_stats().peak_queue_depth, 2u);
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), 4u);  // the raw count includes observers
+  EXPECT_EQ(sim.kernel_stats().events_executed, 2u);
+  // The cancelled observer left the queue too: model depth counts from 0.
+  for (int i = 0; i < 3; ++i) sim.schedule_after(1, [] {});
+  EXPECT_EQ(sim.kernel_stats().peak_queue_depth, 3u);
+}
+
 TEST(Simulation, SlabRecyclesNodesAcrossALongChain) {
   Simulation sim;
   int fired = 0;
