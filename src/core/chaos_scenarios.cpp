@@ -242,7 +242,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
     NaradaConfig config = scenarios::narada_single(800);
     config.faults.broker_crash(units::seconds(15), 0, units::seconds(10));
     config.fleet.recovery = true;
-    config.replay.enabled = true;
+    config.replay = true;
     obs::SloSpec slo;
     slo.max_loss_after_recovery_pct(0.5)
         .max_ttr_ms(30000.0)
@@ -260,7 +260,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
     NaradaConfig config = scenarios::narada_dbn(800);
     config.faults.broker_crash(units::seconds(15), 2, units::seconds(10));
     config.fleet.recovery = true;
-    config.replay.enabled = true;
+    config.replay = true;
     obs::SloSpec slo;
     slo.max_loss_after_recovery_pct(0.5).max_ttr_ms(30000.0);
     reg.add({"chaos/narada/dbn_broker_crash_replay",
@@ -276,7 +276,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
     NaradaConfig config = scenarios::narada_dbn(800);
     config.faults.dbn_partition(units::seconds(15), units::seconds(10));
     config.fleet.recovery = true;
-    config.replay.enabled = true;
+    config.replay = true;
     obs::SloSpec slo;
     slo.max_loss_after_recovery_pct(0.5).max_ttr_ms(30000.0);
     reg.add({"chaos/narada/dbn_partition_replay",
@@ -294,7 +294,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
     config.faults.nic_down(units::seconds(15), 1, units::seconds(5))
         .nic_down(units::seconds(40), 1, units::seconds(5));
     config.fleet.recovery = true;
-    config.replay.enabled = true;
+    config.replay = true;
     obs::SloSpec slo;
     slo.max_loss_after_recovery_pct(0.5).max_ttr_ms(20000.0);
     reg.add({"chaos/narada/nic_flap_replay/400",
@@ -311,7 +311,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
     config.fleet.recovery = true;
     config.clean_session = false;
     config.keep_alive = units::seconds(2);
-    config.replay.enabled = true;
+    config.replay = true;
     config.faults.nic_down(units::seconds(15), 1, units::seconds(8))
         .nic_down(units::seconds(45), 1, units::seconds(8))
         .nic_down(units::seconds(75), 1, units::seconds(8));
@@ -333,7 +333,7 @@ void register_chaos_scenarios(ScenarioRegistry& reg) {
                                            units::seconds(10));
     config.registry_ttl = units::seconds(60);
     config.fleet.recovery = true;
-    config.replay.enabled = true;
+    config.replay = true;
     obs::SloSpec slo;
     slo.max_loss_after_recovery_pct(0.5);
     reg.add({"chaos/rgma/servlet_restart_replay",

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/faults.hpp"
-#include "core/history.hpp"
 #include "core/metrics.hpp"
 #include "jms/message.hpp"
 #include "narada/transport.hpp"
@@ -99,16 +98,6 @@ struct FleetConfig {
   bool recovery = false;
 };
 
-/// Reconnect backfill replication (the `_replay` chaos twins). When
-/// enabled, the backend retains recent traffic in a tiered HistoryBuffer
-/// and a reconnecting client replays its gap before resuming the live
-/// stream. Off by default so every recovery-only baseline — and all the
-/// pinned golden hashes — stay byte-identical.
-struct ReplayConfig {
-  bool enabled = false;
-  RetentionConfig retention;
-};
-
 /// The knobs every harness config shares. `run_scenario` overrides all
 /// three from the campaign, so a spec stays a pure description.
 struct RunConfig {
@@ -137,10 +126,12 @@ struct NaradaConfig : RunConfig {
   jms::DeliveryMode delivery_mode = jms::DeliveryMode::kNonPersistent;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
-  /// Reconnect backfill replication (brokers retain published frames;
-  /// reconnecting clients replay their gap, including after failing over
-  /// to a surviving DBN broker).
-  ReplayConfig replay;
+  /// Reconnect backfill replication, the `_replay` chaos twins: brokers
+  /// retain published frames in tiered HistoryBuffers, and reconnecting
+  /// clients replay their gap, including after failing over to a
+  /// surviving DBN broker. Off by default so every recovery-only baseline
+  /// — and all the pinned golden hashes — stay byte-identical.
+  bool replay = false;
   /// Sender-side aggregation (the IBM RMM technique, related work §IV):
   /// each publisher combines up to this many messages into one frame,
   /// flushed after 20 ms (1 = off).
@@ -182,10 +173,9 @@ struct RgmaConfig : RunConfig {
   SimTime request_timeout = 0;
   /// Reconnect backfill: a consumer that lost its continuous query issues
   /// a one-time history query against producer retention (the paper's own
-  /// latest/history windows) before resuming streaming. Retention tiers
-  /// are governed by the producers' TupleStore config, not
-  /// `replay.retention`.
-  ReplayConfig replay;
+  /// latest/history windows, TupleStore's constants) before resuming
+  /// streaming.
+  bool replay = false;
 };
 
 [[nodiscard]] Results run_rgma_experiment(const RgmaConfig& config);
@@ -215,11 +205,11 @@ struct MqttConfig : RunConfig {
   int gateway_batch = 1;
   /// Deterministic fault schedule (empty = the classic fault-free runs).
   FaultPlan faults;
-  /// Offline-queue retention for persistent sessions: bounds the QoS 1/2
-  /// parking queue by the tiered policy (drop-oldest, `queue_dropped`
-  /// counter) instead of letting it grow unboundedly. `enabled` here also
-  /// turns the queue bound on.
-  ReplayConfig replay;
+  /// Report the offline-queue drains (`backfill_msgs`, `backfill_bytes`)
+  /// and evictions (`queue_dropped`) as obs series. The broker bounds a
+  /// persistent session's QoS 1/2 parking queue by the HistoryBuffer
+  /// windows whether this is on or not.
+  bool replay = false;
 };
 
 [[nodiscard]] Results run_mqtt_experiment(const MqttConfig& config);

@@ -5,8 +5,7 @@
 namespace gridmon::core {
 
 HistoryBuffer::HistoryBuffer(HistoryBuffer&& other) noexcept
-    : config_(other.config_),
-      raw_(std::move(other.raw_)),
+    : raw_(std::move(other.raw_)),
       tiered_(std::move(other.tiered_)),
       next_seq_(other.next_seq_),
       bytes_(other.bytes_),
@@ -19,7 +18,6 @@ HistoryBuffer::HistoryBuffer(HistoryBuffer&& other) noexcept
 HistoryBuffer& HistoryBuffer::operator=(HistoryBuffer&& other) noexcept {
   if (this == &other) return *this;
   release_accounting();
-  config_ = other.config_;
   raw_ = std::move(other.raw_);
   tiered_ = std::move(other.tiered_);
   next_seq_ = other.next_seq_;
@@ -71,9 +69,8 @@ std::int64_t HistoryBuffer::prune(SimTime now) {
 
   // Demote raw entries past the raw window: every K-th sequence survives
   // into the downsampled tier, the rest are dropped.
-  while (!raw_.empty() && now - raw_.front().at > config_.raw_window) {
-    const int keep = config_.downsample_keep_every;
-    if (keep <= 1 || raw_.front().seq % static_cast<std::uint64_t>(keep) == 0) {
+  while (!raw_.empty() && now - raw_.front().at > kRawWindow) {
+    if (raw_.front().seq % kDownsampleKeepEvery == 0) {
       tiered_.push_back(std::move(raw_.front()));
       raw_.pop_front();
     } else {
@@ -82,23 +79,9 @@ std::int64_t HistoryBuffer::prune(SimTime now) {
   }
 
   // Evict downsampled entries past the total retention window.
-  while (!tiered_.empty() &&
-         now - tiered_.front().at > config_.downsampled_window) {
+  while (!tiered_.empty() && now - tiered_.front().at > kDownsampledWindow) {
     drop_front(tiered_, freed);
   }
-
-  // Enforce the hard bounds oldest-first (downsampled tier first — it holds
-  // the oldest entries).
-  const auto over_bounds = [this] {
-    if (config_.max_bytes > 0 && bytes_ > config_.max_bytes) return true;
-    if (config_.max_entries > 0 &&
-        static_cast<std::int64_t>(size()) > config_.max_entries) {
-      return true;
-    }
-    return false;
-  };
-  while (over_bounds() && !tiered_.empty()) drop_front(tiered_, freed);
-  while (over_bounds() && !raw_.empty()) drop_front(raw_, freed);
 
   if (freed != 0) obs::mem_sub(obs::MemCategory::kHistory, freed);
   return freed;

@@ -3,11 +3,11 @@
 // The paper's clients lose every message published while disconnected:
 // reconnect restores the *subscription* but not the gap. A HistoryBuffer is
 // the shared durability primitive all three backends use to close that gap.
-// It retains recent entries in two tiers — a raw ring covering the last R
-// seconds at full fidelity, and a downsampled tier covering the last D
-// seconds at 1-in-K fidelity — both byte- and entry-bounded with drop-oldest
-// eviction. A reconnecting client replays from its last-seen sequence; if
-// retention has already evicted part of the gap the replay reports the
+// It retains recent entries in two tiers — a raw ring covering the last
+// kRawWindow at full fidelity, and a downsampled tier covering the last
+// kDownsampledWindow at 1-in-kDownsampleKeepEvery fidelity — evicting the
+// oldest first. A reconnecting client replays from its last-seen sequence;
+// if retention has already evicted part of the gap the replay reports the
 // truncation honestly instead of pretending the gap was filled.
 //
 // Entries are opaque (std::any payload + a wire-byte count): Narada stores
@@ -30,21 +30,17 @@
 
 namespace gridmon::core {
 
-/// Per-buffer retention policy. Defaults follow the R-GMA storage windows
-/// (30 s raw / 60 s total) — the paper's own retention shape.
-struct RetentionConfig {
-  /// Raw tier: every entry younger than this is kept at full fidelity.
-  SimTime raw_window = units::seconds(30);
-  /// Downsampled tier: entries between raw_window and this age keep only
-  /// every `downsample_keep_every`-th sequence number.
-  SimTime downsampled_window = units::seconds(60);
-  /// 1-in-K sampling for the downsampled tier (1 = keep everything).
-  int downsample_keep_every = 4;
-  /// Hard byte bound across both tiers (0 = unbounded).
-  std::int64_t max_bytes = 0;
-  /// Hard entry bound across both tiers (0 = unbounded).
-  std::int64_t max_entries = 0;
-};
+// The retention policy every HistoryBuffer applies. The windows follow the
+// R-GMA producer storage (rgma/storage.hpp: 30 s latest, 60 s history) —
+// the paper's own retention shape.
+
+/// Raw tier: every entry younger than this is kept at full fidelity.
+inline constexpr SimTime kRawWindow = units::seconds(30);
+/// Downsampled tier: entries between kRawWindow and this age keep only
+/// every kDownsampleKeepEvery-th sequence number.
+inline constexpr SimTime kDownsampledWindow = units::seconds(60);
+/// 1-in-K sampling for the downsampled tier.
+inline constexpr std::uint64_t kDownsampleKeepEvery = 4;
 
 /// What a replay actually served, so callers can report partial backfill.
 struct ReplayStats {
@@ -65,7 +61,7 @@ struct ReplayStats {
 /// gaps and ask for `replay_since(last_seen)`.
 class HistoryBuffer {
  public:
-  explicit HistoryBuffer(RetentionConfig config = {}) : config_(config) {}
+  HistoryBuffer() = default;
 
   // Retained bytes feed the obs memory profile (mem_history); moves
   // transfer the accounting, destruction releases it (a broker crash
@@ -86,10 +82,9 @@ class HistoryBuffer {
   bool append_at(std::uint64_t seq, std::any payload, std::int64_t bytes,
                  SimTime now);
 
-  /// Apply retention at `now`: demote raw entries past the raw window into
-  /// the downsampled tier (keeping every K-th sequence), evict entries past
-  /// the downsampled window, then enforce the byte/entry bounds oldest
-  /// first. Returns bytes freed.
+  /// Apply retention at `now`: demote raw entries past kRawWindow into the
+  /// downsampled tier (keeping every kDownsampleKeepEvery-th sequence),
+  /// then evict entries past kDownsampledWindow. Returns bytes freed.
   std::int64_t prune(SimTime now);
 
   /// Visit retained entries with sequence > `cursor`, oldest first.
@@ -109,9 +104,8 @@ class HistoryBuffer {
   /// Oldest retained sequence (0 when empty).
   [[nodiscard]] std::uint64_t first_sequence() const;
   [[nodiscard]] std::int64_t stored_bytes() const { return bytes_; }
-  /// Entries dropped by eviction (window expiry, bounds, downsampling).
+  /// Entries dropped by eviction (window expiry, downsampling).
   [[nodiscard]] std::int64_t dropped() const { return dropped_; }
-  [[nodiscard]] const RetentionConfig& config() const { return config_; }
 
  private:
   struct Stored {
@@ -124,7 +118,6 @@ class HistoryBuffer {
   void drop_front(std::deque<Stored>& tier, std::int64_t& freed);
   void release_accounting();
 
-  RetentionConfig config_;
   // Oldest-first within each tier; every tiered_ seq < every raw_ seq.
   std::deque<Stored> raw_;
   std::deque<Stored> tiered_;

@@ -25,8 +25,7 @@ class MqttPort final : public BackendPort {
         endpoint_{kBrokerHost, 1883},
         broker_(run.hydra().host(endpoint_.node), run.hydra().lan(),
                 run.hydra().streams(),
-                {.endpoint = endpoint_,
-                 .retention = config_.replay.retention}) {
+                {.endpoint = endpoint_}) {
     broker_.start();
     // The subscriber gets the first non-broker host; publishers the rest.
     for (int h = kSubscriberHost + 1; h < run.hydra().node_count(); ++h) {
@@ -52,7 +51,7 @@ class MqttPort final : public BackendPort {
                         [&stats] { return stats.retransmissions; }}};
     series.memory = {kBrokerRouting, kClientRecords, kNetConnections,
                      kKernelSlab, kMqttSubIndex};
-    if (config_.replay.enabled) {
+    if (config_.replay) {
       series.replay = {
           {"backfill_msgs", [&stats] { return stats.backfill_msgs; }},
           {"backfill_bytes", [&stats] { return stats.backfill_bytes; }},

@@ -23,8 +23,7 @@ narada::DbnConfig dbn_config(const NaradaConfig& config) {
   dbn.broker_hosts = config.broker_hosts;
   dbn.transport = config.transport;
   dbn.subscription_aware_routing = config.subscription_aware_routing;
-  dbn.replay = config.replay.enabled;
-  dbn.retention = config.replay.retention;
+  dbn.replay = config.replay;
   return dbn;
 }
 
@@ -64,7 +63,7 @@ class NaradaPort final : public BackendPort {
           run_.hydra().lan().set_path_blocked(hosts[i], hosts[j], active);
         }
       }
-      if (!active && config_.replay.enabled) {
+      if (!active && config_.replay) {
         // Replication repair: brokers pull the frames they missed from
         // peers, so later client backfills find complete retention.
         dbn_.request_peer_backfill();
@@ -83,7 +82,7 @@ class NaradaPort final : public BackendPort {
                         [stats] { return stats().events_forwarded; }}};
     series.memory = {kBrokerRouting, kClientRecords, kNetConnections,
                      kKernelSlab};
-    if (config_.replay.enabled) {
+    if (config_.replay) {
       series.replay = {
           {"backfill_msgs", [stats] { return stats().backfill_msgs; }},
           {"backfill_bytes", [stats] { return stats().backfill_bytes; }}};
@@ -138,7 +137,7 @@ class NaradaPort final : public BackendPort {
 
   void subscribe() override {
     net::ReconnectPolicy policy;
-    if (config_.replay.enabled && multi_broker_) {
+    if (config_.replay && multi_broker_) {
       // Fail-over targets: with replication any broker can serve the
       // subscriber's stream and backfill.
       for (int b = 0; b < dbn_.broker_count(); ++b) {
@@ -191,7 +190,7 @@ class NaradaPort final : public BackendPort {
                       const net::ReconnectPolicy& policy,
                       std::string selector, jms::AcknowledgeMode ack) {
     auto sub = client(host, port, broker, policy);
-    if (config_.replay.enabled) sub->enable_replay();
+    if (config_.replay) sub->enable_replay();
     // Decoding runs before the listener, so SRT includes it.
     gma::WsProxySubscriber* proxy =
         config_.soap_proxy

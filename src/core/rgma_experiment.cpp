@@ -44,7 +44,7 @@ class Subscriber {
     if (create_retry_ > 0) consumer_.enable_retry(create_retry_);
     // Reconnect backfill: after each re-create, replay the poll gap from
     // producer history; rows already delivered miss the ledger.
-    if (config.replay.enabled) {
+    if (config.replay) {
       consumer_.enable_replay(
           [this](std::vector<rgma::Tuple> tuples, SimTime issued) {
             process(tuples, issued, "backfill");
@@ -170,7 +170,7 @@ class RgmaPort final : public BackendPort {
         {"cs_polls_served", [cs] { return cs().polls_served; }}};
     series.memory = {kRgmaTuples, kNetConnections, kKernelSlab,
                      kPredicateCache};
-    if (config_.replay.enabled) {
+    if (config_.replay) {
       series.replay = {
           {"backfill_msgs", [this] { return backfill().backfill_msgs; }},
           {"backfill_bytes", [this] { return backfill().backfill_bytes; }}};
@@ -187,15 +187,9 @@ class RgmaPort final : public BackendPort {
       http = &own_http_.emplace_back(run_.hydra().streams(),
                                      net::Endpoint{host, port});
     }
-    // Replay runs widen producer retention to the configured tiers so a
-    // reconnecting consumer's history query can cover its poll gap.
-    const bool replay = config_.replay.enabled;
-    const RetentionConfig& retention = config_.replay.retention;
     auto& producer = producers_.emplace_back(
         run_.hydra().host(host), *http, network_.assign_producer_service(),
-        static_cast<int>(id), kTable,
-        replay ? retention.raw_window : units::seconds(30),
-        replay ? retention.downsampled_window : units::seconds(60));
+        static_cast<int>(id), kTable);
     if (config_.fleet.recovery) {
       producer.enable_redeclare();
     }

@@ -190,7 +190,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
   if (it == sessions_.end()) {
     it = sessions_.try_emplace(id).first;
     it->second.client_id = id;
-    it->second.offline_queue = core::HistoryBuffer(config_.retention);
+    it->second.offline_queue = core::HistoryBuffer();
   }
   Session& session = it->second;
   session.clean = packet->clean_session;
@@ -248,7 +248,7 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
         });
     // Reset the queue (releases its retention accounting): everything it
     // held is now in the live in-flight window.
-    session.offline_queue = core::HistoryBuffer(config_.retention);
+    session.offline_queue = core::HistoryBuffer();
     stats_.backfill_msgs += drained;
     stats_.backfill_bytes += drained_bytes;
   }

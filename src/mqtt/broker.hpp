@@ -43,11 +43,6 @@ namespace gridmon::mqtt {
 struct MqttBrokerConfig {
   net::Endpoint endpoint;
   int broker_id = 0;
-  /// Retention policy bounding each persistent session's offline queue
-  /// (QoS 1/2 messages parked while the client is away). Drop-oldest
-  /// evictions are counted in `queue_dropped` — the fix for the formerly
-  /// unbounded clean_session=false queue growth.
-  core::RetentionConfig retention;
 };
 
 struct MqttBrokerStats {
@@ -114,7 +109,7 @@ class MqttBroker {
     /// Outbound QoS 1/2 window, keyed by broker-assigned packet id.
     std::map<std::uint16_t, InFlightOut> in_flight;
     /// QoS 1/2 messages queued while a persistent session is offline,
-    /// bounded by the broker's retention policy (kHistory-accounted;
+    /// bounded by the HistoryBuffer retention windows (kHistory-accounted;
     /// evictions count into stats_.queue_dropped).
     core::HistoryBuffer offline_queue;
     /// Inbound QoS 2 messages parked until PUBREL (exactly-once dedup).

@@ -568,7 +568,7 @@ bool Broker::retain(const std::string& topic, int origin, std::uint64_t seq,
                     const jms::MessagePtr& message) {
   auto [it, inserted] = history_.try_emplace(
       std::pair<std::string, int>{topic, origin},
-      core::HistoryBuffer(config_.retention));
+      core::HistoryBuffer());
   const std::int64_t bytes = kFrameHeaderBytes + message->wire_size();
   return it->second.append_at(seq, message, bytes, host_.sim().now());
 }

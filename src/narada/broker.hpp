@@ -52,7 +52,6 @@ struct BrokerConfig {
   /// replays to reconnecting clients and healing peers. Off keeps every
   /// frame and wire size byte-identical to the classic runs.
   bool replay = false;
-  core::RetentionConfig retention;
 };
 
 struct BrokerStats {

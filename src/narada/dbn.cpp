@@ -18,7 +18,6 @@ Dbn::Dbn(cluster::Hydra& hydra, DbnConfig config)
     bc.broker_id = static_cast<int>(i);
     bc.subscription_aware_routing = config_.subscription_aware_routing;
     bc.replay = config_.replay;
-    bc.retention = config_.retention;
     brokers_.push_back(std::make_unique<Broker>(
         hydra_.host(config_.broker_hosts[i]), hydra_.lan(), hydra_.streams(),
         bc));

@@ -25,7 +25,6 @@ struct DbnConfig {
   std::uint16_t base_port = 5000;
   /// Reconnect backfill replication (forwarded into each BrokerConfig).
   bool replay = false;
-  core::RetentionConfig retention;
 };
 
 class Dbn {

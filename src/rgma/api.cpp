@@ -9,15 +9,12 @@ namespace costs = cluster::costs;
 
 PrimaryProducer::PrimaryProducer(cluster::Host& host, net::HttpClient& http,
                                  net::Endpoint producer_service, int id,
-                                 std::string table, SimTime latest_retention,
-                                 SimTime history_retention)
+                                 std::string table)
     : host_(host),
       http_(http),
       service_(producer_service),
       id_(id),
-      table_(std::move(table)),
-      latest_retention_(latest_retention),
-      history_retention_(history_retention) {}
+      table_(std::move(table)) {}
 
 void PrimaryProducer::declare(std::function<void(bool ok)> on_ready) {
   net::HttpRequest req;
@@ -25,7 +22,7 @@ void PrimaryProducer::declare(std::function<void(bool ok)> on_ready) {
   req.body_bytes = 128;
   req.body = std::shared_ptr<const CreateProducerRequest>(
       std::make_shared<CreateProducerRequest>(CreateProducerRequest{
-          id_, table_, latest_retention_, history_retention_}));
+          id_, table_}));
   host_.cpu().execute(costs::kClientSendBase, [this, req = std::move(req),
                                                on_ready = std::move(
                                                    on_ready)]() mutable {

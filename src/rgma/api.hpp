@@ -33,9 +33,7 @@ class PrimaryProducer {
  public:
   /// `http` must outlive the producer and belong to `host`'s node.
   PrimaryProducer(cluster::Host& host, net::HttpClient& http,
-                  net::Endpoint producer_service, int id, std::string table,
-                  SimTime latest_retention = units::seconds(30),
-                  SimTime history_retention = units::seconds(60));
+                  net::Endpoint producer_service, int id, std::string table);
 
   /// Declare the producer (allocates its server-side thread). ok=false
   /// means the service refused it (out of memory).
@@ -66,8 +64,6 @@ class PrimaryProducer {
   net::Endpoint service_;
   int id_;
   std::string table_;
-  SimTime latest_retention_;
-  SimTime history_retention_;
   bool declared_ = false;
   bool refused_ = false;
   std::uint64_t inserts_ = 0;

@@ -236,10 +236,6 @@ void ProducerService::handle_create(const CreateProducerRequest& req,
   ProducerState state;
   state.id = req.producer_id;
   state.table = req.table;
-  StorageConfig storage;
-  storage.latest_retention = req.latest_retention;
-  storage.history_retention = req.history_retention;
-  state.store = TupleStore(storage);
   producers_.emplace(req.producer_id, std::move(state));
   ++stats_.producers_created;
 

@@ -7,8 +7,7 @@
 namespace gridmon::rgma {
 
 TupleStore::TupleStore(TupleStore&& other) noexcept
-    : config_(other.config_),
-      tuples_(std::move(other.tuples_)),
+    : tuples_(std::move(other.tuples_)),
       next_seq_(other.next_seq_),
       bytes_(other.bytes_) {
   other.tuples_.clear();
@@ -18,7 +17,6 @@ TupleStore::TupleStore(TupleStore&& other) noexcept
 TupleStore& TupleStore::operator=(TupleStore&& other) noexcept {
   if (this != &other) {
     release_accounting();
-    config_ = other.config_;
     tuples_ = std::move(other.tuples_);
     next_seq_ = other.next_seq_;
     bytes_ = other.bytes_;
@@ -46,7 +44,7 @@ std::uint64_t TupleStore::insert(Tuple tuple, SimTime now) {
 }
 
 std::int64_t TupleStore::prune(SimTime now) {
-  const SimTime cutoff = now - config_.history_retention;
+  const SimTime cutoff = now - kHistoryRetention;
   std::int64_t freed = 0;
   while (!tuples_.empty() && tuples_.front().tuple.inserted_at < cutoff) {
     freed += tuples_.front().bytes;
@@ -57,28 +55,8 @@ std::int64_t TupleStore::prune(SimTime now) {
   return freed;
 }
 
-std::vector<Tuple> TupleStore::since(std::uint64_t& cursor) const {
-  std::vector<Tuple> out;
-  // Sequences are monotone within the deque; binary-search the cursor.
-  std::size_t lo = 0;
-  std::size_t hi = tuples_.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (tuples_[mid].seq > cursor) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  for (std::size_t i = lo; i < tuples_.size(); ++i) {
-    out.push_back(tuples_[i].tuple);
-    cursor = tuples_[i].seq;
-  }
-  return out;
-}
-
 std::vector<Tuple> TupleStore::history(SimTime now) const {
-  const SimTime cutoff = now - config_.history_retention;
+  const SimTime cutoff = now - kHistoryRetention;
   std::vector<Tuple> out;
   for (const auto& stored : tuples_) {
     if (stored.tuple.inserted_at >= cutoff) out.push_back(stored.tuple);
@@ -87,13 +65,13 @@ std::vector<Tuple> TupleStore::history(SimTime now) const {
 }
 
 std::vector<Tuple> TupleStore::latest(SimTime now) const {
-  const SimTime cutoff = now - config_.latest_retention;
+  const SimTime cutoff = now - kLatestRetention;
   std::map<std::string, const Tuple*> newest;
   for (const auto& stored : tuples_) {
     if (stored.tuple.inserted_at < cutoff) continue;
-    if (config_.key_column >= stored.tuple.values.size()) continue;
+    if (kKeyColumn >= stored.tuple.values.size()) continue;
     // Later entries overwrite earlier ones (deque is insertion-ordered).
-    newest[sql_to_string(stored.tuple.values[config_.key_column])] =
+    newest[sql_to_string(stored.tuple.values[kKeyColumn])] =
         &stored.tuple;
   }
   std::vector<Tuple> out;

@@ -4,7 +4,7 @@
 // windows: the *latest retention period* bounds how long a tuple counts as
 // the current value of its primary key, and the *history retention period*
 // bounds how long it is available to history queries at all. The paper's
-// workload sets 30 s and 1 minute respectively.
+// workload sets 30 s and 1 minute respectively; every producer uses them.
 #pragma once
 
 #include <cstdint>
@@ -16,16 +16,14 @@
 
 namespace gridmon::rgma {
 
-struct StorageConfig {
-  SimTime latest_retention = units::seconds(30);
-  SimTime history_retention = units::seconds(60);
-  /// Column index used as the primary key for latest queries.
-  std::size_t key_column = 0;
-};
-
 class TupleStore {
  public:
-  explicit TupleStore(StorageConfig config = {}) : config_(config) {}
+  static constexpr SimTime kLatestRetention = units::seconds(30);
+  static constexpr SimTime kHistoryRetention = units::seconds(60);
+  /// Column index used as the primary key for latest queries.
+  static constexpr std::size_t kKeyColumn = 0;
+
+  TupleStore() = default;
 
   // Stored bytes feed the obs memory profile (mem_rgma_tuples); moves
   // transfer the accounting, destruction releases it (a servlet crash
@@ -43,16 +41,12 @@ class TupleStore {
   /// Drop tuples past the history retention period. Returns bytes freed.
   std::int64_t prune(SimTime now);
 
-  /// Continuous query support: tuples with sequence > `cursor`, oldest
-  /// first; updates `cursor`.
-  [[nodiscard]] std::vector<Tuple> since(std::uint64_t& cursor) const;
-
-  /// Zero-copy variant of since(): visit tuples with sequence > `cursor`
+  /// Continuous query support: visit tuples with sequence > `cursor`
   /// oldest-first in place, advancing `cursor`. The streaming cycle copies
-  /// only the tuples its predicate selects instead of materializing every
-  /// fresh tuple first.
+  /// only the tuples its predicate selects.
   template <typename Fn>
   void scan_since(std::uint64_t& cursor, Fn&& fn) const {
+    // Sequences are monotone within the deque; binary-search the cursor.
     std::size_t lo = 0;
     std::size_t hi = tuples_.size();
     while (lo < hi) {
@@ -79,7 +73,6 @@ class TupleStore {
 
   [[nodiscard]] std::size_t size() const { return tuples_.size(); }
   [[nodiscard]] std::uint64_t head_sequence() const { return next_seq_; }
-  [[nodiscard]] const StorageConfig& config() const { return config_; }
   /// Wire bytes currently retained (what the memory profile sees).
   [[nodiscard]] std::int64_t stored_bytes() const { return bytes_; }
 
@@ -92,7 +85,6 @@ class TupleStore {
 
   void release_accounting();
 
-  StorageConfig config_;
   std::deque<Stored> tuples_;
   std::uint64_t next_seq_ = 1;
   std::int64_t bytes_ = 0;

@@ -56,8 +56,6 @@ struct AttachProducerNotice {
 struct CreateProducerRequest {
   int producer_id = 0;
   std::string table;
-  SimTime latest_retention = units::seconds(30);
-  SimTime history_retention = units::seconds(60);
 };
 
 struct InsertRequest {

@@ -1,11 +1,11 @@
 // HistoryBuffer is the shared durability primitive behind reconnect
-// backfill: a raw ring covering the last R seconds plus a 1-in-K
-// downsampled tier covering the last D seconds, byte/entry bounded with
-// drop-oldest eviction, and an honest gap-replay cursor. These tests pin
-// the retention mechanics the three backends all lean on: tier demotion,
-// hard bounds, wrapped sequences after a source restart, partial backfill
-// when the gap outlived retention, and the memprof accounting that makes
-// the memory price of replication visible.
+// backfill: a raw ring covering the last kRawWindow plus a downsampled tier
+// keeping every kDownsampleKeepEvery-th sequence up to kDownsampledWindow,
+// and an honest gap-replay cursor. These tests pin the retention mechanics
+// the three backends all lean on: tier demotion, window eviction, wrapped
+// sequences after a source restart, partial backfill when the gap outlived
+// retention, and the memprof accounting that makes the memory price of
+// replication visible.
 #include <any>
 #include <cstdint>
 #include <vector>
@@ -58,17 +58,16 @@ TEST(HistoryBufferTest, AppendAssignsMonotoneSequencesAndReplaysAll) {
 }
 
 TEST(HistoryBufferTest, RawEntriesDemoteToDownsampledTier) {
-  RetentionConfig config;
-  config.raw_window = seconds(10);
-  config.downsampled_window = seconds(100);
-  config.downsample_keep_every = 4;
-  HistoryBuffer buffer(config);
+  ASSERT_EQ(kRawWindow, seconds(30));
+  ASSERT_EQ(kDownsampledWindow, seconds(60));
+  ASSERT_EQ(kDownsampleKeepEvery, 4u);
+  HistoryBuffer buffer;
 
-  // Eight entries at t=0; prune at t=20 pushes all of them past the raw
+  // Eight entries at t=0; prune at t=40 pushes all of them past the raw
   // window, so only every 4th sequence (4, 8) survives into the
   // downsampled tier.
   for (int i = 0; i < 8; ++i) buffer.append(std::any{}, 100, seconds(0));
-  buffer.prune(seconds(20));
+  buffer.prune(seconds(40));
 
   Collector replay;
   ReplayStats stats = buffer.replay_since(0, replay.visitor());
@@ -82,59 +81,28 @@ TEST(HistoryBufferTest, RawEntriesDemoteToDownsampledTier) {
 }
 
 TEST(HistoryBufferTest, DownsampledWindowEvictsOldestEntirely) {
-  RetentionConfig config;
-  config.raw_window = seconds(10);
-  config.downsampled_window = seconds(30);
-  config.downsample_keep_every = 1;  // keep everything on demotion
-  HistoryBuffer buffer(config);
+  HistoryBuffer buffer;
 
-  buffer.append(std::any{}, 10, seconds(0));
-  buffer.append(std::any{}, 10, seconds(25));
-  // t=40: entry 1 (age 40) is past the downsampled window, entry 2
-  // (age 15) demotes but survives.
-  buffer.prune(seconds(40));
+  // Sequences 1..4 at t=0 and 5..8 at t=45 all demote by t=80, leaving 4
+  // and 8 in the downsampled tier; 4 (age 80) is then past the downsampled
+  // window too, while 8 (age 35) survives.
+  for (int i = 0; i < 4; ++i) buffer.append(std::any{}, 10, seconds(0));
+  for (int i = 0; i < 4; ++i) buffer.append(std::any{}, 10, seconds(45));
+  buffer.prune(seconds(80));
 
   Collector replay;
   buffer.replay_since(0, replay.visitor());
-  EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(buffer.dropped(), 1);
-}
-
-TEST(HistoryBufferTest, ByteBoundEvictsOldestFirst) {
-  RetentionConfig config;
-  config.max_bytes = 250;
-  HistoryBuffer buffer(config);
-
-  for (int i = 0; i < 5; ++i) buffer.append(std::any{}, 100, seconds(1));
-  // Only two 100-byte entries fit under 250: sequences 4 and 5 remain.
-  EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.stored_bytes(), 200);
-  EXPECT_EQ(buffer.first_sequence(), 4u);
-  EXPECT_EQ(buffer.dropped(), 3);
-}
-
-TEST(HistoryBufferTest, EntryBoundEvictsOldestFirst) {
-  RetentionConfig config;
-  config.max_entries = 3;
-  HistoryBuffer buffer(config);
-
-  for (int i = 0; i < 10; ++i) buffer.append(std::any{}, 8, seconds(1));
-  EXPECT_EQ(buffer.size(), 3u);
-  EXPECT_EQ(buffer.first_sequence(), 8u);
-  EXPECT_EQ(buffer.last_sequence(), 10u);
+  EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{8}));
   EXPECT_EQ(buffer.dropped(), 7);
 }
 
 TEST(HistoryBufferTest, FullyEvictedGapReportsHonestPartialBackfill) {
-  RetentionConfig config;
-  config.raw_window = seconds(5);
-  config.downsampled_window = seconds(10);
-  config.downsample_keep_every = 1;
-  HistoryBuffer buffer(config);
+  HistoryBuffer buffer;
 
-  // Sequences 1..3 at t=0 age out entirely by t=60; 4..6 arrive fresh.
+  // Sequences 1..3 at t=0 age out entirely by t=100 (none is a 4th
+  // sequence, so none survives demotion); 4..6 arrive fresh.
   for (int i = 0; i < 3; ++i) buffer.append(std::any{}, 10, seconds(0));
-  for (int i = 0; i < 3; ++i) buffer.append(std::any{}, 10, seconds(60));
+  for (int i = 0; i < 3; ++i) buffer.append(std::any{}, 10, seconds(100));
 
   // A client whose cursor is 1 asks for 2..6 but 2..3 are gone: the
   // replay serves 4..6 and flags the truncation so the caller counts the
@@ -205,12 +173,11 @@ TEST(HistoryBufferTest, MemprofAccountsRetainedBytesUnderHistory) {
     buffer.append(std::any{}, 50, seconds(1));
     EXPECT_EQ(profile.live(kHistory), 150);
 
-    // Eviction releases accounting as it frees.
-    RetentionConfig bounded;
-    bounded.max_bytes = 60;
-    HistoryBuffer small(bounded);
+    // Eviction releases accounting as it frees: sequence 1 ages past the
+    // raw window and is not a 4th sequence, so the second append drops it.
+    HistoryBuffer small;
     small.append(std::any{}, 50, seconds(1));
-    small.append(std::any{}, 50, seconds(1));
+    small.append(std::any{}, 50, seconds(100));
     EXPECT_EQ(profile.live(kHistory), 200);  // 150 + one surviving 50
 
     // Moves transfer the accounting instead of double-counting it.

@@ -219,15 +219,10 @@ TEST_F(MqttFixture, PersistentSessionResumesWithoutResubscribe) {
 
 TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
   // The offline queue used to grow without bound while a persistent
-  // session was parked. It is now a HistoryBuffer under the broker's
-  // retention policy: drop-oldest eviction counted in queue_dropped, and
-  // the resumed drain counted as backfill.
-  MqttBrokerConfig config;
-  config.endpoint = broker_ep;
-  config.retention.max_entries = 4;
-  auto broker = std::make_unique<MqttBroker>(hydra.host(0), hydra.lan(),
-                                             hydra.streams(), config);
-  broker->start();
+  // session was parked. It is now a HistoryBuffer under the retention
+  // windows: eviction counted in queue_dropped, and the resumed drain
+  // counted as backfill.
+  auto broker = start_broker();
 
   auto sub = make_client(1, 9000,
                          {.client_id = "sub",
@@ -248,25 +243,28 @@ TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
 
   // Subscriber NIC down from 2.5 s; the broker parks the session once the
   // keep-alive grace expires. Ten QoS 1 publishes land from t=8 s — all
-  // while the session is parked — but only the newest 4 fit the policy.
+  // while the session is parked — and an eleventh at t=45 s. By then the
+  // first ten are past the raw window: only every 4th queued sequence
+  // (m3, m7) survives demotion.
   hydra.sim().schedule_at(units::milliseconds(2500),
                           [this] { hydra.lan().set_node_down(1, true); });
-  for (int i = 0; i < 10; ++i) {
-    hydra.sim().schedule_at(
-        units::seconds(8) + units::milliseconds(500) * i, [&pub, i] {
-          pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                       "m" + std::to_string(i));
-        });
+  for (int i = 0; i < 11; ++i) {
+    const SimTime at = i < 10 ? units::seconds(8) + units::milliseconds(500) * i
+                              : units::seconds(45);
+    hydra.sim().schedule_at(at, [&pub, i] {
+      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
+                   "m" + std::to_string(i));
+    });
   }
-  hydra.sim().schedule_at(units::seconds(16),
+  hydra.sim().schedule_at(units::seconds(46),
                           [this] { hydra.lan().set_node_down(1, false); });
-  hydra.sim().run_until(units::seconds(60));
+  hydra.sim().run_until(units::seconds(90));
 
-  EXPECT_EQ(broker->stats().queue_dropped, 6u);
-  EXPECT_EQ(broker->stats().backfill_msgs, 4u);
-  // Exactly the retained tail arrives after resumption — the evicted
-  // oldest six are honestly gone, not silently redelivered.
-  const std::vector<std::string> expected = {"m6", "m7", "m8", "m9"};
+  EXPECT_EQ(broker->stats().queue_dropped, 8u);
+  EXPECT_EQ(broker->stats().backfill_msgs, 3u);
+  // Exactly the retained entries arrive after resumption — the evicted
+  // eight are honestly gone, not silently redelivered.
+  const std::vector<std::string> expected = {"m3", "m7", "m10"};
   EXPECT_EQ(received, expected);
 }
 

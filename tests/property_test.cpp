@@ -174,9 +174,7 @@ TEST_P(PropertySweep, BrokerPreservesPerPublisherOrder) {
 
 /// TupleStore invariants under random insert/prune/since interleavings.
 TEST_P(PropertySweep, TupleStoreInvariants) {
-  rgma::StorageConfig config;
-  config.history_retention = units::seconds(60);
-  rgma::TupleStore store(config);
+  rgma::TupleStore store;
   std::uint64_t cursor = 0;
   std::size_t drained = 0;
   std::uint64_t inserted = 0;
@@ -192,18 +190,18 @@ TEST_P(PropertySweep, TupleStoreInvariants) {
     } else if (action < 0.8) {
       store.prune(now);
       // Pruning never touches the continuous cursor's completeness:
-      // since() only returns tuples newer than the cursor anyway.
+      // scan_since() only visits tuples newer than the cursor anyway.
     } else {
-      drained += store.since(cursor).size();
+      store.scan_since(cursor, [&drained](const rgma::Tuple&) { ++drained; });
     }
     // History never exceeds what was inserted; all timestamps in window.
     for (const auto& tuple : store.history(now)) {
-      EXPECT_GE(tuple.inserted_at, now - config.history_retention);
+      EXPECT_GE(tuple.inserted_at, now - rgma::TupleStore::kHistoryRetention);
     }
     EXPECT_LE(store.size(), static_cast<std::size_t>(inserted));
   }
   // Every tuple still retained and newer than the cursor is drainable.
-  drained += store.since(cursor).size();
+  store.scan_since(cursor, [&drained](const rgma::Tuple&) { ++drained; });
   EXPECT_LE(drained, inserted);
   EXPECT_EQ(cursor, store.head_sequence() - 1);
 }

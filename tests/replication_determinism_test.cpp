@@ -54,9 +54,9 @@ TEST(ReplicationContrast, NaradaReplayClosesTheCrashGap) {
   config.fleet.recovery = true;
   config.faults.broker_crash(units::seconds(10), 0, units::seconds(5));
 
-  config.replay.enabled = true;
+  config.replay = true;
   const Results with = run_narada_experiment(config);
-  config.replay.enabled = false;
+  config.replay = false;
   const Results without = run_narada_experiment(config);
 
   EXPECT_GT(with.availability.backfill_msgs, 0u);

@@ -63,8 +63,7 @@ TEST_F(OneTimeEdgeFixture, MalformedQueryAnswersWithoutTuples) {
 TEST_F(OneTimeEdgeFixture, HistoryOutlivesLatest) {
   PrimaryProducer producer(hydra.host(4), *http,
                            network->assign_producer_service(), 1,
-                           "generators", units::seconds(5),
-                           units::seconds(120));
+                           "generators");
   producer.declare(nullptr);
   auto rng = hydra.sim().rng_stream("t");
   hydra.sim().schedule_at(units::seconds(2), [&] {
@@ -75,8 +74,8 @@ TEST_F(OneTimeEdgeFixture, HistoryOutlivesLatest) {
                     2, "SELECT * FROM generators");
   std::size_t latest_count = 99;
   std::size_t history_count = 0;
-  // Query at t=30: past the 5 s latest retention, within the 120 s history.
-  hydra.sim().schedule_at(units::seconds(30), [&] {
+  // Query at t=45: past the 30 s latest retention, within the 60 s history.
+  hydra.sim().schedule_at(units::seconds(45), [&] {
     consumer.query_latest([&](std::vector<Tuple> tuples, SimTime) {
       latest_count = tuples.size();
     });
@@ -84,7 +83,7 @@ TEST_F(OneTimeEdgeFixture, HistoryOutlivesLatest) {
       history_count = tuples.size();
     });
   });
-  hydra.sim().run_until(units::seconds(40));
+  hydra.sim().run_until(units::seconds(55));
   EXPECT_EQ(latest_count, 0u);
   EXPECT_EQ(history_count, 1u);
 }

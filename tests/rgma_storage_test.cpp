@@ -1,5 +1,7 @@
 #include "rgma/storage.hpp"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace gridmon::rgma {
@@ -9,6 +11,13 @@ Tuple row(std::int64_t key, double value) {
   Tuple tuple;
   tuple.values = {SqlValue{key}, SqlValue{value}};
   return tuple;
+}
+
+/// Copies out what scan_since visits.
+std::vector<Tuple> since(const TupleStore& store, std::uint64_t& cursor) {
+  std::vector<Tuple> out;
+  store.scan_since(cursor, [&out](const Tuple& tuple) { out.push_back(tuple); });
+  return out;
 }
 
 TEST(TupleStore, InsertAssignsMonotonicSequences) {
@@ -25,12 +34,12 @@ TEST(TupleStore, SinceReturnsOnlyNewTuplesAndAdvancesCursor) {
   store.insert(row(1, 1.0), 0);
   store.insert(row(2, 2.0), 0);
   std::uint64_t cursor = 0;
-  auto first = store.since(cursor);
+  auto first = since(store, cursor);
   EXPECT_EQ(first.size(), 2u);
   EXPECT_EQ(cursor, 2u);
-  EXPECT_TRUE(store.since(cursor).empty());
+  EXPECT_TRUE(since(store, cursor).empty());
   store.insert(row(3, 3.0), 0);
-  auto second = store.since(cursor);
+  auto second = since(store, cursor);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(std::get<std::int64_t>(second[0].values[0]), 3);
   EXPECT_EQ(cursor, 3u);
@@ -42,15 +51,14 @@ TEST(TupleStore, CursorAtHeadSkipsHistory) {
   store.insert(row(1, 1.0), 0);
   store.insert(row(2, 2.0), 0);
   std::uint64_t cursor = store.head_sequence() - 1;
-  EXPECT_TRUE(store.since(cursor).empty());
+  EXPECT_TRUE(since(store, cursor).empty());
   store.insert(row(3, 3.0), 0);
-  EXPECT_EQ(store.since(cursor).size(), 1u);
+  EXPECT_EQ(since(store, cursor).size(), 1u);
 }
 
 TEST(TupleStore, PruneDropsExpiredHistory) {
-  StorageConfig config;
-  config.history_retention = units::seconds(60);
-  TupleStore store(config);
+  ASSERT_EQ(TupleStore::kHistoryRetention, units::seconds(60));
+  TupleStore store;
   store.insert(row(1, 1.0), units::seconds(0));
   store.insert(row(2, 2.0), units::seconds(30));
   store.insert(row(3, 3.0), units::seconds(90));
@@ -64,9 +72,8 @@ TEST(TupleStore, PruneDropsExpiredHistory) {
 }
 
 TEST(TupleStore, HistoryQueryRespectsWindow) {
-  StorageConfig config;
-  config.history_retention = units::seconds(60);
-  TupleStore store(config);
+  ASSERT_EQ(TupleStore::kHistoryRetention, units::seconds(60));
+  TupleStore store;
   store.insert(row(1, 1.0), units::seconds(0));
   store.insert(row(2, 2.0), units::seconds(50));
   const auto at_70 = store.history(units::seconds(70));
@@ -75,10 +82,9 @@ TEST(TupleStore, HistoryQueryRespectsWindow) {
 }
 
 TEST(TupleStore, LatestKeepsNewestPerKey) {
-  StorageConfig config;
-  config.latest_retention = units::seconds(30);
-  config.key_column = 0;
-  TupleStore store(config);
+  ASSERT_EQ(TupleStore::kLatestRetention, units::seconds(30));
+  ASSERT_EQ(TupleStore::kKeyColumn, 0u);
+  TupleStore store;
   store.insert(row(1, 1.0), units::seconds(0));
   store.insert(row(1, 2.0), units::seconds(10));  // newer value for key 1
   store.insert(row(2, 5.0), units::seconds(10));
@@ -92,9 +98,8 @@ TEST(TupleStore, LatestKeepsNewestPerKey) {
 }
 
 TEST(TupleStore, LatestExpiresAfterRetention) {
-  StorageConfig config;
-  config.latest_retention = units::seconds(30);
-  TupleStore store(config);
+  ASSERT_EQ(TupleStore::kLatestRetention, units::seconds(30));
+  TupleStore store;
   store.insert(row(1, 1.0), units::seconds(0));
   EXPECT_EQ(store.latest(units::seconds(20)).size(), 1u);
   // After the latest-retention window the tuple is no longer "current"
@@ -107,7 +112,7 @@ TEST(TupleStore, InsertStampsTime) {
   TupleStore store;
   store.insert(row(1, 1.0), units::seconds(7));
   std::uint64_t cursor = 0;
-  const auto tuples = store.since(cursor);
+  const auto tuples = since(store, cursor);
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].inserted_at, units::seconds(7));
 }
