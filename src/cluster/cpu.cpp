@@ -4,11 +4,10 @@ namespace gridmon::cluster {
 
 SimTime Cpu::execute(SimTime demand, sim::EventFn done) {
   if (demand < 0) demand = 0;
-  const auto scaled = static_cast<SimTime>(static_cast<double>(demand) / speed_);
   const SimTime now = sim_.now();
   const SimTime start = free_at_ > now ? free_at_ : now;
-  free_at_ = start + scaled;
-  busy_ += scaled;
+  free_at_ = start + demand;
+  busy_ += demand;
   if (done) {
     sim_.schedule_at(free_at_, std::move(done));
   }

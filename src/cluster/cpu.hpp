@@ -20,9 +20,8 @@ namespace gridmon::cluster {
 
 class Cpu {
  public:
-  /// `speed` scales demands: 1.0 = the reference PIII 866 MHz core.
-  explicit Cpu(sim::Simulation& sim, double speed = 1.0)
-      : sim_(sim), speed_(speed) {}
+  /// Demands are CPU time on the reference PIII 866 MHz core.
+  explicit Cpu(sim::Simulation& sim) : sim_(sim) {}
 
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -48,11 +47,8 @@ class Cpu {
   /// Total CPU time consumed since construction.
   [[nodiscard]] SimTime busy_time() const { return busy_; }
 
-  [[nodiscard]] double speed() const { return speed_; }
-
  private:
   sim::Simulation& sim_;
-  double speed_;
   SimTime free_at_ = 0;
   SimTime busy_ = 0;
 };

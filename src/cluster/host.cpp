@@ -9,14 +9,13 @@ Host::Host(sim::Simulation& sim, net::NodeId id, std::string name,
     : sim_(sim),
       id_(id),
       name_(std::move(name)),
-      cpu_(sim, config.cpu_speed),
+      cpu_(sim),
       heap_(config.memory_budget > 0 ? config.memory_budget
                                      : costs::kJvmHeapBudget) {
   // Charge the resident baseline (JVM, classes, middleware singletons).
   (void)heap_.allocate(costs::kJvmBaselineBytes);
   jvm_ = std::make_unique<Jvm>(sim_, cpu_, heap_,
-                               sim_.rng_stream("jvm." + name_),
-                               default_gc_config());
+                               sim_.rng_stream("jvm." + name_));
   if (config.enable_gc) jvm_->start();
 }
 

@@ -13,7 +13,6 @@
 namespace gridmon::cluster {
 
 struct HostConfig {
-  double cpu_speed = 1.0;             ///< relative to the PIII 866 reference
   std::int64_t memory_budget = 0;     ///< JVM process budget; 0 = use default
   bool enable_gc = true;
 };

@@ -22,12 +22,11 @@ std::string Hydra::describe() const {
       << (hosts_.empty() ? 0
                          : hosts_[0]->heap().capacity() / units::MiB)
       << " MiB JVM budget each)\n"
-      << "LAN: switched, "
-      << lan_->config().line_rate_bps / 1e6 << " Mbps per port, efficiency "
-      << lan_->config().efficiency << " (≈"
-      << lan_->config().line_rate_bps * lan_->config().efficiency / 8e6
-      << " MB/s goodput), propagation "
-      << units::to_micros(lan_->config().propagation) << " us\n"
+      << "LAN: switched, " << net::kLineRateBps / 1e6
+      << " Mbps per port, efficiency " << net::kLinkEfficiency << " (≈"
+      << net::kLineRateBps * net::kLinkEfficiency / 8e6
+      << " MB/s goodput), propagation " << units::to_micros(net::kPropagation)
+      << " us\n"
       << "Software model: Sun HotSpot 1.4.2-style GC pauses, "
       << "thread-per-connection servers";
   return out.str();

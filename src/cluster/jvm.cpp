@@ -4,25 +4,12 @@
 
 namespace gridmon::cluster {
 
-JvmGcConfig default_gc_config() {
-  JvmGcConfig cfg;
-  cfg.check_period = costs::kGcCheckPeriod;
-  cfg.chance_idle = costs::kGcChancePerCheckIdle;
-  cfg.chance_occupancy_gain = costs::kGcChanceOccupancyGain;
-  cfg.minor_pause_base = costs::kGcMinorPauseBase;
-  cfg.minor_pause_per_occupancy = costs::kGcMinorPausePerOccupancy;
-  cfg.full_gc_threshold = costs::kGcFullThreshold;
-  cfg.full_gc_pause = costs::kGcFullPause;
-  return cfg;
-}
-
-Jvm::Jvm(sim::Simulation& sim, Cpu& cpu, Heap& heap, util::Rng rng,
-         JvmGcConfig config)
-    : sim_(sim), cpu_(cpu), heap_(heap), rng_(rng), config_(config) {}
+Jvm::Jvm(sim::Simulation& sim, Cpu& cpu, Heap& heap, util::Rng rng)
+    : sim_(sim), cpu_(cpu), heap_(heap), rng_(rng) {}
 
 void Jvm::start() {
-  timer_ = sim::PeriodicTimer(sim_, sim_.now() + config_.check_period,
-                              config_.check_period, [this] { check(); });
+  timer_ = sim::PeriodicTimer(sim_, sim_.now() + costs::kGcCheckPeriod,
+                              costs::kGcCheckPeriod, [this] { check(); });
 }
 
 void Jvm::stop() { timer_.cancel(); }
@@ -30,19 +17,18 @@ void Jvm::stop() { timer_.cancel(); }
 void Jvm::check() {
   const double occupancy = heap_.occupancy();
   const double chance =
-      config_.chance_idle + config_.chance_occupancy_gain * occupancy;
+      costs::kGcChancePerCheckIdle + costs::kGcChanceOccupancyGain * occupancy;
   if (!rng_.chance(chance)) return;
 
   SimTime pause;
-  if (occupancy >= config_.full_gc_threshold &&
-      rng_.chance(0.25)) {
-    pause = config_.full_gc_pause;
+  if (occupancy >= costs::kGcFullThreshold && rng_.chance(0.25)) {
+    pause = costs::kGcFullPause;
     ++full_;
   } else {
     // Minor collection: duration scales with live heap, with ±30 % jitter.
     const auto scaled = static_cast<SimTime>(
-        static_cast<double>(config_.minor_pause_per_occupancy) * occupancy);
-    pause = config_.minor_pause_base + scaled;
+        static_cast<double>(costs::kGcMinorPausePerOccupancy) * occupancy);
+    pause = costs::kGcMinorPauseBase + scaled;
     pause = static_cast<SimTime>(static_cast<double>(pause) *
                                  rng_.uniform(0.7, 1.3));
     ++minor_;

@@ -17,22 +17,11 @@
 
 namespace gridmon::cluster {
 
-struct JvmGcConfig {
-  SimTime check_period;
-  double chance_idle;          ///< pause probability per check at empty heap
-  double chance_occupancy_gain;  ///< added probability at full heap
-  SimTime minor_pause_base;
-  SimTime minor_pause_per_occupancy;  ///< scaled by heap occupancy
-  double full_gc_threshold;           ///< occupancy above which full GCs occur
-  SimTime full_gc_pause;
-};
-
-JvmGcConfig default_gc_config();
-
+/// The pause process reads its calibration from the cluster::costs kGc*
+/// constants.
 class Jvm {
  public:
-  Jvm(sim::Simulation& sim, Cpu& cpu, Heap& heap, util::Rng rng,
-      JvmGcConfig config);
+  Jvm(sim::Simulation& sim, Cpu& cpu, Heap& heap, util::Rng rng);
 
   /// Begin the periodic GC process.
   void start();
@@ -49,7 +38,6 @@ class Jvm {
   Cpu& cpu_;
   Heap& heap_;
   util::Rng rng_;
-  JvmGcConfig config_;
   sim::PeriodicTimer timer_;
   std::uint64_t minor_ = 0;
   std::uint64_t full_ = 0;

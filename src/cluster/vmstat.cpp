@@ -4,13 +4,10 @@
 
 namespace gridmon::cluster {
 
-VmstatSampler::VmstatSampler(Host& host, SimTime period)
-    : host_(host), period_(period) {}
-
 void VmstatSampler::start() {
   last_busy_ = host_.cpu().busy_time();
   auto& sim = host_.sim();
-  timer_ = sim::PeriodicTimer(sim, sim.now() + period_, period_,
+  timer_ = sim::PeriodicTimer(sim, sim.now() + kPeriod, kPeriod,
                               [this] { sample(); });
 }
 
@@ -22,7 +19,7 @@ void VmstatSampler::sample() {
   last_busy_ = busy;
   const double idle =
       100.0 * (1.0 - std::clamp(static_cast<double>(delta_busy) /
-                                    static_cast<double>(period_),
+                                    static_cast<double>(kPeriod),
                                 0.0, 1.0));
   samples_.push_back(
       VmstatSample{host_.sim().now(), idle, host_.heap().used()});

@@ -21,8 +21,11 @@ struct VmstatSample {
 
 class VmstatSampler {
  public:
-  /// Samples `host` every `period` once start() is called.
-  VmstatSampler(Host& host, SimTime period = units::seconds(1));
+  /// vmstat's sampling interval.
+  static constexpr SimTime kPeriod = units::seconds(1);
+
+  /// Samples `host` every kPeriod once start() is called.
+  explicit VmstatSampler(Host& host) : host_(host) {}
 
   void start();
   void stop();
@@ -42,7 +45,6 @@ class VmstatSampler {
   void sample();
 
   Host& host_;
-  SimTime period_;
   sim::PeriodicTimer timer_;
   SimTime last_busy_ = 0;
   std::vector<VmstatSample> samples_;

@@ -16,10 +16,8 @@ Lan::Lan(sim::Simulation& sim, LanConfig config)
   uplinks_.reserve(static_cast<std::size_t>(config_.node_count));
   downlinks_.reserve(static_cast<std::size_t>(config_.node_count));
   for (int i = 0; i < config_.node_count; ++i) {
-    uplinks_.emplace_back(config_.line_rate_bps, config_.propagation,
-                          config_.efficiency);
-    downlinks_.emplace_back(config_.line_rate_bps, config_.propagation,
-                            config_.efficiency);
+    uplinks_.emplace_back(kLineRateBps, kPropagation, kLinkEfficiency);
+    downlinks_.emplace_back(kLineRateBps, kPropagation, kLinkEfficiency);
   }
 }
 
@@ -101,7 +99,7 @@ SimTime Lan::frame_transit(NodeId src, NodeId dst, std::int64_t bytes) {
     const SimTime at_switch =
         uplinks_[static_cast<std::size_t>(src)].transmit(now, wire);
     arrival = downlinks_[static_cast<std::size_t>(dst)].transmit(
-        at_switch + config_.switch_latency, wire);
+        at_switch + kSwitchLatency, wire);
     remaining -= chunk;
   } while (remaining > 0);
   return arrival;

@@ -27,14 +27,18 @@
 
 namespace gridmon::net {
 
+/// Per-port line rate of the testbed switch.
+inline constexpr double kLineRateBps = 100e6;
+/// Effective fraction of line rate available to payload bytes. The paper
+/// measured 7–8 MB/s on the 100 Mbps LAN (sftp), i.e. ~0.62 of raw.
+inline constexpr double kLinkEfficiency = 0.62;
+/// Propagation latency of each host↔switch link.
+inline constexpr SimTime kPropagation = units::microseconds(30);
+/// Store-and-forward latency of the switch.
+inline constexpr SimTime kSwitchLatency = units::microseconds(20);
+
 struct LanConfig {
   int node_count = 8;
-  double line_rate_bps = 100e6;  ///< per-port line rate
-  /// Effective fraction of line rate available to payload bytes. The paper
-  /// measured 7–8 MB/s on the 100 Mbps LAN (sftp), i.e. ~0.62 of raw.
-  double efficiency = 0.62;
-  SimTime propagation = units::microseconds(30);
-  SimTime switch_latency = units::microseconds(20);
   double datagram_loss = 0.0;  ///< per-datagram drop probability (UDP only)
 };
 

@@ -36,15 +36,6 @@ TEST(Cpu, JobsQueueFifo) {
   EXPECT_EQ(completions[2], units::milliseconds(30));
 }
 
-TEST(Cpu, SpeedScalesDemand) {
-  sim::Simulation sim;
-  Cpu fast(sim, 2.0);
-  SimTime done_at = -1;
-  fast.execute(units::milliseconds(10), [&] { done_at = sim.now(); });
-  sim.run();
-  EXPECT_EQ(done_at, units::milliseconds(5));
-}
-
 TEST(Cpu, StallOccupiesTheCore) {
   sim::Simulation sim;
   Cpu cpu(sim);
@@ -138,15 +129,13 @@ TEST(Jvm, GcPausesScaleWithOccupancy) {
   sim::Simulation sim;
   Cpu cpu_idle_heap(sim);
   Heap low(1024 * units::MiB);
-  Jvm jvm_low(sim, cpu_idle_heap, low, sim.rng_stream("low"),
-              default_gc_config());
+  Jvm jvm_low(sim, cpu_idle_heap, low, sim.rng_stream("low"));
   jvm_low.start();
 
   Cpu cpu_full_heap(sim);
   Heap high(1024 * units::MiB);
   ASSERT_TRUE(high.allocate(900 * units::MiB));
-  Jvm jvm_high(sim, cpu_full_heap, high, sim.rng_stream("high"),
-               default_gc_config());
+  Jvm jvm_high(sim, cpu_full_heap, high, sim.rng_stream("high"));
   jvm_high.start();
 
   sim.run_until(units::minutes(30));
@@ -162,7 +151,7 @@ TEST(Jvm, StopHaltsCollections) {
   sim::Simulation sim;
   Cpu cpu(sim);
   Heap heap(units::MiB);
-  Jvm jvm(sim, cpu, heap, sim.rng_stream("x"), default_gc_config());
+  Jvm jvm(sim, cpu, heap, sim.rng_stream("x"));
   jvm.start();
   sim.run_until(units::minutes(5));
   jvm.stop();
