@@ -298,7 +298,7 @@ ClosedWindows close_windows(benchmark::State& state, double loss) {
       std::get<core::HierConfig>(
           core::builtin_registry().find("hier/narada/1m")->config)
           .topology;
-  topology.edge.link.loss = loss;
+  topology.edge_loss = loss;
   const hier::FleetState fleet(topology, 1);
   hier::TreeConfig tree;
   tree.spec = topology;

@@ -11,10 +11,8 @@ SimTime EdgeAggregator::close_time(std::int64_t window) const {
   // samples have arrived), then ships the frame over its edge→regional
   // link with a deterministic per-edge spread.
   const TopologySpec& spec = config_.spec;
-  return config_.epoch + (window + 1) * spec.edge.window +
-         spec.edge.link.latency + spec.edge.link.jitter +
-         spec.regional.link.latency +
-         TreeConfig::spread(edge_, spec.regional.link.jitter);
+  return config_.epoch + (window + 1) * spec.edge.window + kLinkLatency +
+         kLinkJitter + kLinkLatency + TreeConfig::spread(edge_, kLinkJitter);
 }
 
 EdgeFrame EdgeAggregator::close_window(std::int64_t window,
@@ -50,7 +48,7 @@ EdgeFrame EdgeAggregator::close_window(std::int64_t window,
   if (frame.collected == 0) return frame;
   frame.bytes = kFrameHeaderBytes +
                 (config_.spec.edge.reduce == Reduce::kRaw
-                     ? frame.collected * config_.spec.sample_bytes
+                     ? frame.collected * kSampleBytes
                      : kAggRecordBytes);
   return frame;
 }

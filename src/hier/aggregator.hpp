@@ -171,9 +171,7 @@ class RegionalAggregator {
   /// Delay after a regional window end that guarantees the covered edge
   /// frames have arrived (worst-case edge close + uplink).
   [[nodiscard]] SimTime flush_offset() const {
-    return config_.spec.edge.link.latency + config_.spec.edge.link.jitter +
-           config_.spec.regional.link.latency +
-           config_.spec.regional.link.jitter + units::milliseconds(1);
+    return 2 * (kLinkLatency + kLinkJitter) + units::milliseconds(1);
   }
 
   [[nodiscard]] std::int64_t id() const { return regional_; }

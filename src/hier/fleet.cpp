@@ -12,7 +12,7 @@ FleetState::FleetState(const TopologySpec& spec, std::uint64_t seed)
       loss_salt_(seed ^ 0xA24BAED4963EE407ULL) {
   // expand() validates loss < 1, but this constructor can see an
   // unvalidated spec, and casting a double >= 2^64 is UB — clamp.
-  const double p = spec.edge.link.loss;
+  const double p = spec.edge_loss;
   const double scaled = p * 0x1.0p64;
   loss_threshold_ = p <= 0.0 ? 0
                     : scaled >= 0x1.0p64

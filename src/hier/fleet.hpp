@@ -67,7 +67,7 @@ class FleetState {
   [[nodiscard]] bool lossy() const { return loss_threshold_ != 0; }
 
   /// Whether sample `k` of generator `g` is lost on the generator→edge
-  /// link. Deterministic Bernoulli(edge.link.loss) — the edge skips lost
+  /// link. Deterministic Bernoulli(edge_loss) — the edge skips lost
   /// samples when counting and the root skips the same ones when
   /// accounting, so the two sides agree without any shared state.
   [[nodiscard]] bool sample_lost(std::int64_t g, std::int64_t k) const {

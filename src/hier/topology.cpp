@@ -21,7 +21,6 @@ void check(bool ok, const char* what) {
 TopologySpec::Expansion TopologySpec::expand() const {
   check(generators > 0, "generators must be positive");
   check(sample_period > 0, "sample_period must be positive");
-  check(sample_bytes > 0, "sample_bytes must be positive");
   check(edge.fan_in > 0, "edge fan_in must be positive");
   check(regional.fan_in > 0, "regional fan_in must be positive");
   check(edge.window > 0, "edge window must be positive");
@@ -30,12 +29,7 @@ TopologySpec::Expansion TopologySpec::expand() const {
   // of the period in int64 arithmetic, up to fan_in × sample_period.
   check(edge.fan_in <= std::numeric_limits<std::int64_t>::max() / sample_period,
         "edge fan_in × sample_period overflows int64");
-  check(edge.link.loss >= 0.0 && edge.link.loss < 1.0,
-        "edge link loss must be in [0, 1)");
-  // FleetState draws loss only on the generator→edge hop; reject rather
-  // than silently ignore a regional-tier loss setting.
-  check(regional.link.loss == 0.0,
-        "regional link loss is not modelled and must be 0");
+  check(edge_loss >= 0.0 && edge_loss < 1.0, "edge loss must be in [0, 1)");
 
   Expansion out;
   out.generators = generators;

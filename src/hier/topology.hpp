@@ -24,22 +24,20 @@ enum class Reduce {
           ///< fixed-size record and computes no value
 };
 
-/// The link children of a tier use to reach their parent. Jitter is a
-/// deterministic per-child spread in [0, jitter] (hashed from the child
-/// index, no RNG draws), so expansion stays seedless.
-struct LinkProfile {
-  SimTime latency = units::milliseconds(2);
-  SimTime jitter = units::milliseconds(1);
-  /// Per-sample Bernoulli on the generator→edge hop. Only the edge tier
-  /// models loss; expand() rejects a non-zero regional value.
-  double loss = 0.0;
-};
+/// The link children of either tier use to reach their parent: a fixed
+/// latency plus a deterministic per-child spread in [0, kLinkJitter]
+/// (hashed from the child index, no RNG draws), so expansion stays
+/// seedless.
+inline constexpr SimTime kLinkLatency = units::milliseconds(2);
+inline constexpr SimTime kLinkJitter = units::milliseconds(1);
 
-/// One aggregation tier: how many children fan in per node, the child→node
-/// link, the reduction policy and the batching window.
+/// Wire size of one raw sample record inside an edge frame.
+inline constexpr std::int64_t kSampleBytes = 56;
+
+/// One aggregation tier: how many children fan in per node, the reduction
+/// policy and the batching window.
 struct TierSpec {
   std::int64_t fan_in = 100;
-  LinkProfile link;
   Reduce reduce = Reduce::kMean;
   SimTime window = units::seconds(10);
 };
@@ -48,8 +46,9 @@ struct TopologySpec {
   std::int64_t generators = 10000;
   /// Every generator emits one sample per period, at a per-generator phase.
   SimTime sample_period = units::seconds(10);
-  /// Wire size of one raw sample record inside an edge frame.
-  std::int64_t sample_bytes = 56;
+  /// Per-sample Bernoulli loss on the generator→edge hop, the only lossy
+  /// link the tree models.
+  double edge_loss = 0.0;
   TierSpec edge;      ///< generator → edge aggregator
   TierSpec regional;  ///< edge → regional publisher (owns the backend client)
 

@@ -76,15 +76,10 @@ TEST(TopologySpecTest, ExpandValidates) {
   bad.edge.fan_in = 0;
   EXPECT_THROW((void)bad.expand(), std::invalid_argument);
   bad = small_spec();
-  bad.edge.link.loss = 1.0;
+  bad.edge_loss = 1.0;
   EXPECT_THROW((void)bad.expand(), std::invalid_argument);
   bad = small_spec();
   bad.regional.window = -1;
-  EXPECT_THROW((void)bad.expand(), std::invalid_argument);
-  // Loss is only modelled on the generator→edge hop; a regional-tier
-  // setting must be rejected, not silently ignored.
-  bad = small_spec();
-  bad.regional.link.loss = 0.05;
   EXPECT_THROW((void)bad.expand(), std::invalid_argument);
   // The fleet's phase slots run up to fan_in × sample_period in int64: a
   // fan-in that overflows it is rejected, and the error names the field.
@@ -149,7 +144,7 @@ TEST(FleetStateTest, EachFifthOfThePeriodHoldsAFifthOfEveryEdge) {
 
 TEST(FleetStateTest, SampleLossMatchesConfiguredRate) {
   TopologySpec spec = small_spec();
-  spec.edge.link.loss = 0.1;
+  spec.edge_loss = 0.1;
   const FleetState fleet(spec, 1);
   std::int64_t lost = 0;
   const std::int64_t draws = 400 * 50;
@@ -165,7 +160,7 @@ TEST(FleetStateTest, SampleLossMatchesConfiguredRate) {
   // can see a raw spec) clamps the 2^64 scale instead of a UB cast, and
   // drops everything.
   TopologySpec saturated = small_spec();
-  saturated.edge.link.loss = 1.0;
+  saturated.edge_loss = 1.0;
   const FleetState all_lost(saturated, 1);
   for (std::int64_t k = 0; k < 100; ++k) {
     EXPECT_TRUE(all_lost.sample_lost(0, k));
@@ -242,7 +237,7 @@ class RangeWalkTest : public ::testing::TestWithParam<WalkShape> {
     spec.generators = shape.generators;
     spec.edge.fan_in = shape.fan_in;
     spec.edge.window = shape.window;
-    spec.edge.link.loss = shape.loss;
+    spec.edge_loss = shape.loss;
     return spec;
   }
 
@@ -330,7 +325,7 @@ EdgeFrame fold_samples(const TreeConfig& tree, std::int64_t edge,
   if (frame.collected == 0) return frame;
   frame.bytes = kFrameHeaderBytes +
                 (tree.spec.edge.reduce == Reduce::kRaw
-                     ? frame.collected * tree.spec.sample_bytes
+                     ? frame.collected * kSampleBytes
                      : kAggRecordBytes);
   return frame;
 }
@@ -435,7 +430,7 @@ TEST(AggregatorTest, RawRegionalPassesFramesThroughReducedFoldsThem) {
   ASSERT_EQ(published.size(), 2u);  // pass-through: one publish per frame
   // Raw edge frames carry every sample record.
   EXPECT_EQ(published[0].bytes,
-            kFrameHeaderBytes + spec.edge.fan_in * spec.sample_bytes);
+            kFrameHeaderBytes + spec.edge.fan_in * kSampleBytes);
 
   spec.edge.reduce = Reduce::kMean;
   spec.regional.reduce = Reduce::kMean;
@@ -543,7 +538,7 @@ TEST(HierExperimentTest, DeliveredLateCountsOnlySamplesPastTheDeadline) {
   EXPECT_EQ(late.metrics.received(), 2400u);
   EXPECT_EQ(late.metrics.delivered_late(), 966u);
 
-  config.topology.edge.link.loss = 0.1;
+  config.topology.edge_loss = 0.1;
   const core::Results lossy = core::run_hier_experiment(config);
   EXPECT_EQ(lossy.metrics.sent(), 2400u);
   EXPECT_EQ(lossy.metrics.received(), 2163u);
