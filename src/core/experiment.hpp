@@ -134,7 +134,7 @@ struct NaradaConfig : RunConfig {
   bool replay = false;
   /// Sender-side aggregation (the IBM RMM technique, related work §IV):
   /// each publisher combines up to this many messages into one frame,
-  /// flushed after 20 ms (1 = off).
+  /// flushed after narada::kAggregationFlushDelay (1 = off).
   int aggregation_batch = 1;
   /// The Web Services data path the paper rejected (§III.D): SOAP proxies
   /// encode every publish and decode every delivery (gma/webservices.hpp);

@@ -35,8 +35,8 @@ struct HierConfig : RunConfig {
   /// Server memory budget override in bytes (0 = the backend's default
   /// 2 GB host). The OOM-wall tests shrink this to force refusals.
   std::int64_t server_memory_budget = 0;
-  // RunConfig::obs: the hier presets enable obs + memprof so the
-  // bytes/generator column is populated by default.
+  // RunConfig::obs: the hier presets enable obs (and with it memprof) so
+  // the bytes/generator column is populated by default.
 };
 
 [[nodiscard]] Results run_hier_experiment(const HierConfig& config);

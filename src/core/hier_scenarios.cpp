@@ -29,10 +29,10 @@ namespace {
   config.topology.regional.window = units::seconds(2);
   config.topology.edge.reduce = hier::Reduce::kMean;
   config.topology.regional.reduce = hier::Reduce::kMean;
-  // Scale sweeps are the memory story: obs + memprof on by default so the
-  // campaign's peak_model_bytes / bytes-per-generator columns populate.
+  // Scale sweeps are the memory story: obs (and with it memprof) on by
+  // default so the campaign's peak_model_bytes / bytes-per-generator
+  // columns populate.
   config.obs.enabled = true;
-  config.obs.memprof = true;
   return config;
 }
 
@@ -86,7 +86,6 @@ void register_hier_scenarios(ScenarioRegistry& reg) {
   {
     NaradaConfig flat = scenarios::narada_single(10'000);
     flat.obs.enabled = true;
-    flat.obs.memprof = true;
     reg.add({"hier/ablation/flat_10k",
              "Ablation: flat connection-per-generator Narada fleet at 10k "
              "(hits the heap wall)",

@@ -96,8 +96,7 @@ class NaradaPort final : public BackendPort {
                                                : dbn_.broker_endpoint(0);
     auto publisher = client(host, 10000 + id % 50000, broker, {});
     // A batch of 1 leaves aggregation off.
-    publisher->enable_aggregation(config_.aggregation_batch,
-                                  units::milliseconds(20));
+    publisher->enable_aggregation(config_.aggregation_batch);
     if (config_.soap_proxy) {
       soap_publishers_.emplace_back(run_.hydra().host(host), publisher);
     }

@@ -19,7 +19,7 @@ void RunScaffold::install_obs() {
   // Thread-local, so middleware marks route here; sampling only reads state.
   if (obs::kEnabled && config_.obs.enabled) {
     recorder_ = std::make_unique<obs::Recorder>(sim(), config_.obs);
-    if (config_.obs.memprof) memprof_ = std::make_unique<obs::MemProfile>();
+    memprof_ = std::make_unique<obs::MemProfile>();
   }
   scoped_mem_.emplace(memprof_.get());
   scoped_recorder_.emplace(recorder_.get());

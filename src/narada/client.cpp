@@ -120,9 +120,8 @@ void NaradaClient::subscribe(const std::string& topic,
   send_frame(std::move(frame));
 }
 
-void NaradaClient::enable_aggregation(int batch_size, SimTime max_delay) {
+void NaradaClient::enable_aggregation(int batch_size) {
   aggregation_size_ = batch_size > 1 ? batch_size : 1;
-  aggregation_delay_ = max_delay;
 }
 
 void NaradaClient::flush_aggregation() {
@@ -172,7 +171,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
       flush_aggregation();
     } else if (aggregation_buffer_.size() == 1) {
       aggregation_flush_ = host_.sim().schedule_after(
-          aggregation_delay_,
+          kAggregationFlushDelay,
           [self = shared_from_this()] { self->flush_aggregation(); });
     }
     return;

@@ -31,6 +31,9 @@
 
 namespace gridmon::narada {
 
+/// How long an aggregating publisher holds a partial batch before flushing.
+inline constexpr SimTime kAggregationFlushDelay = units::milliseconds(20);
+
 class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
  public:
   /// ok=false means the broker refused the connection (its OOM wall).
@@ -67,10 +70,9 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
 
   /// Enable sender-side message aggregation (the RMM technique from the
   /// paper's related work): up to `batch_size` publishes are combined into
-  /// one wire frame, flushed early after `max_delay`. batch_size <= 1
-  /// disables aggregation (the default).
-  void enable_aggregation(int batch_size,
-                          SimTime max_delay = units::milliseconds(100));
+  /// one wire frame, flushed early after kAggregationFlushDelay.
+  /// batch_size <= 1 disables aggregation (the default).
+  void enable_aggregation(int batch_size);
 
   /// Recover a lost link under `policy` (see net::ClientLink). Without it
   /// a lost link is permanent: sends are silently dropped, the
@@ -147,7 +149,6 @@ class NaradaClient : public std::enable_shared_from_this<NaradaClient> {
 
   // Aggregation state.
   int aggregation_size_ = 1;
-  SimTime aggregation_delay_ = 0;
   std::vector<std::pair<jms::MessagePtr, SendCallback>> aggregation_buffer_;
   sim::ScheduledEvent aggregation_flush_;
 

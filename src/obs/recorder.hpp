@@ -52,14 +52,13 @@ using TraceKey = std::uint64_t;
 [[nodiscard]] TraceKey key_of(std::int64_t a, std::int64_t b);
 
 struct Options {
+  /// Also turns on the model memory-footprint accounting (obs/memprof.hpp):
+  /// per-subsystem byte counters sampled as mem_* gauges and summarised
+  /// per run.
   bool enabled = false;
   /// Trace every Nth message (deterministic, keyed on TraceKey hash);
   /// 0 disables span collection entirely, 1 traces every message.
   std::uint32_t span_sample_every = 16;
-  /// Model memory-footprint accounting (obs/memprof.hpp): per-subsystem
-  /// byte counters sampled as mem_* gauges and summarised per run. Only
-  /// takes effect when `enabled` is set.
-  bool memprof = true;
 };
 
 struct Mark {

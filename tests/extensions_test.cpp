@@ -43,7 +43,7 @@ TEST_F(ExtensionFixture, AggregationTimerFlushesPartialBatches) {
                    [&](const jms::MessagePtr&, SimTime) { ++received; });
   });
   auto pub = client(2, 9001, dbn->broker_endpoint(0));
-  pub->enable_aggregation(100, units::milliseconds(50));
+  pub->enable_aggregation(100);
   pub->connect([&](bool) {
     pub->publish(jms::make_text_message("t", "only-one"));
   });

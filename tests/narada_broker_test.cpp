@@ -260,7 +260,7 @@ TEST_F(BrokerFixture, AggregatedPublishesDeliverEveryMessage) {
   auto dbn = start_broker();
   auto sub = make_client(1, 9000, dbn->broker_endpoint(0));
   auto pub = make_client(2, 9001, dbn->broker_endpoint(0));
-  pub->enable_aggregation(4, units::milliseconds(50));
+  pub->enable_aggregation(4);
   int received = 0;
   int sent_callbacks = 0;
   sub->connect([&](bool) {

@@ -120,7 +120,6 @@ TEST(ObsDeterminism, ExportsMatchGoldenHashes) {
   GRIDMON_REQUIRE_OBS();
   obs::Options memprof;
   memprof.enabled = true;
-  memprof.memprof = true;
   const auto runs = exports(golden::run(
       {"narada/comparison/80", "rgma/single/100", "mqtt/qos1/800",
        "hier/narada/10k", "chaos/mqtt/flapping_link_replay/800",
