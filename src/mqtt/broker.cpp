@@ -141,8 +141,6 @@ void MqttBroker::on_stream_accept(net::StreamConnectionPtr conn) {
   // heap (no thread spawn — the MQTT wall is heap, far past Narada's).
   if (!host_.heap().allocate(costs::kMqttSessionBytes)) {
     ++stats_.connections_refused;
-    GRIDMON_DEBUG("mqtt.broker")
-        << "broker " << config_.broker_id << " refused connection (heap)";
     conn->close();
     return;
   }
@@ -512,7 +510,6 @@ void MqttBroker::expire_sessions() {
   }
   for (const std::string& id : expired) {
     ++stats_.sessions_expired;
-    GRIDMON_DEBUG("mqtt.broker") << "session " << id << " keep-alive expired";
     drop_connection(id);
   }
 }

@@ -133,10 +133,7 @@ void Broker::on_stream_accept(net::StreamConnectionPtr conn) {
       GRIDMON_WARN("narada.broker")
           << "broker " << config_.broker_id
           << " refused connection (out of memory), threads="
-          << host_.threads() << " (further refusals logged at debug)";
-    } else {
-      GRIDMON_DEBUG("narada.broker")
-          << "broker " << config_.broker_id << " refused connection";
+          << host_.threads();
     }
     conn->close();
     return;

@@ -1,68 +1,15 @@
 #include "util/log.hpp"
 
 #include <cstdio>
-#include <mutex>
 
 namespace gridmon::util {
-namespace {
 
-struct LogState {
-  LogLevel level = LogLevel::kWarn;
-  std::function<void(std::string_view)> sink;
-  std::mutex mutex;
-};
-
-LogState& state() {
-  static LogState s;
-  return s;
-}
-
-constexpr const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace:
-      return "TRACE";
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel Log::level() { return state().level; }
-
-void Log::set_level(LogLevel level) { state().level = level; }
-
-void Log::set_sink(std::function<void(std::string_view)> sink) {
-  std::lock_guard lock(state().mutex);
-  state().sink = std::move(sink);
-}
-
-void Log::write(LogLevel level, std::string_view component,
-                std::string_view message) {
-  if (level < state().level) return;
-  std::string line;
-  line.reserve(component.size() + message.size() + 16);
-  line += '[';
-  line += level_name(level);
-  line += "] ";
-  line += component;
-  line += ": ";
-  line += message;
-  std::lock_guard lock(state().mutex);
-  if (state().sink) {
-    state().sink(line);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+void write_warning(std::string_view component, std::string_view message) {
+  // One fprintf per line: stdio locks stderr for the call, so lines from
+  // campaign worker threads never interleave.
+  std::fprintf(stderr, "[WARN] %.*s: %.*s\n",
+               static_cast<int>(component.size()), component.data(),
+               static_cast<int>(message.size()), message.data());
 }
 
 }  // namespace gridmon::util

@@ -1,38 +1,26 @@
-// Minimal severity logger.
+// Minimal warning logger.
 //
 // The simulator is deterministic and single-threaded per Simulation, so the
-// logger is intentionally simple: a global level, a sink, printf-free
-// iostream formatting through a small RAII line builder.
+// logger is intentionally simple: GRIDMON_WARN lines go to stderr, built
+// with iostream formatting through a small RAII line builder.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
 
 namespace gridmon::util {
 
-enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
+/// Write one "[WARN] component: message" line to stderr.
+void write_warning(std::string_view component, std::string_view message);
 
-/// Process-global log configuration.
-class Log {
- public:
-  static LogLevel level();
-  static void set_level(LogLevel level);
-  /// Redirect output (default: stderr). Used by tests to capture lines.
-  static void set_sink(std::function<void(std::string_view)> sink);
-  static void write(LogLevel level, std::string_view component,
-                    std::string_view message);
-};
-
-/// Builds one log line; emits on destruction.
+/// Builds one warning line; emits on destruction.
 class LogLine {
  public:
-  LogLine(LogLevel level, std::string_view component)
-      : level_(level), component_(component) {}
+  explicit LogLine(std::string_view component) : component_(component) {}
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
-  ~LogLine() { Log::write(level_, component_, stream_.str()); }
+  ~LogLine() { write_warning(component_, stream_.str()); }
 
   template <typename T>
   LogLine& operator<<(const T& value) {
@@ -41,22 +29,10 @@ class LogLine {
   }
 
  private:
-  LogLevel level_;
   std::string component_;
   std::ostringstream stream_;
 };
 
 }  // namespace gridmon::util
 
-#define GRIDMON_LOG(level_, component_)                                 \
-  if (::gridmon::util::Log::level() <= (level_))                        \
-  ::gridmon::util::LogLine((level_), (component_))
-
-#define GRIDMON_DEBUG(component) \
-  GRIDMON_LOG(::gridmon::util::LogLevel::kDebug, component)
-#define GRIDMON_INFO(component) \
-  GRIDMON_LOG(::gridmon::util::LogLevel::kInfo, component)
-#define GRIDMON_WARN(component) \
-  GRIDMON_LOG(::gridmon::util::LogLevel::kWarn, component)
-#define GRIDMON_ERROR(component) \
-  GRIDMON_LOG(::gridmon::util::LogLevel::kError, component)
+#define GRIDMON_WARN(component) ::gridmon::util::LogLine(component)
