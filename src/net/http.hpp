@@ -11,7 +11,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 
 #include "net/stream.hpp"
@@ -19,8 +18,6 @@
 namespace gridmon::net {
 
 struct HttpRequest {
-  std::string method = "POST";
-  std::string path;
   std::int64_t body_bytes = 0;
   std::any body;
   std::uint64_t correlation_id = 0;  ///< assigned by HttpClient

@@ -18,7 +18,6 @@ PrimaryProducer::PrimaryProducer(cluster::Host& host, net::HttpClient& http,
 
 void PrimaryProducer::declare(std::function<void(bool ok)> on_ready) {
   net::HttpRequest req;
-  req.path = kProducerPath;
   req.body_bytes = 128;
   req.body = std::shared_ptr<const CreateProducerRequest>(
       std::make_shared<CreateProducerRequest>(CreateProducerRequest{
@@ -50,7 +49,6 @@ void PrimaryProducer::insert(
   host_.cpu().execute(demand, [this, statement = std::move(statement),
                                on_done = std::move(on_done)]() mutable {
     net::HttpRequest req;
-    req.path = kProducerPath;
     req.body_bytes = static_cast<std::int64_t>(statement.size()) + 24;
     req.body = std::shared_ptr<const InsertRequest>(
         std::make_shared<InsertRequest>(InsertRequest{id_, std::move(statement)}));
@@ -94,7 +92,6 @@ Consumer::Consumer(cluster::Host& host, net::HttpClient& http,
 
 void Consumer::create(std::function<void(bool ok)> on_ready) {
   net::HttpRequest req;
-  req.path = kConsumerPath;
   req.body_bytes = static_cast<std::int64_t>(query_.size()) + 32;
   req.body = std::shared_ptr<const CreateConsumerRequest>(
       std::make_shared<CreateConsumerRequest>(
@@ -118,7 +115,6 @@ void Consumer::one_time(
     std::function<void(std::vector<Tuple>, SimTime)> on_tuples) {
   const SimTime issued = host_.sim().now();
   net::HttpRequest req;
-  req.path = kConsumerPath;
   req.body_bytes = static_cast<std::int64_t>(query_.size()) + 32;
   req.body = std::shared_ptr<const OneTimeQueryRequest>(
       std::make_shared<OneTimeQueryRequest>(OneTimeQueryRequest{query_, type}));
@@ -148,7 +144,6 @@ void Consumer::poll(std::function<void(std::vector<Tuple>, SimTime)>
                         on_tuples) {
   const SimTime issued = host_.sim().now();
   net::HttpRequest req;
-  req.path = kConsumerPath;
   req.body_bytes = 24;
   req.body = std::shared_ptr<const PollRequest>(
       std::make_shared<PollRequest>(PollRequest{id_}));
@@ -207,7 +202,6 @@ void Consumer::schedule_recreate() {
 void Consumer::request_backfill() {
   const SimTime issued = host_.sim().now();
   net::HttpRequest req;
-  req.path = kConsumerPath;
   req.body_bytes = static_cast<std::int64_t>(query_.size()) + 32;
   req.body = std::shared_ptr<const OneTimeQueryRequest>(
       std::make_shared<OneTimeQueryRequest>(

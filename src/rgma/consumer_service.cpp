@@ -64,7 +64,6 @@ void ConsumerService::enable_registration_renewal(SimTime period) {
     for (const auto& [id, consumer] : consumers_) {
       servlet_.charge(units::microseconds(60));
       net::HttpRequest reg;
-      reg.path = kRegistryPath;
       reg.body_bytes = 128;
       reg.body = std::shared_ptr<const RegisterConsumerRequest>(
           std::make_shared<RegisterConsumerRequest>(RegisterConsumerRequest{
@@ -212,7 +211,6 @@ void ConsumerService::handle_create(const CreateConsumerRequest& req,
     ++stats_.consumers_created;
 
     net::HttpRequest reg;
-    reg.path = kRegistryPath;
     reg.body_bytes = 128;
     reg.body = std::shared_ptr<const RegisterConsumerRequest>(
         std::make_shared<RegisterConsumerRequest>(RegisterConsumerRequest{
@@ -334,7 +332,6 @@ void ConsumerService::handle_one_time(const OneTimeQueryRequest& req,
   if (pos != std::string::npos) predicate_text = req.query.substr(pos + 5);
 
   net::HttpRequest lookup;
-  lookup.path = kRegistryPath;
   lookup.body_bytes = 48;
   lookup.body = std::shared_ptr<const LookupProducersRequest>(
       std::make_shared<LookupProducersRequest>(
@@ -368,7 +365,6 @@ void ConsumerService::handle_one_time(const OneTimeQueryRequest& req,
     gather->respond = std::move(respond);
     for (const auto& [producer_id, service] : producers) {
       net::HttpRequest store_query;
-      store_query.path = kProducerPath;
       store_query.body_bytes =
           48 + static_cast<std::int64_t>(predicate_text.size());
       store_query.body = std::shared_ptr<const StoreQueryRequest>(

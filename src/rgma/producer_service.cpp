@@ -78,7 +78,6 @@ void ProducerService::enable_registration_renewal(SimTime period) {
     }
     servlet_.charge(units::microseconds(120));
     net::HttpRequest req;
-    req.path = kRegistryPath;
     req.body_bytes =
         32 + static_cast<std::int64_t>(renewal->producer_ids.size()) * 4;
     req.body = std::shared_ptr<const RenewRegistrationsRequest>(renewal);
@@ -241,7 +240,6 @@ void ProducerService::handle_create(const CreateProducerRequest& req,
 
   // Register with the registry so the mediator can attach consumers.
   net::HttpRequest reg;
-  reg.path = kRegistryPath;
   reg.body_bytes = 96;
   reg.body = std::shared_ptr<const RegisterProducerRequest>(
       std::make_shared<RegisterProducerRequest>(RegisterProducerRequest{
@@ -353,7 +351,6 @@ void ProducerService::stream_cycle() {
       batch->tuples = std::move(shipped);
 
       net::HttpRequest req;
-      req.path = kStreamPath;
       req.body_bytes = batch->wire_size();
       req.body = std::shared_ptr<const StreamBatch>(batch);
       servlet_.charge(units::microseconds(250));

@@ -265,7 +265,6 @@ void RegistryService::mediate(const ProducerReg& producer,
     servlet_.charge(units::microseconds(400));
 
     net::HttpRequest attach_producer;
-    attach_producer.path = kProducerPath;
     attach_producer.body_bytes = 96;
     attach_producer.body = std::shared_ptr<const AttachConsumerNotice>(
         std::make_shared<AttachConsumerNotice>(AttachConsumerNotice{
@@ -275,7 +274,6 @@ void RegistryService::mediate(const ProducerReg& producer,
                       [](const net::HttpResponse&) {});
 
     net::HttpRequest attach_consumer;
-    attach_consumer.path = kConsumerPath;
     attach_consumer.body_bytes = 64;
     attach_consumer.body = std::shared_ptr<const AttachProducerNotice>(
         std::make_shared<AttachProducerNotice>(AttachProducerNotice{

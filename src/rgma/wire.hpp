@@ -150,11 +150,4 @@ struct StatusResponse {
   std::string error;
 };
 
-// Servlet paths.
-inline constexpr const char* kRegistryPath = "/R-GMA/RegistryServlet";
-inline constexpr const char* kSchemaPath = "/R-GMA/SchemaServlet";
-inline constexpr const char* kProducerPath = "/R-GMA/PrimaryProducerServlet";
-inline constexpr const char* kConsumerPath = "/R-GMA/ConsumerServlet";
-inline constexpr const char* kStreamPath = "/R-GMA/StreamServlet";
-
 }  // namespace gridmon::rgma

@@ -17,7 +17,7 @@ struct HttpFixture : ::testing::Test {
 TEST_F(HttpFixture, RequestResponseRoundTrip) {
   HttpServer server(transport, Endpoint{1, 8080},
                     [](const HttpRequest& req, HttpServer::Responder respond) {
-                      EXPECT_EQ(req.path, "/ping");
+                      EXPECT_EQ(std::any_cast<std::string>(req.body), "ping");
                       HttpResponse resp;
                       resp.body_bytes = 4;
                       resp.body = std::string("pong");
@@ -26,8 +26,8 @@ TEST_F(HttpFixture, RequestResponseRoundTrip) {
   HttpClient client(transport, Endpoint{0, 40000});
   int responses = 0;
   HttpRequest req;
-  req.path = "/ping";
   req.body_bytes = 4;
+  req.body = std::string("ping");
   client.request(Endpoint{1, 8080}, std::move(req),
                  [&](const HttpResponse& resp) {
                    EXPECT_EQ(resp.status, 200);
@@ -45,7 +45,7 @@ TEST_F(HttpFixture, OutOfOrderCompletionMatchesByCorrelation) {
   std::vector<HttpServer::Responder> delayed;
   HttpServer server(transport, Endpoint{1, 8080},
                     [&](const HttpRequest& req, HttpServer::Responder respond) {
-                      if (req.path == "/slow") {
+                      if (std::any_cast<std::string>(req.body) == "slow") {
                         delayed.push_back(std::move(respond));
                         return;
                       }
@@ -56,13 +56,13 @@ TEST_F(HttpFixture, OutOfOrderCompletionMatchesByCorrelation) {
   HttpClient client(transport, Endpoint{0, 40000});
   std::vector<std::string> arrivals;
   HttpRequest slow;
-  slow.path = "/slow";
+  slow.body = std::string("slow");
   client.request(Endpoint{1, 8080}, std::move(slow),
                  [&](const HttpResponse& resp) {
                    arrivals.push_back(std::any_cast<std::string>(resp.body));
                  });
   HttpRequest fast;
-  fast.path = "/fast";
+  fast.body = std::string("fast");
   client.request(Endpoint{1, 8080}, std::move(fast),
                  [&](const HttpResponse& resp) {
                    arrivals.push_back(std::any_cast<std::string>(resp.body));
@@ -83,9 +83,7 @@ TEST_F(HttpFixture, OutOfOrderCompletionMatchesByCorrelation) {
 TEST_F(HttpFixture, RefusedConnectionYields503) {
   HttpClient client(transport, Endpoint{0, 40000});
   int status = 0;
-  HttpRequest req;
-  req.path = "/nowhere";
-  client.request(Endpoint{1, 9999}, std::move(req),
+  client.request(Endpoint{1, 9999}, HttpRequest{},
                  [&](const HttpResponse& resp) { status = resp.status; });
   sim.run();
   EXPECT_EQ(status, 503);
@@ -101,9 +99,7 @@ TEST_F(HttpFixture, PersistentConnectionServesManyRequests) {
   HttpClient client(transport, Endpoint{0, 40000});
   int responses = 0;
   for (int i = 0; i < 25; ++i) {
-    HttpRequest req;
-    req.path = "/n";
-    client.request(Endpoint{1, 8080}, std::move(req),
+    client.request(Endpoint{1, 8080}, HttpRequest{},
                    [&](const HttpResponse&) { ++responses; });
   }
   sim.run();
