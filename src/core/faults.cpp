@@ -10,13 +10,11 @@ std::string_view to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNicDown: return "nic_down";
     case FaultKind::kLossBurst: return "loss_burst";
-    case FaultKind::kLinkLoss: return "link_loss";
     case FaultKind::kDbnPartition: return "dbn_partition";
     case FaultKind::kBrokerCrash: return "broker_crash";
     case FaultKind::kRegistryRestart: return "registry_restart";
     case FaultKind::kProducerServletRestart: return "producer_servlet_restart";
     case FaultKind::kConsumerServletRestart: return "consumer_servlet_restart";
-    case FaultKind::kRegistryExpiry: return "registry_expiry";
     case FaultKind::kRegistryHalfOpen: return "registry_half_open";
   }
   return "unknown";
@@ -32,14 +30,6 @@ FaultPlan& FaultPlan::loss_burst(SimTime at, double probability,
                                  SimTime duration, FaultAnchor anchor) {
   events.push_back(
       {at, FaultKind::kLossBurst, anchor, -1, -1, duration, probability});
-  return *this;
-}
-
-FaultPlan& FaultPlan::link_loss(SimTime at, int src, int dst,
-                                double probability, SimTime duration,
-                                FaultAnchor anchor) {
-  events.push_back(
-      {at, FaultKind::kLinkLoss, anchor, src, dst, duration, probability});
   return *this;
 }
 
@@ -77,11 +67,6 @@ FaultPlan& FaultPlan::consumer_servlet_restart(SimTime at, int service,
                                                FaultAnchor anchor) {
   events.push_back({at, FaultKind::kConsumerServletRestart, anchor, service,
                     -1, outage, 0.0});
-  return *this;
-}
-
-FaultPlan& FaultPlan::registry_expiry(SimTime at, FaultAnchor anchor) {
-  events.push_back({at, FaultKind::kRegistryExpiry, anchor, -1, -1, 0, 0.0});
   return *this;
 }
 
@@ -130,10 +115,6 @@ void FaultPlan::check_targets(const FaultTargets& targets) const {
       case FaultKind::kNicDown:
         require(event.target, targets.nodes, "LAN node");
         break;
-      case FaultKind::kLinkLoss:
-        require(event.target, targets.nodes, "LAN node");
-        require(event.target2, targets.nodes, "LAN node");
-        break;
       case FaultKind::kBrokerCrash:
         require(event.target, targets.brokers, "broker");
         break;
@@ -168,7 +149,7 @@ void FaultInjector::arm(SimTime steady_epoch) {
         event.anchor == FaultAnchor::kSteady ? steady_epoch : 0;
     const SimTime begin_at = base + event.at;
     sim_.schedule_at(begin_at, [this, event] { execute(event, true); });
-    if (event.duration > 0 && event.kind != FaultKind::kRegistryExpiry) {
+    if (event.duration > 0) {
       sim_.schedule_at(begin_at + event.duration,
                        [this, event] { execute(event, false); });
       windows_.push_back({begin_at, begin_at + event.duration});
@@ -188,11 +169,6 @@ void FaultInjector::execute(const FaultEvent& event, bool begin) {
       break;
     case FaultKind::kLossBurst:
       if (hooks_.set_loss) hooks_.set_loss(event.param, begin);
-      break;
-    case FaultKind::kLinkLoss:
-      if (hooks_.set_link_loss) {
-        hooks_.set_link_loss(event.target, event.target2, event.param, begin);
-      }
       break;
     case FaultKind::kDbnPartition:
       if (hooks_.set_partition) hooks_.set_partition(begin);
@@ -216,9 +192,6 @@ void FaultInjector::execute(const FaultEvent& event, bool begin) {
       if (hooks_.set_consumer_servlet_down) {
         hooks_.set_consumer_servlet_down(event.target, begin);
       }
-      break;
-    case FaultKind::kRegistryExpiry:
-      if (begin && hooks_.expire_registrations) hooks_.expire_registrations();
       break;
     case FaultKind::kRegistryHalfOpen:
       if (hooks_.set_registry_half_open) {

@@ -37,13 +37,11 @@ namespace gridmon::core {
 enum class FaultKind {
   kNicDown,         ///< target = LAN node; NIC down for `duration`
   kLossBurst,       ///< LAN-wide datagram loss `param` for `duration`
-  kLinkLoss,        ///< directed (target → target2) loss `param`
   kDbnPartition,    ///< cut the inter-broker links for `duration`
   kBrokerCrash,     ///< target = broker index; restart after `duration` dwell
   kRegistryRestart,       ///< registry container down `duration`, state wiped
   kProducerServletRestart,  ///< target = producer service index
   kConsumerServletRestart,  ///< target = consumer service index
-  kRegistryExpiry,  ///< force one soft-state expiry sweep immediately
   kRegistryHalfOpen,  ///< registry accepts connections but never responds
 };
 
@@ -62,7 +60,7 @@ struct FaultEvent {
   int target = -1;
   int target2 = -1;
   SimTime duration = 0;  ///< outage window / crash dwell (0 = instantaneous)
-  double param = 0.0;    ///< loss probability for the loss kinds
+  double param = 0.0;    ///< loss probability for kLossBurst
 };
 
 /// An outage window in *absolute* simulated time (resolved anchors).
@@ -73,7 +71,7 @@ struct FaultWindow {
 
 /// What a run's topology offers as fault targets.
 struct FaultTargets {
-  int nodes = 0;  ///< LAN nodes (nic_down, link_loss)
+  int nodes = 0;  ///< LAN nodes (nic_down)
   int brokers = 0;
   int producer_services = 0;
   int consumer_services = 0;
@@ -89,9 +87,6 @@ struct FaultPlan {
                       FaultAnchor anchor = FaultAnchor::kSteady);
   FaultPlan& loss_burst(SimTime at, double probability, SimTime duration,
                         FaultAnchor anchor = FaultAnchor::kSteady);
-  FaultPlan& link_loss(SimTime at, int src, int dst, double probability,
-                       SimTime duration,
-                       FaultAnchor anchor = FaultAnchor::kSteady);
   FaultPlan& dbn_partition(SimTime at, SimTime duration,
                            FaultAnchor anchor = FaultAnchor::kSteady);
   FaultPlan& broker_crash(SimTime at, int broker, SimTime dwell,
@@ -104,8 +99,6 @@ struct FaultPlan {
   FaultPlan& consumer_servlet_restart(
       SimTime at, int service, SimTime outage,
       FaultAnchor anchor = FaultAnchor::kSteady);
-  FaultPlan& registry_expiry(SimTime at,
-                             FaultAnchor anchor = FaultAnchor::kSteady);
   /// Half-open outage: the registry accepts requests but never answers
   /// them, so only client-side time-outs make progress (Chaos v2).
   FaultPlan& registry_half_open(SimTime at, SimTime outage,
@@ -132,8 +125,6 @@ struct FaultPlan {
 struct FaultHooks {
   std::function<void(int node, bool down)> set_nic;
   std::function<void(double probability, bool active)> set_loss;
-  std::function<void(int src, int dst, double probability, bool active)>
-      set_link_loss;
   std::function<void(bool cut)> set_partition;
   std::function<void(int broker)> crash_broker;
   std::function<void(int broker)> restart_broker;
@@ -141,7 +132,6 @@ struct FaultHooks {
   std::function<void(bool half_open)> set_registry_half_open;
   std::function<void(int service, bool down)> set_producer_servlet_down;
   std::function<void(int service, bool down)> set_consumer_servlet_down;
-  std::function<void()> expire_registrations;
 };
 
 /// Schedules a FaultPlan's begin/end actions on the kernel. Construct after

@@ -154,7 +154,6 @@ class RgmaPort final : public BackendPort {
       auto& service = network_.consumer_service(i);
       down ? service.crash() : service.restart();
     };
-    hooks.expire_registrations = [&registry] { registry.expire_now(); };
     hooks.set_registry_half_open = [&registry](bool half_open) {
       registry.set_half_open(half_open);
     };

@@ -167,9 +167,6 @@ Results RunScaffold::execute(BackendPort& port, SimTime steady_begin,
                                                              bool active) {
     lan.set_datagram_loss(active ? p : base);
   };
-  hooks.set_link_loss = [&lan](int src, int dst, double p, bool active) {
-    active ? lan.set_link_loss(src, dst, p) : lan.clear_link_loss(src, dst);
-  };
   injector_.emplace(sim(), faults_, std::move(hooks));
   injector_->arm(steady_begin);
   tracker_.set_windows(injector_->windows());

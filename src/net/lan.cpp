@@ -46,16 +46,6 @@ void Lan::set_node_down(NodeId node, bool down) {
   ++nic_transitions_;
 }
 
-void Lan::set_link_loss(NodeId src, NodeId dst, double p) {
-  check_node(src);
-  check_node(dst);
-  link_loss_[pair_key(src, dst)] = p;
-}
-
-void Lan::clear_link_loss(NodeId src, NodeId dst) {
-  link_loss_.erase(pair_key(src, dst));
-}
-
 void Lan::set_path_blocked(NodeId a, NodeId b, bool blocked) {
   check_node(a);
   check_node(b);
@@ -118,13 +108,8 @@ void Lan::send_datagram(Endpoint src, Endpoint dst, std::int64_t bytes,
   }
 
   // Loss applies per wire fragment; a datagram survives only if all of its
-  // fragments do. A per-link override (fault injection) takes precedence
-  // over the LAN-wide probability.
-  double loss = config_.datagram_loss;
-  if (!link_loss_.empty()) {
-    const auto it = link_loss_.find(pair_key(src.node, dst.node));
-    if (it != link_loss_.end()) loss = it->second;
-  }
+  // fragments do.
+  const double loss = config_.datagram_loss;
   const auto fragments =
       static_cast<int>((bytes + kMaxSegmentBytes - 1) / kMaxSegmentBytes);
   if (loss > 0.0) {

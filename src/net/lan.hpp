@@ -77,11 +77,6 @@ class Lan {
     return nic_transitions_;
   }
 
-  /// Failure injection: per-link datagram-loss override for src→dst traffic
-  /// (takes precedence over the LAN-wide probability while set).
-  void set_link_loss(NodeId src, NodeId dst, double p);
-  void clear_link_loss(NodeId src, NodeId dst);
-
   /// Failure injection: block the (symmetric) switch path between two nodes;
   /// frames between them — including frames in flight — are dropped while
   /// blocked. Models cutting one inter-broker cable without touching either
@@ -123,8 +118,7 @@ class Lan {
   std::uint64_t datagrams_in_flight_ = 0;
   std::vector<bool> node_down_;
   std::uint64_t nic_transitions_ = 0;
-  std::unordered_map<std::uint64_t, double> link_loss_;   ///< src→dst key
-  std::unordered_set<std::uint64_t> blocked_paths_;       ///< min→max key
+  std::unordered_set<std::uint64_t> blocked_paths_;  ///< min→max key
 };
 
 }  // namespace gridmon::net

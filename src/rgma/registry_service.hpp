@@ -47,8 +47,6 @@ class RegistryService {
   /// (a hung JVM / wedged servlet pool, nastier than a clean crash).
   void set_half_open(bool half_open) { half_open_ = half_open; }
   [[nodiscard]] bool half_open() const { return half_open_; }
-  /// Fault injection: run one soft-state expiry sweep immediately.
-  void expire_now() { expire_stale(); }
 
   /// Deployment-time schema bootstrap (tables are normally created via the
   /// Schema servlet; experiments install them before the run starts).

@@ -59,7 +59,6 @@ TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
       {"narada", {1000, FaultKind::kBrokerCrash, kSteady, 3, -1, 5000, 0}},
       {"narada", {1000, FaultKind::kNicDown, kSteady, 8, -1, 5000, 0}},
       {"mqtt", {1000, FaultKind::kBrokerCrash, kSteady, 1, -1, 5000, 0}},
-      {"mqtt", {1000, FaultKind::kLinkLoss, kSteady, 1, -1, 5000, 0.5}},
       {"rgma",
        {1000, FaultKind::kProducerServletRestart, kSteady, 7, -1, 5000, 0}},
       {"rgma",
@@ -119,7 +118,8 @@ TEST(FaultInjector, ResolvesAnchorsAndSortsWindows) {
   plan.nic_down(units::seconds(5), 3, units::seconds(2));
   plan.loss_burst(units::seconds(1), 0.5, units::seconds(3),
                   FaultAnchor::kRunStart);
-  plan.registry_expiry(units::seconds(2), FaultAnchor::kRunStart);
+  // An instantaneous event (duration 0) fires once and opens no window.
+  plan.nic_down(units::seconds(2), 1, 0, FaultAnchor::kRunStart);
 
   std::vector<std::string> trace;
   FaultHooks hooks;
@@ -129,12 +129,11 @@ TEST(FaultInjector, ResolvesAnchorsAndSortsWindows) {
   hooks.set_loss = [&](double p, bool active) {
     trace.push_back((active ? "loss_on:" : "loss_off:") + std::to_string(p));
   };
-  hooks.expire_registrations = [&] { trace.push_back("expire"); };
 
   FaultInjector injector(sim, plan, hooks);
   injector.arm(units::seconds(10));
 
-  ASSERT_EQ(injector.windows().size(), 2u);  // expiry is instantaneous
+  ASSERT_EQ(injector.windows().size(), 2u);  // nic_down:1 is instantaneous
   EXPECT_EQ(injector.windows()[0].begin, units::seconds(1));
   EXPECT_EQ(injector.windows()[0].end, units::seconds(4));
   EXPECT_EQ(injector.windows()[1].begin, units::seconds(15));
@@ -143,7 +142,7 @@ TEST(FaultInjector, ResolvesAnchorsAndSortsWindows) {
   sim.run();
   EXPECT_EQ(injector.injected(), 3u);
   const std::vector<std::string> expected = {
-      "loss_on:0.500000", "expire", "loss_off:0.500000", "nic_down:3",
+      "loss_on:0.500000", "nic_down:1", "loss_off:0.500000", "nic_down:3",
       "nic_up:3"};
   EXPECT_EQ(trace, expected);
 }

@@ -216,27 +216,6 @@ TEST(Lan, RecoveredNodeDeliversAgain) {
   EXPECT_EQ(received, 1);
 }
 
-TEST(Lan, LinkLossOverrideIsDirectedAndClearable) {
-  sim::Simulation sim;
-  Lan lan(sim, test_config());
-  int to_1 = 0;
-  int to_0 = 0;
-  lan.bind(Endpoint{1, 1}, [&](const Datagram&) { ++to_1; });
-  lan.bind(Endpoint{0, 1}, [&](const Datagram&) { ++to_0; });
-  lan.set_link_loss(0, 1, 1.0);  // certain loss, 0 -> 1 only
-  for (int i = 0; i < 10; ++i) {
-    lan.send_datagram(Endpoint{0, 1}, Endpoint{1, 1}, 100, std::any{});
-    lan.send_datagram(Endpoint{1, 1}, Endpoint{0, 1}, 100, std::any{});
-  }
-  sim.run();
-  EXPECT_EQ(to_1, 0);
-  EXPECT_EQ(to_0, 10);
-  lan.clear_link_loss(0, 1);
-  lan.send_datagram(Endpoint{0, 1}, Endpoint{1, 1}, 100, std::any{});
-  sim.run();
-  EXPECT_EQ(to_1, 1);
-}
-
 TEST(Lan, BlockedPathIsSymmetricAndSelective) {
   sim::Simulation sim;
   Lan lan(sim, test_config());
