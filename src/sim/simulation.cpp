@@ -201,11 +201,14 @@ std::uint64_t Simulation::run_loop(SimTime until, bool advance_clock) {
     // mid-invoke because it is not on the free list yet, and slab chunks
     // never relocate even if the callback schedules new events.
     n.seq = 0;
-    if (observer) ++observers_executed_;
     n.fn();
     recycle_node(index);
+    // Count after the callback, into both totals together, so a
+    // kernel_stats() read inside an observer sees exactly the model events
+    // executed before it.
     ++executed;
     ++executed_;
+    if (observer) ++observers_executed_;
   }
   // Advance the clock to the horizon even if the queue drained earlier, so
   // back-to-back run_until calls see monotonic time.

@@ -87,32 +87,32 @@ struct ExportGolden {
 // column order, every mem_* column, the point the MemProfile was installed
 // at, span marks and chaos tracks.
 constexpr ExportGolden kExportGoldens[] = {
-    {"narada/comparison/80#1", 5961224837063345680ULL,
+    {"narada/comparison/80#1", 18345702780659521921ULL,
      9271460134286950593ULL},
-    {"narada/comparison/80#2", 15732425890595483384ULL,
+    {"narada/comparison/80#2", 17654236836752689568ULL,
      2271445070085576741ULL},
-    {"rgma/single/100#1", 8686140751912329001ULL,
+    {"rgma/single/100#1", 11039294968274505017ULL,
      17848994105123168666ULL},
-    {"rgma/single/100#2", 9233968172910405211ULL,
+    {"rgma/single/100#2", 5378326370322612669ULL,
      10052245214075442978ULL},
-    {"mqtt/qos1/800#1", 304368251969534571ULL,
+    {"mqtt/qos1/800#1", 14810133996700102235ULL,
      11616385072864528843ULL},
-    {"mqtt/qos1/800#2", 13903330743890695420ULL,
+    {"mqtt/qos1/800#2", 1879014752388831039ULL,
      13700677411317488227ULL},
     // Series rerecorded when hier phases moved to one slot per generator
     // of an edge: frames now arrive in every 2 s window, and mem_hier no
     // longer holds per-generator fleet arrays.
-    {"hier/narada/10k#1", 3828083588950818053ULL,
+    {"hier/narada/10k#1", 11292938252603645172ULL,
      18088963067110442184ULL},
-    {"hier/narada/10k#2", 4009112112202257033ULL,
+    {"hier/narada/10k#2", 12999445857577579632ULL,
      18088963067110442184ULL},
-    {"chaos/mqtt/flapping_link_replay/800#1", 15577803216617313020ULL,
+    {"chaos/mqtt/flapping_link_replay/800#1", 818904030774466776ULL,
      17914703032507385578ULL},
-    {"chaos/mqtt/flapping_link_replay/800#2", 15690117025811845856ULL,
+    {"chaos/mqtt/flapping_link_replay/800#2", 9018142812364848156ULL,
      1967008498153270515ULL},
-    {"chaos/rgma/servlet_restart_replay#1", 1196124081461388407ULL,
+    {"chaos/rgma/servlet_restart_replay#1", 15059568717286994312ULL,
      13578750937371944062ULL},
-    {"chaos/rgma/servlet_restart_replay#2", 13858388162160825837ULL,
+    {"chaos/rgma/servlet_restart_replay#2", 12586944108453958937ULL,
      1882390007581995528ULL},
 };
 

@@ -295,13 +295,19 @@ TEST(Simulation, KernelStatsCountTheRun) {
 
 TEST(Simulation, ObserverEventsStayOutOfKernelStats) {
   Simulation sim;
+  std::uint64_t seen_at_15 = 0;
   sim.schedule_at(5, [] {}, EventKind::kObserver);
   sim.schedule_at(10, [] {});
-  sim.schedule_at(15, [] {}, EventKind::kObserver);
+  // An observer reading the kernel stats (the obs tick's kernel_events
+  // gauge) sees the one model event before it.
+  sim.schedule_at(
+      15, [&] { seen_at_15 = sim.kernel_stats().events_executed; },
+      EventKind::kObserver);
   sim.schedule_at(20, [] {});
   sim.schedule_at(25, [] {}, EventKind::kObserver).cancel();
   EXPECT_EQ(sim.kernel_stats().peak_queue_depth, 2u);
   sim.run();
+  EXPECT_EQ(seen_at_15, 1u);
   EXPECT_EQ(sim.events_executed(), 4u);  // the raw count includes observers
   EXPECT_EQ(sim.kernel_stats().events_executed, 2u);
   // The cancelled observer left the queue too: model depth counts from 0.
