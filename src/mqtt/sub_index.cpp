@@ -18,10 +18,7 @@ void SubscriptionIndex::account(std::int64_t delta) {
 }
 
 std::uint32_t SubscriptionIndex::intern(std::string_view level) {
-  const std::int64_t before = intern_.bytes();
-  const util::StringTable::Id id = intern_.intern(level);
-  account(intern_.bytes() - before);  // zero when already interned
-  return id;
+  return intern_.intern(level);
 }
 
 const SubscriptionIndex::Node* SubscriptionIndex::literal_child(
@@ -61,7 +58,6 @@ std::vector<SubscriptionIndex::Entry>* SubscriptionIndex::terminal(
       if (node->plus == nullptr) {
         if (!create) return nullptr;
         node->plus = std::make_unique<Node>();
-        account(static_cast<std::int64_t>(sizeof(Node)));
       }
       node = node->plus.get();
       continue;
@@ -92,8 +88,6 @@ std::vector<SubscriptionIndex::Entry>* SubscriptionIndex::terminal(
     if (next == nullptr) {
       node->children.emplace_back(id, std::make_unique<Node>());
       next = node->children.back().second.get();
-      account(static_cast<std::int64_t>(sizeof(Node) +
-                                        sizeof(node->children.back())));
     }
     node = next;
   }
@@ -118,7 +112,7 @@ void SubscriptionIndex::subscribe(std::string_view filter,
       [](const std::string& c, const Entry& e) { return c < *e.client; });
   list->insert(at, Entry{&client, handle, qos});
   ++entry_count_;
-  account(static_cast<std::int64_t>(sizeof(Entry)));
+  account(kSubscriptionBytes);
 }
 
 void SubscriptionIndex::remove(std::string_view filter, void* handle) {
@@ -128,7 +122,7 @@ void SubscriptionIndex::remove(std::string_view filter, void* handle) {
     if (it->handle == handle) {
       list->erase(it);
       --entry_count_;
-      account(-static_cast<std::int64_t>(sizeof(Entry)));
+      account(-kSubscriptionBytes);
       return;
     }
   }

@@ -30,6 +30,13 @@
 
 namespace gridmon::mqtt {
 
+/// Model-memory charge of one live (filter, session) entry, for the
+/// mem_sub_index profile category: a pinned constant rather than the
+/// host's sizeof, so resizing the index's storage moves no memory figure.
+/// 216 B is what the broker charged for one 'powergrid/#' subscription
+/// (entry, trie node and interned level).
+inline constexpr std::int64_t kSubscriptionBytes = 216;
+
 class SubscriptionIndex {
  public:
   /// One matched session: its best-matching grant and the opaque handle
@@ -64,8 +71,8 @@ class SubscriptionIndex {
   void match(std::string_view topic, std::vector<Match>& out) const;
 
   [[nodiscard]] std::size_t entry_count() const { return entry_count_; }
-  /// Bytes held live (nodes + entries + interned level strings), mirrored
-  /// into the mem_sub_index profile category by the update methods.
+  /// kSubscriptionBytes per live entry, mirrored into the mem_sub_index
+  /// profile category by the update methods.
   [[nodiscard]] std::int64_t footprint_bytes() const { return footprint_; }
 
  private:

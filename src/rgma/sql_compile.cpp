@@ -789,17 +789,4 @@ Tri CompiledPredicate::evaluate(const std::vector<SqlValue>& row) const {
   return tri_of(stack[0]);
 }
 
-std::int64_t CompiledPredicate::footprint_bytes() const {
-  std::int64_t total = static_cast<std::int64_t>(
-      sizeof(CompiledPredicate) + code_.size() * sizeof(Op) +
-      (consts_.size() + list_pool_.size()) * sizeof(Val));
-  for (const std::string& s : strings_) {
-    total += static_cast<std::int64_t>(sizeof(std::string) + s.size());
-  }
-  for (const std::string& p : patterns_) {
-    total += static_cast<std::int64_t>(sizeof(std::string) + p.size());
-  }
-  return total;
-}
-
 }  // namespace gridmon::rgma::sql

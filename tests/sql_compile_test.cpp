@@ -132,6 +132,7 @@ TEST(SqlCompile, EmptyProgramSelectsEverything) {
   const CompiledPredicate compiled =
       CompiledPredicate::compile(nullptr, test_table());
   EXPECT_TRUE(compiled.empty());
+  EXPECT_EQ(compiled.footprint_bytes(), kNoPredicateBytes);
   EXPECT_TRUE(compiled.selects({}));
   EXPECT_TRUE(compiled.selects({SqlValue{std::int64_t{1}}}));
 }
@@ -165,7 +166,7 @@ TEST(SqlCompile, ParsedPredicatesMatchInterpreter) {
   for (const char* text : kPredicates) {
     const ExprPtr expr = parse_predicate(text);
     const CompiledPredicate compiled = CompiledPredicate::compile(expr, table);
-    EXPECT_GT(compiled.footprint_bytes(), 0);
+    EXPECT_EQ(compiled.footprint_bytes(), kPredicateBytes) << text;
     for (std::size_t r = 0; r < rows.size(); ++r) {
       ASSERT_EQ(compiled.evaluate(rows[r]),
                 evaluate_predicate(*expr, table, rows[r]))
