@@ -6,6 +6,7 @@
 // the JMS spec requires for selectors.
 #include "jms/selector.hpp"
 #include "jms/selector_ast.hpp"
+#include "util/like.hpp"
 
 namespace gridmon::jms {
 namespace {
@@ -31,54 +32,6 @@ Value tri_to_value(Tri t) {
       return NullValue{};
   }
   return NullValue{};
-}
-
-/// SQL LIKE with % (any run) and _ (any one char), honouring an escape char.
-bool like_match(const std::string& text, const std::string& pattern,
-                char escape) {
-  const std::size_t tn = text.size();
-  const std::size_t pn = pattern.size();
-  // Iterative matcher with backtracking over the last '%'.
-  std::size_t ti = 0;
-  std::size_t pi = 0;
-  std::size_t star_pi = std::string::npos;
-  std::size_t star_ti = 0;
-  while (ti < tn) {
-    bool literal = false;
-    char pc = '\0';
-    if (pi < pn) {
-      pc = pattern[pi];
-      if (escape != '\0' && pc == escape && pi + 1 < pn) {
-        literal = true;
-        pc = pattern[pi + 1];
-      }
-    }
-    if (pi < pn && !literal && pc == '%') {
-      star_pi = pi++;
-      star_ti = ti;
-      continue;
-    }
-    if (pi < pn && ((literal && text[ti] == pc) ||
-                    (!literal && (pc == '_' || text[ti] == pc)))) {
-      pi += literal ? 2 : 1;
-      ++ti;
-      continue;
-    }
-    if (star_pi != std::string::npos) {
-      pi = star_pi + 1;
-      ti = ++star_ti;
-      continue;
-    }
-    return false;
-  }
-  // Remaining pattern must be all bare '%' (an escape introduces a literal
-  // that has nothing left to match).
-  while (pi < pn) {
-    if (escape != '\0' && pattern[pi] == escape) return false;
-    if (pattern[pi] != '%') return false;
-    ++pi;
-  }
-  return true;
 }
 
 class Evaluator {
@@ -178,7 +131,7 @@ class Evaluator {
     if (is_null(value)) return NullValue{};
     const auto* str = std::get_if<std::string>(&value);
     if (str == nullptr) return NullValue{};
-    const bool matched = like_match(*str, like.pattern, like.escape);
+    const bool matched = util::like_match(*str, like.pattern, like.escape);
     return like.negated ? !matched : matched;
   }
 

@@ -1,5 +1,7 @@
 #include "oracles/sql_eval.hpp"
 
+#include "util/like.hpp"
+
 namespace gridmon::rgma::sql {
 namespace {
 
@@ -108,7 +110,7 @@ class Evaluator {
     if (is_null(value)) return SqlNull{};
     const auto* str = std::get_if<std::string>(&value);
     if (str == nullptr) return SqlNull{};
-    const bool matched = sql_like(*str, like.pattern);
+    const bool matched = util::like_match(*str, like.pattern, '\0');
     return tri_to_value((like.negated ? !matched : matched) ? Tri::kTrue
                                                             : Tri::kFalse);
   }

@@ -1,7 +1,7 @@
 // The R-GMA WHERE-predicate AST interpreter, kept as the test oracle for
-// rgma::sql::CompiledPredicate: sql_compile_test checks the compiled
-// program against it on randomized predicates and rows, and
-// bench_data_plane times it as the baseline the compiler replaced.
+// rgma::sql::CompiledPredicate: it looks each column up by name per row,
+// and sql_compile_test checks the bound predicate walk against it on
+// randomized predicates and rows.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,7 @@
 #include "rgma/schema.hpp"
 #include "oracles/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
+#include "util/like.hpp"
 #include "util/rng.hpp"
 
 namespace gridmon::rgma::sql {
@@ -235,17 +236,17 @@ TEST(SqlEval, PredicateSelectsHelper) {
 }
 
 TEST(SqlLike, Wildcards) {
-  EXPECT_TRUE(sql_like("hello", "hello"));
-  EXPECT_TRUE(sql_like("hello", "h%"));
-  EXPECT_TRUE(sql_like("hello", "%o"));
-  EXPECT_TRUE(sql_like("hello", "h_llo"));
-  EXPECT_TRUE(sql_like("hello", "%"));
-  EXPECT_TRUE(sql_like("", "%"));
-  EXPECT_FALSE(sql_like("", "_"));
-  EXPECT_FALSE(sql_like("hello", "h_"));
-  EXPECT_TRUE(sql_like("abcabc", "%abc"));
-  EXPECT_TRUE(sql_like("mississippi", "%ss%ss%"));
-  EXPECT_FALSE(sql_like("mississippi", "%xx%"));
+  EXPECT_TRUE(util::like_match("hello", "hello", '\0'));
+  EXPECT_TRUE(util::like_match("hello", "h%", '\0'));
+  EXPECT_TRUE(util::like_match("hello", "%o", '\0'));
+  EXPECT_TRUE(util::like_match("hello", "h_llo", '\0'));
+  EXPECT_TRUE(util::like_match("hello", "%", '\0'));
+  EXPECT_TRUE(util::like_match("", "%", '\0'));
+  EXPECT_FALSE(util::like_match("", "_", '\0'));
+  EXPECT_FALSE(util::like_match("hello", "h_", '\0'));
+  EXPECT_TRUE(util::like_match("abcabc", "%abc", '\0'));
+  EXPECT_TRUE(util::like_match("mississippi", "%ss%ss%", '\0'));
+  EXPECT_FALSE(util::like_match("mississippi", "%xx%", '\0'));
 }
 
 // --- schema ---

@@ -1,5 +1,5 @@
-// Predicate-compiler equivalence: CompiledPredicate must return exactly
-// what the AST interpreter returns for every (expr, table, row) — three-
+// Bound-predicate equivalence: CompiledPredicate must return exactly what
+// the by-name AST interpreter returns for every (expr, table, row) — three-
 // valued logic, NULL propagation, type mismatches, division by zero,
 // unknown and out-of-range columns, LIKE edge cases — plus the fast
 // INSERT parse path against the general parser. The randomized sweep is
@@ -15,6 +15,7 @@
 
 #include "oracles/sql_eval.hpp"
 #include "rgma/sql_parser.hpp"
+#include "util/like.hpp"
 
 namespace gridmon::rgma::sql {
 namespace {
@@ -151,8 +152,8 @@ TEST(SqlCompile, ParsedPredicatesMatchInterpreter) {
       "label IS NULL",
       "label IS NOT NULL",
       "node = 7",                     // type mismatch → UNKNOWN
-      "3 < 4",                        // constant-folds to TRUE
-      "NULL = NULL",                  // folds to UNKNOWN
+      "3 < 4",                        // no column: TRUE
+      "NULL = NULL",                  // no column: UNKNOWN
   };
   const std::vector<std::vector<SqlValue>> rows = {
       {std::int64_t{3}, std::int64_t{5}, 2.0, std::string("grid/feeder7"),
@@ -184,7 +185,8 @@ TEST(SqlCompile, LikeEdgeCasesMatchSqlLike) {
     for (const char* text : kStrings) {
       std::vector<SqlValue> row = {SqlNull{}, SqlNull{}, SqlNull{},
                                    std::string(text)};
-      const Tri expected = sql_like(text, pattern) ? Tri::kTrue : Tri::kFalse;
+      const Tri expected =
+          util::like_match(text, pattern, '\0') ? Tri::kTrue : Tri::kFalse;
       ASSERT_EQ(compiled.evaluate(row), expected)
           << "'" << text << "' LIKE '" << pattern << "'";
     }
