@@ -1,17 +1,5 @@
-// Data-plane hot-path microbenchmarks: the three per-message costs this
-// optimisation pass attacked, each measured against an embedded copy of the
-// seed implementation so one binary reports both numbers.
+// Data-plane hot-path microbenchmarks.
 //
-//   predicate/*    R-GMA tuple filtering: the AST interpreter
-//                  (evaluate_predicate, re-walked per tuple — the seed hot
-//                  path) vs the CompiledPredicate flat program the producer
-//                  and consumer services now cache per attachment.
-//   topic_match/*  MQTT publish matching: the seed per-session linear
-//                  topic_matches() scan (run twice per publish: fan-out
-//                  count + delivery, as the broker did) vs two walks of the
-//                  SubscriptionIndex trie. /wildcard is the experiment
-//                  fleet shape (every session on 'powergrid/#'), /selective
-//                  a content-partitioned fleet (one feeder filter each).
 //   fanout/*       Narada broker local delivery: one Frame copy per
 //                  subscriber (seed) vs one immutable ref-counted Frame
 //                  shared across the fan-out.
@@ -27,17 +15,15 @@
 //                  generator->edge loss) draws each sample's loss, so its
 //                  figure is time_per_sample.
 //
-// items_per_second is tuples filtered / publishes matched / deliveries /
-// messages / edge windows (hier_close_window) or samples (/lossy).
+// items_per_second is deliveries / messages / edge windows
+// (hier_close_window) or samples (/lossy).
 // Run with the interleaved-median protocol quoted in BENCH_data_plane.json:
 //   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 //   --benchmark_report_aggregates_only=true --benchmark_min_time=1
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -47,171 +33,12 @@
 #include "hier/aggregator.hpp"
 #include "jms/message.hpp"
 #include "jms/selector.hpp"
-#include "mqtt/sub_index.hpp"
-#include "oracles/mqtt_topic.hpp"
 #include "narada/frames.hpp"
-#include "rgma/sql_compile.hpp"
-#include "oracles/sql_eval.hpp"
-#include "rgma/sql_parser.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace gridmon;
-
-// --- predicate evaluation ---------------------------------------------------
-
-// The continuous-query shapes the campaigns run: the paper-style no-op
-// filter, a content partition, and richer selector-style filters.
-constexpr const char* kPredicates[] = {
-    "id < 1000000",
-    "id >= 40 AND id < 80",
-    "site = 'site-13' AND loadpct > 50.0",
-    "name LIKE 'gen-1%' AND voltage BETWEEN 225.0 AND 235.0",
-};
-
-struct PredicateWorkload {
-  rgma::TableDef table = core::generator_table("grid_metrics");
-  std::vector<std::vector<rgma::SqlValue>> rows;
-  std::vector<rgma::sql::ExprPtr> exprs;
-  std::vector<rgma::sql::CompiledPredicate> compiled;
-
-  PredicateWorkload() {
-    util::Rng rng(17);
-    for (std::int64_t i = 0; i < 512; ++i) {
-      rows.push_back(core::make_generator_row(i % 100, i, /*sent_at=*/0, rng));
-    }
-    for (const char* text : kPredicates) {
-      exprs.push_back(rgma::sql::parse_predicate(text));
-      compiled.push_back(
-          rgma::sql::CompiledPredicate::compile(exprs.back(), table));
-    }
-  }
-};
-
-const PredicateWorkload& predicate_workload() {
-  static const PredicateWorkload workload;
-  return workload;
-}
-
-void BM_PredicateInterpreted(benchmark::State& state) {
-  const auto& w = predicate_workload();
-  const auto& expr = *w.exprs[static_cast<std::size_t>(state.range(0))];
-  std::int64_t selected = 0;
-  for (auto _ : state) {
-    for (const auto& row : w.rows) {
-      selected += rgma::sql::evaluate_predicate(expr, w.table, row) ==
-                  rgma::sql::Tri::kTrue;
-    }
-  }
-  benchmark::DoNotOptimize(selected);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(w.rows.size()));
-}
-
-void BM_PredicateCompiled(benchmark::State& state) {
-  const auto& w = predicate_workload();
-  const auto& program = w.compiled[static_cast<std::size_t>(state.range(0))];
-  std::int64_t selected = 0;
-  for (auto _ : state) {
-    for (const auto& row : w.rows) {
-      selected += program.evaluate(row) == rgma::sql::Tri::kTrue;
-    }
-  }
-  benchmark::DoNotOptimize(selected);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(w.rows.size()));
-}
-
-// --- MQTT topic matching ----------------------------------------------------
-
-struct LinearSession {
-  std::vector<std::pair<std::string, int>> subscriptions;
-};
-
-struct MatchWorkload {
-  // Seed shape: the broker's client-id-keyed session map, scanned linearly.
-  std::map<std::string, LinearSession> sessions;
-  mqtt::SubscriptionIndex index;
-  std::vector<std::string> topics;
-
-  MatchWorkload(int session_count, bool selective) {
-    for (int i = 0; i < session_count; ++i) {
-      const std::string client = "mon" + std::to_string(100000 + i);
-      const std::string filter =
-          selective ? "powergrid/feeder" + std::to_string(i % 16) + "/+"
-                    : "powergrid/#";
-      auto& session = sessions[client];
-      session.subscriptions.emplace_back(filter, 1);
-      index.subscribe(filter, sessions.find(client)->first, &session, 1);
-    }
-    for (int t = 0; t < 64; ++t) {
-      topics.push_back("powergrid/feeder" + std::to_string(t % 16) + "/gen" +
-                       std::to_string(t));
-    }
-  }
-};
-
-/// The seed publish path: one pass to count the fan-out for the service
-/// demand, one pass to deliver at the first matching filter's grant.
-std::int64_t linear_publish(const MatchWorkload& w, const std::string& topic) {
-  int fanout = 0;
-  for (const auto& [client, session] : w.sessions) {
-    for (const auto& [filter, qos] : session.subscriptions) {
-      if (mqtt::topic_matches(filter, topic)) {
-        ++fanout;
-        break;
-      }
-    }
-  }
-  std::int64_t delivered = 0;
-  for (const auto& [client, session] : w.sessions) {
-    for (const auto& [filter, qos] : session.subscriptions) {
-      if (mqtt::topic_matches(filter, topic)) {
-        delivered += qos;
-        break;
-      }
-    }
-  }
-  return fanout + delivered;
-}
-
-/// The trie publish path: same two walks (count, then re-match at dispatch
-/// time after the service delay) the broker performs.
-std::int64_t trie_publish(const MatchWorkload& w, const std::string& topic,
-                          std::vector<mqtt::SubscriptionIndex::Match>& scratch) {
-  w.index.match(topic, scratch);
-  const auto fanout = static_cast<std::int64_t>(scratch.size());
-  w.index.match(topic, scratch);
-  std::int64_t delivered = 0;
-  for (const auto& m : scratch) delivered += m.qos;
-  return fanout + delivered;
-}
-
-void BM_TopicMatchLinear(benchmark::State& state) {
-  const MatchWorkload w(static_cast<int>(state.range(0)), state.range(1) != 0);
-  std::int64_t sink = 0;
-  std::size_t t = 0;
-  for (auto _ : state) {
-    sink += linear_publish(w, w.topics[t]);
-    t = (t + 1) % w.topics.size();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_TopicMatchTrie(benchmark::State& state) {
-  const MatchWorkload w(static_cast<int>(state.range(0)), state.range(1) != 0);
-  std::vector<mqtt::SubscriptionIndex::Match> scratch;
-  std::int64_t sink = 0;
-  std::size_t t = 0;
-  for (auto _ : state) {
-    sink += trie_publish(w, w.topics[t], scratch);
-    t = (t + 1) % w.topics.size();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations());
-}
 
 // --- Narada fan-out ---------------------------------------------------------
 
@@ -346,24 +173,6 @@ void BM_HierCloseWindowLossy(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_PredicateInterpreted)
-    ->Name("predicate/interpreted")
-    ->DenseRange(0, 3);
-BENCHMARK(BM_PredicateCompiled)->Name("predicate/compiled")->DenseRange(0, 3);
-BENCHMARK(BM_TopicMatchLinear)
-    ->Name("topic_match/linear")
-    ->ArgNames({"sessions", "selective"})
-    ->Args({400, 0})
-    ->Args({4000, 0})
-    ->Args({400, 1})
-    ->Args({4000, 1});
-BENCHMARK(BM_TopicMatchTrie)
-    ->Name("topic_match/trie")
-    ->ArgNames({"sessions", "selective"})
-    ->Args({400, 0})
-    ->Args({4000, 0})
-    ->Args({400, 1})
-    ->Args({4000, 1});
 BENCHMARK(BM_FanoutCopy)->Name("fanout/copy")->Arg(80)->Arg(400);
 BENCHMARK(BM_FanoutRefcount)->Name("fanout/refcount")->Arg(80)->Arg(400);
 BENCHMARK(BM_NaradaMessage)->Name("narada_message");

@@ -285,7 +285,7 @@ void MqttBroker::on_session_packet(const std::string& client_id,
         obs::mem_add(obs::MemCategory::kBrokerRouting,
                      subscription_footprint(packet->topic));
       }
-      // Keep the trie in lockstep (updates the grant on resubscribe).
+      // Keep the index in lockstep (updates the grant on resubscribe).
       sub_index_.subscribe(packet->topic, session.client_id, &session,
                            granted);
       reply(session, PacketType::kSubAck, packet->packet_id);
@@ -369,8 +369,7 @@ void MqttBroker::ingest_publish(const PacketPtr& packet) {
   mark_packet(packet, "ingress");
 
   // Fan-out is part of the service demand: count matching subscriptions
-  // first. One trie walk replaces the per-session filter scan the event
-  // loop used to perform; the counted demand model is unchanged.
+  // first.
   sub_index_.match(packet->topic, match_scratch_);
   const int fanout = static_cast<int>(match_scratch_.size());
   const std::int64_t bytes = packet_wire_size(*packet);
@@ -383,7 +382,7 @@ void MqttBroker::ingest_publish(const PacketPtr& packet) {
         host_.heap().release(transient);
         if (crashed_) return;
         // Re-match at dispatch: sessions may have come or gone during the
-        // service delay (the old code re-walked the table here too).
+        // service delay.
         sub_index_.match(packet->topic, match_scratch_);
         for (const auto& m : match_scratch_) {
           // One delivery per session, at its best-matching grant.

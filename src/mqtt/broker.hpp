@@ -145,9 +145,8 @@ class MqttBroker {
   /// Sessions keyed by client id (ordered, so sweeps and fan-out walk the
   /// table deterministically). Map nodes are stable across other inserts.
   std::map<std::string, Session> sessions_;
-  /// Topic trie over every session's filters: one walk per publish instead
-  /// of a filter scan per session. Kept in lockstep with the
-  /// session subscription lists (subscribe / erase_session / crash).
+  /// Every session's filters, kept in lockstep with the session
+  /// subscription lists (subscribe / erase_session / crash).
   SubscriptionIndex sub_index_;
   /// Match-result scratch, reused across publishes.
   std::vector<SubscriptionIndex::Match> match_scratch_;

@@ -6,220 +6,95 @@
 
 namespace gridmon::mqtt {
 
-SubscriptionIndex::~SubscriptionIndex() {
-  if (footprint_ != 0) {
-    obs::mem_sub(obs::MemCategory::kMqttSubIndex, footprint_);
+namespace {
+
+/// Pop the leading level (up to the next '/') off `rest`.
+std::string_view next_level(std::string_view& rest, bool& more) {
+  const auto slash = rest.find('/');
+  if (slash == std::string_view::npos) {
+    const std::string_view level = rest;
+    rest = {};
+    more = false;
+    return level;
   }
+  const std::string_view level = rest.substr(0, slash);
+  rest = rest.substr(slash + 1);
+  more = true;
+  return level;
 }
 
-void SubscriptionIndex::account(std::int64_t delta) {
-  footprint_ += delta;
-  obs::mem_add(obs::MemCategory::kMqttSubIndex, delta);
-}
+}  // namespace
 
-std::uint32_t SubscriptionIndex::intern(std::string_view level) {
-  return intern_.intern(level);
-}
-
-const SubscriptionIndex::Node* SubscriptionIndex::literal_child(
-    const Node& node, std::string_view level) const {
-  const util::StringTable::Id want = intern_.find(level);
-  if (want == util::StringTable::kInvalidId) return nullptr;
-  for (const auto& [id, child] : node.children) {
-    if (id == want) return child.get();
+bool topic_matches(std::string_view filter, std::string_view topic) {
+  if (filter.empty() || topic.empty()) return false;
+  // Wildcard-first filters never match broker-internal ($...) topics.
+  if ((filter.front() == '+' || filter.front() == '#') &&
+      topic.front() == '$') {
+    return false;
   }
-  return nullptr;
-}
-
-std::vector<SubscriptionIndex::Entry>* SubscriptionIndex::terminal(
-    std::string_view filter, bool create) {
-  // topic_matches() never matches an empty filter; store nothing.
-  if (filter.empty()) return nullptr;
-  Node* node = &root_;
-  std::string_view rest = filter;
-  bool more = true;
-  while (more) {
-    std::string_view level;
-    const auto slash = rest.find('/');
-    if (slash == std::string_view::npos) {
-      level = rest;
-      more = false;
-    } else {
-      level = rest.substr(0, slash);
-      rest = rest.substr(slash + 1);
+  std::string_view f = filter;
+  std::string_view t = topic;
+  bool f_more = true;
+  bool t_more = true;
+  while (true) {
+    const std::string_view f_level = next_level(f, f_more);
+    if (f_level == "#") return true;  // matches the rest, including nothing
+    const std::string_view t_level = next_level(t, t_more);
+    if (f_level != "+" && f_level != t_level) return false;
+    if (!f_more && !t_more) return true;
+    if (!t_more) {
+      // Topic exhausted: only a sole trailing '#' can still match
+      // ("sport/#" matches "sport").
+      return f_more && f == "#";
     }
-    if (level == "#") {
-      // '#' consumes everything that follows. A trailing '#' also matches
-      // the parent topic itself; a (tolerated-but-invalid) mid-filter '#'
-      // matches only a non-empty remainder — see topic_matches().
-      return more ? &node->hash_loose : &node->hash_strict;
-    }
-    if (level == "+") {
-      if (node->plus == nullptr) {
-        if (!create) return nullptr;
-        node->plus = std::make_unique<Node>();
-      }
-      node = node->plus.get();
-      continue;
-    }
-    if (!create) {
-      Node* next = nullptr;
-      const util::StringTable::Id want = intern_.find(level);
-      if (want != util::StringTable::kInvalidId) {
-        for (auto& [id, child] : node->children) {
-          if (id == want) {
-            next = child.get();
-            break;
-          }
-        }
-      }
-      if (next == nullptr) return nullptr;
-      node = next;
-      continue;
-    }
-    const std::uint32_t id = intern(level);
-    Node* next = nullptr;
-    for (auto& [cid, child] : node->children) {
-      if (cid == id) {
-        next = child.get();
-        break;
-      }
-    }
-    if (next == nullptr) {
-      node->children.emplace_back(id, std::make_unique<Node>());
-      next = node->children.back().second.get();
-    }
-    node = next;
+    if (!f_more) return false;  // filter exhausted, topic has more levels
   }
-  return &node->entries;
 }
 
 void SubscriptionIndex::subscribe(std::string_view filter,
                                   const std::string& client, void* handle,
                                   int qos) {
-  std::vector<Entry>* list = terminal(filter, /*create=*/true);
-  if (list == nullptr) return;
-  for (Entry& entry : *list) {
-    if (entry.handle == handle) {
+  if (filter.empty()) return;  // matches nothing; store nothing
+  for (Entry& entry : entries_) {
+    if (entry.handle == handle && entry.filter == filter) {
       entry.qos = qos;  // replace-on-resubscribe
       return;
     }
   }
-  // Keep each list sorted by client id so match() can emit session-map
-  // order without sorting the (possibly fleet-sized) result.
   const auto at = std::upper_bound(
-      list->begin(), list->end(), client,
+      entries_.begin(), entries_.end(), client,
       [](const std::string& c, const Entry& e) { return c < *e.client; });
-  list->insert(at, Entry{&client, handle, qos});
-  ++entry_count_;
-  account(kSubscriptionBytes);
+  entries_.insert(at, Entry{std::string(filter), &client, handle, qos});
+  obs::mem_add(obs::MemCategory::kMqttSubIndex, kSubscriptionBytes);
 }
 
 void SubscriptionIndex::remove(std::string_view filter, void* handle) {
-  std::vector<Entry>* list = terminal(filter, /*create=*/false);
-  if (list == nullptr) return;
-  for (auto it = list->begin(); it != list->end(); ++it) {
-    if (it->handle == handle) {
-      list->erase(it);
-      --entry_count_;
-      account(-kSubscriptionBytes);
-      return;
-    }
-  }
+  const auto it =
+      std::find_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
+        return e.handle == handle && e.filter == filter;
+      });
+  if (it == entries_.end()) return;
+  entries_.erase(it);
+  obs::mem_sub(obs::MemCategory::kMqttSubIndex, kSubscriptionBytes);
 }
 
 void SubscriptionIndex::clear() {
-  root_ = Node{};
-  intern_ = util::StringTable{};
-  entry_count_ = 0;
-  if (footprint_ != 0) {
-    obs::mem_sub(obs::MemCategory::kMqttSubIndex, footprint_);
-    footprint_ = 0;
-  }
+  if (entries_.empty()) return;
+  obs::mem_sub(obs::MemCategory::kMqttSubIndex, footprint_bytes());
+  entries_.clear();
 }
 
 void SubscriptionIndex::match(std::string_view topic,
                               std::vector<Match>& out) const {
   out.clear();
-  if (topic.empty()) return;
-  // Root-level wildcard edges never match broker-internal topics.
-  const bool internal = topic.front() == '$';
-
-  // Split the topic into levels once (same tokenization as topic.cpp:
-  // "a//b" has an empty middle level, "a/" a trailing one).
-  std::vector<std::string_view> levels;
-  levels.reserve(8);
-  std::string_view rest = topic;
-  for (;;) {
-    const auto slash = rest.find('/');
-    if (slash == std::string_view::npos) {
-      levels.push_back(rest);
-      break;
-    }
-    levels.push_back(rest.substr(0, slash));
-    rest = rest.substr(slash + 1);
-  }
-
-  // Entry lists are individually sorted by client id; count the lists that
-  // contribute so the common single-list publish (e.g. a whole fleet on
-  // 'powergrid/#') skips the final sort.
-  std::size_t lists_collected = 0;
-  const auto collect = [&out, &lists_collected](const std::vector<Entry>& list) {
-    if (list.empty()) return;
-    ++lists_collected;
-    for (const Entry& e : list) out.push_back(Match{e.client, e.handle, e.qos});
-  };
-
-  struct Frame {
-    const Node* node;
-    std::size_t idx;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(levels.size() + 4);
-  stack.push_back(Frame{&root_, 0});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const Node& node = *frame.node;
-    const bool wildcards_hidden = internal && frame.node == &root_;
-    if (frame.idx == levels.size()) {
-      // Topic exhausted here: filters ending at this node match, and so
-      // does a trailing '#' one level below ("sport/#" matches "sport").
-      collect(node.entries);
-      if (!wildcards_hidden) collect(node.hash_strict);
-      continue;
-    }
-    // At least one level remains: any '#' filter at this node matches,
-    // including the mid-filter form.
-    if (!wildcards_hidden) {
-      collect(node.hash_strict);
-      collect(node.hash_loose);
-    }
-    if (const Node* lit = literal_child(node, levels[frame.idx])) {
-      stack.push_back(Frame{lit, frame.idx + 1});
-    }
-    if (node.plus != nullptr && !wildcards_hidden) {
-      stack.push_back(Frame{node.plus.get(), frame.idx + 1});
-    }
-  }
-
-  // One entry per session at its best grant, ordered by client id — the
-  // order the broker's session-map walk used to produce. A single
-  // contributing list is already in that order.
-  if (lists_collected > 1) {
-    std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-      return *a.client < *b.client;
-    });
-  }
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < out.size(); ++r) {
-    if (w > 0 && out[w - 1].handle == out[r].handle) {
-      if (out[r].qos > out[w - 1].qos) out[w - 1].qos = out[r].qos;
+  for (const Entry& entry : entries_) {
+    if (!topic_matches(entry.filter, topic)) continue;
+    if (!out.empty() && out.back().handle == entry.handle) {
+      out.back().qos = std::max(out.back().qos, entry.qos);  // best grant
     } else {
-      out[w++] = out[r];
+      out.push_back(Match{entry.client, entry.handle, entry.qos});
     }
   }
-  out.resize(w);
 }
 
 }  // namespace gridmon::mqtt

@@ -1,40 +1,36 @@
-// Subscription index: a topic trie over the broker's filter table.
+// Subscription index: the broker's (filter, session) table.
 //
-// The broker's publish path used to walk every session's filter list and
-// run topic_matches() per filter — twice per publish (once to count the
-// fan-out for the service-demand model, once to deliver). That scan is
-// O(sessions × filters) per publish, and at 4000 sessions it dominates
-// the event loop. The index stores each filter once along its '/'-split
-// level path, with dedicated '+' and '#' edges, so one walk of the topic's
-// levels finds every matching subscription.
-//
-// Semantics contract: match() returns exactly the sessions for which
-// topic_matches(filter, topic) (the test oracle in
-// tests/oracles/mqtt_topic.hpp) holds for at least one of the session's
-// filters — including the '$'-topic rule (root-level wildcards never match
-// broker-internal topics), "sport/#" matching "sport" itself, and the
-// tolerated-but-invalid mid-filter '#' ("a/#/b"), which topic_matches
-// treats as matching any non-empty remainder but not exhaustion. Results
-// are deduplicated to one entry per session at its best (maximum) granted
-// QoS, ordered by client id — the same order the broker's session-map walk
-// produced.
+// The broker matches every publish twice, once to count the fan-out for
+// the service-demand model and once to deliver, and each match tests every
+// entry with topic_matches(). match() returns the sessions for which at
+// least one filter matches, one entry per session at its best (maximum)
+// granted QoS, ordered by client id: the order of the broker's session
+// map.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/intern.hpp"
-
 namespace gridmon::mqtt {
+
+/// True if a message published to `topic` matches `filter`. Topics are
+/// '/'-separated levels ("powergrid/feeder7/voltage", where "a//b" has an
+/// empty middle level); in a filter '+' matches exactly one level and '#'
+/// any number of trailing levels, including none ("sport/#" matches
+/// "sport"). Filters whose first level is a wildcard never match topics
+/// beginning with '$' (broker-internal topics, per MQTT 3.1.1). The broker
+/// does not validate filters: a mid-filter '#' ("a/#/b") matches any
+/// non-empty remainder, and empty filters and topics match nothing.
+[[nodiscard]] bool topic_matches(std::string_view filter,
+                                 std::string_view topic);
 
 /// Model-memory charge of one live (filter, session) entry, for the
 /// mem_sub_index profile category: a pinned constant rather than the
 /// host's sizeof, so resizing the index's storage moves no memory figure.
 /// 216 B is what the broker charged for one 'powergrid/#' subscription
-/// (entry, trie node and interned level).
+/// when the index was a topic trie (entry, trie node and interned level).
 inline constexpr std::int64_t kSubscriptionBytes = 216;
 
 class SubscriptionIndex {
@@ -48,7 +44,7 @@ class SubscriptionIndex {
   };
 
   SubscriptionIndex() = default;
-  ~SubscriptionIndex();
+  ~SubscriptionIndex() { clear(); }
   SubscriptionIndex(const SubscriptionIndex&) = delete;
   SubscriptionIndex& operator=(const SubscriptionIndex&) = delete;
 
@@ -70,43 +66,23 @@ class SubscriptionIndex {
   /// `out`'s capacity.
   void match(std::string_view topic, std::vector<Match>& out) const;
 
-  [[nodiscard]] std::size_t entry_count() const { return entry_count_; }
+  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
   /// kSubscriptionBytes per live entry, mirrored into the mem_sub_index
   /// profile category by the update methods.
-  [[nodiscard]] std::int64_t footprint_bytes() const { return footprint_; }
+  [[nodiscard]] std::int64_t footprint_bytes() const {
+    return static_cast<std::int64_t>(entries_.size()) * kSubscriptionBytes;
+  }
 
  private:
   struct Entry {
+    std::string filter;
     const std::string* client;
     void* handle;
     int qos;
   };
 
-  struct Node {
-    /// Literal children, keyed by interned level id (small: linear scan).
-    std::vector<std::pair<std::uint32_t, std::unique_ptr<Node>>> children;
-    std::unique_ptr<Node> plus;      ///< '+' edge (any single level)
-    std::vector<Entry> entries;      ///< filters ending at this node
-    std::vector<Entry> hash_strict;  ///< "<prefix>/#" — also matches prefix
-    std::vector<Entry> hash_loose;   ///< mid-filter '#' — remainder only
-  };
-
-  /// Which terminal list a filter lands in, resolved by walking (and
-  /// optionally creating) its level path. Null when absent and !create.
-  std::vector<Entry>* terminal(std::string_view filter, bool create);
-
-  [[nodiscard]] std::uint32_t intern(std::string_view level);
-  [[nodiscard]] const Node* literal_child(const Node& node,
-                                          std::string_view level) const;
-
-  void account(std::int64_t delta);
-
-  Node root_;
-  /// Level string → id. Ids index nothing outside children keys; the
-  /// table's contiguous arena owns the interned storage.
-  util::StringTable intern_;
-  std::size_t entry_count_ = 0;
-  std::int64_t footprint_ = 0;
+  /// Ordered by client id, so a session's entries are adjacent.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace gridmon::mqtt

@@ -1,9 +1,9 @@
-// The subscription trie must be observationally identical to the linear
-// topic_matches() scan it replaced: same sessions, best (maximum) granted
+// The subscription index must be observationally identical to a linear
+// per-session topic_matches() scan: same sessions, best (maximum) granted
 // QoS per session, client-id order — across wildcards, '$'-topic hiding,
 // empty levels, and the tolerated-but-invalid mid-filter '#'. A seeded
-// randomized sweep cross-checks the trie against a brute-force model built
-// directly on topic_matches().
+// randomized sweep cross-checks the index against a brute-force model
+// that scans each session's filters.
 #include "mqtt/sub_index.hpp"
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "oracles/mqtt_topic.hpp"
 #include "obs/memprof.hpp"
 
 namespace gridmon::mqtt {
@@ -58,7 +57,7 @@ std::vector<std::pair<std::string, int>> index_match(
 TEST(SubscriptionIndex, RandomizedEquivalenceWithLinearScan) {
   // Level pools deliberately include wildcards in non-final positions,
   // empty levels, '$'-prefixed levels, and '+'-containing literals — the
-  // broker never validates filters, so neither may the trie.
+  // broker never validates filters, so neither may the index.
   const std::vector<std::string> filter_levels = {
       "a", "b", "c", "+", "#", "$SYS", "", "x", "+x"};
   const std::vector<std::string> topic_levels = {"a",    "b", "c",
@@ -77,7 +76,7 @@ TEST(SubscriptionIndex, RandomizedEquivalenceWithLinearScan) {
         filter += filter_levels[rng() % filter_levels.size()];
       }
       // A repeat subscribe to the same filter replaces the grant (both in
-      // the broker's filter map and in the trie), so the model must too.
+      // the broker's filter map and in the index), so the model must too.
       const int qos = static_cast<int>(rng() % 3);
       auto existing = std::find_if(
           sessions[i].subs.begin(), sessions[i].subs.end(),
@@ -211,7 +210,7 @@ TEST(SubscriptionIndex, RemoveAndClearReleaseAccounting) {
               index.footprint_bytes());
 
     // Removing one (filter, handle) pair leaves the other session's entry
-    // on the same trie node untouched.
+    // for the same filter untouched.
     index.remove("powergrid/+/voltage", &handle_a);
     EXPECT_EQ(index.entry_count(), 2u);
     std::vector<SubscriptionIndex::Match> matches;

@@ -1,7 +1,8 @@
 // MQTT topic filters: wildcard matching and filter validation edge cases.
-#include "oracles/mqtt_topic.hpp"
-
 #include <gtest/gtest.h>
+
+#include "mqtt/sub_index.hpp"
+#include "oracles/mqtt_topic.hpp"
 
 namespace gridmon::mqtt {
 namespace {
