@@ -93,8 +93,9 @@ std::uint64_t HistoryBuffer::first_sequence() const {
   return 0;
 }
 
-ReplayStats HistoryBuffer::replay_since(std::uint64_t cursor,
-                                        const ReplayVisitor& fn) const {
+ReplayStats HistoryBuffer::replay_since(std::uint64_t cursor, SimTime now,
+                                        const ReplayVisitor& fn) {
+  prune(now);  // a buffer nothing appended to since still ages
   ReplayStats stats;
   stats.first_available = first_sequence();
   // A cursor behind the oldest retained entry means part of the gap is

@@ -58,7 +58,7 @@ struct ReplayStats {
 /// A per-topic (or per-session) retention buffer with a gap-replay cursor.
 /// Sequence numbers are assigned by append() and increase monotonically;
 /// the producer stamps them onto the live stream so consumers can detect
-/// gaps and ask for `replay_since(last_seen)`.
+/// gaps and ask for `replay_since(last_seen, now)`.
 class HistoryBuffer {
  public:
   HistoryBuffer() = default;
@@ -87,11 +87,13 @@ class HistoryBuffer {
   /// then evict entries past kDownsampledWindow. Returns bytes freed.
   std::int64_t prune(SimTime now);
 
-  /// Visit retained entries with sequence > `cursor`, oldest first.
-  /// The visitor receives (sequence, payload, bytes).
+  /// Apply retention at `now` (see prune), then visit the retained
+  /// entries with sequence > `cursor`, oldest first. The visitor receives
+  /// (sequence, payload, bytes).
   using ReplayVisitor =
       std::function<void(std::uint64_t, const std::any&, std::int64_t)>;
-  ReplayStats replay_since(std::uint64_t cursor, const ReplayVisitor& fn) const;
+  ReplayStats replay_since(std::uint64_t cursor, SimTime now,
+                           const ReplayVisitor& fn);
 
   [[nodiscard]] std::size_t size() const {
     return tiered_.size() + raw_.size();

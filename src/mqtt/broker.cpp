@@ -235,8 +235,12 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
     }
     std::uint64_t drained = 0;
     std::int64_t drained_bytes = 0;
+    // The replay first applies the retention windows, which may evict what
+    // no later publish pruned.
+    const std::int64_t dropped_before = session.offline_queue.dropped();
     session.offline_queue.replay_since(
-        0, [&](std::uint64_t, const std::any& payload, std::int64_t bytes) {
+        0, host_.sim().now(),
+        [&](std::uint64_t, const std::any& payload, std::int64_t bytes) {
           const auto* queued = std::any_cast<PacketPtr>(&payload);
           if (queued == nullptr || !*queued) return;
           mark_packet(*queued, "backfill");
@@ -244,6 +248,8 @@ void MqttBroker::handle_connect(const net::StreamConnectionPtr& conn,
           ++drained;
           drained_bytes += bytes;
         });
+    stats_.queue_dropped += static_cast<std::uint64_t>(
+        session.offline_queue.dropped() - dropped_before);
     // Reset the queue (releases its retention accounting): everything it
     // held is now in the live in-flight window.
     session.offline_queue = core::HistoryBuffer();

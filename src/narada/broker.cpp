@@ -591,8 +591,8 @@ void Broker::handle_backfill_request(const net::StreamConnectionPtr& conn,
       std::uint64_t served = 0;
       std::int64_t served_bytes = 0;
       const core::ReplayStats stats = buffer.replay_since(
-          cursor, [&](std::uint64_t seq, const std::any& payload,
-                      std::int64_t) {
+          cursor, host_.sim().now(),
+          [&](std::uint64_t seq, const std::any& payload, std::int64_t) {
             const auto* message = std::any_cast<jms::MessagePtr>(&payload);
             if (message == nullptr || !*message) return;
             if (!sub.selector.matches(**message)) return;
@@ -648,7 +648,7 @@ void Broker::handle_peer_backfill_request(std::size_t peer_index,
     std::uint64_t served = 0;
     std::int64_t served_bytes = 0;
     buffer.replay_since(
-        cursor,
+        cursor, host_.sim().now(),
         [&](std::uint64_t seq, const std::any& payload, std::int64_t) {
           const auto* message = std::any_cast<jms::MessagePtr>(&payload);
           if (message == nullptr || !*message) return;

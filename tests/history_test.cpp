@@ -44,14 +44,14 @@ TEST(HistoryBufferTest, AppendAssignsMonotoneSequencesAndReplaysAll) {
   EXPECT_EQ(buffer.last_sequence(), 3u);
 
   Collector all;
-  ReplayStats stats = buffer.replay_since(0, all.visitor());
+  ReplayStats stats = buffer.replay_since(0, seconds(3), all.visitor());
   EXPECT_EQ(stats.served, 3);
   EXPECT_EQ(stats.served_bytes, 60);
   EXPECT_FALSE(stats.truncated);
   EXPECT_EQ(all.seqs, (std::vector<std::uint64_t>{1, 2, 3}));
 
   Collector tail;
-  stats = buffer.replay_since(2, tail.visitor());
+  stats = buffer.replay_since(2, seconds(3), tail.visitor());
   EXPECT_EQ(stats.served, 1);
   EXPECT_FALSE(stats.truncated);
   EXPECT_EQ(tail.seqs, (std::vector<std::uint64_t>{3}));
@@ -70,7 +70,7 @@ TEST(HistoryBufferTest, RawEntriesDemoteToDownsampledTier) {
   buffer.prune(seconds(40));
 
   Collector replay;
-  ReplayStats stats = buffer.replay_since(0, replay.visitor());
+  ReplayStats stats = buffer.replay_since(0, seconds(40), replay.visitor());
   EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{4, 8}));
   EXPECT_EQ(buffer.dropped(), 6);
   EXPECT_EQ(buffer.stored_bytes(), 200);
@@ -91,9 +91,34 @@ TEST(HistoryBufferTest, DownsampledWindowEvictsOldestEntirely) {
   buffer.prune(seconds(80));
 
   Collector replay;
-  buffer.replay_since(0, replay.visitor());
+  buffer.replay_since(0, seconds(80), replay.visitor());
   EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{8}));
   EXPECT_EQ(buffer.dropped(), 7);
+}
+
+TEST(HistoryBufferTest, ReplayAppliesTheWindowsWithoutAnAppend) {
+  HistoryBuffer buffer;
+
+  // Ten entries at 8-12.5 s and nothing after them, like an MQTT session
+  // parked until 46 s: by then every entry is past the raw window, so a
+  // replay must serve only the downsampled survivors (4 and 8), even
+  // though no append has pruned the buffer since.
+  for (int i = 0; i < 10; ++i) {
+    buffer.append(std::any{}, 10, seconds(8) + units::milliseconds(500) * i);
+  }
+  Collector replay;
+  const ReplayStats stats = buffer.replay_since(0, seconds(46),
+                                                replay.visitor());
+  EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{4, 8}));
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(buffer.dropped(), 8);
+  EXPECT_EQ(buffer.stored_bytes(), 20);
+
+  // Past the downsampled window nothing is left to serve.
+  Collector none;
+  EXPECT_EQ(buffer.replay_since(0, seconds(80), none.visitor()).served, 0);
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(HistoryBufferTest, FullyEvictedGapReportsHonestPartialBackfill) {
@@ -108,7 +133,7 @@ TEST(HistoryBufferTest, FullyEvictedGapReportsHonestPartialBackfill) {
   // replay serves 4..6 and flags the truncation so the caller counts the
   // evicted part of the gap as lost instead of pretending it was filled.
   Collector replay;
-  ReplayStats stats = buffer.replay_since(1, replay.visitor());
+  ReplayStats stats = buffer.replay_since(1, seconds(100), replay.visitor());
   EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{4, 5, 6}));
   EXPECT_TRUE(stats.truncated);
   EXPECT_EQ(stats.first_available, 4u);
@@ -117,7 +142,7 @@ TEST(HistoryBufferTest, FullyEvictedGapReportsHonestPartialBackfill) {
   // A cursor already at the oldest boundary is NOT truncated: cursor+1 ==
   // first_available means nothing in the gap was evicted.
   Collector exact;
-  stats = buffer.replay_since(3, exact.visitor());
+  stats = buffer.replay_since(3, seconds(100), exact.visitor());
   EXPECT_FALSE(stats.truncated);
   EXPECT_EQ(stats.served, 3);
 }
@@ -131,7 +156,7 @@ TEST(HistoryBufferTest, WrappedCursorAfterSourceRestartServesEverything) {
   // (9000) is ahead of everything this buffer ever assigned. Replay treats
   // it as wrapped and serves the full retained window rather than nothing.
   Collector replay;
-  ReplayStats stats = buffer.replay_since(9000, replay.visitor());
+  ReplayStats stats = buffer.replay_since(9000, seconds(1), replay.visitor());
   EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{1, 2}));
   EXPECT_EQ(stats.served, 2);
 }
@@ -155,7 +180,7 @@ TEST(HistoryBufferTest, AppendAtPreservesOriginNumberingAndDedups) {
   // a broker restarted mid-stream retains [100, 101] and a client at 99
   // gets a complete (not truncated) backfill.
   Collector replay;
-  ReplayStats stats = buffer.replay_since(99, replay.visitor());
+  ReplayStats stats = buffer.replay_since(99, seconds(1), replay.visitor());
   EXPECT_EQ(replay.seqs, (std::vector<std::uint64_t>{100, 101}));
   EXPECT_FALSE(stats.truncated);
 }

@@ -15,7 +15,9 @@
 namespace gridmon::mqtt {
 namespace {
 
-struct MqttFixture : ::testing::Test {
+/// A testbed with one broker endpoint; each test fixture owns one, and a
+/// test that runs several inputs builds one per input.
+struct MqttWorld {
   cluster::Hydra hydra{cluster::HydraConfig{.seed = 3}};
   net::Endpoint broker_ep{0, 1883};
 
@@ -34,6 +36,8 @@ struct MqttFixture : ::testing::Test {
                               net::Endpoint{host, port}, std::move(options));
   }
 };
+
+struct MqttFixture : ::testing::Test, MqttWorld {};
 
 TEST_F(MqttFixture, Qos0PublishSubscribeRoundTrip) {
   auto broker = start_broker();
@@ -222,50 +226,67 @@ TEST_F(MqttFixture, OfflineQueueBoundedByRetentionPolicy) {
   // session was parked. It is now a HistoryBuffer under the retention
   // windows: eviction counted in queue_dropped, and the resumed drain
   // counted as backfill.
-  auto broker = start_broker();
-
-  auto sub = make_client(1, 9000,
-                         {.client_id = "sub",
-                          .clean_session = false,
-                          .keep_alive = units::seconds(2)});
-  sub->set_reconnect_policy({});
-  auto pub = make_client(2, 9001, {.client_id = "pub"});
-
-  std::vector<std::string> received;
-  sub->connect([&](bool ok) {
-    ASSERT_TRUE(ok);
-    sub->subscribe("powergrid/#", 1,
-                   [&](const PacketPtr& packet, SimTime) {
-                     received.push_back(packet->message_id);
-                   });
-  });
-  pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
-
+  //
   // Subscriber NIC down from 2.5 s; the broker parks the session once the
   // keep-alive grace expires. Ten QoS 1 publishes land from t=8 s — all
-  // while the session is parked — and an eleventh at t=45 s. By then the
-  // first ten are past the raw window: only every 4th queued sequence
-  // (m3, m7) survives demotion.
-  hydra.sim().schedule_at(units::milliseconds(2500),
-                          [this] { hydra.lan().set_node_down(1, true); });
-  for (int i = 0; i < 11; ++i) {
-    const SimTime at = i < 10 ? units::seconds(8) + units::milliseconds(500) * i
-                              : units::seconds(45);
-    hydra.sim().schedule_at(at, [&pub, i] {
-      pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
-                   "m" + std::to_string(i));
-    });
-  }
-  hydra.sim().schedule_at(units::seconds(46),
-                          [this] { hydra.lan().set_node_down(1, false); });
-  hydra.sim().run_until(units::seconds(90));
+  // while the session is parked — and, in the first input, an eleventh at
+  // t=45 s. The session resumes at 46 s. By then the first ten are past
+  // the raw window: only every 4th queued sequence (m3, m7) survives
+  // demotion, whether or not a later publish pruned the queue.
+  struct Input {
+    bool late_publish;
+    std::uint64_t backfill;
+    std::vector<std::string> received;
+  };
+  const Input inputs[] = {{true, 3, {"m3", "m7", "m10"}},
+                          {false, 2, {"m3", "m7"}}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.late_publish ? "with a publish at 45 s"
+                                    : "without a later publish");
+    MqttWorld world;
+    auto broker = world.start_broker();
+    auto sub = world.make_client(1, 9000,
+                                 {.client_id = "sub",
+                                  .clean_session = false,
+                                  .keep_alive = units::seconds(2)});
+    sub->set_reconnect_policy({});
+    auto pub = world.make_client(2, 9001, {.client_id = "pub"});
 
-  EXPECT_EQ(broker->stats().queue_dropped, 8u);
-  EXPECT_EQ(broker->stats().backfill_msgs, 3u);
-  // Exactly the retained entries arrive after resumption — the evicted
-  // eight are honestly gone, not silently redelivered.
-  const std::vector<std::string> expected = {"m3", "m7", "m10"};
-  EXPECT_EQ(received, expected);
+    std::vector<std::string> received;
+    sub->connect([&](bool ok) {
+      ASSERT_TRUE(ok);
+      sub->subscribe("powergrid/#", 1,
+                     [&](const PacketPtr& packet, SimTime) {
+                       received.push_back(packet->message_id);
+                     });
+    });
+    pub->connect([&](bool ok) { ASSERT_TRUE(ok); });
+
+    auto& sim = world.hydra.sim();
+    sim.schedule_at(units::milliseconds(2500), [&world] {
+      world.hydra.lan().set_node_down(1, true);
+    });
+    const int publishes = input.late_publish ? 11 : 10;
+    for (int i = 0; i < publishes; ++i) {
+      const SimTime at = i < 10 ? units::seconds(8) +
+                                      units::milliseconds(500) * i
+                                : units::seconds(45);
+      sim.schedule_at(at, [&pub, i] {
+        pub->publish("powergrid/feeder1/gen0", 128, /*qos=*/1,
+                     "m" + std::to_string(i));
+      });
+    }
+    sim.schedule_at(units::seconds(46), [&world] {
+      world.hydra.lan().set_node_down(1, false);
+    });
+    sim.run_until(units::seconds(90));
+
+    EXPECT_EQ(broker->stats().queue_dropped, 8u);
+    EXPECT_EQ(broker->stats().backfill_msgs, input.backfill);
+    // Exactly the retained entries arrive after resumption — the evicted
+    // eight are honestly gone, not silently redelivered.
+    EXPECT_EQ(received, input.received);
+  }
 }
 
 TEST_F(MqttFixture, BrokerCrashLosesStateAndClientsRecover) {
