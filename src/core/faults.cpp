@@ -22,35 +22,33 @@ std::string_view to_string(FaultKind kind) {
 
 FaultPlan& FaultPlan::nic_down(SimTime at, int node, SimTime duration,
                                FaultAnchor anchor) {
-  events.push_back({at, FaultKind::kNicDown, anchor, node, -1, duration, 0.0});
+  events.push_back({at, FaultKind::kNicDown, anchor, node, duration, 0.0});
   return *this;
 }
 
 FaultPlan& FaultPlan::loss_burst(SimTime at, double probability,
                                  SimTime duration, FaultAnchor anchor) {
   events.push_back(
-      {at, FaultKind::kLossBurst, anchor, -1, -1, duration, probability});
+      {at, FaultKind::kLossBurst, anchor, -1, duration, probability});
   return *this;
 }
 
 FaultPlan& FaultPlan::dbn_partition(SimTime at, SimTime duration,
                                     FaultAnchor anchor) {
-  events.push_back(
-      {at, FaultKind::kDbnPartition, anchor, -1, -1, duration, 0.0});
+  events.push_back({at, FaultKind::kDbnPartition, anchor, -1, duration, 0.0});
   return *this;
 }
 
 FaultPlan& FaultPlan::broker_crash(SimTime at, int broker, SimTime dwell,
                                    FaultAnchor anchor) {
-  events.push_back(
-      {at, FaultKind::kBrokerCrash, anchor, broker, -1, dwell, 0.0});
+  events.push_back({at, FaultKind::kBrokerCrash, anchor, broker, dwell, 0.0});
   return *this;
 }
 
 FaultPlan& FaultPlan::registry_restart(SimTime at, SimTime outage,
                                        FaultAnchor anchor) {
   events.push_back(
-      {at, FaultKind::kRegistryRestart, anchor, -1, -1, outage, 0.0});
+      {at, FaultKind::kRegistryRestart, anchor, -1, outage, 0.0});
   return *this;
 }
 
@@ -58,7 +56,7 @@ FaultPlan& FaultPlan::producer_servlet_restart(SimTime at, int service,
                                                SimTime outage,
                                                FaultAnchor anchor) {
   events.push_back({at, FaultKind::kProducerServletRestart, anchor, service,
-                    -1, outage, 0.0});
+                    outage, 0.0});
   return *this;
 }
 
@@ -66,14 +64,14 @@ FaultPlan& FaultPlan::consumer_servlet_restart(SimTime at, int service,
                                                SimTime outage,
                                                FaultAnchor anchor) {
   events.push_back({at, FaultKind::kConsumerServletRestart, anchor, service,
-                    -1, outage, 0.0});
+                    outage, 0.0});
   return *this;
 }
 
 FaultPlan& FaultPlan::registry_half_open(SimTime at, SimTime outage,
                                          FaultAnchor anchor) {
   events.push_back(
-      {at, FaultKind::kRegistryHalfOpen, anchor, -1, -1, outage, 0.0});
+      {at, FaultKind::kRegistryHalfOpen, anchor, -1, outage, 0.0});
   return *this;
 }
 
@@ -81,12 +79,12 @@ std::string FaultPlan::serialise() const {
   std::string out;
   char line[160];
   for (const FaultEvent& event : events) {
-    std::snprintf(line, sizeof line, "%s %s %lld %lld %d %d %.17g\n",
+    std::snprintf(line, sizeof line, "%s %s %lld %lld %d %.17g\n",
                   std::string(to_string(event.kind)).c_str(),
                   event.anchor == FaultAnchor::kSteady ? "steady" : "start",
                   static_cast<long long>(event.at),
                   static_cast<long long>(event.duration), event.target,
-                  event.target2, event.param);
+                  event.param);
     out += line;
   }
   return out;

@@ -58,7 +58,6 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kNicDown;
   FaultAnchor anchor = FaultAnchor::kSteady;
   int target = -1;
-  int target2 = -1;
   SimTime duration = 0;  ///< outage window / crash dwell (0 = instantaneous)
   double param = 0.0;    ///< loss probability for kLossBurst
 };
@@ -104,7 +103,7 @@ struct FaultPlan {
   FaultPlan& registry_half_open(SimTime at, SimTime outage,
                                 FaultAnchor anchor = FaultAnchor::kRunStart);
 
-  /// One event per line: `kind anchor at_ns duration_ns target target2 param`.
+  /// One event per line: `kind anchor at_ns duration_ns target param`.
   [[nodiscard]] std::string serialise() const;
 
   /// Throws std::invalid_argument naming the first event that is out of

@@ -53,24 +53,24 @@ TEST(FaultPlan, RejectsOutOfRangeEventsAtSetup) {
   constexpr FaultAnchor kSteady = FaultAnchor::kSteady;
   struct Case {
     const char* backend;
-    FaultEvent event;  // at, kind, anchor, target, target2, duration, param
+    FaultEvent event;  // at, kind, anchor, target, duration, param
   };
   const Case cases[] = {
-      {"narada", {1000, FaultKind::kBrokerCrash, kSteady, 3, -1, 5000, 0}},
-      {"narada", {1000, FaultKind::kNicDown, kSteady, 8, -1, 5000, 0}},
-      {"mqtt", {1000, FaultKind::kBrokerCrash, kSteady, 1, -1, 5000, 0}},
+      {"narada", {1000, FaultKind::kBrokerCrash, kSteady, 3, 5000, 0}},
+      {"narada", {1000, FaultKind::kNicDown, kSteady, 8, 5000, 0}},
+      {"mqtt", {1000, FaultKind::kBrokerCrash, kSteady, 1, 5000, 0}},
       {"rgma",
-       {1000, FaultKind::kProducerServletRestart, kSteady, 7, -1, 5000, 0}},
+       {1000, FaultKind::kProducerServletRestart, kSteady, 7, 5000, 0}},
       {"rgma",
-       {1000, FaultKind::kConsumerServletRestart, kSteady, -1, -1, 5000, 0}},
-      {"rgma", {1000, FaultKind::kBrokerCrash, kSteady, 0, -1, 5000, 0}},
+       {1000, FaultKind::kConsumerServletRestart, kSteady, -1, 5000, 0}},
+      {"rgma", {1000, FaultKind::kBrokerCrash, kSteady, 0, 5000, 0}},
       // The target is valid: only the negative duration is wrong.
-      {"narada", {-5000, FaultKind::kBrokerCrash, kSteady, 0, -1, -1, 0}},
+      {"narada", {-5000, FaultKind::kBrokerCrash, kSteady, 0, -1, 0}},
       {"rgma",
-       {-1000, FaultKind::kRegistryRestart, FaultAnchor::kRunStart, -1, -1,
+       {-1000, FaultKind::kRegistryRestart, FaultAnchor::kRunStart, -1,
         5000, 0}},  // before t=0
-      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, -1, 5000, 1.5}},
-      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, -1, 5000, -0.1}},
+      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, 5000, 1.5}},
+      {"mqtt", {1000, FaultKind::kLossBurst, kSteady, -1, 5000, -0.1}},
   };
   auto spec = [](const Case& c) {
     const FaultPlan faults{{c.event}};
