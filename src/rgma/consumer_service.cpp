@@ -199,10 +199,9 @@ void ConsumerService::handle_create(const CreateConsumerRequest& req,
     state.id = req.consumer_id;
     state.table = select->table;
     state.query = req.query;
-    state.predicate = select->where;
-    // Lower the WHERE clause once; the evaluation cycle runs the compiled
-    // program against every queued tuple.
-    state.compiled = sql::CompiledPredicate::compile(state.predicate,
+    // Bind the WHERE clause to the table once; the evaluation cycle runs
+    // it against every queued tuple.
+    state.compiled = sql::CompiledPredicate::compile(select->where,
                                                      tables_.at(state.table));
     obs::mem_add(obs::MemCategory::kPredicateCache,
                  state.compiled.footprint_bytes());

@@ -82,9 +82,7 @@ class ConsumerService {
     int id = 0;
     std::string table;
     std::string query;  ///< original SELECT text (re-sent on renewal)
-    sql::ExprPtr predicate;
-    /// The predicate lowered once against the consumer's table, so the
-    /// evaluation cycle runs a flat program instead of re-walking the AST.
+    /// The WHERE clause bound to the consumer's table.
     sql::CompiledPredicate compiled;
     std::vector<std::string> columns;  ///< empty = *
     std::vector<Tuple> buffer;

@@ -172,7 +172,7 @@ void ProducerService::handle(const net::HttpRequest& request,
         if (!req->predicate.empty()) {
           predicate = sql::parse_predicate(req->predicate);
         }
-        // Compile once per request: history scans evaluate the predicate
+        // Bind once per request: history scans evaluate the predicate
         // against every retained tuple.
         sql::CompiledPredicate compiled;
         if (table_it != tables_.end()) {
@@ -299,13 +299,14 @@ void ProducerService::handle_attach(const AttachConsumerNotice& notice) {
   Attachment attachment;
   attachment.consumer_id = notice.consumer_id;
   attachment.consumer_service = notice.consumer_service;
+  sql::ExprPtr predicate;
   if (!notice.predicate.empty()) {
-    attachment.predicate = sql::parse_predicate(notice.predicate);
+    predicate = sql::parse_predicate(notice.predicate);
   }
-  // Lower the push-down filter once; the stream cycle evaluates the
-  // compiled program against every fresh tuple.
-  attachment.compiled = sql::CompiledPredicate::compile(
-      attachment.predicate, tables_.at(producer.table));
+  // Bind the push-down filter to the table once; the stream cycle runs it
+  // against every fresh tuple.
+  attachment.compiled =
+      sql::CompiledPredicate::compile(predicate, tables_.at(producer.table));
   obs::mem_add(obs::MemCategory::kPredicateCache,
                attachment.compiled.footprint_bytes());
   // Continuous queries see only tuples inserted from now on; anything

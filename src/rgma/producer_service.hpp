@@ -73,9 +73,8 @@ class ProducerService {
   struct Attachment {
     int consumer_id = 0;
     net::Endpoint consumer_service;
-    sql::ExprPtr predicate;  ///< push-down filter (null = all rows)
-    /// The predicate lowered once against the producer's table, so the
-    /// streaming cycle evaluates a flat program instead of the AST.
+    /// The push-down filter bound to the producer's table (empty = all
+    /// rows).
     sql::CompiledPredicate compiled;
     std::uint64_t cursor = 0;
   };
