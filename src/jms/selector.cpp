@@ -1,19 +1,31 @@
-// Selector evaluation with SQL three-valued logic.
+// Selector parsing through the shared SQL-92 condition front end, and
+// evaluation with SQL three-valued logic.
 //
 // Sub-expressions evaluate to a jms::Value; NullValue doubles as SQL
 // UNKNOWN. Type mismatches (comparing a string with a number, arithmetic on
 // a boolean, LIKE on a non-string) yield UNKNOWN rather than an error, as
 // the JMS spec requires for selectors.
 #include "jms/selector.hpp"
-#include "jms/selector_ast.hpp"
+
+#include <cctype>
+#include <type_traits>
+
 #include "util/like.hpp"
 
 namespace gridmon::jms {
 namespace {
 
+namespace ast = util::sql;
 using ast::BinaryOp;
 using ast::Expr;
 using ast::UnaryOp;
+
+bool is_blank(std::string_view text) {
+  for (char c : text) {
+    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+  }
+  return true;
+}
 
 Tri value_to_tri(const Value& v) {
   if (const auto* b = std::get_if<bool>(&v)) {
@@ -44,7 +56,17 @@ class Evaluator {
   }
 
  private:
-  Value eval_node(const ast::Literal& lit) const { return lit.value; }
+  Value eval_node(const ast::Constant& constant) const {
+    return std::visit(
+        [](const auto& v) -> Value {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>, ast::Null>) {
+            return NullValue{};
+          } else {
+            return v;
+          }
+        },
+        constant.value);
+  }
 
   Value eval_node(const ast::Identifier& ident) const {
     return message_.property(ident.name);
@@ -118,7 +140,7 @@ class Evaluator {
     if (str == nullptr) return NullValue{};
     bool found = false;
     for (const auto& option : in.options) {
-      if (option == *str) {
+      if (std::get<std::string>(option) == *str) {  // parse() checked
         found = true;
         break;
       }
@@ -227,6 +249,26 @@ class Evaluator {
 };
 
 }  // namespace
+
+Selector Selector::parse(std::string_view text) {
+  Selector selector;
+  selector.text_ = std::string(text);
+  if (is_blank(text)) return selector;  // match-everything
+  selector.root_ = util::sql::parse_condition(text);
+  // The shared grammar also reads R-GMA's numeric and NULL IN elements;
+  // a JMS IN list holds string literals only.
+  util::sql::for_each_node(*selector.root_, [](const Expr& expr) {
+    const auto* in = std::get_if<ast::InList>(&expr.node);
+    if (in == nullptr) return;
+    for (const auto& option : in->options) {
+      if (!std::holds_alternative<std::string>(option)) {
+        throw SelectorParseError("IN list elements must be string literals",
+                                 in->position);
+      }
+    }
+  });
+  return selector;
+}
 
 Tri Selector::evaluate(const Message& message) const {
   if (root_ == nullptr) return Tri::kTrue;

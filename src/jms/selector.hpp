@@ -2,22 +2,24 @@
 // subset evaluated against a message's headers and properties.
 //
 // Supported, per the spec: identifiers; exact/approximate numeric, string
-// and boolean literals; comparison operators =, <>, <, <=, >, >= (string and
+// and boolean literals (and NULL); comparison operators =, <>, <, <=, >, >= (string and
 // boolean comparison limited to = and <>); arithmetic + - * / with unary
 // sign; logical AND/OR/NOT with SQL three-valued logic; BETWEEN ... AND ...;
-// IN (...); LIKE with % and _ wildcards and optional ESCAPE; IS [NOT] NULL.
+// IN (...) of string literals; LIKE with % and _ wildcards and optional
+// ESCAPE; IS [NOT] NULL. The grammar is the SQL-92 condition front end R-GMA's
+// WHERE clauses share (util/sql_condition.hpp); this file adds the JMS
+// evaluation rules.
 //
 // The paper's subscriber uses the selector "id<10000" — present here not as
 // a stub but as one expression in a full grammar, because selector
 // evaluation cost is part of the broker service-time model.
 #pragma once
 
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "jms/message.hpp"
+#include "util/sql_condition.hpp"
 #include "util/tri.hpp"
 
 namespace gridmon::jms {
@@ -28,21 +30,7 @@ using util::tri_and;
 using util::tri_not;
 using util::tri_or;
 
-class SelectorParseError : public std::runtime_error {
- public:
-  SelectorParseError(const std::string& what, std::size_t position)
-      : std::runtime_error(what + " (at offset " + std::to_string(position) +
-                           ")"),
-        position_(position) {}
-  [[nodiscard]] std::size_t position() const { return position_; }
-
- private:
-  std::size_t position_;
-};
-
-namespace ast {
-struct Expr;
-}
+using SelectorParseError = util::sql::ParseError;
 
 class Selector {
  public:
@@ -64,7 +52,7 @@ class Selector {
 
  private:
   std::string text_;
-  std::shared_ptr<const ast::Expr> root_;
+  util::sql::ExprPtr root_;
 };
 
 }  // namespace gridmon::jms

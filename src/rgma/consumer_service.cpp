@@ -324,21 +324,16 @@ void ConsumerService::handle_one_time(const OneTimeQueryRequest& req,
     return;
   }
 
-  // Recover the WHERE text for push-down (the query was just validated).
-  std::string predicate_text;
-  auto pos = req.query.find("WHERE");
-  if (pos == std::string::npos) pos = req.query.find("where");
-  if (pos != std::string::npos) predicate_text = req.query.substr(pos + 5);
-
   net::HttpRequest lookup;
   lookup.body_bytes = 48;
   lookup.body = std::shared_ptr<const LookupProducersRequest>(
       std::make_shared<LookupProducersRequest>(
           LookupProducersRequest{select.table}));
-  client_.request(registry_, std::move(lookup), [this, req, predicate_text,
-                                                 respond = std::move(respond)](
-                                                    const net::HttpResponse&
-                                                        lookup_resp) mutable {
+  // The WHERE text is pushed down to each producer.
+  client_.request(registry_, std::move(lookup),
+                  [this, req, predicate_text = std::move(select.where_text),
+                   respond = std::move(respond)](
+                      const net::HttpResponse& lookup_resp) mutable {
     std::vector<std::pair<int, net::Endpoint>> producers;
     if (const auto* list =
             std::any_cast<std::shared_ptr<const LookupProducersResponse>>(

@@ -19,7 +19,6 @@
 
 #include "net/http.hpp"
 #include "rgma/servlet.hpp"
-#include "rgma/sql_ast.hpp"
 #include "rgma/sql_compile.hpp"
 #include "rgma/wire.hpp"
 #include "sim/simulation.hpp"

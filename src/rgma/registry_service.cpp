@@ -16,23 +16,12 @@ struct ParsedQuery {
 };
 
 ParsedQuery split_query(const std::string& query) {
-  const auto statement = sql::parse_statement(query);
-  const auto* select = std::get_if<sql::Select>(&statement);
+  auto statement = sql::parse_statement(query);
+  auto* select = std::get_if<sql::Select>(&statement);
   if (select == nullptr) {
     throw sql::SqlParseError("consumer query must be a SELECT", 0);
   }
-  ParsedQuery out;
-  out.table = select->table;
-  // Keep the raw WHERE text for forwarding to producers (predicate
-  // push-down); locating it textually is fine because the query was just
-  // validated by the parser.
-  const auto where_pos = query.find("WHERE");
-  const auto where_pos2 = query.find("where");
-  const auto pos = where_pos != std::string::npos ? where_pos : where_pos2;
-  if (pos != std::string::npos) {
-    out.predicate_text = query.substr(pos + 5);
-  }
-  return out;
+  return {std::move(select->table), std::move(select->where_text)};
 }
 
 }  // namespace

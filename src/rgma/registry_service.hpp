@@ -16,7 +16,7 @@
 
 #include "net/http.hpp"
 #include "rgma/servlet.hpp"
-#include "rgma/sql_ast.hpp"
+#include "rgma/schema.hpp"
 #include "rgma/wire.hpp"
 #include "sim/simulation.hpp"
 

@@ -8,6 +8,18 @@
 namespace gridmon::rgma::sql {
 namespace {
 
+using util::sql::Between;
+using util::sql::Binary;
+using util::sql::BinaryOp;
+using util::sql::Constant;
+using util::sql::Identifier;
+using util::sql::InList;
+using util::sql::IsNull;
+using util::sql::Like;
+using util::sql::Literal;
+using util::sql::Unary;
+using util::sql::UnaryOp;
+
 /// Row index of a column the table does not define: no row reaches it.
 constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
 
@@ -93,31 +105,6 @@ SqlValue arithmetic(BinaryOp op, const SqlValue& lhs, const SqlValue& rhs) {
   return apply(op, sql_as_double(lhs), sql_as_double(rhs));
 }
 
-/// Record every column reference under `expr` with its row index.
-void bind(const Expr& expr, const TableDef& table,
-          std::vector<std::pair<const ColumnRef*, std::size_t>>& columns) {
-  std::visit(
-      [&](const auto& node) {
-        using Node = std::decay_t<decltype(node)>;
-        if constexpr (std::is_same_v<Node, ColumnRef>) {
-          columns.emplace_back(
-              &node, table.column_index(node.name).value_or(kNoColumn));
-        } else if constexpr (std::is_same_v<Node, Unary>) {
-          bind(*node.operand, table, columns);
-        } else if constexpr (std::is_same_v<Node, Binary>) {
-          bind(*node.lhs, table, columns);
-          bind(*node.rhs, table, columns);
-        } else if constexpr (std::is_same_v<Node, Between>) {
-          bind(*node.value, table, columns);
-          bind(*node.low, table, columns);
-          bind(*node.high, table, columns);
-        } else if constexpr (!std::is_same_v<Node, Literal>) {
-          bind(*node.value, table, columns);  // InList, Like, IsNull
-        }
-      },
-      expr.node);
-}
-
 }  // namespace
 
 CompiledPredicate CompiledPredicate::compile(const ExprPtr& expr,
@@ -125,7 +112,12 @@ CompiledPredicate CompiledPredicate::compile(const ExprPtr& expr,
   CompiledPredicate bound;
   if (!expr) return bound;
   bound.expr_ = expr;
-  bind(*expr, table, bound.columns_);
+  util::sql::for_each_node(*expr, [&](const Expr& node) {
+    if (const auto* column = std::get_if<Identifier>(&node.node)) {
+      bound.columns_.emplace_back(
+          column, table.column_index(column->name).value_or(kNoColumn));
+    }
+  });
   return bound;
 }
 
@@ -139,9 +131,9 @@ SqlValue CompiledPredicate::eval(const Expr& expr,
   return std::visit(
       [&](const auto& node) -> SqlValue {
         using Node = std::decay_t<decltype(node)>;
-        if constexpr (std::is_same_v<Node, Literal>) {
-          return node.value;
-        } else if constexpr (std::is_same_v<Node, ColumnRef>) {
+        if constexpr (std::is_same_v<Node, Constant>) {
+          return sql_value(node.value);
+        } else if constexpr (std::is_same_v<Node, Identifier>) {
           for (const auto& [ref, index] : columns_) {
             if (ref == &node && index < row.size()) return row[index];
           }
@@ -151,6 +143,7 @@ SqlValue CompiledPredicate::eval(const Expr& expr,
           if (node.op == UnaryOp::kNot) {
             return value_of(tri_not(tri_of(operand)));
           }
+          if (node.op == UnaryOp::kPos) return operand;
           if (const auto* i = std::get_if<std::int64_t>(&operand)) return -*i;
           if (const auto* d = std::get_if<double>(&operand)) return -*d;
           return SqlNull{};
@@ -191,8 +184,9 @@ SqlValue CompiledPredicate::eval(const Expr& expr,
           const SqlValue value = eval(*node.value, row);
           if (is_null(value)) return SqlNull{};
           bool found = false;
-          for (const SqlValue& option : node.options) {
-            if (compare(BinaryOp::kEq, value, option) == Tri::kTrue) {
+          for (const Literal& option : node.options) {
+            if (compare(BinaryOp::kEq, value, sql_value(option)) ==
+                Tri::kTrue) {
               found = true;
               break;
             }
@@ -202,7 +196,8 @@ SqlValue CompiledPredicate::eval(const Expr& expr,
           const SqlValue value = eval(*node.value, row);
           const auto* text = std::get_if<std::string>(&value);
           if (text == nullptr) return SqlNull{};  // NULL or not a string
-          const bool matched = util::like_match(*text, node.pattern, '\0');
+          const bool matched =
+              util::like_match(*text, node.pattern, node.escape);
           return truth(node.negated ? !matched : matched);
         } else {
           static_assert(std::is_same_v<Node, IsNull>);

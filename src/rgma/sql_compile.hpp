@@ -3,12 +3,13 @@
 // A continuous query evaluates its predicate against every streamed tuple
 // of one table, so compile() resolves each column reference to its row
 // index once per (predicate, table); evaluate() then walks the parsed Expr
-// per tuple with SQL three-valued logic. NULL operands and type mismatches
-// make a comparison UNKNOWN, integer and floating division by zero is
-// NULL, AND/OR short-circuit on FALSE/TRUE, and a column the table does
-// not define (or a row too short to hold it) reads NULL. Only TRUE
-// selects. sql_compile_test checks every result against the by-name
-// interpreter in tests/oracles/sql_eval.hpp.
+// per tuple with SQL three-valued logic. Truth is integer 1/0 (so TRUE and
+// FALSE literals are 1 and 0), NULL operands and type mismatches make a
+// comparison UNKNOWN, unary plus leaves its operand as it is, integer and
+// floating division by zero is NULL, AND/OR short-circuit on FALSE/TRUE,
+// and a column the table does not define (or a row too short to hold it)
+// reads NULL. Only TRUE selects. sql_compile_test checks every result
+// against the by-name interpreter in tests/oracles/sql_eval.hpp.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "rgma/schema.hpp"
-#include "rgma/sql_ast.hpp"
+#include "rgma/sql_parser.hpp"
 #include "util/tri.hpp"
 
 namespace gridmon::rgma::sql {
@@ -68,7 +69,7 @@ class CompiledPredicate {
   ExprPtr expr_;
   /// Each column reference in expr_ with its row index; a column the table
   /// does not define gets an index no row reaches, so it reads NULL.
-  std::vector<std::pair<const ColumnRef*, std::size_t>> columns_;
+  std::vector<std::pair<const util::sql::Identifier*, std::size_t>> columns_;
 };
 
 }  // namespace gridmon::rgma::sql

@@ -1,669 +1,146 @@
 #include "rgma/sql_parser.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <optional>
-#include <unordered_map>
+#include <algorithm>
+#include <type_traits>
 
 namespace gridmon::rgma::sql {
 namespace {
 
-enum class Tok {
-  kIdent,
-  kInt,
-  kDouble,
-  kString,
-  // keywords
-  kCreate,
-  kTable,
-  kInsert,
-  kInto,
-  kValues,
-  kSelect,
-  kFrom,
-  kWhere,
-  kAnd,
-  kOr,
-  kNot,
-  kBetween,
-  kIn,
-  kLike,
-  kIs,
-  kNull,
-  kTrue,
-  kFalse,
-  kInteger,
-  kReal,
-  kDoubleKw,
-  kPrecision,
-  kChar,
-  kVarchar,
-  kTimestamp,
-  // punctuation
-  kEq,
-  kNeq,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kPlus,
-  kMinus,
-  kStar,
-  kSlash,
-  kLParen,
-  kRParen,
-  kComma,
-  kEnd,
-};
+using util::sql::Parser;
+using util::sql::TokenKind;
 
-struct Token {
-  Tok kind;
-  std::string text;
-  std::int64_t int_value = 0;
-  double double_value = 0.0;
-  std::size_t position = 0;
-};
-
-const std::unordered_map<std::string, Tok>& keywords() {
-  static const std::unordered_map<std::string, Tok> kMap = {
-      {"CREATE", Tok::kCreate},   {"TABLE", Tok::kTable},
-      {"INSERT", Tok::kInsert},   {"INTO", Tok::kInto},
-      {"VALUES", Tok::kValues},   {"SELECT", Tok::kSelect},
-      {"FROM", Tok::kFrom},       {"WHERE", Tok::kWhere},
-      {"AND", Tok::kAnd},         {"OR", Tok::kOr},
-      {"NOT", Tok::kNot},         {"BETWEEN", Tok::kBetween},
-      {"IN", Tok::kIn},           {"LIKE", Tok::kLike},
-      {"IS", Tok::kIs},           {"NULL", Tok::kNull},
-      {"TRUE", Tok::kTrue},       {"FALSE", Tok::kFalse},
-      {"INTEGER", Tok::kInteger}, {"INT", Tok::kInteger},
-      {"REAL", Tok::kReal},       {"DOUBLE", Tok::kDoubleKw},
-      {"PRECISION", Tok::kPrecision}, {"CHAR", Tok::kChar},
-      {"VARCHAR", Tok::kVarchar}, {"TIMESTAMP", Tok::kTimestamp},
-  };
-  return kMap;
+void expect_word(Parser& parser, std::string_view word) {
+  if (!parser.accept_word(word)) {
+    parser.fail("expected " + std::string(word));
+  }
 }
 
-std::string upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+/// A table or column name: any name but a statement word.
+std::string name(Parser& parser, const char* what) {
+  static constexpr std::string_view kStatementWords[] = {
+      "CREATE", "TABLE",  "INSERT", "INTO",      "VALUES",  "SELECT",
+      "FROM",   "WHERE",  "INTEGER", "INT",      "REAL",    "DOUBLE",
+      "PRECISION", "CHAR", "VARCHAR", "TIMESTAMP"};
+  if (parser.peek().kind != TokenKind::kName ||
+      std::ranges::any_of(kStatementWords, [&](std::string_view word) {
+        return parser.at_word(word);
+      })) {
+    parser.fail(std::string("expected ") + what);
   }
+  std::string out(parser.peek().text);
+  parser.advance();
   return out;
 }
 
-std::vector<Token> tokenize(std::string_view src) {
-  std::vector<Token> tokens;
-  std::size_t i = 0;
-  const std::size_t n = src.size();
-  auto push = [&](Tok kind, std::size_t at, std::string text = {}) {
-    tokens.push_back(Token{kind, std::move(text), 0, 0.0, at});
-  };
-  while (i < n) {
-    const char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t j = i + 1;
-      while (j < n && (std::isalnum(static_cast<unsigned char>(src[j])) ||
-                       src[j] == '_')) {
-        ++j;
-      }
-      const std::string word(src.substr(i, j - i));
-      const auto kw = keywords().find(upper(word));
-      if (kw != keywords().end()) {
-        push(kw->second, start, word);
-      } else {
-        push(Tok::kIdent, start, word);
-      }
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t j = i;
-      bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      if (j < n && src[j] == '.') {
-        is_double = true;
-        ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      }
-      if (j < n && (src[j] == 'e' || src[j] == 'E')) {
-        std::size_t k = j + 1;
-        if (k < n && (src[k] == '+' || src[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k]))) {
-          is_double = true;
-          j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-        }
-      }
-      Token tok;
-      tok.position = start;
-      const std::string num(src.substr(i, j - i));
-      if (is_double) {
-        tok.kind = Tok::kDouble;
-        tok.double_value = std::stod(num);
-      } else {
-        tok.kind = Tok::kInt;
-        const auto res = std::from_chars(num.data(), num.data() + num.size(),
-                                         tok.int_value);
-        if (res.ec != std::errc{}) {
-          throw SqlParseError("integer literal out of range", start);
-        }
-      }
-      tokens.push_back(std::move(tok));
-      i = j;
-      continue;
-    }
-    if (c == '\'') {
-      std::string text;
-      std::size_t j = i + 1;
-      for (;;) {
-        if (j >= n) throw SqlParseError("unterminated string literal", start);
-        if (src[j] == '\'') {
-          if (j + 1 < n && src[j + 1] == '\'') {
-            text += '\'';
-            j += 2;
-            continue;
-          }
-          ++j;
-          break;
-        }
-        text += src[j];
-        ++j;
-      }
-      push(Tok::kString, start, std::move(text));
-      i = j;
-      continue;
-    }
-    switch (c) {
-      case '=':
-        push(Tok::kEq, start);
-        ++i;
-        continue;
-      case '<':
-        if (i + 1 < n && src[i + 1] == '>') {
-          push(Tok::kNeq, start);
-          i += 2;
-        } else if (i + 1 < n && src[i + 1] == '=') {
-          push(Tok::kLe, start);
-          i += 2;
-        } else {
-          push(Tok::kLt, start);
-          ++i;
-        }
-        continue;
-      case '>':
-        if (i + 1 < n && src[i + 1] == '=') {
-          push(Tok::kGe, start);
-          i += 2;
-        } else {
-          push(Tok::kGt, start);
-          ++i;
-        }
-        continue;
-      case '+':
-        push(Tok::kPlus, start);
-        ++i;
-        continue;
-      case '-':
-        push(Tok::kMinus, start);
-        ++i;
-        continue;
-      case '*':
-        push(Tok::kStar, start);
-        ++i;
-        continue;
-      case '/':
-        push(Tok::kSlash, start);
-        ++i;
-        continue;
-      case '(':
-        push(Tok::kLParen, start);
-        ++i;
-        continue;
-      case ')':
-        push(Tok::kRParen, start);
-        ++i;
-        continue;
-      case ',':
-        push(Tok::kComma, start);
-        ++i;
-        continue;
-      default:
-        throw SqlParseError(std::string("unexpected character '") + c + "'",
-                            start);
-    }
+ColumnType column_type(Parser& parser, int& width) {
+  width = 0;
+  if (parser.accept_word("INTEGER") || parser.accept_word("INT")) {
+    return ColumnType::kInteger;
   }
-  push(Tok::kEnd, n);
-  return tokens;
+  if (parser.accept_word("REAL")) return ColumnType::kReal;
+  if (parser.accept_word("DOUBLE")) {
+    parser.accept_word("PRECISION");
+    return ColumnType::kDouble;
+  }
+  if (parser.accept_word("TIMESTAMP")) return ColumnType::kTimestamp;
+  const bool is_char = parser.accept_word("CHAR");
+  if (is_char || parser.accept_word("VARCHAR")) {
+    if (parser.accept(TokenKind::kLParen)) {
+      if (parser.peek().kind != TokenKind::kInt) parser.fail("expected width");
+      width = static_cast<int>(std::get<std::int64_t>(parser.peek().value));
+      parser.advance();
+      parser.expect(TokenKind::kRParen, "')' after width");
+    }
+    return is_char ? ColumnType::kChar : ColumnType::kVarchar;
+  }
+  parser.fail("expected column type");
 }
 
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+Statement create_table(Parser& parser) {
+  expect_word(parser, "TABLE");
+  std::string table = name(parser, "table name");
+  parser.expect(TokenKind::kLParen, "'(' after table name");
+  std::vector<Column> columns;
+  do {
+    Column col;
+    col.name = name(parser, "column name");
+    col.type = column_type(parser, col.width);
+    columns.push_back(std::move(col));
+  } while (parser.accept(TokenKind::kComma));
+  parser.expect(TokenKind::kRParen, "')' after column list");
+  return CreateTable{TableDef(std::move(table), std::move(columns))};
+}
 
-  Statement statement() {
-    if (accept(Tok::kCreate)) return create_table();
-    if (accept(Tok::kInsert)) return insert();
-    if (accept(Tok::kSelect)) return select();
-    throw SqlParseError("expected CREATE, INSERT or SELECT", peek().position);
-  }
-
-  ExprPtr predicate_only() {
-    ExprPtr expr = or_expr();
-    expect(Tok::kEnd, "end of predicate");
-    return expr;
-  }
-
- private:
-  const Token& peek() const { return tokens_[pos_]; }
-  const Token& advance() { return tokens_[pos_++]; }
-  bool check(Tok kind) const { return peek().kind == kind; }
-  bool accept(Tok kind) {
-    if (check(kind)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void expect(Tok kind, const char* what) {
-    if (!accept(kind)) {
-      throw SqlParseError(std::string("expected ") + what, peek().position);
-    }
-  }
-  std::string expect_ident(const char* what) {
-    if (!check(Tok::kIdent)) {
-      throw SqlParseError(std::string("expected ") + what, peek().position);
-    }
-    return advance().text;
-  }
-
-  Statement create_table() {
-    expect(Tok::kTable, "TABLE after CREATE");
-    std::string name = expect_ident("table name");
-    expect(Tok::kLParen, "'(' after table name");
-    std::vector<Column> columns;
-    do {
-      Column col;
-      col.name = expect_ident("column name");
-      col.type = column_type(col.width);
-      columns.push_back(std::move(col));
-    } while (accept(Tok::kComma));
-    expect(Tok::kRParen, "')' after column list");
-    expect(Tok::kEnd, "end of statement");
-    return CreateTable{TableDef(std::move(name), std::move(columns))};
-  }
-
-  ColumnType column_type(int& width) {
-    width = 0;
-    if (accept(Tok::kInteger)) return ColumnType::kInteger;
-    if (accept(Tok::kReal)) return ColumnType::kReal;
-    if (accept(Tok::kDoubleKw)) {
-      accept(Tok::kPrecision);
-      return ColumnType::kDouble;
-    }
-    if (accept(Tok::kTimestamp)) return ColumnType::kTimestamp;
-    const bool is_char = accept(Tok::kChar);
-    if (is_char || accept(Tok::kVarchar)) {
-      if (accept(Tok::kLParen)) {
-        if (!check(Tok::kInt)) {
-          throw SqlParseError("expected width", peek().position);
-        }
-        width = static_cast<int>(advance().int_value);
-        expect(Tok::kRParen, "')' after width");
-      }
-      return is_char ? ColumnType::kChar : ColumnType::kVarchar;
-    }
-    throw SqlParseError("expected column type", peek().position);
-  }
-
-  Statement insert() {
-    expect(Tok::kInto, "INTO after INSERT");
-    Insert stmt;
-    stmt.table = expect_ident("table name");
-    if (accept(Tok::kLParen)) {
-      do {
-        stmt.columns.push_back(expect_ident("column name"));
-      } while (accept(Tok::kComma));
-      expect(Tok::kRParen, "')' after column list");
-    }
-    expect(Tok::kValues, "VALUES");
-    expect(Tok::kLParen, "'(' after VALUES");
-    do {
-      stmt.values.push_back(literal_value());
-    } while (accept(Tok::kComma));
-    expect(Tok::kRParen, "')' after value list");
-    expect(Tok::kEnd, "end of statement");
-    return stmt;
-  }
-
-  SqlValue literal_value() {
-    bool negate = false;
-    if (accept(Tok::kMinus)) negate = true;
-    const Token& tok = peek();
-    switch (tok.kind) {
-      case Tok::kInt:
-        advance();
-        return negate ? -tok.int_value : tok.int_value;
-      case Tok::kDouble:
-        advance();
-        return negate ? -tok.double_value : tok.double_value;
-      case Tok::kString:
-        if (negate) {
-          throw SqlParseError("cannot negate a string", tok.position);
-        }
-        advance();
-        return tok.text;
-      case Tok::kNull:
-        if (negate) throw SqlParseError("cannot negate NULL", tok.position);
-        advance();
-        return SqlNull{};
-      default:
-        throw SqlParseError("expected literal", tok.position);
-    }
-  }
-
-  Statement select() {
-    Select stmt;
-    if (!accept(Tok::kStar)) {
-      do {
-        stmt.columns.push_back(expect_ident("column name"));
-      } while (accept(Tok::kComma));
-    }
-    expect(Tok::kFrom, "FROM");
-    stmt.table = expect_ident("table name");
-    if (accept(Tok::kWhere)) stmt.where = or_expr();
-    expect(Tok::kEnd, "end of statement");
-    return stmt;
-  }
-
-  // --- predicate grammar (mirrors the JMS selector grammar) ---
-
-  ExprPtr or_expr() {
-    ExprPtr lhs = and_expr();
-    while (accept(Tok::kOr)) {
-      lhs = make_expr(Binary{BinaryOp::kOr, lhs, and_expr()});
-    }
-    return lhs;
-  }
-
-  ExprPtr and_expr() {
-    ExprPtr lhs = not_expr();
-    while (accept(Tok::kAnd)) {
-      lhs = make_expr(Binary{BinaryOp::kAnd, lhs, not_expr()});
-    }
-    return lhs;
-  }
-
-  ExprPtr not_expr() {
-    if (accept(Tok::kNot)) return make_expr(Unary{UnaryOp::kNot, not_expr()});
-    return predicate();
-  }
-
-  ExprPtr predicate() {
-    ExprPtr lhs = arith();
-    static constexpr struct {
-      Tok token;
-      BinaryOp op;
-    } kComparisons[] = {
-        {Tok::kEq, BinaryOp::kEq},  {Tok::kNeq, BinaryOp::kNeq},
-        {Tok::kLt, BinaryOp::kLt},  {Tok::kLe, BinaryOp::kLe},
-        {Tok::kGt, BinaryOp::kGt},  {Tok::kGe, BinaryOp::kGe},
-    };
-    for (const auto& cmp : kComparisons) {
-      if (accept(cmp.token)) return make_expr(Binary{cmp.op, lhs, arith()});
-    }
-    bool negated = false;
-    if (check(Tok::kNot)) {
-      const Tok next = tokens_[pos_ + 1].kind;
-      if (next == Tok::kBetween || next == Tok::kIn || next == Tok::kLike) {
-        ++pos_;
-        negated = true;
-      } else {
-        return lhs;
-      }
-    }
-    if (accept(Tok::kBetween)) {
-      ExprPtr low = arith();
-      expect(Tok::kAnd, "AND in BETWEEN");
-      return make_expr(Between{negated, lhs, low, arith()});
-    }
-    if (accept(Tok::kIn)) {
-      expect(Tok::kLParen, "'(' after IN");
-      std::vector<SqlValue> options;
-      do {
-        options.push_back(literal_value());
-      } while (accept(Tok::kComma));
-      expect(Tok::kRParen, "')' after IN list");
-      return make_expr(InList{negated, lhs, std::move(options)});
-    }
-    if (accept(Tok::kLike)) {
-      if (!check(Tok::kString)) {
-        throw SqlParseError("LIKE pattern must be a string", peek().position);
-      }
-      return make_expr(Like{negated, lhs, advance().text});
-    }
-    if (accept(Tok::kIs)) {
-      const bool is_not = accept(Tok::kNot);
-      expect(Tok::kNull, "NULL after IS");
-      return make_expr(IsNull{is_not, lhs});
-    }
-    if (negated) {
-      throw SqlParseError("expected BETWEEN, IN or LIKE after NOT",
-                          peek().position);
-    }
-    return lhs;
-  }
-
-  ExprPtr arith() {
-    ExprPtr lhs = term();
-    for (;;) {
-      if (accept(Tok::kPlus)) {
-        lhs = make_expr(Binary{BinaryOp::kAdd, lhs, term()});
-      } else if (accept(Tok::kMinus)) {
-        lhs = make_expr(Binary{BinaryOp::kSub, lhs, term()});
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprPtr term() {
-    ExprPtr lhs = factor();
-    for (;;) {
-      if (accept(Tok::kStar)) {
-        lhs = make_expr(Binary{BinaryOp::kMul, lhs, factor()});
-      } else if (accept(Tok::kSlash)) {
-        lhs = make_expr(Binary{BinaryOp::kDiv, lhs, factor()});
-      } else {
-        return lhs;
-      }
-    }
-  }
-
-  ExprPtr factor() {
-    if (accept(Tok::kMinus)) return make_expr(Unary{UnaryOp::kNeg, factor()});
-    accept(Tok::kPlus);
-    return primary();
-  }
-
-  ExprPtr primary() {
-    const Token& tok = peek();
-    switch (tok.kind) {
-      case Tok::kInt:
-        advance();
-        return make_expr(Literal{SqlValue{tok.int_value}});
-      case Tok::kDouble:
-        advance();
-        return make_expr(Literal{SqlValue{tok.double_value}});
-      case Tok::kString:
-        advance();
-        return make_expr(Literal{SqlValue{tok.text}});
-      case Tok::kNull:
-        advance();
-        return make_expr(Literal{SqlValue{SqlNull{}}});
-      case Tok::kIdent:
-        advance();
-        return make_expr(ColumnRef{tok.text});
-      case Tok::kLParen: {
-        advance();
-        ExprPtr inner = or_expr();
-        expect(Tok::kRParen, "')'");
-        return inner;
-      }
-      default:
-        throw SqlParseError("expected literal, column or '('", tok.position);
-    }
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
-
-/// Fast path for the canonical statement shape render_insert produces:
-/// `INSERT INTO <table> VALUES (<literal>, ...)`. Every monitoring tuple
-/// arrives in this shape, so it is the dominant parse on the producer hot
-/// path; a single left-to-right scan avoids materializing the token
-/// vector. Any deviation — column lists, keyword-colliding table names,
-/// malformed input, out-of-range integers — returns nullopt and the
-/// caller falls back to the general parser, whose error reporting stays
-/// authoritative.
-std::optional<Insert> fast_parse_insert(std::string_view src) {
-  std::size_t i = 0;
-  const std::size_t n = src.size();
-  auto skip_ws = [&] {
-    while (i < n && std::isspace(static_cast<unsigned char>(src[i]))) ++i;
-  };
-  auto is_word_char = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-  };
-  // Case-insensitive full-word keyword match (`kw` must be upper-case).
-  auto word = [&](std::string_view kw) {
-    skip_ws();
-    if (n - i < kw.size()) return false;
-    for (std::size_t k = 0; k < kw.size(); ++k) {
-      if (std::toupper(static_cast<unsigned char>(src[i + k])) != kw[k]) {
-        return false;
-      }
-    }
-    if (i + kw.size() < n && is_word_char(src[i + kw.size()])) return false;
-    i += kw.size();
-    return true;
-  };
-
-  if (!word("INSERT") || !word("INTO")) return std::nullopt;
-  skip_ws();
-  if (i >= n || !(std::isalpha(static_cast<unsigned char>(src[i])) ||
-                  src[i] == '_')) {
-    return std::nullopt;
-  }
-  const std::size_t table_start = i;
-  while (i < n && is_word_char(src[i])) ++i;
-  std::string table(src.substr(table_start, i - table_start));
-  if (keywords().contains(upper(table))) return std::nullopt;
-  if (!word("VALUES")) return std::nullopt;
-  skip_ws();
-  if (i >= n || src[i] != '(') return std::nullopt;
-  ++i;
-
+Statement insert(Parser& parser) {
+  expect_word(parser, "INTO");
   Insert stmt;
-  stmt.table = std::move(table);
-  for (;;) {
-    skip_ws();
-    bool negate = false;
-    if (i < n && src[i] == '-') {
-      negate = true;
-      ++i;
-      skip_ws();
-    }
-    if (i >= n) return std::nullopt;
-    const char c = src[i];
-    if (c == '\'') {
-      if (negate) return std::nullopt;
-      std::string text;
-      std::size_t j = i + 1;
-      for (;;) {
-        if (j >= n) return std::nullopt;
-        if (src[j] == '\'') {
-          if (j + 1 < n && src[j + 1] == '\'') {
-            text += '\'';
-            j += 2;
-            continue;
-          }
-          ++j;
-          break;
-        }
-        text += src[j];
-        ++j;
-      }
-      i = j;
-      stmt.values.emplace_back(std::move(text));
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      // Same number scan as tokenize(): digits [. digits] [eE [+-] digits].
-      std::size_t j = i;
-      bool is_double = false;
-      auto digits = [&] {
-        while (j < n && std::isdigit(static_cast<unsigned char>(src[j]))) ++j;
-      };
-      digits();
-      if (j < n && src[j] == '.') {
-        is_double = true;
-        ++j;
-        digits();
-      }
-      if (j < n && (src[j] == 'e' || src[j] == 'E')) {
-        std::size_t k = j + 1;
-        if (k < n && (src[k] == '+' || src[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(src[k]))) {
-          is_double = true;
-          j = k;
-          digits();
-        }
-      }
-      if (is_double) {
-        const double d = std::stod(std::string(src.substr(i, j - i)));
-        stmt.values.emplace_back(negate ? -d : d);
-      } else {
-        std::int64_t v = 0;
-        const auto res = std::from_chars(src.data() + i, src.data() + j, v);
-        if (res.ec != std::errc{}) return std::nullopt;
-        stmt.values.emplace_back(negate ? -v : v);
-      }
-      i = j;
-    } else if (word("NULL")) {
-      if (negate) return std::nullopt;
-      stmt.values.emplace_back(SqlNull{});
-    } else {
-      return std::nullopt;
-    }
-    skip_ws();
-    if (i < n && src[i] == ',') {
-      ++i;
-      continue;
-    }
-    break;
+  stmt.table = name(parser, "table name");
+  if (parser.accept(TokenKind::kLParen)) {
+    do {
+      stmt.columns.push_back(name(parser, "column name"));
+    } while (parser.accept(TokenKind::kComma));
+    parser.expect(TokenKind::kRParen, "')' after column list");
   }
-  if (i >= n || src[i] != ')') return std::nullopt;
-  ++i;
-  skip_ws();
-  if (i != n) return std::nullopt;
+  expect_word(parser, "VALUES");
+  parser.expect(TokenKind::kLParen, "'(' after VALUES");
+  do {
+    stmt.values.push_back(sql_value(parser.literal()));
+  } while (parser.accept(TokenKind::kComma));
+  parser.expect(TokenKind::kRParen, "')' after value list");
   return stmt;
+}
+
+Statement select(Parser& parser, std::string_view source) {
+  Select stmt;
+  if (!parser.accept(TokenKind::kStar)) {
+    do {
+      stmt.columns.push_back(name(parser, "column name"));
+    } while (parser.accept(TokenKind::kComma));
+  }
+  expect_word(parser, "FROM");
+  stmt.table = name(parser, "table name");
+  if (parser.at_word("WHERE")) {
+    const util::sql::Token& where = parser.peek();
+    stmt.where_text = source.substr(where.position + where.text.size());
+    parser.advance();
+    stmt.where = parser.condition();
+  }
+  return stmt;
+}
+
+Statement statement(Parser& parser, std::string_view source) {
+  if (parser.accept_word("CREATE")) return create_table(parser);
+  if (parser.accept_word("INSERT")) return insert(parser);
+  if (parser.accept_word("SELECT")) return select(parser, source);
+  parser.fail("expected CREATE, INSERT or SELECT");
 }
 
 }  // namespace
 
 Statement parse_statement(std::string_view source) {
-  if (auto insert = fast_parse_insert(source)) return std::move(*insert);
-  Parser parser(tokenize(source));
-  return parser.statement();
+  Parser parser(source);
+  Statement parsed = statement(parser, source);
+  parser.expect(TokenKind::kEnd, "end of statement");
+  return parsed;
 }
 
 ExprPtr parse_predicate(std::string_view source) {
-  Parser parser(tokenize(source));
-  return parser.predicate_only();
+  return util::sql::parse_condition(source);
+}
+
+SqlValue sql_value(util::sql::Literal literal) {
+  return std::visit(
+      [](auto&& v) -> SqlValue {
+        using V = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<V, util::sql::Null>) {
+          return SqlNull{};
+        } else if constexpr (std::is_same_v<V, bool>) {
+          return std::int64_t{v ? 1 : 0};
+        } else {
+          return std::move(v);
+        }
+      },
+      std::move(literal));
 }
 
 std::string render_insert(const std::string& table,

@@ -241,6 +241,17 @@ TEST(Selector, ExponentLiterals) {
   EXPECT_EQ(eval("power > 2.5e2"), Tri::kTrue);
 }
 
+TEST(Selector, ReadsTheSharedConditionGrammar) {
+  // R-GMA's SQL shares the grammar: it brings the NULL literal, and ESCAPE
+  // is a keyword only after a LIKE pattern. IN lists stay string-only.
+  EXPECT_EQ(eval("NULL IS NULL"), Tri::kTrue);
+  EXPECT_EQ(eval("id = NULL"), Tri::kUnknown);
+  Message msg;
+  msg.set_property("escape", std::int32_t{1});
+  EXPECT_EQ(eval("escape = 1", msg), Tri::kTrue);
+  EXPECT_THROW(Selector::parse("site IN ('brunel', NULL)"), SelectorParseError);
+}
+
 // --- parse errors ---
 
 class SelectorParseErrors : public ::testing::TestWithParam<const char*> {};
@@ -255,7 +266,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "id = 'unterminated", "id BETWEEN 1", "id BETWEEN 1 OR 2",
                       "id IN ()", "id IN (1, 2)", "id LIKE 42",
                       "id LIKE 'x' ESCAPE 'toolong'", "id IS 42", "# id",
-                      "id NOT 5", "1 2", "id = = 2", "NOT", "id IN 'x'"));
+                      "id NOT 5", "1 2", "id = = 2", "NOT", "id IN 'x'",
+                      "x > 1e999"));
 
 TEST(Selector, ParseErrorReportsPosition) {
   try {

@@ -5,6 +5,30 @@
 namespace gridmon::rgma::sql {
 namespace {
 
+using util::sql::Between;
+using util::sql::Binary;
+using util::sql::BinaryOp;
+using util::sql::Constant;
+using util::sql::Identifier;
+using util::sql::InList;
+using util::sql::IsNull;
+using util::sql::Like;
+using util::sql::Literal;
+using util::sql::Unary;
+using util::sql::UnaryOp;
+
+/// A literal's value; TRUE and FALSE are 1 and 0, as predicates encode
+/// truth.
+SqlValue value_of(const Literal& literal) {
+  if (const auto* b = std::get_if<bool>(&literal)) {
+    return std::int64_t{*b ? 1 : 0};
+  }
+  if (const auto* i = std::get_if<std::int64_t>(&literal)) return *i;
+  if (const auto* d = std::get_if<double>(&literal)) return *d;
+  if (const auto* s = std::get_if<std::string>(&literal)) return *s;
+  return SqlNull{};
+}
+
 Tri value_to_tri(const SqlValue& v) {
   // Predicates produce int64 0/1; NULL is UNKNOWN.
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
@@ -36,9 +60,11 @@ class Evaluator {
   }
 
  private:
-  SqlValue eval_node(const Literal& lit) const { return lit.value; }
+  SqlValue eval_node(const Constant& constant) const {
+    return value_of(constant.value);
+  }
 
-  SqlValue eval_node(const ColumnRef& ref) const {
+  SqlValue eval_node(const Identifier& ref) const {
     const auto index = table_.column_index(ref.name);
     if (!index || *index >= row_.size()) return SqlNull{};
     return row_[*index];
@@ -49,6 +75,7 @@ class Evaluator {
     if (unary.op == UnaryOp::kNot) {
       return tri_to_value(tri_not(value_to_tri(operand)));
     }
+    if (unary.op == UnaryOp::kPos) return operand;
     if (is_null(operand)) return SqlNull{};
     if (const auto* i = std::get_if<std::int64_t>(&operand)) return -*i;
     if (const auto* d = std::get_if<double>(&operand)) return -*d;
@@ -96,7 +123,7 @@ class Evaluator {
     if (is_null(value)) return SqlNull{};
     bool found = false;
     for (const auto& option : in.options) {
-      if (compare(BinaryOp::kEq, value, option) == Tri::kTrue) {
+      if (compare(BinaryOp::kEq, value, value_of(option)) == Tri::kTrue) {
         found = true;
         break;
       }
@@ -110,7 +137,7 @@ class Evaluator {
     if (is_null(value)) return SqlNull{};
     const auto* str = std::get_if<std::string>(&value);
     if (str == nullptr) return SqlNull{};
-    const bool matched = util::like_match(*str, like.pattern, '\0');
+    const bool matched = util::like_match(*str, like.pattern, like.escape);
     return tri_to_value((like.negated ? !matched : matched) ? Tri::kTrue
                                                             : Tri::kFalse);
   }

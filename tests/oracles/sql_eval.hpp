@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "rgma/schema.hpp"
-#include "rgma/sql_ast.hpp"
 #include "rgma/sql_compile.hpp"
 
 namespace gridmon::rgma::sql {

@@ -8,6 +8,7 @@
 #include "narada/client.hpp"
 #include "narada/dbn.hpp"
 #include "net/lan.hpp"
+#include "rgma/sql_parser.hpp"
 #include "rgma/storage.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -103,6 +104,69 @@ TEST_P(PropertySweep, RandomSelectorsAgreeWithDirectEvaluation) {
       EXPECT_EQ(selector.matches(msg), expected) << text << " x=" << x
                                                  << " y=" << y;
     }
+  }
+}
+
+/// `parse(text)` returns or throws `ParseError`; anything else fails.
+template <typename ParseError, typename Parse>
+void parses_or_throws(const std::string& text, Parse parse) {
+  try {
+    parse(text);
+  } catch (const ParseError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "threw " << e.what() << " on: " << text;
+  }
+}
+
+/// Mutants of JMS selectors, R-GMA predicates and R-GMA statements (characters
+/// deleted, duplicated and swapped; keywords, digits and exponents spliced
+/// in) either parse or throw the front end's parse error, and nothing else:
+/// no number out of a double's range escapes as std::out_of_range.
+TEST_P(PropertySweep, MutatedConditionsParseOrThrowTheParseError) {
+  static const std::string kCorpus[] = {
+      "id<10000",
+      "id < 100 AND power > 200.0 AND site = 'brunel'",
+      "(id BETWEEN 0 AND 50 OR name LIKE 'b!_%' ESCAPE '!') AND enabled",
+      "site NOT IN ('brunel', 'cern') OR -rate * 2.5e2 <> .5",
+      "missing IS NOT NULL AND NOT (a / 3 >= 1.25E-3)",
+      "node LIKE 'grid/%' OR label IN ('abc', -7, NULL, 1.5)",
+      "SELECT * FROM generators WHERE id >= 0 AND id < 501",
+      "SELECT id, name FROM people WHERE age + 1 > 18",
+      "INSERT INTO generators VALUES (1, -2.5, 'a''b', NULL, 3.25e2)",
+      "INSERT INTO t (a, b) VALUES (9223372036854775807, 'x')",
+      "CREATE TABLE t (a INTEGER, b DOUBLE PRECISION, c CHAR(20), d REAL)",
+  };
+  static const std::string kSplices[] = {
+      " AND ", " OR ", " NOT ", " BETWEEN ", " IN (", " LIKE ", " ESCAPE ",
+      " IS NULL", " TRUE", " WHERE ", " VALUES (", "SELECT ", "(", ")", "'",
+      ",", "9", "0.", "99999999999999999999", "e999", "e-400", "E+308",
+      "1e999"};
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string text = kCorpus[rng.uniform_int(0, std::size(kCorpus) - 1)];
+    for (auto edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          text.erase(at, 1);
+          break;
+        case 1:
+          text.insert(at, 1, text[at]);
+          break;
+        case 2:
+          if (at + 1 < text.size()) std::swap(text[at], text[at + 1]);
+          break;
+        default:
+          text.insert(at + 1,
+                      kSplices[rng.uniform_int(0, std::size(kSplices) - 1)]);
+      }
+    }
+    parses_or_throws<jms::SelectorParseError>(
+        text, [](const std::string& t) { (void)jms::Selector::parse(t); });
+    parses_or_throws<rgma::sql::SqlParseError>(
+        text, [](const std::string& t) { (void)rgma::sql::parse_predicate(t); });
+    parses_or_throws<rgma::sql::SqlParseError>(
+        text, [](const std::string& t) { (void)rgma::sql::parse_statement(t); });
   }
 }
 

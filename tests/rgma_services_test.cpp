@@ -76,40 +76,54 @@ TEST_F(RgmaFixture, EndToEndContinuousQuery) {
 }
 
 TEST_F(RgmaFixture, PredicatePushDownFiltersAtTheProducer) {
-  auto network = make_network();
-  net::HttpClient http(hydra.streams(), net::Endpoint{4, 20000});
+  // The WHERE text the mediator pushes down is the parsed clause's source,
+  // whatever the keyword's case and whatever names around it hold "where".
+  const struct {
+    const char* table;
+    const char* query;
+  } kInputs[] = {
+      {"generators", "SELECT * FROM generators WHERE id < 5"},
+      {"generators", "SELECT * FROM generators Where id < 5"},
+      {"nowhere", "select * from nowhere where id < 5"},
+  };
+  for (const auto& input : kInputs) {
+    SCOPED_TRACE(input.query);
+    cluster::Hydra world{cluster::HydraConfig{.seed = 21}};
+    RgmaNetwork network(world, config);
+    network.create_table(core::generator_table(input.table));
+    net::HttpClient http(world.streams(), net::Endpoint{4, 20000});
 
-  Consumer consumer(hydra.host(4), http, network->assign_consumer_service(),
-                    100, "SELECT * FROM generators WHERE id < 5");
-  consumer.create(nullptr);
-  PrimaryProducer producer(hydra.host(4), http,
-                           network->assign_producer_service(), 1,
-                           "generators");
-  producer.declare(nullptr);
+    Consumer consumer(world.host(4), http, network.assign_consumer_service(),
+                      100, input.query);
+    consumer.create(nullptr);
+    PrimaryProducer producer(world.host(4), http,
+                             network.assign_producer_service(), 1,
+                             input.table);
+    producer.declare(nullptr);
 
-  auto rng = hydra.sim().rng_stream("test");
-  hydra.sim().schedule_at(units::seconds(10), [&] {
-    for (int id = 0; id < 10; ++id) {
-      producer.insert(core::make_generator_row(id, 0, hydra.sim().now(), rng),
-                      nullptr);
-    }
-  });
-  std::size_t received = 0;
-  sim::PeriodicTimer poller(
-      hydra.sim(), units::seconds(1), units::milliseconds(100), [&] {
-        consumer.poll(
-            [&](std::vector<Tuple> tuples, SimTime) {
-              received += tuples.size();
-              for (const auto& t : tuples) {
-                EXPECT_LT(std::get<std::int64_t>(t.values[core::kRowIdColumn]),
-                          5);
-              }
-            });
-      });
-  hydra.sim().run_until(units::seconds(30));
-  EXPECT_EQ(received, 5u);
-  // The filtering happened producer-side: only matching tuples streamed.
-  EXPECT_EQ(network->total_producer_stats().tuples_streamed, 5u);
+    auto rng = world.sim().rng_stream("test");
+    world.sim().schedule_at(units::seconds(10), [&] {
+      for (int id = 0; id < 10; ++id) {
+        producer.insert(
+            core::make_generator_row(id, 0, world.sim().now(), rng), nullptr);
+      }
+    });
+    std::size_t received = 0;
+    sim::PeriodicTimer poller(
+        world.sim(), units::seconds(1), units::milliseconds(100), [&] {
+          consumer.poll([&](std::vector<Tuple> tuples, SimTime) {
+            received += tuples.size();
+            for (const auto& t : tuples) {
+              EXPECT_LT(
+                  std::get<std::int64_t>(t.values[core::kRowIdColumn]), 5);
+            }
+          });
+        });
+    world.sim().run_until(units::seconds(30));
+    EXPECT_EQ(received, 5u);
+    // The filtering happened producer-side: only matching tuples streamed.
+    EXPECT_EQ(network.total_producer_stats().tuples_streamed, 5u);
+  }
 }
 
 TEST_F(RgmaFixture, WrongProducerOrTableInsertFails) {

@@ -115,7 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "SELECT * FROM t WHERE (a = 1",
                       "INSERT INTO t VALUES ('unterminated)",
                       "SELECT * FROM t extra",
-                      "INSERT INTO t VALUES (-'x')"));
+                      "INSERT INTO t VALUES (-'x')",
+                      "INSERT INTO t VALUES (1e999)",
+                      "SELECT * FROM t WHERE a > 1e-400"));
 
 TEST(SqlParser, RenderInsertRoundTrips) {
   const std::vector<SqlValue> row = {std::int64_t{7}, 2.25,
@@ -233,6 +235,28 @@ TEST(SqlEval, PredicateSelectsHelper) {
   // UNKNOWN does not select.
   EXPECT_FALSE(
       predicate_selects(parse_predicate("bogus = 1"), people(), kAlice));
+}
+
+TEST(SqlEval, ReadsTheSharedConditionGrammar) {
+  // JMS selectors share the grammar: they bring ESCAPE, TRUE and FALSE
+  // (1 and 0), repeated signs, '$' and '.' in names and numbers like .5.
+  // Statement words are names inside a condition.
+  const TableDef table = people();
+  auto bound = [&](const char* predicate) {
+    return CompiledPredicate::compile(parse_predicate(predicate), table)
+        .evaluate(kAlice);
+  };
+  EXPECT_EQ(bound("name LIKE 'al!%' ESCAPE '!'"), Tri::kFalse);
+  EXPECT_EQ(bound("name LIKE '!_lice' ESCAPE '!'"), Tri::kFalse);
+  EXPECT_EQ(bound("name LIKE 'a%' ESCAPE '!'"), Tri::kTrue);
+  EXPECT_EQ(bound("TRUE"), Tri::kTrue);
+  EXPECT_EQ(bound("FALSE OR id = TRUE"), Tri::kTrue);
+  EXPECT_EQ(bound("+-+age = -30"), Tri::kTrue);
+  EXPECT_EQ(bound("+name = 'alice'"), Tri::kTrue);  // plus leaves a string
+  EXPECT_EQ(bound("score > .5"), Tri::kTrue);
+  EXPECT_EQ(bound("people.id IS NULL AND $x IS NULL"), Tri::kTrue);
+  EXPECT_EQ(bound("from = 1"), Tri::kUnknown);
+  EXPECT_THROW((void)parse_statement("SELECT * FROM from"), SqlParseError);
 }
 
 TEST(SqlLike, Wildcards) {

@@ -1,14 +1,15 @@
 // Bound-predicate equivalence: CompiledPredicate must return exactly what
 // the by-name AST interpreter returns for every (expr, table, row) — three-
 // valued logic, NULL propagation, type mismatches, division by zero,
-// unknown and out-of-range columns, LIKE edge cases — plus the fast
-// INSERT parse path against the general parser. The randomized sweep is
+// unknown and out-of-range columns, LIKE edge cases — plus canonical INSERT
+// statements against their rendered round trip. The randomized sweep is
 // seeded, so failures reproduce.
 #include "rgma/sql_compile.hpp"
 
 #include <cstdint>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,19 @@
 
 namespace gridmon::rgma::sql {
 namespace {
+
+using util::sql::Between;
+using util::sql::Binary;
+using util::sql::BinaryOp;
+using util::sql::Constant;
+using util::sql::Identifier;
+using util::sql::InList;
+using util::sql::IsNull;
+using util::sql::Like;
+using util::sql::Literal;
+using util::sql::make_expr;
+using util::sql::Unary;
+using util::sql::UnaryOp;
 
 TableDef test_table() {
   return TableDef("metrics", {
@@ -59,15 +73,32 @@ SqlValue random_value(std::mt19937_64& rng) {
   }
 }
 
+/// A literal of the tree: a row value's kinds, and a third of the NULLs
+/// TRUE or FALSE.
+Literal random_literal(std::mt19937_64& rng) {
+  return std::visit(
+      [&](auto&& v) -> Literal {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, SqlNull>) {
+          if (rng() % 3 == 0) return rng() % 2 == 0;
+          return util::sql::Null{};
+        } else {
+          return std::move(v);
+        }
+      },
+      random_value(rng));
+}
+
 ExprPtr random_expr(std::mt19937_64& rng, int depth) {
+  constexpr UnaryOp kUnaryOps[] = {UnaryOp::kNeg, UnaryOp::kPos,
+                                   UnaryOp::kNot};
   const auto pick = depth <= 0 ? rng() % 2 : rng() % 9;
   switch (pick) {
     case 0:
-      return make_expr(Literal{random_value(rng)});
+      return make_expr(Constant{random_literal(rng)});
     case 1:
-      return make_expr(ColumnRef{kColumns[rng() % std::size(kColumns)]});
+      return make_expr(Identifier{kColumns[rng() % std::size(kColumns)]});
     case 2:
-      return make_expr(Unary{rng() % 2 == 0 ? UnaryOp::kNeg : UnaryOp::kNot,
+      return make_expr(Unary{kUnaryOps[rng() % std::size(kUnaryOps)],
                              random_expr(rng, depth - 1)});
     case 3:
       return make_expr(Binary{kBinaryOps[rng() % std::size(kBinaryOps)],
@@ -78,21 +109,23 @@ ExprPtr random_expr(std::mt19937_64& rng, int depth) {
                                random_expr(rng, depth - 1),
                                random_expr(rng, depth - 1)});
     case 5: {
-      std::vector<SqlValue> options;
+      std::vector<Literal> options;
       const auto count = rng() % 4;
       for (std::uint64_t i = 0; i < count; ++i) {
-        options.push_back(random_value(rng));
+        options.push_back(random_literal(rng));
       }
       return make_expr(InList{rng() % 2 == 0, random_expr(rng, depth - 1),
                               std::move(options)});
     }
     case 6:
+      // 'a' escapes the character after it in several patterns.
       return make_expr(Like{rng() % 2 == 0, random_expr(rng, depth - 1),
-                            kPatterns[rng() % std::size(kPatterns)]});
+                            kPatterns[rng() % std::size(kPatterns)],
+                            rng() % 2 == 0 ? 'a' : '\0'});
     case 7:
       return make_expr(IsNull{rng() % 2 == 0, random_expr(rng, depth - 1)});
     default:
-      return make_expr(Literal{random_value(rng)});
+      return make_expr(Constant{random_literal(rng)});
   }
 }
 
@@ -180,7 +213,7 @@ TEST(SqlCompile, LikeEdgeCasesMatchSqlLike) {
   const TableDef table = test_table();
   for (const char* pattern : kPatterns) {
     const ExprPtr expr =
-        make_expr(Like{false, make_expr(ColumnRef{"node"}), pattern});
+        make_expr(Like{false, make_expr(Identifier{"node"}), pattern});
     const CompiledPredicate compiled = CompiledPredicate::compile(expr, table);
     for (const char* text : kStrings) {
       std::vector<SqlValue> row = {SqlNull{}, SqlNull{}, SqlNull{},
@@ -204,14 +237,13 @@ TEST(SqlParserFastPath, CanonicalInsertMatchesGeneralParser) {
       "insert into metrics values(1)",
       "INSERT INTO metrics VALUES ( -3.25e2 , 'x' )",
       "INSERT INTO m VALUES ('')",
-      "INSERT INTO metrics (id, seq) VALUES (1, 2)",  // column-list fallback
+      "INSERT INTO metrics (id, seq) VALUES (1, 2)",  // with a column list
   };
   for (const char* text : kStatements) {
     const Statement statement = parse_statement(text);
     const auto* insert = std::get_if<Insert>(&statement);
     ASSERT_NE(insert, nullptr) << text;
-    // Cross-check against the token-vector parser, forced by re-rendering
-    // (render_insert never emits the fast path's fallback shapes).
+    // Cross-check against the rendered canonical form of the same row.
     const Statement rendered =
         parse_statement(render_insert(insert->table, insert->values));
     const auto* again = std::get_if<Insert>(&rendered);
@@ -232,7 +264,7 @@ TEST(SqlParserFastPath, MalformedInsertsStillThrow) {
                SqlParseError);
   EXPECT_THROW(
       parse_statement("INSERT INTO metrics VALUES (9223372036854775808)"),
-      SqlParseError);  // int64 out of range, reported by the general parser
+      SqlParseError);  // int64 out of range
 }
 
 TEST(SqlParserFastPath, RenderInsertRoundTripsDoubles) {
