@@ -645,6 +645,10 @@ void Broker::handle_peer_backfill_request(std::size_t peer_index,
     for (const BackfillCursor& c : frame->cursors) {
       if (c.origin == origin) cursor = c.seq;
     }
+    // A peer at or past everything this replica holds lacks none of it;
+    // replay_since would read its cursor as a source restart and serve the
+    // whole buffer (the requester is often the origin itself).
+    if (cursor >= buffer.last_sequence()) continue;
     std::uint64_t served = 0;
     std::int64_t served_bytes = 0;
     buffer.replay_since(

@@ -47,6 +47,49 @@ TEST_F(DbnFixture, FourBrokerMeshDeliversAcrossBrokers) {
   EXPECT_EQ(dbn.total_stats().events_forwarded, 9u);
 }
 
+// After a partition heals, each broker asks its peers for what it missed.
+// The origin of the partition-time messages is ahead of its peer's replica,
+// so only the origin serves: the replica must not send the origin its own
+// messages back.
+TEST_F(DbnFixture, PeerBackfillServesOnlyWhatTheRequesterLacks) {
+  DbnConfig config;
+  config.broker_hosts = {0, 1};
+  config.replay = true;
+  Dbn dbn(hydra, config);
+  dbn.start();
+
+  auto sub = make_client(4, 9000, dbn.broker_endpoint(1));
+  auto pub = make_client(5, 9001, dbn.broker_endpoint(0));
+  int received = 0;
+  sub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    sub->subscribe("t", "", jms::AcknowledgeMode::kAutoAcknowledge,
+                   [&](const jms::MessagePtr&, SimTime) { ++received; });
+  });
+  auto publish = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      pub->publish(jms::make_text_message("t", "x"));
+    }
+  };
+  pub->connect([&](bool ok) {
+    ASSERT_TRUE(ok);
+    publish(3);
+  });
+  hydra.sim().schedule_at(units::seconds(5), [&] {
+    hydra.lan().set_path_blocked(0, 1, true);
+    publish(2);  // broker 1's replica of broker 0 stops at 3
+  });
+  hydra.sim().schedule_at(units::seconds(8), [&] {
+    hydra.lan().set_path_blocked(0, 1, false);
+    dbn.request_peer_backfill();
+  });
+  hydra.sim().run_until(units::seconds(15));
+
+  EXPECT_EQ(dbn.broker(0).stats().backfill_msgs, 2u);
+  EXPECT_EQ(dbn.broker(1).stats().backfill_msgs, 0u);
+  EXPECT_EQ(received, 5);
+}
+
 TEST_F(DbnFixture, SubscriptionAwareRoutingForwardsOnlyTowardInterest) {
   DbnConfig config;
   config.broker_hosts = {0, 1, 2, 3};

@@ -27,8 +27,8 @@ TEST(ReplicationDeterminism, ReplayFamilyByteIdenticalAcrossJobs) {
        "chaos/mqtt/flapping_link_replay", "chaos/rgma/servlet_restart_replay",
        "chaos/rgma/registry_halfopen"});
   EXPECT_EQ(golden::split(serial.csv()),
-            (golden::Hashes{8131434087634902741ULL,
-                            8904536570118150020ULL}));
+            (golden::Hashes{8992922572371231331ULL,
+                            18437276922144914625ULL}));
 
   // The new columns ride at the end of the schema, after `system`.
   EXPECT_NE(serial.csv().find(",system,loss_after_recovery_pct,backfill_bytes"),
