@@ -38,10 +38,10 @@ enum class MemCategory : std::uint8_t {
   kNetConnections,     ///< stream-transport connection state (both ends)
   kRgmaTuples,         ///< R-GMA tuple stores (producer + consumer side)
   kKernelSlab,         ///< DES kernel event-node slab (via KernelStats)
-  kMqttSubIndex,       ///< MQTT broker subscription trie (nodes + entries)
-  kPredicateCache,     ///< compiled SQL predicates (producer + consumer side)
+  kMqttSubIndex,       ///< MQTT broker subscription list (one per entry)
+  kPredicateCache,     ///< bound SQL predicates (producer + consumer side)
   kHistory,            ///< tiered retention buffers (backfill replication)
-  kHier,               ///< hierarchical tier (fleet arrays + pending frames)
+  kHier,               ///< hierarchical tier (fleet state, names, frames)
 };
 inline constexpr std::size_t kMemCategoryCount = 9;
 
