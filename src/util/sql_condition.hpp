@@ -170,8 +170,9 @@ struct Token {
   Literal value;             ///< a number's or string's value
 };
 
-/// Reads one token ahead. A statement parser drives the token methods
-/// itself and calls condition() or literal() where its grammar holds one.
+/// Reads `source`, which must outlive the parser, one token ahead. A
+/// statement parser drives the token methods itself and calls condition()
+/// or literal() where its grammar holds one.
 class Parser {
  public:
   explicit Parser(std::string_view source);

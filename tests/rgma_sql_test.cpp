@@ -247,7 +247,7 @@ TEST(SqlEval, ReadsTheSharedConditionGrammar) {
         .evaluate(kAlice);
   };
   EXPECT_EQ(bound("name LIKE 'al!%' ESCAPE '!'"), Tri::kFalse);
-  EXPECT_EQ(bound("name LIKE '!_lice' ESCAPE '!'"), Tri::kFalse);
+  EXPECT_EQ(bound("name LIKE 'a!lice' ESCAPE '!'"), Tri::kTrue);
   EXPECT_EQ(bound("name LIKE 'a%' ESCAPE '!'"), Tri::kTrue);
   EXPECT_EQ(bound("TRUE"), Tri::kTrue);
   EXPECT_EQ(bound("FALSE OR id = TRUE"), Tri::kTrue);
