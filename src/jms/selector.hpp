@@ -2,13 +2,13 @@
 // subset evaluated against a message's headers and properties.
 //
 // Supported, per the spec: identifiers; exact/approximate numeric, string
-// and boolean literals (and NULL); comparison operators =, <>, <, <=, >, >= (string and
-// boolean comparison limited to = and <>); arithmetic + - * / with unary
-// sign; logical AND/OR/NOT with SQL three-valued logic; BETWEEN ... AND ...;
-// IN (...) of string literals; LIKE with % and _ wildcards and optional
-// ESCAPE; IS [NOT] NULL. The grammar is the SQL-92 condition front end R-GMA's
-// WHERE clauses share (util/sql_condition.hpp); this file adds the JMS
-// evaluation rules.
+// and boolean literals (and NULL); comparison operators =, <>, <, <=, >, >=
+// (string and boolean comparison limited to = and <>); arithmetic + - * /
+// with unary sign; logical AND/OR/NOT with SQL three-valued logic;
+// BETWEEN ... AND ...; IN (...) of string literals; LIKE with % and _
+// wildcards and optional ESCAPE; IS [NOT] NULL. The grammar is the SQL-92
+// condition front end R-GMA's WHERE clauses share (util/sql_condition.hpp);
+// this file adds the JMS evaluation rules.
 //
 // The paper's subscriber uses the selector "id<10000" — present here not as
 // a stub but as one expression in a full grammar, because selector

@@ -161,12 +161,15 @@ TEST_P(PropertySweep, MutatedConditionsParseOrThrowTheParseError) {
                       kSplices[rng.uniform_int(0, std::size(kSplices) - 1)]);
       }
     }
-    parses_or_throws<jms::SelectorParseError>(
-        text, [](const std::string& t) { (void)jms::Selector::parse(t); });
-    parses_or_throws<rgma::sql::SqlParseError>(
-        text, [](const std::string& t) { (void)rgma::sql::parse_predicate(t); });
-    parses_or_throws<rgma::sql::SqlParseError>(
-        text, [](const std::string& t) { (void)rgma::sql::parse_statement(t); });
+    parses_or_throws<jms::SelectorParseError>(text, [](const std::string& t) {
+      (void)jms::Selector::parse(t);
+    });
+    parses_or_throws<rgma::sql::SqlParseError>(text, [](const std::string& t) {
+      (void)rgma::sql::parse_predicate(t);
+    });
+    parses_or_throws<rgma::sql::SqlParseError>(text, [](const std::string& t) {
+      (void)rgma::sql::parse_statement(t);
+    });
   }
 }
 
