@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "cluster/hydra.hpp"
 #include "narada/client.hpp"
 
@@ -88,6 +91,113 @@ TEST_F(DbnFixture, PeerBackfillServesOnlyWhatTheRequesterLacks) {
   EXPECT_EQ(dbn.broker(0).stats().backfill_msgs, 2u);
   EXPECT_EQ(dbn.broker(1).stats().backfill_msgs, 0u);
   EXPECT_EQ(received, 5);
+}
+
+// Aggregated publishes on a replaying mesh: the origin stamps and retains
+// each message of a batch, relays the batch as one forward frame, and the
+// replica delivers each message once. Publisher on broker 0 (batches of
+// 4), a subscriber on each broker.
+struct BatchedReplayMesh {
+  Dbn dbn;
+  std::shared_ptr<NaradaClient> local_sub;
+  std::shared_ptr<NaradaClient> remote_sub;
+  std::shared_ptr<NaradaClient> pub;
+  std::map<std::string, int> local_ids;
+  std::map<std::string, int> remote_ids;
+
+  explicit BatchedReplayMesh(DbnFixture& fixture)
+      : dbn(fixture.hydra, DbnConfig{.broker_hosts = {0, 1}, .replay = true}) {
+    dbn.start();
+    local_sub = fixture.make_client(4, 9000, dbn.broker_endpoint(0));
+    remote_sub = fixture.make_client(4, 9002, dbn.broker_endpoint(1));
+    pub = fixture.make_client(5, 9001, dbn.broker_endpoint(0));
+    pub->enable_aggregation(4);
+    subscribe(local_sub, local_ids);
+    subscribe(remote_sub, remote_ids);
+    pub->connect([](bool ok) { ASSERT_TRUE(ok); });
+  }
+
+  static void subscribe(const std::shared_ptr<NaradaClient>& client,
+                        std::map<std::string, int>& ids) {
+    client->connect([client, &ids](bool ok) {
+      ASSERT_TRUE(ok);
+      client->subscribe("t", "", jms::AcknowledgeMode::kAutoAcknowledge,
+                        [&ids](const jms::MessagePtr& message, SimTime) {
+                          ++ids[message->message_id];
+                        });
+    });
+  }
+
+  /// One full batch: flushed at once, no aggregation timer.
+  void publish_batch() {
+    for (int i = 0; i < 4; ++i) pub->publish(jms::make_text_message("t", "x"));
+  }
+};
+
+void expect_each_once(const std::map<std::string, int>& ids,
+                      std::size_t messages) {
+  EXPECT_EQ(ids.size(), messages);
+  for (const auto& [id, count] : ids) EXPECT_EQ(count, 1) << id;
+}
+
+TEST_F(DbnFixture, BatchedPublishesRelayOnceOnAReplayingMesh) {
+  BatchedReplayMesh mesh(*this);
+  hydra.sim().schedule_at(units::seconds(1), [&] {
+    mesh.publish_batch();
+    mesh.publish_batch();
+  });
+  hydra.sim().run_until(units::seconds(10));
+
+  expect_each_once(mesh.local_ids, 8);
+  expect_each_once(mesh.remote_ids, 8);
+  const BrokerStats& origin = mesh.dbn.broker(0).stats();
+  const BrokerStats& replica = mesh.dbn.broker(1).stats();
+  // Two wire frames of four messages each: frame counters count frames,
+  // delivery counters count messages.
+  EXPECT_EQ(origin.events_received, 2u);
+  EXPECT_EQ(origin.events_forwarded, 2u);
+  EXPECT_EQ(origin.events_from_peers, 0u);
+  EXPECT_EQ(origin.events_delivered, 8u);
+  EXPECT_EQ(replica.events_received, 0u);
+  EXPECT_EQ(replica.events_forwarded, 0u);
+  EXPECT_EQ(replica.events_from_peers, 2u);
+  EXPECT_EQ(replica.events_delivered, 8u);
+}
+
+// A batch published while the mesh is partitioned reaches the replica
+// only through peer backfill, one forward frame per retained message. Two
+// repair sweeps before either is answered serve the batch twice; the
+// replica retains and delivers it once.
+TEST_F(DbnFixture, PeerBackfillReplaysABatchWithoutDuplicates) {
+  BatchedReplayMesh mesh(*this);
+  hydra.sim().schedule_at(units::seconds(1), [&] { mesh.publish_batch(); });
+  hydra.sim().schedule_at(units::seconds(5), [&] {
+    hydra.lan().set_path_blocked(0, 1, true);
+    mesh.publish_batch();
+  });
+  hydra.sim().schedule_at(units::seconds(8), [&] {
+    hydra.lan().set_path_blocked(0, 1, false);
+    mesh.dbn.request_peer_backfill();
+    mesh.dbn.request_peer_backfill();
+  });
+  hydra.sim().run_until(units::seconds(15));
+
+  expect_each_once(mesh.local_ids, 8);
+  expect_each_once(mesh.remote_ids, 8);
+  const BrokerStats& origin = mesh.dbn.broker(0).stats();
+  const BrokerStats& replica = mesh.dbn.broker(1).stats();
+  // The live batch is one forward frame (the partition drops the second);
+  // each sweep replays the missing batch as four single-message frames.
+  EXPECT_EQ(origin.backfill_msgs, 8u);
+  EXPECT_EQ(origin.events_received, 2u);
+  EXPECT_EQ(origin.events_forwarded, 10u);
+  EXPECT_EQ(origin.events_from_peers, 0u);
+  EXPECT_EQ(origin.events_delivered, 8u);
+  EXPECT_EQ(replica.backfill_msgs, 0u);
+  EXPECT_EQ(replica.events_received, 0u);
+  EXPECT_EQ(replica.events_forwarded, 0u);
+  EXPECT_EQ(replica.events_from_peers, 9u);
+  EXPECT_EQ(replica.events_delivered, 8u);
 }
 
 TEST_F(DbnFixture, SubscriptionAwareRoutingForwardsOnlyTowardInterest) {
