@@ -175,13 +175,18 @@ constexpr std::int64_t kMqttSessionBytes = 16 * KiB;
 
 /// Bytes the model-memory profile (obs/memprof) charges per record: a
 /// Narada broker's subscription entry (plus its topic's characters), a
-/// Narada or MQTT client, and an MQTT packet a broker parks or queues (plus
-/// its topic and payload). Fixed numbers rather than sizeof, so the memory
-/// figures do not follow host struct layout; they are the x86-64 GCC 12 /
-/// libstdc++ sizes of those structs when the figures were pinned.
+/// topic a peer broker advertised to it (one set node, plus the
+/// characters), a Narada or MQTT client, an MQTT session's subscription
+/// list entry (plus its filter's characters) and an MQTT packet a broker
+/// parks or queues (plus its topic and payload). Fixed numbers rather than
+/// sizeof, so the memory figures do not follow host struct layout; they are
+/// the x86-64 GCC 12 / libstdc++ sizes of those structs when the figures
+/// were pinned.
 constexpr std::int64_t kNaradaSubscriptionBytes = 184;
+constexpr std::int64_t kNaradaRemoteTopicBytes = 80;
 constexpr std::int64_t kNaradaClientBytes = 640;
 constexpr std::int64_t kMqttClientBytes = 624;
+constexpr std::int64_t kMqttSessionFilterBytes = 40;
 constexpr std::int64_t kMqttPacketBytes = 192;
 
 /// Event-loop service-time inflation per live session (timer wheel +

@@ -35,8 +35,8 @@ void mark_packet(const PacketPtr& packet, std::string_view stage) {
 /// Bytes a session's routing/soft state charges to the model-memory
 /// profile (subscription list entry or parked/queued message).
 std::int64_t subscription_footprint(const std::string& filter) {
-  return static_cast<std::int64_t>(sizeof(std::pair<std::string, int>) +
-                                   filter.size());
+  return costs::kMqttSessionFilterBytes +
+         static_cast<std::int64_t>(filter.size());
 }
 
 std::int64_t parked_footprint(const PacketPtr& packet) {

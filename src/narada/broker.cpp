@@ -540,8 +540,8 @@ void Broker::on_peer_frame(std::size_t peer_index,
       if (!fresh) break;
       // Remote-topic interest is routing state too (one set node + chars).
       obs::mem_add(obs::MemCategory::kBrokerRouting,
-                   static_cast<std::int64_t>(sizeof(std::string) + 48 +
-                                             frame->topic.size()));
+                   costs::kNaradaRemoteTopicBytes +
+                       static_cast<std::int64_t>(frame->topic.size()));
       const int from_id = peers_[peer_index].id;
       for (const Peer& other : peers_) {
         if (other.id == from_id || other.id == frame->origin_broker) continue;
