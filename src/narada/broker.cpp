@@ -1,6 +1,5 @@
 #include "narada/broker.hpp"
 
-
 #include <algorithm>
 
 #include "cluster/costs.hpp"
@@ -14,15 +13,31 @@ namespace costs = cluster::costs;
 
 namespace {
 
+/// The broker's side of an accepted client connection.
+constexpr int kClientSide = 1;
+
 /// Hop-span mark for every message a frame carries (no-op unless the run
 /// has an observability recorder installed and the message is sampled).
-void mark_frame(const FramePtr& frame, std::string_view stage) {
+void mark_frame(const Frame& frame, std::string_view stage) {
   if constexpr (!obs::kEnabled) return;
   if (obs::tracer() == nullptr) return;
-  if (frame->message) obs::mark_message(frame->message->message_id, stage);
-  for (const auto& message : frame->batch) {
+  for (const auto& message : messages_of(frame)) {
     obs::mark_message(message->message_id, stage);
   }
+}
+
+/// The handshake frame: a client treats a close before it as a refusal.
+FramePtr welcome_frame() {
+  Frame welcome;
+  welcome.kind = FrameKind::kDeliver;
+  welcome.topic = "$welcome";
+  return std::make_shared<const Frame>(std::move(welcome));
+}
+
+/// Routing-state bytes of one subscription entry.
+std::int64_t subscription_footprint(const std::string& topic) {
+  return costs::kNaradaSubscriptionBytes +
+         static_cast<std::int64_t>(topic.size());
 }
 
 }  // namespace
@@ -34,21 +49,31 @@ Broker::Broker(cluster::Host& host, net::Lan& lan,
       streams_(streams),
       config_(config),
       rng_(host.sim().rng_stream("narada.broker." +
-                                 std::to_string(config.broker_id))) {}
+                                 std::to_string(config.broker_id))),
+      welcome_(welcome_frame()) {}
 
 Broker::~Broker() {
-  if (started_ && !crashed_) {
-    streams_.close_listener(config_.endpoint);
-    if (lan_.bound(config_.endpoint)) lan_.unbind(config_.endpoint);
-  }
+  if (started_ && !crashed_) close_listeners();
+}
+
+void Broker::open_listeners() {
+  streams_.listen(config_.endpoint, [this](net::StreamConnectionPtr conn) {
+    on_stream_accept(std::move(conn));
+  });
+  lan_.bind(config_.endpoint,
+            [this](const net::Datagram& dg) { on_udp_datagram(dg); });
+}
+
+void Broker::close_listeners() {
+  streams_.close_listener(config_.endpoint);
+  if (lan_.bound(config_.endpoint)) lan_.unbind(config_.endpoint);
 }
 
 void Broker::crash() {
   if (!started_ || crashed_) return;
   crashed_ = true;
   ++stats_.crashes;
-  streams_.close_listener(config_.endpoint);
-  if (lan_.bound(config_.endpoint)) lan_.unbind(config_.endpoint);
+  close_listeners();
   // Tear down every client link; the process's threads and buffers go with
   // it. Clients observe the close (their reconnect policy takes over).
   for (auto& conn : client_conns_) {
@@ -61,10 +86,9 @@ void Broker::crash() {
   }
   client_conns_.clear();
   for (const auto& sub : subscriptions_) {
-    if (sub.via_udp) host_.heap().release(costs::kConnectionBufferBytes / 4);
+    if (!sub.conn) host_.heap().release(costs::kConnectionBufferBytes / 4);
     obs::mem_sub(obs::MemCategory::kBrokerRouting,
-                 costs::kNaradaSubscriptionBytes +
-                     static_cast<std::int64_t>(sub.topic.size()));
+                 subscription_footprint(sub.topic));
   }
   subscriptions_.clear();
   udp_pending_.clear();
@@ -80,22 +104,14 @@ void Broker::crash() {
 void Broker::restart() {
   if (!started_ || !crashed_) return;
   crashed_ = false;
-  streams_.listen(config_.endpoint, [this](net::StreamConnectionPtr conn) {
-    on_stream_accept(std::move(conn));
-  });
-  lan_.bind(config_.endpoint,
-            [this](const net::Datagram& dg) { on_udp_datagram(dg); });
+  open_listeners();
   GRIDMON_WARN("narada.broker")
       << "broker " << config_.broker_id << " restarted";
 }
 
 void Broker::start() {
   started_ = true;
-  streams_.listen(config_.endpoint, [this](net::StreamConnectionPtr conn) {
-    on_stream_accept(std::move(conn));
-  });
-  lan_.bind(config_.endpoint,
-            [this](const net::Datagram& dg) { on_udp_datagram(dg); });
+  open_listeners();
   if (config_.transport == TransportKind::kUdp) {
     udp_ack_timer_ = sim::PeriodicTimer(
         host_.sim(), host_.sim().now() + costs::kUdpAckFlushPeriod,
@@ -145,15 +161,11 @@ void Broker::on_stream_accept(net::StreamConnectionPtr conn) {
   // client_conns_ (and any in-flight frame events) keep the connection
   // alive for as long as the handler can still fire.
   conn->set_handler(
-      1, [this, wconn = std::weak_ptr<net::StreamConnection>(conn)](
-             const net::Datagram& dg) {
+      kClientSide, [this, wconn = std::weak_ptr<net::StreamConnection>(conn)](
+                       const net::Datagram& dg) {
         if (auto conn = wconn.lock()) on_client_frame(conn, dg);
       });
-  // Welcome handshake: client treats close-before-welcome as refusal.
-  Frame welcome;
-  welcome.kind = FrameKind::kDeliver;
-  welcome.topic = "$welcome";
-  conn->send(1, kControlFrameBytes, std::make_shared<const Frame>(welcome));
+  conn->send(kClientSide, kControlFrameBytes, welcome_);
 }
 
 void Broker::on_client_frame(const net::StreamConnectionPtr& conn,
@@ -161,34 +173,21 @@ void Broker::on_client_frame(const net::StreamConnectionPtr& conn,
   if (crashed_) return;
   const auto frame = std::any_cast<FramePtr>(datagram.payload);
   switch (frame->kind) {
-    case FrameKind::kSubscribe: {
-      Subscription sub;
-      sub.id = next_subscription_id_++;
-      sub.topic = frame->topic;
-      sub.selector = jms::Selector::parse(frame->selector);
-      sub.ack_mode = frame->ack_mode;
-      sub.conn = conn;
-      sub.conn_side = 1;
-      obs::mem_add(obs::MemCategory::kBrokerRouting,
-                   costs::kNaradaSubscriptionBytes +
-                       static_cast<std::int64_t>(sub.topic.size()));
-      subscriptions_.push_back(std::move(sub));
-      advertise_subscription(frame->topic);
+    case FrameKind::kSubscribe:
+      admit_subscription(*frame, conn);
       break;
-    }
     case FrameKind::kUnsubscribe:
       std::erase_if(subscriptions_, [&](const Subscription& s) {
         const bool drop = s.conn == conn && s.topic == frame->topic;
         if (drop) {
           obs::mem_sub(obs::MemCategory::kBrokerRouting,
-                       costs::kNaradaSubscriptionBytes +
-                           static_cast<std::int64_t>(s.topic.size()));
+                       subscription_footprint(s.topic));
         }
         return drop;
       });
       break;
     case FrameKind::kPublish: {
-      mark_frame(frame, "wire");
+      mark_frame(*frame, "wire");
       if (config_.transport == TransportKind::kNio) {
         // Selector-based server: the event is picked up at the next
         // selector wakeup rather than by a blocked reader thread.
@@ -220,37 +219,14 @@ void Broker::on_udp_datagram(const net::Datagram& datagram) {
   if (maybe == nullptr || !*maybe) return;
   const FramePtr frame = *maybe;
   switch (frame->kind) {
-    case FrameKind::kSubscribe: {
-      if (!host_.heap().allocate(costs::kConnectionBufferBytes / 4)) {
-        ++stats_.connections_refused;
-        return;
-      }
-      ++stats_.connections_accepted;
-      Subscription sub;
-      sub.id = next_subscription_id_++;
-      sub.topic = frame->topic;
-      sub.selector = jms::Selector::parse(frame->selector);
-      sub.ack_mode = frame->ack_mode;
-      sub.via_udp = true;
-      sub.udp = frame->reply_to;
-      obs::mem_add(obs::MemCategory::kBrokerRouting,
-                   costs::kNaradaSubscriptionBytes +
-                       static_cast<std::int64_t>(sub.topic.size()));
-      subscriptions_.push_back(std::move(sub));
-      advertise_subscription(frame->topic);
-      // Welcome datagram completes the client's registration.
-      Frame welcome;
-      welcome.kind = FrameKind::kDeliver;
-      welcome.topic = "$welcome";
-      lan_.send_datagram(config_.endpoint, frame->reply_to, kControlFrameBytes,
-                         std::make_shared<const Frame>(welcome));
+    case FrameKind::kSubscribe:
+      admit_subscription(*frame, nullptr);
       break;
-    }
     case FrameKind::kPublish:
       // JMS-over-UDP: Narada acknowledges each packet on its bookkeeping
       // cycle before releasing it downstream — the paper's explanation for
       // UDP's surprisingly high round-trip times.
-      mark_frame(frame, "wire");
+      mark_frame(*frame, "wire");
       udp_pending_.push_back(frame);
       break;
     case FrameKind::kClientAck:
@@ -258,6 +234,33 @@ void Broker::on_udp_datagram(const net::Datagram& datagram) {
       break;
     default:
       break;
+  }
+}
+
+void Broker::admit_subscription(const Frame& frame,
+                                net::StreamConnectionPtr conn) {
+  jms::Selector selector = jms::Selector::parse(frame.selector);
+  const bool via_udp = conn == nullptr;
+  // A UDP subscription is the client's only registration: it holds a
+  // quarter of a connection's buffers and counts as its connection.
+  if (via_udp) {
+    if (!host_.heap().allocate(costs::kConnectionBufferBytes / 4)) {
+      ++stats_.connections_refused;
+      return;
+    }
+    ++stats_.connections_accepted;
+  }
+  obs::mem_add(obs::MemCategory::kBrokerRouting,
+               subscription_footprint(frame.topic));
+  subscriptions_.push_back(Subscription{.topic = frame.topic,
+                                        .selector = std::move(selector),
+                                        .conn = std::move(conn),
+                                        .udp = frame.reply_to});
+  advertise_subscription(frame.topic);
+  // The welcome datagram completes a UDP client's registration.
+  if (via_udp) {
+    lan_.send_datagram(config_.endpoint, frame.reply_to, kControlFrameBytes,
+                       welcome_);
   }
 }
 
@@ -272,44 +275,9 @@ SimTime Broker::event_service_demand(std::int64_t bytes, int fanout) const {
 void Broker::ingest_publish(const FramePtr& frame) {
   if (crashed_) return;  // e.g. a deferred NIO selector wakeup post-crash
   ++stats_.events_received;
-  const bool aggregated = !frame->batch.empty();
-  if (!aggregated && !frame->message) return;
-  mark_frame(frame, "ingress");
-  std::int64_t bytes = 0;
-  std::size_t message_count = 1;
-  if (aggregated) {
-    message_count = frame->batch.size();
-    for (const auto& message : frame->batch) bytes += message->wire_size();
-  } else {
-    bytes = frame->message->wire_size();
-  }
-
-  // Queued events hold heap while in flight (raises GC pressure under
-  // load). Intentionally unchecked: a full heap degrades, not refuses.
-  const std::int64_t transient = bytes * 3;
-  (void)host_.heap().allocate(transient);
-
-  // Count local matches first: fanout is part of the service demand. An
-  // aggregated frame pays the dispatch base once but matches per message —
-  // the amortisation that makes aggregation pay off.
-  int fanout = 0;
-  for (const auto& sub : subscriptions_) {
-    if (sub.topic == frame->topic) ++fanout;
-  }
-  SimTime demand =
-      event_service_demand(bytes, fanout * static_cast<int>(message_count));
-
-  // Persistent delivery: force each event to stable storage before any
-  // forwarding (the paper's tests ran non-persistent; the ablation bench
-  // measures this alternative).
-  const jms::MessagePtr& probe =
-      aggregated ? frame->batch.front() : frame->message;
-  if (probe->delivery_mode == jms::DeliveryMode::kPersistent) {
-    demand += (costs::kPersistWriteBase +
-               static_cast<SimTime>(static_cast<double>(bytes) *
-                                    costs::kPersistPerByteNs)) *
-              static_cast<SimTime>(message_count);
-  }
+  const auto messages = messages_of(*frame);
+  if (messages.empty()) return;
+  mark_frame(*frame, "ingress");
 
   // Replay: stamp each message with the next per-topic sequence and retain
   // it under (topic, this broker) before dispatch, so a later gap replay
@@ -318,32 +286,103 @@ void Broker::ingest_publish(const FramePtr& frame) {
   if (config_.replay) {
     auto& next = next_history_seq_[frame->topic];
     first_seq = next + 1;
-    if (aggregated) {
-      for (const auto& message : frame->batch) {
-        retain(frame->topic, config_.broker_id, ++next, message);
-      }
-    } else {
-      retain(frame->topic, config_.broker_id, ++next, frame->message);
-    }
+    next += messages.size();
+  }
+  const Dispatch d = dispatch(*frame, config_.broker_id, first_seq);
+
+  // Fanout is part of the service demand. An aggregated frame pays the
+  // dispatch base once but matches per message — the amortisation that
+  // makes aggregation pay off.
+  const auto message_count = static_cast<int>(messages.size());
+  SimTime demand = event_service_demand(d.bytes, d.fanout * message_count);
+
+  // Persistent delivery: force each event to stable storage before any
+  // forwarding (the paper's tests ran non-persistent; the ablation bench
+  // measures this alternative).
+  if (messages.front()->delivery_mode == jms::DeliveryMode::kPersistent) {
+    demand += (costs::kPersistWriteBase +
+               static_cast<SimTime>(static_cast<double>(d.bytes) *
+                                    costs::kPersistPerByteNs)) *
+              static_cast<SimTime>(message_count);
   }
 
-  host_.cpu().execute(demand, [this, frame, transient, aggregated,
-                               first_seq] {
-    mark_frame(frame, "route_fanout");
-    if (aggregated) {
-      std::uint64_t seq = first_seq;
-      for (const auto& message : frame->batch) {
-        deliver_local(message, frame->topic,
-                      first_seq > 0 ? config_.broker_id : -1, seq);
-        if (seq > 0) ++seq;
-      }
-    } else {
-      deliver_local(frame->message, frame->topic,
-                    first_seq > 0 ? config_.broker_id : -1, first_seq);
-    }
+  host_.cpu().execute(demand, [this, frame, held = d.held(), first_seq] {
+    mark_frame(*frame, "route_fanout");
+    deliver_messages(*frame, config_.broker_id, first_seq, 0);
     disseminate(frame, first_seq);
-    host_.heap().release(transient);
+    host_.heap().release(held);
   });
+}
+
+void Broker::ingest_forward(const FramePtr& frame) {
+  ++stats_.events_from_peers;
+  mark_frame(*frame, "peer_in");
+  // Replication: mirror the origin's retention under its own numbering, so
+  // a client that fails over to this broker can still replay its gap.
+  // Retention drops what it already holds, so repeated peer-replay sweeps
+  // cost nothing extra and are not re-delivered locally.
+  const Dispatch d = dispatch(*frame, frame->origin_broker,
+                              config_.replay ? frame->history_seq : 0);
+  // A relayed event costs the receiving broker real work: deserialise the
+  // inter-broker frame, then run the same matching/dispatch pipeline as a
+  // locally published event. Under the broadcast deficiency every broker
+  // pays this for every event in the network — the "unnecessary data flow"
+  // whose CPU cost the paper observed in Fig 6.
+  // Dissemination runs on the broker's dedicated relay threads, so relay
+  // work does not pay the connection-thread context-switch inflation —
+  // otherwise two publishing brokers broadcasting at each other go
+  // supercritical long before the paper's DBN did.
+  const SimTime demand =
+      costs::kBrokerForwardCost + costs::kBrokerServiceBase +
+      static_cast<SimTime>(static_cast<double>(d.bytes) *
+                           costs::kSerializePerByteNs) +
+      costs::kBrokerFanoutCost * d.fanout;
+  // This completion captures the whole dispatch (56 B, past EventFn's
+  // 48 B inline buffer), so the kernel allocates it; the publish
+  // completion captures 40 B and stays inline. cb_heap_allocs counts each
+  // spill, so resizing either capture moves the kernel goldens and
+  // gridbench's digest.
+  host_.cpu().execute(demand, [this, frame, d] {
+    mark_frame(*frame, "relay_route");
+    host_.heap().release(d.held());
+    // Terminal: the DBN is a full mesh, so every forward is one hop.
+    deliver_messages(*frame, d.origin, d.first_seq, d.stale);
+  });
+}
+
+Broker::Dispatch Broker::dispatch(const Frame& frame, int origin,
+                                  std::uint64_t first_seq) {
+  Dispatch d{.bytes = payload_bytes(frame),
+             .origin = origin,
+             .first_seq = first_seq};
+  for (const auto& sub : subscriptions_) {
+    if (sub.topic == frame.topic) ++d.fanout;
+  }
+  // Queued events hold heap while in flight (raises GC pressure under
+  // load). Intentionally unchecked: a full heap degrades, not refuses.
+  (void)host_.heap().allocate(d.held());
+  if (first_seq > 0) {
+    // A buffer refuses only sequences at or below its newest, so the
+    // messages it already holds lead the frame.
+    core::HistoryBuffer& buffer = history_[{frame.topic, origin}];
+    std::uint64_t seq = first_seq;
+    for (const auto& message : messages_of(frame)) {
+      const std::int64_t bytes = kFrameHeaderBytes + message->wire_size();
+      if (!buffer.append_at(seq++, message, bytes, host_.sim().now())) {
+        ++d.stale;
+      }
+    }
+  }
+  return d;
+}
+
+void Broker::deliver_messages(const Frame& frame, int origin,
+                              std::uint64_t first_seq, std::size_t stale) {
+  const auto messages = messages_of(frame);
+  for (std::size_t i = stale; i < messages.size(); ++i) {
+    deliver_local(messages[i], frame.topic, origin,
+                  first_seq > 0 ? first_seq + i : 0);
+  }
 }
 
 void Broker::deliver_local(const jms::MessagePtr& message,
@@ -382,10 +421,10 @@ void Broker::deliver_local(const jms::MessagePtr& message,
       frame = std::make_shared<const Frame>(std::move(stamped));
       wire = frame_wire_size(*frame);
     }
-    if (sub.via_udp) {
+    if (!sub.conn) {
       lan_.send_datagram(config_.endpoint, sub.udp, wire, frame);
-    } else if (sub.conn && sub.conn->open()) {
-      sub.conn->send(sub.conn_side, wire, frame);
+    } else if (sub.conn->open()) {
+      sub.conn->send(kClientSide, wire, frame);
     }
     ++stats_.events_delivered;
   }
@@ -394,17 +433,14 @@ void Broker::deliver_local(const jms::MessagePtr& message,
 void Broker::disseminate(const FramePtr& frame, std::uint64_t first_seq) {
   if (peers_.empty()) return;
 
-  std::int64_t bytes = frame->message ? frame->message->wire_size() : 0;
-  for (const auto& message : frame->batch) bytes += message->wire_size();
-  const auto copy_cost = static_cast<SimTime>(static_cast<double>(bytes) *
-                                              costs::kSerializePerByteNs);
+  const auto copy_cost = static_cast<SimTime>(
+      static_cast<double>(payload_bytes(*frame)) * costs::kSerializePerByteNs);
   // The frame is identical for every peer, so one shared instance fans
   // out; each copy still costs the origin broker serialisation CPU and
   // link bandwidth.
   Frame fwd;
   fwd.kind = FrameKind::kForward;
   fwd.topic = frame->topic;
-  fwd.ack_mode = frame->ack_mode;
   fwd.message = frame->message;
   fwd.batch = frame->batch;
   fwd.origin_broker = config_.broker_id;
@@ -433,72 +469,6 @@ void Broker::disseminate(const FramePtr& frame, std::uint64_t first_seq) {
     host_.cpu().charge(host_.loaded(copy_cost, costs::kThreadLoadFactor));
     send_to_peer(target, forward);
   }
-}
-
-void Broker::ingest_forward(const FramePtr& frame) {
-  ++stats_.events_from_peers;
-  mark_frame(frame, "peer_in");
-  // Replication: mirror the origin's retention under its own numbering, so
-  // a client that fails over to this broker can still replay its gap.
-  // append_at dedups, so repeated peer-replay sweeps cost nothing extra;
-  // a frame every replica already has is also not re-delivered locally.
-  const std::uint64_t first_seq =
-      config_.replay ? frame->history_seq : 0;
-  std::vector<bool> fresh;
-  if (first_seq > 0) {
-    std::uint64_t seq = first_seq;
-    if (!frame->batch.empty()) {
-      fresh.reserve(frame->batch.size());
-      for (const auto& message : frame->batch) {
-        fresh.push_back(retain(frame->topic, frame->origin_broker, seq++,
-                               message));
-      }
-    } else if (frame->message) {
-      fresh.push_back(retain(frame->topic, frame->origin_broker, first_seq,
-                             frame->message));
-    }
-  }
-  // A relayed event costs the receiving broker real work: deserialise the
-  // inter-broker frame, then run the same matching/dispatch pipeline as a
-  // locally published event. Under the broadcast deficiency every broker
-  // pays this for every event in the network — the "unnecessary data flow"
-  // whose CPU cost the paper observed in Fig 6.
-  std::int64_t bytes = frame->message ? frame->message->wire_size() : 0;
-  for (const auto& message : frame->batch) bytes += message->wire_size();
-  int fanout = 0;
-  for (const auto& sub : subscriptions_) {
-    if (sub.topic == frame->topic) ++fanout;
-  }
-  const std::int64_t transient = bytes * 3;
-  (void)host_.heap().allocate(transient);
-  // Dissemination runs on the broker's dedicated relay threads, so relay
-  // work does not pay the connection-thread context-switch inflation —
-  // otherwise two publishing brokers broadcasting at each other go
-  // supercritical long before the paper's DBN did.
-  const SimTime demand =
-      costs::kBrokerForwardCost + costs::kBrokerServiceBase +
-      static_cast<SimTime>(static_cast<double>(bytes) *
-                           costs::kSerializePerByteNs) +
-      costs::kBrokerFanoutCost * fanout;
-  host_.cpu().execute(
-      demand,
-      [this, frame, transient, first_seq, fresh = std::move(fresh)] {
-        mark_frame(frame, "relay_route");
-        host_.heap().release(transient);
-        // Terminal: the DBN is a full mesh, so every forward is one hop.
-        const int origin = first_seq > 0 ? frame->origin_broker : -1;
-        if (!frame->batch.empty()) {
-          std::uint64_t seq = first_seq;
-          for (std::size_t i = 0; i < frame->batch.size(); ++i) {
-            if (fresh.empty() || fresh[i]) {
-              deliver_local(frame->batch[i], frame->topic, origin, seq);
-            }
-            if (seq > 0) ++seq;
-          }
-        } else if (fresh.empty() || fresh.front()) {
-          deliver_local(frame->message, frame->topic, origin, first_seq);
-        }
-      });
 }
 
 void Broker::send_to_peer(int peer_id, const FramePtr& frame) {
@@ -561,75 +531,20 @@ void Broker::on_peer_frame(std::size_t peer_index,
   }
 }
 
-bool Broker::retain(const std::string& topic, int origin, std::uint64_t seq,
-                    const jms::MessagePtr& message) {
-  auto [it, inserted] = history_.try_emplace(
-      std::pair<std::string, int>{topic, origin},
-      core::HistoryBuffer());
-  const std::int64_t bytes = kFrameHeaderBytes + message->wire_size();
-  return it->second.append_at(seq, message, bytes, host_.sim().now());
-}
-
 void Broker::handle_backfill_request(const net::StreamConnectionPtr& conn,
                                      const FramePtr& frame) {
   if (!config_.replay || crashed_) return;
   // Serve per requesting subscription: replay only what its selector
   // matches, then close with a per-origin summary so the client can
   // advance its cursors past anything retention already evicted.
-  for (auto& sub : subscriptions_) {
+  for (const auto& sub : subscriptions_) {
     if (sub.conn != conn || sub.topic != frame->topic) continue;
     Frame reply;
     reply.kind = FrameKind::kBackfillReply;
     reply.topic = frame->topic;
-    for (auto& [key, buffer] : history_) {
-      if (key.first != frame->topic) continue;
-      const int origin = key.second;
-      std::uint64_t cursor = 0;
-      for (const BackfillCursor& c : frame->cursors) {
-        if (c.origin == origin) cursor = c.seq;
-      }
-      std::uint64_t served = 0;
-      std::int64_t served_bytes = 0;
-      const core::ReplayStats stats = buffer.replay_since(
-          cursor, host_.sim().now(),
-          [&](std::uint64_t seq, const std::any& payload, std::int64_t) {
-            const auto* message = std::any_cast<jms::MessagePtr>(&payload);
-            if (message == nullptr || !*message) return;
-            if (!sub.selector.matches(**message)) return;
-            Frame out;
-            out.kind = FrameKind::kDeliver;
-            out.topic = frame->topic;
-            out.message = *message;
-            out.origin_broker = origin;
-            out.history_seq = seq;
-            out.backfill = true;
-            auto shared = std::make_shared<const Frame>(std::move(out));
-            const std::int64_t wire = frame_wire_size(*shared);
-            mark_frame(shared, "backfill");
-            if (sub.conn && sub.conn->open()) {
-              sub.conn->send(sub.conn_side, wire, shared);
-            }
-            ++served;
-            served_bytes += wire;
-            ++stats_.events_delivered;
-          });
-      if (served > 0) {
-        // Re-serialising retained messages is real broker work.
-        const SimTime demand =
-            costs::kBrokerServiceBase +
-            static_cast<SimTime>(static_cast<double>(served_bytes) *
-                                 costs::kSerializePerByteNs);
-        host_.cpu().charge(host_.loaded(demand, costs::kThreadLoadFactor));
-      }
-      stats_.backfill_msgs += served;
-      stats_.backfill_bytes += served_bytes;
-      reply.cursors.push_back(
-          {origin, buffer.last_sequence(), stats.truncated});
-    }
+    reply.cursors = serve_history(*frame, *conn, kClientSide, &sub);
     auto shared = std::make_shared<const Frame>(std::move(reply));
-    if (sub.conn && sub.conn->open()) {
-      sub.conn->send(sub.conn_side, frame_wire_size(*shared), shared);
-    }
+    conn->send(kClientSide, frame_wire_size(*shared), shared);
   }
 }
 
@@ -638,40 +553,53 @@ void Broker::handle_peer_backfill_request(std::size_t peer_index,
   if (!config_.replay || crashed_) return;
   const Peer& peer = peers_[peer_index];
   if (!peer.conn || !peer.conn->open()) return;
+  serve_history(*frame, *peer.conn, peer.side, nullptr);
+}
+
+std::vector<BackfillCursor> Broker::serve_history(const Frame& request,
+                                                  net::StreamConnection& conn,
+                                                  int side,
+                                                  const Subscription* sub) {
+  const FrameKind kind = sub ? FrameKind::kDeliver : FrameKind::kForward;
+  std::uint64_t& sent =
+      sub ? stats_.events_delivered : stats_.events_forwarded;
+  std::vector<BackfillCursor> served_upto;
   for (auto& [key, buffer] : history_) {
-    if (key.first != frame->topic) continue;
+    if (key.first != request.topic) continue;
     const int origin = key.second;
     std::uint64_t cursor = 0;
-    for (const BackfillCursor& c : frame->cursors) {
+    for (const BackfillCursor& c : request.cursors) {
       if (c.origin == origin) cursor = c.seq;
     }
     // A peer at or past everything this replica holds lacks none of it;
     // replay_since would read its cursor as a source restart and serve the
     // whole buffer (the requester is often the origin itself).
-    if (cursor >= buffer.last_sequence()) continue;
+    if (!sub && cursor >= buffer.last_sequence()) continue;
     std::uint64_t served = 0;
     std::int64_t served_bytes = 0;
-    buffer.replay_since(
+    const core::ReplayStats replayed = buffer.replay_since(
         cursor, host_.sim().now(),
         [&](std::uint64_t seq, const std::any& payload, std::int64_t) {
           const auto* message = std::any_cast<jms::MessagePtr>(&payload);
           if (message == nullptr || !*message) return;
+          if (sub && !sub->selector.matches(**message)) return;
           Frame out;
-          out.kind = FrameKind::kForward;
-          out.topic = frame->topic;
+          out.kind = kind;
+          out.topic = request.topic;
           out.message = *message;
           out.origin_broker = origin;
           out.history_seq = seq;
           out.backfill = true;
           auto shared = std::make_shared<const Frame>(std::move(out));
           const std::int64_t wire = frame_wire_size(*shared);
-          mark_frame(shared, "backfill");
-          peer.conn->send(peer.side, wire, shared);
+          mark_frame(*shared, "backfill");
+          conn.send(side, wire, shared);
           ++served;
           served_bytes += wire;
-          ++stats_.events_forwarded;
+          ++sent;
         });
     if (served > 0) {
+      // Re-serialising retained messages is real broker work.
       const SimTime demand =
           costs::kBrokerServiceBase +
           static_cast<SimTime>(static_cast<double>(served_bytes) *
@@ -680,7 +608,12 @@ void Broker::handle_peer_backfill_request(std::size_t peer_index,
     }
     stats_.backfill_msgs += served;
     stats_.backfill_bytes += served_bytes;
+    if (sub) {
+      served_upto.push_back({origin, buffer.last_sequence(),
+                             replayed.truncated});
+    }
   }
+  return served_upto;
 }
 
 void Broker::request_peer_backfill() {

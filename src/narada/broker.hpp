@@ -111,19 +111,16 @@ class Broker {
 
  private:
   struct Subscription {
-    std::uint64_t id = 0;
     std::string topic;
     jms::Selector selector;
-    jms::AcknowledgeMode ack_mode = jms::AcknowledgeMode::kAutoAcknowledge;
-    // Delivery target: stream connection (broker side) or UDP endpoint.
+    /// Delivery target: the client's stream connection (broker side), or
+    /// null for a UDP subscriber, whose deliveries go to `udp`.
     net::StreamConnectionPtr conn;
-    int conn_side = 1;
     net::Endpoint udp;
-    bool via_udp = false;
     /// Replay chain: per-origin sequence of the last matching message sent
     /// to this subscriber (stamped as prev_seq so the client detects gaps
     /// even through a selector that filters most of the stream).
-    std::map<int, std::uint64_t> last_sent;
+    std::map<int, std::uint64_t> last_sent{};
   };
 
   struct Peer {
@@ -132,34 +129,67 @@ class Broker {
     int side = 0;
   };
 
+  /// One data frame on its way to local subscribers, shared by client
+  /// publishes and peer relays: its payload, the local subscriptions on
+  /// its topic, and the retention stamp of its messages.
+  struct Dispatch {
+    std::int64_t bytes = 0;  ///< payload bytes of the frame's messages
+    int fanout = 0;          ///< local subscriptions on the frame's topic
+    int origin = -1;         ///< broker the messages entered the network at
+    /// Sequence of the first message under (topic, origin); 0 = unstamped.
+    std::uint64_t first_seq = 0;
+    /// Leading messages this broker already retained (a replica's repeat
+    /// of peer-replay traffic); they are not delivered again.
+    std::size_t stale = 0;
+    /// Heap the frame holds while queued (raises GC pressure under load).
+    [[nodiscard]] std::int64_t held() const { return bytes * 3; }
+  };
+
+  void open_listeners();
+  void close_listeners();
+
   void on_stream_accept(net::StreamConnectionPtr conn);
   void on_client_frame(const net::StreamConnectionPtr& conn,
                        const net::Datagram& datagram);
   void on_udp_datagram(const net::Datagram& datagram);
   void on_peer_frame(std::size_t peer_index, const net::Datagram& datagram);
 
+  /// Admit a kSubscribe from a stream client (`conn`) or, with `conn`
+  /// null, a UDP client.
+  void admit_subscription(const Frame& frame, net::StreamConnectionPtr conn);
+
   /// Ingest a publish from a client (after any transport-specific delay).
   void ingest_publish(const FramePtr& frame);
   /// Relay/terminate a forwarded event from a peer.
   void ingest_forward(const FramePtr& frame);
 
-  /// Match subscriptions and deliver to every matching local subscriber.
-  /// `origin`/`seq` carry the retention stamp when replay is on (-1/0
-  /// otherwise).
+  /// Weigh a data frame, hold its heap and, when `first_seq` > 0, retain
+  /// its messages under (topic, origin) at consecutive sequences.
+  Dispatch dispatch(const Frame& frame, int origin, std::uint64_t first_seq);
+  /// Deliver the frame's messages past the first `stale` to every matching
+  /// local subscriber, stamped from `first_seq` when it is non-zero.
+  void deliver_messages(const Frame& frame, int origin,
+                        std::uint64_t first_seq, std::size_t stale);
+  /// Match subscriptions and deliver one message to every matching local
+  /// subscriber. `origin`/`seq` carry the retention stamp (seq 0: none).
   void deliver_local(const jms::MessagePtr& message, const std::string& topic,
-                     int origin = -1, std::uint64_t seq = 0);
-  /// Retain one message under (topic, origin) at the given sequence.
-  /// Returns false for duplicates (stale peer-replay traffic).
-  bool retain(const std::string& topic, int origin, std::uint64_t seq,
-              const jms::MessagePtr& message);
+                     int origin, std::uint64_t seq);
   /// Serve a gap replay to a client subscription or a healing peer.
   void handle_backfill_request(const net::StreamConnectionPtr& conn,
                                const FramePtr& frame);
   void handle_peer_backfill_request(std::size_t peer_index,
                                     const FramePtr& frame);
+  /// Replay what `request`'s topic retains past the requester's per-origin
+  /// cursors on `conn`: kDeliver frames through `sub`'s selector for a
+  /// client subscription, or kForward frames of every origin it lacks for
+  /// a peer (`sub` null). Returns the per-origin served-upto cursors that
+  /// close a client's backfill (none for a peer).
+  std::vector<BackfillCursor> serve_history(const Frame& request,
+                                            net::StreamConnection& conn,
+                                            int side, const Subscription* sub);
   /// Send the event toward peer brokers per the routing policy.
   /// `first_seq` stamps the forward frames when replay is on.
-  void disseminate(const FramePtr& frame, std::uint64_t first_seq = 0);
+  void disseminate(const FramePtr& frame, std::uint64_t first_seq);
   void send_to_peer(int peer_id, const FramePtr& frame);
   void advertise_subscription(const std::string& topic);
 
@@ -180,8 +210,8 @@ class Broker {
   /// Topic interest advertised by each broker in the network (flooded
   /// kPeerSubscribe frames, deduplicated by (origin, topic)).
   std::map<int, std::set<std::string>> remote_topics_;
-  std::uint64_t next_subscription_id_ = 1;
-  std::uint64_t next_message_seq_ = 1;
+  /// The handshake frame every client link is sent on admission.
+  FramePtr welcome_;
 
   /// Tiered retention per (topic, origin broker). Wiped by crash() — the
   /// retained frames die with the process.

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "jms/message.hpp"
 #include "net/address.hpp"
@@ -70,21 +72,31 @@ constexpr std::int64_t kFrameHeaderBytes = 32;
 /// Serialised size of one BackfillCursor (origin + seq + flags).
 constexpr std::int64_t kBackfillCursorBytes = 16;
 
+/// The messages a frame carries, in order: its batch when aggregated,
+/// otherwise its one message; none for a control frame.
+[[nodiscard]] inline std::span<const jms::MessagePtr> messages_of(
+    const Frame& frame) {
+  if (!frame.batch.empty()) return frame.batch;
+  if (frame.message) return {&frame.message, 1};
+  return {};
+}
+
+/// Wire bytes of the messages a frame carries.
+[[nodiscard]] inline std::int64_t payload_bytes(const Frame& frame) {
+  std::int64_t bytes = 0;
+  for (const auto& message : messages_of(frame)) bytes += message->wire_size();
+  return bytes;
+}
+
 [[nodiscard]] inline std::int64_t frame_wire_size(const Frame& frame) {
   // Replay-stamped frames pay for the extra header fields; replay-off
   // frames carry neither, keeping the classic wire sizes byte-identical.
   const std::int64_t replay =
       (frame.history_seq > 0 ? 16 : 0) +
       static_cast<std::int64_t>(frame.cursors.size()) * kBackfillCursorBytes;
-  if (!frame.batch.empty()) {
-    std::int64_t total = kFrameHeaderBytes + replay;
-    for (const auto& message : frame.batch) total += message->wire_size();
-    return total;
-  }
-  if (frame.message) {
-    return kFrameHeaderBytes + frame.message->wire_size() + replay;
-  }
-  return kControlFrameBytes + replay;
+  const std::int64_t header =
+      messages_of(frame).empty() ? kControlFrameBytes : kFrameHeaderBytes;
+  return header + payload_bytes(frame) + replay;
 }
 
 }  // namespace gridmon::narada
