@@ -239,7 +239,15 @@ void Broker::on_udp_datagram(const net::Datagram& datagram) {
 
 void Broker::admit_subscription(const Frame& frame,
                                 net::StreamConnectionPtr conn) {
-  jms::Selector selector = jms::Selector::parse(frame.selector);
+  jms::Selector selector;
+  try {
+    selector = jms::Selector::parse(frame.selector);
+  } catch (const jms::SelectorParseError& error) {
+    GRIDMON_WARN("narada.broker")
+        << "broker " << config_.broker_id << " refused a subscription to "
+        << frame.topic << ": " << error.what();
+    return;
+  }
   const bool via_udp = conn == nullptr;
   // A UDP subscription is the client's only registration: it holds a
   // quarter of a connection's buffers and counts as its connection.

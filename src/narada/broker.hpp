@@ -155,7 +155,8 @@ class Broker {
   void on_peer_frame(std::size_t peer_index, const net::Datagram& datagram);
 
   /// Admit a kSubscribe from a stream client (`conn`) or, with `conn`
-  /// null, a UDP client.
+  /// null, a UDP client. A selector that does not parse refuses this one
+  /// subscription: nothing is added, charged or advertised.
   void admit_subscription(const Frame& frame, net::StreamConnectionPtr conn);
 
   /// Ingest a publish from a client (after any transport-specific delay).

@@ -282,6 +282,70 @@ TEST_F(BrokerFixture, AggregatedPublishesDeliverEveryMessage) {
   EXPECT_EQ(dbn->broker(0).stats().events_delivered, 10u);
 }
 
+// A selector that does not parse refuses that one subscription and the
+// run goes on: the broker adds, charges and advertises nothing for it, and
+// a valid subscriber on the same broker still receives. Returns the
+// broker's heap growth across the refused subscription.
+std::int64_t subscribe_past_a_malformed_selector(BrokerFixture& fixture,
+                                                 TransportKind transport) {
+  auto& hydra = fixture.hydra;
+  auto dbn = fixture.start_broker(transport);
+  const net::Endpoint broker = dbn->broker_endpoint(0);
+  auto good = fixture.make_client(1, 9000, broker, transport);
+  auto bad = fixture.make_client(1, 9002, broker, transport);
+  auto pub = fixture.make_client(2, 9001, broker, transport);
+  int good_received = 0;
+  int bad_received = 0;
+  good->connect([&](bool) {
+    good->subscribe("t", "id >= 0", jms::AcknowledgeMode::kAutoAcknowledge,
+                    [&](const jms::MessagePtr&, SimTime) { ++good_received; });
+  });
+  // The bad client connects first, so its link's own admission is done
+  // before the heap is read.
+  bad->connect([](bool) {});
+  std::int64_t heap_before = 0;
+  std::int64_t heap_after = 0;
+  cluster::Heap& heap = hydra.host(0).heap();
+  hydra.sim().schedule_at(units::seconds(1), [&] {
+    heap_before = heap.used();
+    bad->subscribe("t", "id <", jms::AcknowledgeMode::kAutoAcknowledge,
+                   [&](const jms::MessagePtr&, SimTime) { ++bad_received; });
+  });
+  hydra.sim().schedule_at(units::seconds(2), [&] {
+    heap_after = heap.used();
+    pub->connect([&](bool) {
+      for (int i = 0; i < 3; ++i) {
+        jms::Message msg = jms::make_text_message("t", "x");
+        msg.set_property("id", static_cast<std::int32_t>(i));
+        pub->publish(std::move(msg));
+      }
+    });
+  });
+  hydra.sim().run_until(units::seconds(10));
+  EXPECT_EQ(good_received, 3);
+  EXPECT_EQ(bad_received, 0);
+  const BrokerStats& stats = dbn->broker(0).stats();
+  EXPECT_EQ(dbn->broker(0).subscription_count(), 1);
+  EXPECT_EQ(stats.events_delivered, 3u);
+  EXPECT_EQ(stats.connections_refused, 0u);
+  // Stream clients count one connection each; a UDP client counts when its
+  // subscription is admitted.
+  EXPECT_EQ(stats.connections_accepted,
+            transport == TransportKind::kUdp ? 1u : 3u);
+  return heap_after - heap_before;
+}
+
+TEST_F(BrokerFixture, MalformedSelectorRefusesOnlyThatTcpSubscription) {
+  EXPECT_EQ(subscribe_past_a_malformed_selector(*this, TransportKind::kTcp),
+            0);
+}
+
+TEST_F(BrokerFixture, MalformedSelectorRefusesOnlyThatUdpSubscription) {
+  // The refused UDP subscription holds no quarter connection buffer.
+  EXPECT_EQ(subscribe_past_a_malformed_selector(*this, TransportKind::kUdp),
+            0);
+}
+
 TEST_F(BrokerFixture, UnsubscribeStopsDelivery) {
   auto dbn = start_broker();
   auto sub = make_client(1, 9000, dbn->broker_endpoint(0));
