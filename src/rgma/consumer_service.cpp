@@ -1,7 +1,7 @@
 #include "rgma/consumer_service.hpp"
 
 #include "obs/memprof.hpp"
-#include "obs/recorder.hpp"
+#include "rgma/producer_service.hpp"
 #include "rgma/sql_compile.hpp"
 #include "rgma/sql_parser.hpp"
 #include "util/log.hpp"
@@ -9,20 +9,6 @@
 namespace gridmon::rgma {
 
 namespace costs = cluster::costs;
-
-namespace {
-
-/// Hop-span mark keyed on the tuple's first two integer columns (the
-/// generator-row convention: id, sequence); see producer_service.cpp.
-void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage) {
-  if constexpr (!obs::kEnabled) return;
-  if (obs::tracer() == nullptr || values.size() < 2) return;
-  const auto* id = std::get_if<std::int64_t>(&values[0]);
-  const auto* seq = std::get_if<std::int64_t>(&values[1]);
-  if (id != nullptr && seq != nullptr) obs::mark_row(*id, *seq, stage);
-}
-
-}  // namespace
 
 ConsumerService::ConsumerService(cluster::Host& host,
                                  net::StreamTransport& streams,
@@ -234,22 +220,7 @@ void ConsumerService::handle_batch(const StreamBatch& batch) {
     if (!tables_.contains(batch.table)) return;
     for (const auto& tuple : batch.tuples) {
       servlet_.charge(costs::kConsumerTupleCost);
-      bool matched = false;
-      for (auto& [id, consumer] : consumers_) {
-        if (consumer.table != batch.table) continue;
-        if (!consumer.compiled.selects(tuple.values)) continue;
-        consumer.buffer.push_back(tuple);
-        const std::int64_t bytes = tuple.wire_size();
-        consumer.buffered_bytes += bytes;
-        (void)servlet_.host().heap().allocate(bytes);
-        matched = true;
-      }
-      if (matched) {
-        mark_tuple(tuple.values, "cs_match");
-        ++stats_.tuples_matched;
-      } else {
-        ++stats_.tuples_discarded;
-      }
+      match_tuple(batch.table, tuple);
     }
     return;
   }
@@ -284,27 +255,30 @@ void ConsumerService::evaluation_cycle() {
   servlet_.host().cpu().execute(demand, [this, work = std::move(work)] {
     for (const auto& batch : work) {
       if (!tables_.contains(batch.table)) continue;
-      for (const auto& tuple : batch.tuples) {
-        bool matched = false;
-        for (auto& [id, consumer] : consumers_) {
-          if (consumer.table != batch.table) continue;
-          if (!consumer.compiled.selects(tuple.values)) continue;
-          consumer.buffer.push_back(tuple);
-          const std::int64_t bytes = tuple.wire_size();
-          consumer.buffered_bytes += bytes;
-          (void)servlet_.host().heap().allocate(bytes);
-          matched = true;
-        }
-        if (matched) {
-          mark_tuple(tuple.values, "cs_match");
-          ++stats_.tuples_matched;
-        } else {
-          ++stats_.tuples_discarded;
-        }
-      }
+      for (const auto& tuple : batch.tuples) match_tuple(batch.table, tuple);
     }
     arm_cycle();
   });
+}
+
+void ConsumerService::match_tuple(const std::string& table,
+                                  const Tuple& tuple) {
+  bool matched = false;
+  for (auto& [id, consumer] : consumers_) {
+    if (consumer.table != table) continue;
+    if (!consumer.compiled.selects(tuple.values)) continue;
+    consumer.buffer.push_back(tuple);
+    const std::int64_t bytes = tuple.wire_size();
+    consumer.buffered_bytes += bytes;
+    (void)servlet_.host().heap().allocate(bytes);
+    matched = true;
+  }
+  if (matched) {
+    mark_tuple(tuple.values, "cs_match");
+    ++stats_.tuples_matched;
+  } else {
+    ++stats_.tuples_discarded;
+  }
 }
 
 void ConsumerService::handle_one_time(const OneTimeQueryRequest& req,

@@ -95,6 +95,9 @@ class ConsumerService {
   void handle_one_time(const OneTimeQueryRequest& req,
                        net::HttpServer::Responder respond);
   void evaluation_cycle();
+  /// Buffer `tuple` for every consumer of `table` whose predicate selects
+  /// it, and count it matched or discarded.
+  void match_tuple(const std::string& table, const Tuple& tuple);
   void arm_cycle();
 
   ServletHost servlet_;

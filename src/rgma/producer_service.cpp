@@ -10,11 +10,6 @@ namespace gridmon::rgma {
 
 namespace costs = cluster::costs;
 
-namespace {
-
-/// Hop-span mark keyed on the tuple's first two integer columns (the
-/// generator-row convention: id, sequence). Tuples without that shape —
-/// or runs without a recorder — are silently skipped.
 void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage) {
   if constexpr (!obs::kEnabled) return;
   if (obs::tracer() == nullptr || values.size() < 2) return;
@@ -22,8 +17,6 @@ void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage) {
   const auto* seq = std::get_if<std::int64_t>(&values[1]);
   if (id != nullptr && seq != nullptr) obs::mark_row(*id, *seq, stage);
 }
-
-}  // namespace
 
 ProducerService::ProducerService(cluster::Host& host,
                                  net::StreamTransport& streams,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/http.hpp"
@@ -24,6 +25,12 @@
 #include "sim/simulation.hpp"
 
 namespace gridmon::rgma {
+
+/// Hop-span mark keyed on the tuple's first two integer columns (the
+/// generator-row convention: id, sequence), for the producer and consumer
+/// services alike. Tuples without that shape, or runs without a recorder,
+/// are skipped.
+void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage);
 
 struct ProducerServiceStats {
   std::uint64_t producers_created = 0;
