@@ -149,7 +149,7 @@ class RunScaffold {
   std::optional<FaultInjector> injector_;
   std::unique_ptr<obs::MemProfile> memprof_;
   std::unique_ptr<obs::Recorder> recorder_;
-  obs::HistogramSeries* rtt_series_ = nullptr;
+  obs::HistogramSketch* rtt_series_ = nullptr;
   std::optional<obs::ScopedMemProfile> scoped_mem_;
   std::optional<obs::ScopedRecorder> scoped_recorder_;
 };

@@ -172,21 +172,9 @@ inline void mark_message(const std::string& id, std::string_view stage) {
   if (Recorder* r = tracer()) r->mark(key_of(id), stage);
 }
 
-inline void mark_message_at(const std::string& id, std::string_view stage,
-                            SimTime at) {
-  if constexpr (!kEnabled) return;
-  if (Recorder* r = tracer()) r->mark_at(key_of(id), stage, at);
-}
-
 inline void mark_row(std::int64_t a, std::int64_t b, std::string_view stage) {
   if constexpr (!kEnabled) return;
   if (Recorder* r = tracer()) r->mark(key_of(a, b), stage);
-}
-
-inline void mark_row_at(std::int64_t a, std::int64_t b,
-                        std::string_view stage, SimTime at) {
-  if constexpr (!kEnabled) return;
-  if (Recorder* r = tracer()) r->mark_at(key_of(a, b), stage, at);
 }
 
 }  // namespace gridmon::obs

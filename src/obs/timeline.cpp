@@ -12,7 +12,7 @@ Gauge& Timeline::gauge(const std::string& name) {
   return gauges_.back();
 }
 
-HistogramSeries& Timeline::histogram(const std::string& name, double alpha) {
+HistogramSketch& Timeline::histogram(const std::string& name) {
   auto it = by_name_.find(name);
   if (it != by_name_.end()) return histograms_[order_[it->second].index];
   by_name_.emplace(name, order_.size());
@@ -21,7 +21,7 @@ HistogramSeries& Timeline::histogram(const std::string& name, double alpha) {
   columns_.push_back(name + ".p50");
   columns_.push_back(name + ".p95");
   columns_.push_back(name + ".p99");
-  histograms_.emplace_back(alpha);
+  histograms_.emplace_back();
   return histograms_.back();
 }
 
@@ -35,7 +35,7 @@ void Timeline::sample(SimTime now) {
         row.values.push_back(gauges_[ref.index].value());
         break;
       case Kind::kHistogram: {
-        HistogramSketch& window = histograms_[ref.index].window();
+        HistogramSketch& window = histograms_[ref.index];
         row.values.push_back(static_cast<double>(window.count()));
         row.values.push_back(window.quantile(0.50));
         row.values.push_back(window.quantile(0.95));

@@ -33,27 +33,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// A histogram that keeps two sketches: the current sample window (reset
-/// after every Timeline::sample) and the whole-run total.
-class HistogramSeries {
- public:
-  explicit HistogramSeries(double alpha = 0.01)
-      : window_(alpha), total_(alpha) {}
-
-  void record(double value) {
-    window_.record(value);
-    total_.record(value);
-  }
-
-  [[nodiscard]] HistogramSketch& window() { return window_; }
-  [[nodiscard]] const HistogramSketch& window() const { return window_; }
-  [[nodiscard]] const HistogramSketch& total() const { return total_; }
-
- private:
-  HistogramSketch window_;
-  HistogramSketch total_;
-};
-
 /// One sampled row: the virtual timestamp plus every column value, in
 /// column-definition order.
 struct Sample {
@@ -65,7 +44,9 @@ class Timeline {
  public:
   /// Lookup-or-create; series appear in the export in creation order.
   Gauge& gauge(const std::string& name);
-  HistogramSeries& histogram(const std::string& name, double alpha = 0.01);
+  /// A histogram series is the sketch of the current sample window, which
+  /// sample() reads and then resets.
+  HistogramSketch& histogram(const std::string& name);
 
   /// Column names, one per exported value. A gauge exports one column; a
   /// histogram series exports `<name>.count`, `.p50`, `.p95`, `.p99` of the
@@ -88,7 +69,7 @@ class Timeline {
   };
 
   std::deque<Gauge> gauges_;
-  std::deque<HistogramSeries> histograms_;
+  std::deque<HistogramSketch> histograms_;
   std::vector<SeriesRef> order_;  // creation order
   std::unordered_map<std::string, std::size_t> by_name_;  // name -> order_
   std::vector<std::string> columns_;
