@@ -47,7 +47,8 @@ struct Frame {
   net::Endpoint reply_to;           ///< kSubscribe over UDP: delivery address
   /// Sender-side message aggregation (the RMM technique from the paper's
   /// related work, §IV): several publishes to the same destination carried
-  /// in one wire frame. Non-empty only for aggregated kPublish frames.
+  /// in one wire frame. Non-empty only for aggregated kPublish frames and
+  /// the kForward frames that relay them.
   std::vector<jms::MessagePtr> batch{};
   // Backfill replication fields (all zero/empty unless the run enabled
   // replay, so replay-off frames — and their wire sizes — are unchanged).
@@ -80,6 +81,9 @@ constexpr std::int64_t kBackfillCursorBytes = 16;
   if (frame.message) return {&frame.message, 1};
   return {};
 }
+
+/// The span views the frame, so a temporary frame cannot lend one.
+std::span<const jms::MessagePtr> messages_of(const Frame&&) = delete;
 
 /// Wire bytes of the messages a frame carries.
 [[nodiscard]] inline std::int64_t payload_bytes(const Frame& frame) {
