@@ -327,8 +327,8 @@ void Broker::ingest_forward(const FramePtr& frame) {
   mark_frame(*frame, "peer_in");
   // Replication: mirror the origin's retention under its own numbering, so
   // a client that fails over to this broker can still replay its gap.
-  // Retention drops what it already holds, so repeated peer-replay sweeps
-  // cost nothing extra and are not re-delivered locally.
+  // Retention refuses what it already holds, so a repeated peer-replay
+  // sweep is neither retained nor delivered locally twice.
   const Dispatch d = dispatch(*frame, frame->origin_broker,
                               config_.replay ? frame->history_seq : 0);
   // A relayed event costs the receiving broker real work: deserialise the
@@ -336,6 +336,7 @@ void Broker::ingest_forward(const FramePtr& frame) {
   // locally published event. Under the broadcast deficiency every broker
   // pays this for every event in the network — the "unnecessary data flow"
   // whose CPU cost the paper observed in Fig 6.
+  //
   // Dissemination runs on the broker's dedicated relay threads, so relay
   // work does not pay the connection-thread context-switch inflation —
   // otherwise two publishing brokers broadcasting at each other go
