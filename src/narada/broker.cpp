@@ -405,8 +405,7 @@ void Broker::deliver_local(const jms::MessagePtr& message,
   std::int64_t shared_wire = 0;
   if (seq == 0) {
     shared = std::make_shared<const Frame>(
-        Frame{FrameKind::kDeliver, topic, {},
-              jms::AcknowledgeMode::kAutoAcknowledge, 0, message, -1, {}});
+        Frame{FrameKind::kDeliver, topic, {}, message, -1, {}});
     shared_wire = frame_wire_size(*shared);
   }
   for (auto& sub : subscriptions_) {
@@ -492,8 +491,7 @@ void Broker::advertise_subscription(const std::string& topic) {
   for (const Peer& peer : peers_) {
     if (!peer.conn || !peer.conn->open()) continue;
     auto ad = std::make_shared<const Frame>(Frame{
-        FrameKind::kPeerSubscribe, topic, {}, {}, 0, nullptr,
-        config_.broker_id, {}});
+        FrameKind::kPeerSubscribe, topic, {}, nullptr, config_.broker_id, {}});
     peer.conn->send(peer.side, kControlFrameBytes, ad);
   }
 }

@@ -86,7 +86,6 @@ void NaradaClient::resubscribe() {
   frame.kind = FrameKind::kSubscribe;
   frame.topic = subscribed_topic_;
   frame.selector = subscribed_selector_;
-  frame.ack_mode = ack_mode_;
   frame.reply_to = local();
   send_frame(std::make_shared<const Frame>(std::move(frame)));
 }
@@ -114,9 +113,8 @@ void NaradaClient::subscribe(const std::string& topic,
   ack_mode_ = ack_mode;
   listener_ = std::move(listener);
 
-  auto frame = std::make_shared<const Frame>(Frame{
-      FrameKind::kSubscribe, topic, selector, ack_mode, 0, nullptr, -1,
-      local()});
+  auto frame = std::make_shared<const Frame>(
+      Frame{FrameKind::kSubscribe, topic, selector, nullptr, -1, local()});
   send_frame(std::move(frame));
 }
 
@@ -143,7 +141,6 @@ void NaradaClient::flush_aggregation() {
     Frame frame;
     frame.kind = FrameKind::kPublish;
     frame.topic = batch.front().first->destination;
-    frame.ack_mode = self->ack_mode_;
     frame.reply_to = self->local();
     frame.batch.reserve(batch.size());
     for (const auto& [message, cb] : batch) frame.batch.push_back(message);
@@ -186,8 +183,8 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
   host_.cpu().execute(demand, [self = shared_from_this(), shared,
                                on_sent = std::move(on_sent)] {
     auto frame = std::make_shared<const Frame>(Frame{
-        FrameKind::kPublish, shared->destination, {}, self->ack_mode_, 0,
-        shared, -1, self->local()});
+        FrameKind::kPublish, shared->destination, {}, shared, -1,
+        self->local()});
     self->send_frame(std::move(frame));
     ++self->published_;
     if (on_sent) on_sent(self->host_.sim().now());
@@ -197,8 +194,7 @@ void NaradaClient::publish(jms::Message message, SendCallback on_sent) {
 void NaradaClient::acknowledge() {
   host_.cpu().charge(costs::kClientAckCost);
   auto frame = std::make_shared<const Frame>(Frame{
-      FrameKind::kClientAck, subscribed_topic_, {}, ack_mode_, 0, nullptr, -1,
-      local()});
+      FrameKind::kClientAck, subscribed_topic_, {}, nullptr, -1, local()});
   send_frame(std::move(frame));
 }
 

@@ -40,8 +40,6 @@ struct Frame {
   FrameKind kind;
   std::string topic;
   std::string selector;             ///< kSubscribe only
-  jms::AcknowledgeMode ack_mode = jms::AcknowledgeMode::kAutoAcknowledge;
-  std::uint64_t subscription_id = 0;
   jms::MessagePtr message;          ///< kPublish / kDeliver / kForward
   int origin_broker = -1;           ///< kForward: broker the event entered at
   net::Endpoint reply_to;           ///< kSubscribe over UDP: delivery address
