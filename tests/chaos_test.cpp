@@ -294,6 +294,96 @@ TEST(ChaosRgma, RegistryCrashReturns503UntilRestart) {
   (void)first_ok;
 }
 
+/// The HTTP status one bare request with `body` draws from `service`, two
+/// virtual seconds later (the client API hands a poll's or a one-time
+/// query's caller only tuples).
+template <typename Body>
+int status_of(cluster::Hydra& hydra, net::HttpClient& http,
+              net::Endpoint service, Body body) {
+  int status = 0;
+  net::HttpRequest req;
+  req.body_bytes = 64;
+  req.body = std::shared_ptr<const Body>(std::make_shared<Body>(std::move(body)));
+  http.request(service, std::move(req),
+               [&status](const net::HttpResponse& resp) { status = resp.status; });
+  hydra.sim().run_until(hydra.sim().now() + units::seconds(2));
+  return status;
+}
+
+TEST(ChaosRgma, ProducerCrashReturns503UntilRestart) {
+  cluster::Hydra hydra{cluster::HydraConfig{.seed = 21}};
+  rgma::RgmaNetwork network(hydra, rgma::RgmaNetworkConfig{});
+  network.create_table(generator_table("generators"));
+  net::HttpClient http(hydra.streams(), net::Endpoint{4, 20000});
+  rgma::PrimaryProducer producer(hydra.host(4), http,
+                                 network.assign_producer_service(), 1,
+                                 "generators");
+  auto& sim = hydra.sim();
+  auto rng = sim.rng_stream("test");
+  int declared = -1;
+  int inserted = -1;
+  auto declare_and_insert = [&] {
+    producer.declare([&](bool ok) { declared = ok; });
+    sim.run_until(sim.now() + units::seconds(2));
+    producer.insert(make_generator_row(1, 0, sim.now(), rng),
+                    [&](bool ok, SimTime) { inserted = ok; });
+    sim.run_until(sim.now() + units::seconds(2));
+  };
+
+  network.producer_service(0).crash();
+  EXPECT_TRUE(network.producer_service(0).down());
+  declare_and_insert();
+  EXPECT_EQ(declared, 0);
+  EXPECT_EQ(inserted, 0);
+  EXPECT_EQ(status_of(hydra, http, network.producer_service(0).endpoint(),
+                      rgma::CreateProducerRequest{2, "generators"}),
+            503);
+
+  network.producer_service(0).restart();
+  EXPECT_FALSE(network.producer_service(0).down());
+  declare_and_insert();
+  EXPECT_EQ(declared, 1);
+  EXPECT_EQ(inserted, 1);
+}
+
+TEST(ChaosRgma, ConsumerCrashReturns503UntilRestart) {
+  cluster::Hydra hydra{cluster::HydraConfig{.seed = 21}};
+  rgma::RgmaNetwork network(hydra, rgma::RgmaNetworkConfig{});
+  network.create_table(generator_table("generators"));
+  net::HttpClient http(hydra.streams(), net::Endpoint{4, 20000});
+  const net::Endpoint service = network.assign_consumer_service();
+  rgma::Consumer consumer(hydra.host(4), http, service, 100,
+                          "SELECT * FROM generators");
+  auto& sim = hydra.sim();
+  int created = -1;
+  auto create = [&] {
+    consumer.create([&](bool ok) { created = ok; });
+    sim.run_until(sim.now() + units::seconds(2));
+  };
+  auto poll = [&] {
+    return status_of(hydra, http, service, rgma::PollRequest{100});
+  };
+  auto one_time = [&] {
+    return status_of(hydra, http, service,
+                     rgma::OneTimeQueryRequest{"SELECT * FROM generators",
+                                               rgma::QueryType::kLatest});
+  };
+
+  network.consumer_service(0).crash();
+  EXPECT_TRUE(network.consumer_service(0).down());
+  create();
+  EXPECT_EQ(created, 0);
+  EXPECT_EQ(poll(), 503);
+  EXPECT_EQ(one_time(), 503);
+
+  network.consumer_service(0).restart();
+  EXPECT_FALSE(network.consumer_service(0).down());
+  create();
+  EXPECT_EQ(created, 1);
+  EXPECT_EQ(poll(), 200);
+  EXPECT_EQ(one_time(), 200);
+}
+
 // --- The shared client link (net::ClientLink) on both stream clients --------
 
 /// One broker on host 0 and one client on host 1, per middleware.

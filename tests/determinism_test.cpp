@@ -91,5 +91,18 @@ TEST(KernelDeterminism, NaradaMessageShapes) {
                             1929660333314919799ULL}));
 }
 
+// Every R-GMA run in the registry: the only HTTPS run (rgma/https/200),
+// the only legacy-stream run (rgma/legacy/200), the secondary-producer,
+// distributed and no-warm-up runs. The pair covers the full
+// Campaign::csv(), so a change to a servlet's cost, its TLS bytes or the
+// order of its heap, CPU and send calls moves the model hash, and a
+// completion that crosses EventFn's inline buffer moves the kernel hash.
+TEST(KernelDeterminism, RgmaFamily) {
+  const Campaign serial = golden::jobs_check({"rgma/"});
+  EXPECT_EQ(golden::split(serial.csv()),
+            (golden::Hashes{12729431753850509444ULL,
+                            11418435330428789637ULL}));
+}
+
 }  // namespace
 }  // namespace gridmon::core
