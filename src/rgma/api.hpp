@@ -51,9 +51,7 @@ class PrimaryProducer {
   void enable_redeclare() { redeclare_enabled_ = true; }
 
   [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] bool declared() const { return declared_; }
   [[nodiscard]] bool refused() const { return refused_; }
-  [[nodiscard]] std::uint64_t inserts() const { return inserts_; }
   [[nodiscard]] std::uint64_t redeclares() const { return redeclares_; }
 
  private:
@@ -64,9 +62,7 @@ class PrimaryProducer {
   net::Endpoint service_;
   int id_;
   std::string table_;
-  bool declared_ = false;
   bool refused_ = false;
-  std::uint64_t inserts_ = 0;
   bool redeclare_enabled_ = false;
   int redeclare_attempt_ = 0;  ///< redeclares since the last success
   bool redeclaring_ = false;
@@ -114,8 +110,6 @@ class Consumer {
   void enable_replay(
       std::function<void(std::vector<Tuple>, SimTime issued_at)> on_backfill);
 
-  [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] bool created() const { return created_; }
   [[nodiscard]] bool refused() const { return refused_; }
   [[nodiscard]] std::uint64_t recreates() const { return recreates_; }
   [[nodiscard]] std::uint64_t backfill_tuples() const {
@@ -128,13 +122,16 @@ class Consumer {
                 std::function<void(std::vector<Tuple>, SimTime)> on_tuples);
   void schedule_recreate();
   void request_backfill();
+  /// Hand `resp`'s tuples to `then` once the client CPU has deserialised
+  /// them; returns how many there are.
+  template <typename Then>
+  std::size_t receive(const net::HttpResponse& resp, Then then);
 
   cluster::Host& host_;
   net::HttpClient& http_;
   net::Endpoint service_;
   int id_;
   std::string query_;
-  bool created_ = false;
   bool refused_ = false;
   bool retry_enabled_ = false;
   SimTime retry_timeout_ = 0;

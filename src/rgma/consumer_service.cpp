@@ -10,20 +10,37 @@ namespace gridmon::rgma {
 
 namespace costs = cluster::costs;
 
+namespace {
+
+/// A reply that carries a result set (a poll's or a one-time query's).
+net::HttpResponse result_set(std::shared_ptr<const PollResponse> tuples,
+                             int status = 200) {
+  net::HttpResponse resp;
+  resp.status = status;
+  resp.body_bytes = tuples->wire_size();
+  resp.body = std::move(tuples);
+  return resp;
+}
+
+}  // namespace
+
 ConsumerService::ConsumerService(cluster::Host& host,
                                  net::StreamTransport& streams,
                                  net::Endpoint endpoint, net::Endpoint registry)
-    : servlet_(host),
-      endpoint_(endpoint),
-      registry_(registry),
-      server_(streams, endpoint,
-              [this](const net::HttpRequest& req,
-                     net::HttpServer::Responder respond) {
-                handle(req, std::move(respond));
-              }),
-      client_(streams, net::Endpoint{endpoint.node,
-                                     static_cast<std::uint16_t>(endpoint.port +
-                                                                3000)}) {
+    : servlet_(host, streams, endpoint, 3000, "consumer"), registry_(registry) {
+  // Stream batches are the hot path (enqueued for the evaluation cycle),
+  // and the only bodies that pay the bulk cipher in secure mode.
+  servlet_.route(units::microseconds(120), this,
+                 &ConsumerService::handle_batch, kAckBytes,
+                 /*encrypt_body=*/true);
+  servlet_.route(units::microseconds(150), this,
+                 &ConsumerService::handle_attach, kAckBytes);
+  servlet_.route(units::microseconds(180), this,
+                 &ConsumerService::handle_poll);
+  servlet_.route(units::microseconds(500), this,
+                 &ConsumerService::handle_one_time);
+  servlet_.route(units::microseconds(400), this,
+                 &ConsumerService::handle_create);
   arm_cycle();
 }
 
@@ -53,16 +70,15 @@ void ConsumerService::enable_registration_renewal(SimTime period) {
       reg.body_bytes = 128;
       reg.body = std::shared_ptr<const RegisterConsumerRequest>(
           std::make_shared<RegisterConsumerRequest>(RegisterConsumerRequest{
-              id, consumer.query, endpoint_}));
-      client_.request(registry_, std::move(reg),
-                      [](const net::HttpResponse&) {});
+              id, consumer.query, servlet_.endpoint()}));
+      servlet_.client().request(registry_, std::move(reg),
+                                [](const net::HttpResponse&) {});
     }
   });
 }
 
 void ConsumerService::crash() {
-  if (down_) return;
-  down_ = true;
+  if (!servlet_.crash()) return;
   for (auto& [id, consumer] : consumers_) {
     servlet_.host().exit_thread(costs::kRgmaConnectionBytes -
                                 costs::kThreadStackBytes);
@@ -78,134 +94,42 @@ void ConsumerService::crash() {
   obs::mem_sub(obs::MemCategory::kRgmaTuples, queued_bytes_);
   queued_bytes_ = 0;
   known_producers_.clear();
-  GRIDMON_WARN("rgma.consumer") << "consumer container crashed";
 }
 
-void ConsumerService::restart() {
-  if (!down_) return;
-  down_ = false;
-  GRIDMON_WARN("rgma.consumer") << "consumer container restarted (empty)";
+void ConsumerService::handle_create(const CreateConsumerRequest& req) {
+  const auto statement = sql::parse_statement(req.query);
+  const auto* select = std::get_if<sql::Select>(&statement);
+  if (select == nullptr) throw std::runtime_error("expected SELECT");
+  if (!tables_.contains(select->table)) {
+    throw std::runtime_error("unknown table: " + select->table);
+  }
+  if (!servlet_.host().spawn_thread(costs::kRgmaConnectionBytes -
+                                    costs::kThreadStackBytes)) {
+    throw std::runtime_error("out of memory creating consumer thread");
+  }
+  ConsumerState state;
+  state.id = req.consumer_id;
+  state.table = select->table;
+  state.query = req.query;
+  // Bind the WHERE clause to the table once; the evaluation cycle runs it
+  // against every queued tuple.
+  state.compiled = sql::CompiledPredicate::compile(select->where,
+                                                   tables_.at(state.table));
+  obs::mem_add(obs::MemCategory::kPredicateCache,
+               state.compiled.footprint_bytes());
+  consumers_.emplace(req.consumer_id, std::move(state));
+
+  net::HttpRequest reg;
+  reg.body_bytes = 128;
+  reg.body = std::shared_ptr<const RegisterConsumerRequest>(
+      std::make_shared<RegisterConsumerRequest>(RegisterConsumerRequest{
+          req.consumer_id, req.query, servlet_.endpoint()}));
+  servlet_.client().request(registry_, std::move(reg),
+                            [](const net::HttpResponse&) {});
 }
 
-void ConsumerService::handle(const net::HttpRequest& request,
-                             net::HttpServer::Responder respond) {
-  if (down_) {
-    // Dead container: the front-end returns 503 without servlet work.
-    net::HttpResponse resp;
-    resp.status = 503;
-    resp.body_bytes = 16;
-    respond(std::move(resp));
-    return;
-  }
-  // Stream batches are the hot path: enqueue for the evaluation cycle.
-  if (const auto* batch = std::any_cast<std::shared_ptr<const StreamBatch>>(
-          &request.body)) {
-    const auto payload = *batch;
-    servlet_.service(
-        units::microseconds(120),
-        [this, payload, respond = std::move(respond)] {
-          handle_batch(*payload);
-          net::HttpResponse resp;
-          resp.body_bytes = 16;
-          respond(std::move(resp));
-        },
-        payload->wire_size());
-    return;
-  }
-  if (const auto* attach =
-          std::any_cast<std::shared_ptr<const AttachProducerNotice>>(
-              &request.body)) {
-    const auto notice = *attach;
-    servlet_.service(units::microseconds(150), [this, notice,
-                                                respond = std::move(respond)] {
-      known_producers_.insert(notice->producer_id);
-      net::HttpResponse resp;
-      resp.body_bytes = 16;
-      respond(std::move(resp));
-    });
-    return;
-  }
-  if (const auto* poll = std::any_cast<std::shared_ptr<const PollRequest>>(
-          &request.body)) {
-    const auto req = *poll;
-    servlet_.service(units::microseconds(180), [this, req,
-                                                respond = std::move(respond)] {
-      net::HttpResponse resp;
-      handle_poll(*req, resp);
-      respond(std::move(resp));
-    });
-    return;
-  }
-  if (const auto* once =
-          std::any_cast<std::shared_ptr<const OneTimeQueryRequest>>(
-              &request.body)) {
-    const auto req = *once;
-    servlet_.service(units::microseconds(500), [this, req,
-                                                respond = std::move(respond)] {
-      handle_one_time(*req, std::move(respond));
-    });
-    return;
-  }
-  if (const auto* create =
-          std::any_cast<std::shared_ptr<const CreateConsumerRequest>>(
-              &request.body)) {
-    const auto req = *create;
-    servlet_.service(units::microseconds(400), [this, req,
-                                                respond = std::move(respond)] {
-      net::HttpResponse resp;
-      auto status = std::make_shared<StatusResponse>();
-      handle_create(*req, *status);
-      if (!status->ok) resp.status = 400;
-      resp.body_bytes = 32;
-      resp.body = std::shared_ptr<const StatusResponse>(status);
-      respond(std::move(resp));
-    });
-    return;
-  }
-  net::HttpResponse resp;
-  resp.status = 400;
-  respond(std::move(resp));
-}
-
-void ConsumerService::handle_create(const CreateConsumerRequest& req,
-                                    StatusResponse& status) {
-  try {
-    const auto statement = sql::parse_statement(req.query);
-    const auto* select = std::get_if<sql::Select>(&statement);
-    if (select == nullptr) throw std::runtime_error("expected SELECT");
-    if (!tables_.contains(select->table)) {
-      throw std::runtime_error("unknown table: " + select->table);
-    }
-    if (!servlet_.host().spawn_thread(costs::kRgmaConnectionBytes -
-                                      costs::kThreadStackBytes)) {
-      ++stats_.consumers_refused;
-      throw std::runtime_error("out of memory creating consumer thread");
-    }
-    ConsumerState state;
-    state.id = req.consumer_id;
-    state.table = select->table;
-    state.query = req.query;
-    // Bind the WHERE clause to the table once; the evaluation cycle runs
-    // it against every queued tuple.
-    state.compiled = sql::CompiledPredicate::compile(select->where,
-                                                     tables_.at(state.table));
-    obs::mem_add(obs::MemCategory::kPredicateCache,
-                 state.compiled.footprint_bytes());
-    state.columns = select->columns;
-    consumers_.emplace(req.consumer_id, std::move(state));
-    ++stats_.consumers_created;
-
-    net::HttpRequest reg;
-    reg.body_bytes = 128;
-    reg.body = std::shared_ptr<const RegisterConsumerRequest>(
-        std::make_shared<RegisterConsumerRequest>(RegisterConsumerRequest{
-            req.consumer_id, req.query, endpoint_}));
-    client_.request(registry_, std::move(reg),
-                    [](const net::HttpResponse&) {});
-  } catch (const std::exception& e) {
-    status.ok = false;
-    status.error = e.what();
-  }
+void ConsumerService::handle_attach(const AttachProducerNotice& notice) {
+  known_producers_.insert(notice.producer_id);
 }
 
 void ConsumerService::handle_batch(const StreamBatch& batch) {
@@ -276,100 +200,80 @@ void ConsumerService::match_tuple(const std::string& table,
   if (matched) {
     mark_tuple(tuple.values, "cs_match");
     ++stats_.tuples_matched;
-  } else {
-    ++stats_.tuples_discarded;
   }
 }
 
 void ConsumerService::handle_one_time(const OneTimeQueryRequest& req,
-                                      net::HttpServer::Responder respond) {
+                                      ServletHost::Responder& respond) {
   // The mediator plans the one-time query: look up the table's producers
   // in the registry, query each producer's store, merge the result sets.
-  sql::Select select;
-  try {
-    auto statement = sql::parse_statement(req.query);
-    auto* parsed = std::get_if<sql::Select>(&statement);
-    if (parsed == nullptr) throw std::runtime_error("expected SELECT");
-    select = std::move(*parsed);
-  } catch (const std::exception&) {
-    net::HttpResponse resp;
-    resp.status = 400;
-    respond(std::move(resp));
-    return;
-  }
+  auto statement = sql::parse_statement(req.query);
+  auto* select = std::get_if<sql::Select>(&statement);
+  if (select == nullptr) throw std::runtime_error("expected SELECT");
 
   net::HttpRequest lookup;
   lookup.body_bytes = 48;
   lookup.body = std::shared_ptr<const LookupProducersRequest>(
       std::make_shared<LookupProducersRequest>(
-          LookupProducersRequest{select.table}));
+          LookupProducersRequest{select->table}));
   // The WHERE text is pushed down to each producer.
-  client_.request(registry_, std::move(lookup),
-                  [this, req, predicate_text = std::move(select.where_text),
-                   respond = std::move(respond)](
-                      const net::HttpResponse& lookup_resp) mutable {
-    std::vector<std::pair<int, net::Endpoint>> producers;
-    if (const auto* list =
-            std::any_cast<std::shared_ptr<const LookupProducersResponse>>(
+  servlet_.client().request(
+      registry_, std::move(lookup),
+      [this, type = req.type, predicate_text = std::move(select->where_text),
+       respond = std::move(respond)](
+          const net::HttpResponse& lookup_resp) mutable {
+        std::vector<std::pair<int, net::Endpoint>> producers;
+        if (const auto* list = std::any_cast<
+                std::shared_ptr<const LookupProducersResponse>>(
                 &lookup_resp.body)) {
-      producers = (*list)->producers;
-    }
-    if (producers.empty()) {
-      net::HttpResponse resp;
-      resp.body_bytes = 16;
-      resp.body = std::shared_ptr<const PollResponse>(
-          std::make_shared<PollResponse>());
-      respond(std::move(resp));
-      return;
-    }
-    // Fan out to every producer; merge when all answered.
-    struct Gather {
-      std::size_t awaiting;
-      std::shared_ptr<PollResponse> merged = std::make_shared<PollResponse>();
-      net::HttpServer::Responder respond;
-    };
-    auto gather = std::make_shared<Gather>();
-    gather->awaiting = producers.size();
-    gather->respond = std::move(respond);
-    for (const auto& [producer_id, service] : producers) {
-      net::HttpRequest store_query;
-      store_query.body_bytes =
-          48 + static_cast<std::int64_t>(predicate_text.size());
-      store_query.body = std::shared_ptr<const StoreQueryRequest>(
-          std::make_shared<StoreQueryRequest>(
-              StoreQueryRequest{producer_id, req.type, predicate_text}));
-      client_.request(
-          service, std::move(store_query),
-          [this, gather](const net::HttpResponse& store_resp) {
-            if (const auto* tuples = std::any_cast<
-                    std::shared_ptr<const StoreQueryResponse>>(
-                    &store_resp.body)) {
-              for (const auto& tuple : (*tuples)->tuples) {
-                servlet_.charge(units::microseconds(25));
-                gather->merged->tuples.push_back(tuple);
-              }
-            }
-            if (--gather->awaiting == 0) {
-              std::int64_t bytes = 16;
-              for (const auto& t : gather->merged->tuples) {
-                bytes += t.wire_size();
-              }
-              net::HttpResponse resp;
-              resp.body_bytes = bytes;
-              resp.body =
-                  std::shared_ptr<const PollResponse>(gather->merged);
-              gather->respond(std::move(resp));
-            }
-          });
-    }
-  });
+          producers = (*list)->producers;
+        }
+        if (producers.empty()) {
+          respond(result_set(std::make_shared<PollResponse>()));
+          return;
+        }
+        // Fan out to every producer; merge when all answered.
+        struct Gather {
+          std::size_t awaiting;
+          std::shared_ptr<PollResponse> merged =
+              std::make_shared<PollResponse>();
+          ServletHost::Responder respond;
+        };
+        auto gather = std::make_shared<Gather>();
+        gather->awaiting = producers.size();
+        gather->respond = std::move(respond);
+        for (const auto& [producer_id, service] : producers) {
+          net::HttpRequest store_query;
+          store_query.body_bytes =
+              48 + static_cast<std::int64_t>(predicate_text.size());
+          store_query.body = std::shared_ptr<const StoreQueryRequest>(
+              std::make_shared<StoreQueryRequest>(
+                  StoreQueryRequest{producer_id, type, predicate_text}));
+          servlet_.client().request(
+              service, std::move(store_query),
+              [this, gather](const net::HttpResponse& store_resp) {
+                if (const auto* tuples = std::any_cast<
+                        std::shared_ptr<const StoreQueryResponse>>(
+                        &store_resp.body)) {
+                  for (const auto& tuple : (*tuples)->tuples) {
+                    servlet_.charge(units::microseconds(25));
+                    gather->merged->tuples.push_back(tuple);
+                  }
+                }
+                if (--gather->awaiting == 0) {
+                  gather->respond(result_set(std::move(gather->merged)));
+                }
+              });
+        }
+      });
 }
 
 void ConsumerService::handle_poll(const PollRequest& req,
-                                  net::HttpResponse& resp) {
+                                  ServletHost::Responder& respond) {
   ++stats_.polls_served;
   const auto it = consumers_.find(req.consumer_id);
   auto payload = std::make_shared<PollResponse>();
+  int status = 200;
   if (it != consumers_.end()) {
     payload->tuples = std::move(it->second.buffer);
     it->second.buffer.clear();
@@ -378,12 +282,9 @@ void ConsumerService::handle_poll(const PollRequest& req,
   } else {
     // A container restart wiped this consumer; tell the client so its
     // retry policy can re-create it instead of polling an empty void.
-    resp.status = 404;
+    status = 404;
   }
-  std::int64_t bytes = 16;
-  for (const auto& tuple : payload->tuples) bytes += tuple.wire_size();
-  resp.body_bytes = bytes;
-  resp.body = std::shared_ptr<const PollResponse>(payload);
+  respond(result_set(std::move(payload), status));
 }
 
 }  // namespace gridmon::rgma

@@ -26,11 +26,8 @@
 namespace gridmon::rgma {
 
 struct ConsumerServiceStats {
-  std::uint64_t consumers_created = 0;
-  std::uint64_t consumers_refused = 0;
   std::uint64_t batches_received = 0;
   std::uint64_t tuples_matched = 0;
-  std::uint64_t tuples_discarded = 0;
   std::uint64_t polls_served = 0;
 };
 
@@ -57,7 +54,7 @@ class ConsumerService {
   /// never answers; unanswered requests fail with 408 after `timeout`
   /// (0 = off).
   void set_registry_timeout(SimTime timeout) {
-    client_.set_request_timeout(timeout);
+    servlet_.client().set_request_timeout(timeout);
   }
 
   /// Fault injection: the servlet container dies. Consumer state (result
@@ -65,10 +62,10 @@ class ConsumerService {
   /// reclaimed; requests fail with 503 until restart(). Clients must
   /// re-create their consumers to resume receiving.
   void crash();
-  void restart();
-  [[nodiscard]] bool down() const { return down_; }
+  void restart() { servlet_.restart(); }
+  [[nodiscard]] bool down() const { return servlet_.down(); }
 
-  [[nodiscard]] net::Endpoint endpoint() const { return endpoint_; }
+  [[nodiscard]] net::Endpoint endpoint() const { return servlet_.endpoint(); }
   [[nodiscard]] const ConsumerServiceStats& stats() const { return stats_; }
   [[nodiscard]] int attached_producers() const {
     return static_cast<int>(known_producers_.size());
@@ -83,28 +80,26 @@ class ConsumerService {
     std::string query;  ///< original SELECT text (re-sent on renewal)
     /// The WHERE clause bound to the consumer's table.
     sql::CompiledPredicate compiled;
-    std::vector<std::string> columns;  ///< empty = *
     std::vector<Tuple> buffer;
     std::int64_t buffered_bytes = 0;
   };
 
-  void handle(const net::HttpRequest& request, net::HttpServer::Responder respond);
-  void handle_create(const CreateConsumerRequest& req, StatusResponse& status);
+  // Servlet routes, one per request body; a create that fails throws,
+  // which the container answers 400.
   void handle_batch(const StreamBatch& batch);
-  void handle_poll(const PollRequest& req, net::HttpResponse& resp);
+  void handle_attach(const AttachProducerNotice& notice);
+  void handle_poll(const PollRequest& req, ServletHost::Responder& respond);
   void handle_one_time(const OneTimeQueryRequest& req,
-                       net::HttpServer::Responder respond);
+                       ServletHost::Responder& respond);
+  void handle_create(const CreateConsumerRequest& req);
   void evaluation_cycle();
   /// Buffer `tuple` for every consumer of `table` whose predicate selects
-  /// it, and count it matched or discarded.
+  /// it, and count it matched.
   void match_tuple(const std::string& table, const Tuple& tuple);
   void arm_cycle();
 
   ServletHost servlet_;
-  net::Endpoint endpoint_;
   net::Endpoint registry_;
-  net::HttpServer server_;
-  net::HttpClient client_;
   sim::ScheduledEvent cycle_event_;
   sim::PeriodicTimer renewal_timer_;
 
@@ -114,7 +109,6 @@ class ConsumerService {
   std::deque<StreamBatch> incoming_;
   std::int64_t queued_bytes_ = 0;
   bool legacy_stream_api_ = false;
-  bool down_ = false;
 
   ConsumerServiceStats stats_;
 };

@@ -52,7 +52,6 @@ ProducerServiceStats RgmaNetwork::total_producer_stats() const {
   ProducerServiceStats total;
   for (const auto& service : producer_services_) {
     const auto& s = service->stats();
-    total.producers_created += s.producers_created;
     total.producers_refused += s.producers_refused;
     total.inserts_ok += s.inserts_ok;
     total.inserts_failed += s.inserts_failed;
@@ -66,11 +65,8 @@ ConsumerServiceStats RgmaNetwork::total_consumer_stats() const {
   ConsumerServiceStats total;
   for (const auto& service : consumer_services_) {
     const auto& s = service->stats();
-    total.consumers_created += s.consumers_created;
-    total.consumers_refused += s.consumers_refused;
     total.batches_received += s.batches_received;
     total.tuples_matched += s.tuples_matched;
-    total.tuples_discarded += s.tuples_discarded;
     total.polls_served += s.polls_served;
   }
   return total;

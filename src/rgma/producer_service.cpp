@@ -21,17 +21,19 @@ void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage) {
 ProducerService::ProducerService(cluster::Host& host,
                                  net::StreamTransport& streams,
                                  net::Endpoint endpoint, net::Endpoint registry)
-    : servlet_(host),
-      endpoint_(endpoint),
-      registry_(registry),
-      server_(streams, endpoint,
-              [this](const net::HttpRequest& req,
-                     net::HttpServer::Responder respond) {
-                handle(req, std::move(respond));
-              }),
-      client_(streams, net::Endpoint{endpoint.node,
-                                     static_cast<std::uint16_t>(endpoint.port +
-                                                                3000)}) {
+    : servlet_(host, streams, endpoint, 3000, "producer"), registry_(registry) {
+  // Inserts dominate, so they are matched first; their extra CPU covers
+  // SQL parsing + storage. Attach notices come from the registry's
+  // mediator, store queries from a consumer service's one-time query.
+  servlet_.route(costs::kInsertProcessingCost, this,
+                 &ProducerService::handle_insert);
+  servlet_.route(units::microseconds(200), this,
+                 &ProducerService::handle_attach, kAckBytes);
+  servlet_.route(units::microseconds(400), this,
+                 &ProducerService::handle_store_query);
+  servlet_.route(units::microseconds(150), this,
+                 &ProducerService::handle_create);
+
   stream_timer_ = sim::PeriodicTimer(
       host.sim(), host.sim().now() + costs::kProducerStreamPeriod,
       costs::kProducerStreamPeriod, [this] { stream_cycle(); });
@@ -62,7 +64,7 @@ void ProducerService::enable_registration_renewal(SimTime period) {
   renewal_timer_ = sim::PeriodicTimer(sim, sim.now() + period, period, [this] {
     if (producers_.empty()) return;
     auto renewal = std::make_shared<RenewRegistrationsRequest>();
-    renewal->producer_service = endpoint_;
+    renewal->producer_service = servlet_.endpoint();
     renewal->producer_ids.reserve(producers_.size());
     renewal->tables.reserve(producers_.size());
     for (const auto& [id, producer] : producers_) {
@@ -74,13 +76,13 @@ void ProducerService::enable_registration_renewal(SimTime period) {
     req.body_bytes =
         32 + static_cast<std::int64_t>(renewal->producer_ids.size()) * 4;
     req.body = std::shared_ptr<const RenewRegistrationsRequest>(renewal);
-    client_.request(registry_, std::move(req), [](const net::HttpResponse&) {});
+    servlet_.client().request(registry_, std::move(req),
+                              [](const net::HttpResponse&) {});
   });
 }
 
 void ProducerService::crash() {
-  if (down_) return;
-  down_ = true;
+  if (!servlet_.crash()) return;
   // Tear down every producer: worker thread + servlet state + stored tuples.
   for (auto& [id, producer] : producers_) {
     servlet_.host().exit_thread(costs::kRgmaConnectionBytes -
@@ -94,160 +96,75 @@ void ProducerService::crash() {
     }
   }
   producers_.clear();
-  GRIDMON_WARN("rgma.producer") << "producer container crashed";
 }
 
-void ProducerService::restart() {
-  if (!down_) return;
-  down_ = false;
-  GRIDMON_WARN("rgma.producer") << "producer container restarted (empty)";
-}
-
-void ProducerService::handle(const net::HttpRequest& request,
-                             net::HttpServer::Responder respond) {
-  if (down_) {
-    // Dead container: the front-end returns 503 without servlet work.
-    net::HttpResponse resp;
-    resp.status = 503;
-    resp.body_bytes = 16;
-    respond(std::move(resp));
-    return;
-  }
-  // Inserts dominate; test for them first so the hot path pays one any_cast.
-  // Their extra CPU covers SQL parsing + storage.
-  if (const auto* insert = std::any_cast<std::shared_ptr<const InsertRequest>>(
-          &request.body)) {
-    const auto req = *insert;
-    servlet_.service(costs::kInsertProcessingCost,
-                     [this, req, respond = std::move(respond)] {
-                       net::HttpResponse resp;
-                       auto status = std::make_shared<StatusResponse>();
-                       handle_insert(*req, *status);
-                       if (!status->ok) resp.status = 400;
-                       resp.body_bytes = 32;
-                       resp.body = std::shared_ptr<const StatusResponse>(status);
-                       respond(std::move(resp));
-                     });
-    return;
-  }
-
-  // Attach notices come from the registry's mediator, not a client thread.
-  if (const auto* attach =
-          std::any_cast<std::shared_ptr<const AttachConsumerNotice>>(
-              &request.body)) {
-    const auto notice = *attach;
-    servlet_.service(units::microseconds(200), [this, notice,
-                                                respond = std::move(respond)] {
-      handle_attach(*notice);
-      net::HttpResponse resp;
-      resp.body_bytes = 16;
-      respond(std::move(resp));
-    });
-    return;
-  }
-
-  // One-time queries against a producer's store (latest/history).
-  if (const auto* query =
-          std::any_cast<std::shared_ptr<const StoreQueryRequest>>(
-              &request.body)) {
-    const auto req = *query;
-    servlet_.service(units::microseconds(400), [this, req,
-                                                respond = std::move(respond)] {
-      auto payload = std::make_shared<StoreQueryResponse>();
-      const auto it = producers_.find(req->producer_id);
-      if (it != producers_.end()) {
-        const SimTime now = servlet_.host().sim().now();
-        std::vector<Tuple> candidates =
-            req->type == QueryType::kHistory ? it->second.store.history(now)
-                                             : it->second.store.latest(now);
-        const auto table_it = tables_.find(it->second.table);
-        sql::ExprPtr predicate;
-        if (!req->predicate.empty()) {
-          predicate = sql::parse_predicate(req->predicate);
-        }
-        // Bind once per request: history scans evaluate the predicate
-        // against every retained tuple.
-        sql::CompiledPredicate compiled;
-        if (table_it != tables_.end()) {
-          compiled = sql::CompiledPredicate::compile(predicate,
-                                                     table_it->second);
-        }
-        for (auto& tuple : candidates) {
-          servlet_.charge(units::microseconds(30));
-          if (table_it == tables_.end() || compiled.selects(tuple.values)) {
-            payload->tuples.push_back(std::move(tuple));
-          }
-        }
+void ProducerService::handle_store_query(const StoreQueryRequest& req,
+                                         ServletHost::Responder& respond) {
+  auto payload = std::make_shared<StoreQueryResponse>();
+  const auto it = producers_.find(req.producer_id);
+  if (it != producers_.end()) {
+    const SimTime now = servlet_.host().sim().now();
+    std::vector<Tuple> candidates = req.type == QueryType::kHistory
+                                        ? it->second.store.history(now)
+                                        : it->second.store.latest(now);
+    const auto table_it = tables_.find(it->second.table);
+    sql::ExprPtr predicate;
+    if (!req.predicate.empty()) {
+      predicate = sql::parse_predicate(req.predicate);
+    }
+    // Bind once per request: history scans evaluate the predicate against
+    // every retained tuple.
+    sql::CompiledPredicate compiled;
+    if (table_it != tables_.end()) {
+      compiled = sql::CompiledPredicate::compile(predicate, table_it->second);
+    }
+    for (auto& tuple : candidates) {
+      servlet_.charge(units::microseconds(30));
+      if (table_it == tables_.end() || compiled.selects(tuple.values)) {
+        payload->tuples.push_back(std::move(tuple));
       }
-      net::HttpResponse resp;
-      resp.body_bytes = payload->wire_size();
-      resp.body = std::shared_ptr<const StoreQueryResponse>(payload);
-      respond(std::move(resp));
-    });
-    return;
+    }
   }
-
-  servlet_.service(units::microseconds(150),
-                   [this, request, respond = std::move(respond)] {
-                     net::HttpResponse resp;
-                     auto status = std::make_shared<StatusResponse>();
-                     if (const auto* create = std::any_cast<
-                             std::shared_ptr<const CreateProducerRequest>>(
-                             &request.body)) {
-                       handle_create(**create, *status);
-                     } else {
-                       status->ok = false;
-                       status->error = "unknown producer request";
-                     }
-                     if (!status->ok) resp.status = 400;
-                     resp.body_bytes = 32;
-                     resp.body = std::shared_ptr<const StatusResponse>(status);
-                     respond(std::move(resp));
-                   });
+  net::HttpResponse resp;
+  resp.body_bytes = payload->wire_size();
+  resp.body = std::shared_ptr<const StoreQueryResponse>(payload);
+  respond(std::move(resp));
 }
 
-void ProducerService::handle_create(const CreateProducerRequest& req,
-                                    StatusResponse& status) {
+void ProducerService::handle_create(const CreateProducerRequest& req) {
   if (!tables_.contains(req.table)) {
-    status.ok = false;
-    status.error = "unknown table: " + req.table;
-    return;
+    throw std::runtime_error("unknown table: " + req.table);
   }
   // One Tomcat worker thread + servlet/JDBC state per producer connection.
   const std::int64_t extra =
       costs::kRgmaConnectionBytes - costs::kThreadStackBytes;
   if (!servlet_.host().spawn_thread(extra)) {
     ++stats_.producers_refused;
-    status.ok = false;
-    status.error = "out of memory creating producer thread";
     GRIDMON_WARN("rgma.producer")
         << "refused producer " << req.producer_id
         << " (OOM), producers=" << producers_.size();
-    return;
+    throw std::runtime_error("out of memory creating producer thread");
   }
   ProducerState state;
   state.id = req.producer_id;
   state.table = req.table;
   producers_.emplace(req.producer_id, std::move(state));
-  ++stats_.producers_created;
 
   // Register with the registry so the mediator can attach consumers.
   net::HttpRequest reg;
   reg.body_bytes = 96;
   reg.body = std::shared_ptr<const RegisterProducerRequest>(
       std::make_shared<RegisterProducerRequest>(RegisterProducerRequest{
-          req.producer_id, req.table, endpoint_}));
-  client_.request(registry_, std::move(reg), [](const net::HttpResponse&) {});
+          req.producer_id, req.table, servlet_.endpoint()}));
+  servlet_.client().request(registry_, std::move(reg),
+                            [](const net::HttpResponse&) {});
 }
 
-void ProducerService::handle_insert(const InsertRequest& req,
-                                    StatusResponse& status) {
+void ProducerService::handle_insert(const InsertRequest& req) {
   const auto it = producers_.find(req.producer_id);
   if (it == producers_.end()) {
     ++stats_.inserts_failed;
-    status.ok = false;
-    status.error = "unknown producer";
-    return;
+    throw std::runtime_error("unknown producer");
   }
   ProducerState& producer = it->second;
   try {
@@ -269,10 +186,9 @@ void ProducerService::handle_insert(const InsertRequest& req,
     producer.stored_bytes += costs::kTupleBytes;
     (void)servlet_.host().heap().allocate(costs::kTupleBytes);
     ++stats_.inserts_ok;
-  } catch (const std::exception& e) {
+  } catch (const std::exception&) {
     ++stats_.inserts_failed;
-    status.ok = false;
-    status.error = e.what();
+    throw;
   }
 }
 
@@ -348,8 +264,8 @@ void ProducerService::stream_cycle() {
       req.body_bytes = batch->wire_size();
       req.body = std::shared_ptr<const StreamBatch>(batch);
       servlet_.charge(units::microseconds(250));
-      client_.request(attachment.consumer_service, std::move(req),
-                      [](const net::HttpResponse&) {});
+      servlet_.client().request(attachment.consumer_service, std::move(req),
+                                [](const net::HttpResponse&) {});
     }
   }
 }

@@ -33,7 +33,6 @@ namespace gridmon::rgma {
 void mark_tuple(const std::vector<SqlValue>& values, std::string_view stage);
 
 struct ProducerServiceStats {
-  std::uint64_t producers_created = 0;
   std::uint64_t producers_refused = 0;
   std::uint64_t inserts_ok = 0;
   std::uint64_t inserts_failed = 0;
@@ -60,7 +59,7 @@ class ProducerService {
   /// never answers, so without this the renewal/registration handlers hang
   /// forever. Unanswered requests fail with 408 after `timeout` (0 = off).
   void set_registry_timeout(SimTime timeout) {
-    client_.set_request_timeout(timeout);
+    servlet_.client().set_request_timeout(timeout);
   }
 
   /// Fault injection: the servlet container dies. Producer state (tuple
@@ -68,12 +67,11 @@ class ProducerService {
   /// requests fail with 503 until restart(). Clients must re-declare their
   /// producers to resume publishing.
   void crash();
-  void restart();
-  [[nodiscard]] bool down() const { return down_; }
+  void restart() { servlet_.restart(); }
+  [[nodiscard]] bool down() const { return servlet_.down(); }
 
-  [[nodiscard]] net::Endpoint endpoint() const { return endpoint_; }
+  [[nodiscard]] net::Endpoint endpoint() const { return servlet_.endpoint(); }
   [[nodiscard]] const ProducerServiceStats& stats() const { return stats_; }
-  [[nodiscard]] int producer_count() const { return static_cast<int>(producers_.size()); }
 
  private:
   struct Attachment {
@@ -92,17 +90,17 @@ class ProducerService {
     std::int64_t stored_bytes = 0;
   };
 
-  void handle(const net::HttpRequest& request, net::HttpServer::Responder respond);
-  void handle_create(const CreateProducerRequest& req, StatusResponse& status);
-  void handle_insert(const InsertRequest& req, StatusResponse& status);
+  // Servlet routes, one per request body; a failed insert or create
+  // throws, which the container answers 400.
+  void handle_insert(const InsertRequest& req);
   void handle_attach(const AttachConsumerNotice& notice);
+  void handle_store_query(const StoreQueryRequest& req,
+                          ServletHost::Responder& respond);
+  void handle_create(const CreateProducerRequest& req);
   void stream_cycle();
 
   ServletHost servlet_;
-  net::Endpoint endpoint_;
   net::Endpoint registry_;
-  net::HttpServer server_;
-  net::HttpClient client_;
   sim::PeriodicTimer stream_timer_;
   sim::PeriodicTimer maintenance_timer_;
   sim::PeriodicTimer renewal_timer_;
@@ -110,7 +108,6 @@ class ProducerService {
   std::map<std::string, TableDef> tables_;
   std::map<int, ProducerState> producers_;
   ProducerServiceStats stats_;
-  bool down_ = false;
 };
 
 }  // namespace gridmon::rgma

@@ -1,7 +1,6 @@
 #include "rgma/registry_service.hpp"
 
 #include "rgma/sql_parser.hpp"
-#include "util/log.hpp"
 
 namespace gridmon::rgma {
 
@@ -29,111 +28,47 @@ ParsedQuery split_query(const std::string& query) {
 RegistryService::RegistryService(cluster::Host& host,
                                  net::StreamTransport& streams,
                                  net::Endpoint endpoint)
-    : servlet_(host),
-      endpoint_(endpoint),
-      server_(streams, endpoint,
-              [this](const net::HttpRequest& req,
-                     net::HttpServer::Responder respond) {
-                handle(req, std::move(respond));
-              }),
-      notifier_(streams, net::Endpoint{endpoint.node,
-                                       static_cast<std::uint16_t>(
-                                           endpoint.port + 2000)}) {}
-
-void RegistryService::crash() {
-  if (down_) return;
-  down_ = true;
-  // Soft state dies with the container; nothing is persisted.
-  producers_.clear();
-  consumers_.clear();
-  GRIDMON_WARN("rgma.registry") << "registry container crashed";
-}
-
-void RegistryService::restart() {
-  if (!down_) return;
-  down_ = false;
-  GRIDMON_WARN("rgma.registry") << "registry container restarted (empty)";
-}
-
-void RegistryService::handle(const net::HttpRequest& request,
-                             net::HttpServer::Responder respond) {
-  if (down_) {
-    // Dead container: the front-end returns 503 without servlet work.
-    net::HttpResponse resp;
-    resp.status = 503;
-    resp.body_bytes = 16;
-    respond(std::move(resp));
-    return;
-  }
-  if (half_open_) {
+    : servlet_(host, streams, endpoint, 2000, "registry") {
+  servlet_.set_intercept([this] {
+    if (!half_open_) return false;
     // Wedged container: the request is accepted and burns servlet time,
     // but the responder is dropped on the floor — the client never hears
     // back and must rescue itself with its own request timeout.
     servlet_.service(units::microseconds(300), [] {});
-    return;
-  }
+    return true;
+  });
   // Producer lookups (mediation for one-time queries) return a list rather
   // than a status.
-  if (const auto* lookup =
-          std::any_cast<std::shared_ptr<const LookupProducersRequest>>(
-              &request.body)) {
-    const auto req = *lookup;
-    servlet_.service(units::microseconds(350), [this, req,
-                                                respond = std::move(respond)] {
-      auto payload = std::make_shared<LookupProducersResponse>();
-      for (const ProducerReg& producer : producers_) {
-        if (producer.table == req->table) {
-          payload->producers.emplace_back(producer.id, producer.service);
-        }
-      }
-      net::HttpResponse resp;
-      resp.body_bytes =
-          16 + static_cast<std::int64_t>(payload->producers.size()) * 12;
-      resp.body = std::shared_ptr<const LookupProducersResponse>(payload);
-      respond(std::move(resp));
-    });
-    return;
-  }
-
-  servlet_.service(units::microseconds(300), [this, request,
-                                              respond = std::move(respond)] {
-    net::HttpResponse resp;
-    auto status = std::make_shared<StatusResponse>();
-    try {
-      if (const auto* create =
-              std::any_cast<std::shared_ptr<const CreateTableRequest>>(
-                  &request.body)) {
-        handle_create_table(**create);
-      } else if (const auto* producer = std::any_cast<
-                     std::shared_ptr<const RegisterProducerRequest>>(
-                     &request.body)) {
-        handle_register_producer(**producer);
-      } else if (const auto* consumer = std::any_cast<
-                     std::shared_ptr<const RegisterConsumerRequest>>(
-                     &request.body)) {
-        handle_register_consumer(**consumer);
-      } else if (const auto* renew = std::any_cast<
-                     std::shared_ptr<const RenewRegistrationsRequest>>(
-                     &request.body)) {
-        handle_renewals(**renew);
-      } else {
-        status->ok = false;
-        status->error = "unknown registry request";
-        resp.status = 400;
-      }
-    } catch (const std::exception& e) {
-      status->ok = false;
-      status->error = e.what();
-      resp.status = 400;
-    }
-    resp.body_bytes = 32;
-    resp.body = std::shared_ptr<const StatusResponse>(status);
-    respond(std::move(resp));
-  });
+  servlet_.route(units::microseconds(350), this,
+                 &RegistryService::handle_lookup);
+  servlet_.route(units::microseconds(300), this,
+                 &RegistryService::handle_register_producer);
+  servlet_.route(units::microseconds(300), this,
+                 &RegistryService::handle_register_consumer);
+  servlet_.route(units::microseconds(300), this,
+                 &RegistryService::handle_renewals);
 }
 
-void RegistryService::handle_create_table(const CreateTableRequest& req) {
-  schema_.emplace(req.table.name(), req.table);
+void RegistryService::crash() {
+  // Soft state dies with the container; nothing is persisted.
+  if (!servlet_.crash()) return;
+  producers_.clear();
+  consumers_.clear();
+}
+
+void RegistryService::handle_lookup(const LookupProducersRequest& req,
+                                    ServletHost::Responder& respond) {
+  auto payload = std::make_shared<LookupProducersResponse>();
+  for (const ProducerReg& producer : producers_) {
+    if (producer.table == req.table) {
+      payload->producers.emplace_back(producer.id, producer.service);
+    }
+  }
+  net::HttpResponse resp;
+  resp.body_bytes =
+      16 + static_cast<std::int64_t>(payload->producers.size()) * 12;
+  resp.body = std::shared_ptr<const LookupProducersResponse>(payload);
+  respond(std::move(resp));
 }
 
 void RegistryService::set_registration_ttl(SimTime ttl) {
@@ -259,16 +194,18 @@ void RegistryService::mediate(const ProducerReg& producer,
         std::make_shared<AttachConsumerNotice>(AttachConsumerNotice{
             producer_copy.id, consumer_copy.id, consumer_copy.service,
             consumer_copy.predicate_text}));
-    notifier_.request(producer_copy.service, std::move(attach_producer),
-                      [](const net::HttpResponse&) {});
+    servlet_.client().request(producer_copy.service,
+                              std::move(attach_producer),
+                              [](const net::HttpResponse&) {});
 
     net::HttpRequest attach_consumer;
     attach_consumer.body_bytes = 64;
     attach_consumer.body = std::shared_ptr<const AttachProducerNotice>(
         std::make_shared<AttachProducerNotice>(AttachProducerNotice{
             consumer_copy.id, producer_copy.id, producer_copy.table}));
-    notifier_.request(consumer_copy.service, std::move(attach_consumer),
-                      [](const net::HttpResponse&) {});
+    servlet_.client().request(consumer_copy.service,
+                              std::move(attach_consumer),
+                              [](const net::HttpResponse&) {});
   });
 }
 

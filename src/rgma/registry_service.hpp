@@ -39,25 +39,20 @@ class RegistryService {
   /// rebuilt purely from renewals and re-registrations, GMA's soft-state
   /// design point. Requests meanwhile fail with 503.
   void crash();
-  void restart();
-  [[nodiscard]] bool down() const { return down_; }
+  void restart() { servlet_.restart(); }
+  [[nodiscard]] bool down() const { return servlet_.down(); }
   /// Fault injection: half-open container. The listener still accepts
   /// connections and requests consume servlet time, but no response is
   /// ever written — clients hang until their own request timeout fires
   /// (a hung JVM / wedged servlet pool, nastier than a clean crash).
   void set_half_open(bool half_open) { half_open_ = half_open; }
-  [[nodiscard]] bool half_open() const { return half_open_; }
 
   /// Deployment-time schema bootstrap (tables are normally created via the
   /// Schema servlet; experiments install them before the run starts).
   void add_table(const TableDef& table) { schema_.emplace(table.name(), table); }
 
-  [[nodiscard]] net::Endpoint endpoint() const { return endpoint_; }
+  [[nodiscard]] net::Endpoint endpoint() const { return servlet_.endpoint(); }
   [[nodiscard]] int producer_count() const { return static_cast<int>(producers_.size()); }
-  [[nodiscard]] int consumer_count() const { return static_cast<int>(consumers_.size()); }
-  [[nodiscard]] const std::map<std::string, TableDef>& schema() const {
-    return schema_;
-  }
 
  private:
   struct ProducerReg {
@@ -73,12 +68,14 @@ class RegistryService {
     net::Endpoint service;
   };
 
-  void handle(const net::HttpRequest& request, net::HttpServer::Responder respond);
-  void handle_create_table(const CreateTableRequest& req);
-  void handle_renewals(const RenewRegistrationsRequest& req);
-  void expire_stale();
+  // Servlet routes, one per request body; a registration the registry
+  // refuses throws, which the container answers 400.
+  void handle_lookup(const LookupProducersRequest& req,
+                     ServletHost::Responder& respond);
   void handle_register_producer(const RegisterProducerRequest& req);
   void handle_register_consumer(const RegisterConsumerRequest& req);
+  void handle_renewals(const RenewRegistrationsRequest& req);
+  void expire_stale();
 
   /// Mediate one (producer, consumer) pair: after the mediation latency,
   /// notify the producer service to stream to the consumer service and the
@@ -88,9 +85,6 @@ class RegistryService {
   [[nodiscard]] SimTime mediation_latency() const;
 
   ServletHost servlet_;
-  net::Endpoint endpoint_;
-  net::HttpServer server_;
-  net::HttpClient notifier_;
 
   std::map<std::string, TableDef> schema_;
   std::vector<ProducerReg> producers_;
@@ -98,7 +92,6 @@ class RegistryService {
   SimTime registration_ttl_ = 0;
   sim::PeriodicTimer expiry_timer_;
   std::uint64_t expired_count_ = 0;
-  bool down_ = false;
   bool half_open_ = false;
   std::uint64_t reregistrations_ = 0;
 

@@ -18,10 +18,6 @@ namespace gridmon::rgma {
 
 // --- registry ---------------------------------------------------------------
 
-struct CreateTableRequest {
-  TableDef table;
-};
-
 struct RegisterProducerRequest {
   int producer_id = 0;
   std::string table;
@@ -89,6 +85,12 @@ struct PollRequest {
 
 struct PollResponse {
   std::vector<Tuple> tuples;
+
+  [[nodiscard]] std::int64_t wire_size() const {
+    std::int64_t total = 16;
+    for (const auto& t : tuples) total += t.wire_size();
+    return total;
+  }
 };
 
 // --- one-time queries ---------------------------------------------------
@@ -98,7 +100,7 @@ struct PollResponse {
 // *history* queries (everything within the history retention period) — the
 // functionality the paper credits R-GMA for over plain MOM middleware.
 
-enum class QueryType { kContinuous, kLatest, kHistory };
+enum class QueryType { kLatest, kHistory };
 
 /// Client → consumer service: run a one-time query across the virtual
 /// database (the mediator fans it out to every relevant producer).
@@ -142,12 +144,6 @@ struct StoreQueryResponse {
     for (const auto& t : tuples) total += t.wire_size();
     return total;
   }
-};
-
-/// Generic status response.
-struct StatusResponse {
-  bool ok = true;
-  std::string error;
 };
 
 }  // namespace gridmon::rgma
