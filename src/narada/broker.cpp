@@ -341,11 +341,16 @@ void Broker::ingest_forward(const FramePtr& frame) {
   // work does not pay the connection-thread context-switch inflation —
   // otherwise two publishing brokers broadcasting at each other go
   // supercritical long before the paper's DBN did.
+  //
+  // Fan-out follows the publish rule: each message of an aggregated frame
+  // is matched against every subscription on its topic.
+  const auto message_count =
+      static_cast<SimTime>(messages_of(*frame).size());
   const SimTime demand =
       costs::kBrokerForwardCost + costs::kBrokerServiceBase +
       static_cast<SimTime>(static_cast<double>(d.bytes) *
                            costs::kSerializePerByteNs) +
-      costs::kBrokerFanoutCost * d.fanout;
+      costs::kBrokerFanoutCost * d.fanout * message_count;
   // This completion captures the whole dispatch (56 B, past EventFn's
   // 48 B inline buffer), so the kernel allocates it; the publish
   // completion captures 40 B and stays inline. cb_heap_allocs counts each

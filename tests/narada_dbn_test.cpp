@@ -4,7 +4,9 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "cluster/costs.hpp"
 #include "cluster/hydra.hpp"
 #include "narada/client.hpp"
 
@@ -198,6 +200,63 @@ TEST_F(DbnFixture, PeerBackfillReplaysABatchWithoutDuplicates) {
   EXPECT_EQ(replica.events_forwarded, 0u);
   EXPECT_EQ(replica.events_from_peers, 9u);
   EXPECT_EQ(replica.events_delivered, 8u);
+}
+
+// A relay charges the local fan-out as a publish does, once per message:
+// relaying a batch of eight costs the relaying broker eight fan-out
+// charges per subscription on the topic. Topic "a" has one subscription
+// on broker 1, topic "b" two, one of them with a selector that matches
+// nothing (it counts toward the fan-out but takes no delivery); each
+// topic gets one batch from broker 0, after two batches on a third topic
+// that give both measured batches message ids of one length.
+TEST_F(DbnFixture, RelayChargesTheFanOutPerMessage) {
+  Dbn dbn(hydra, DbnConfig{.broker_hosts = {0, 1}});
+  dbn.start();
+  auto pub = make_client(5, 9001, dbn.broker_endpoint(0));
+  pub->enable_aggregation(8);
+  pub->connect([](bool ok) { ASSERT_TRUE(ok); });
+  std::vector<std::shared_ptr<NaradaClient>> subs;
+  const std::pair<const char*, const char*> kSubscriptions[] = {
+      {"a", ""}, {"b", ""}, {"b", "x = 'never'"}};
+  for (const auto& [topic, selector] : kSubscriptions) {
+    auto sub = make_client(4, static_cast<std::uint16_t>(9100 + subs.size()),
+                           dbn.broker_endpoint(1));
+    sub->connect([sub, topic, selector](bool ok) {
+      ASSERT_TRUE(ok);
+      sub->subscribe(topic, selector, jms::AcknowledgeMode::kAutoAcknowledge,
+                     [](const jms::MessagePtr&, SimTime) {});
+    });
+    subs.push_back(sub);
+  }
+  // Relay work on broker 1's host, GC pauses left out.
+  cluster::Host& relay = hydra.host(1);
+  auto work = [&] {
+    return relay.cpu().busy_time() - relay.jvm().total_pause_time();
+  };
+  auto publish = [&](const char* topic, int count) {
+    for (int i = 0; i < count; ++i) {
+      pub->publish(jms::make_text_message(topic, "x"));
+    }
+  };
+  SimTime before_a = 0;
+  SimTime before_b = 0;
+  SimTime after_b = 0;
+  hydra.sim().schedule_at(units::seconds(1), [&] { publish("c", 16); });
+  hydra.sim().schedule_at(units::seconds(3), [&] {
+    before_a = work();
+    publish("a", 8);
+  });
+  hydra.sim().schedule_at(units::seconds(5), [&] {
+    before_b = work();
+    publish("b", 8);
+  });
+  hydra.sim().schedule_at(units::seconds(7), [&] { after_b = work(); });
+  hydra.sim().run_until(units::seconds(8));
+
+  EXPECT_EQ(dbn.broker(1).stats().events_from_peers, 4u);
+  EXPECT_EQ(dbn.broker(1).stats().events_delivered, 16u);
+  EXPECT_EQ((after_b - before_b) - (before_b - before_a),
+            8 * cluster::costs::kBrokerFanoutCost);
 }
 
 TEST_F(DbnFixture, SubscriptionAwareRoutingForwardsOnlyTowardInterest) {
