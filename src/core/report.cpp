@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/campaign.hpp"
+#include "obs/export.hpp"
 
 namespace gridmon::core {
 
@@ -504,6 +505,13 @@ std::string CampaignDiff::table() const {
 std::string CampaignDiff::json() const {
   char buf[256];
   std::string out = "{";
+  // Every string goes through the one JSON escaper: a refusal message
+  // quotes the key it missed.
+  auto quoted = [&out](std::string_view text) {
+    out += '"';
+    obs::append_escaped(out, text);
+    out += '"';
+  };
   std::snprintf(buf, sizeof(buf),
                 "\"schema_version\": %d, \"kind\": \"gridmon_diff\", "
                 "\"comparable\": %s, \"regression\": %s",
@@ -511,34 +519,38 @@ std::string CampaignDiff::json() const {
                 regression ? "true" : "false");
   out += buf;
   if (!comparable) {
-    out += ", \"error\": \"" + error + "\"}\n";
+    out += ", \"error\": ";
+    quoted(error);
+    out += "}\n";
     return out;
   }
   out += ", \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunDiff& run = runs[i];
-    std::snprintf(buf, sizeof(buf),
-                  "  {\"scenario\": \"%s\", \"seed\": %llu, "
-                  "\"regression\": %s",
-                  run.scenario_id.c_str(),
+    out += "  {\"scenario\": ";
+    quoted(run.scenario_id);
+    std::snprintf(buf, sizeof(buf), ", \"seed\": %llu, \"regression\": %s",
                   static_cast<unsigned long long>(run.seed),
                   run.regression ? "true" : "false");
     out += buf;
     if (!run.system.empty()) {
-      out += ", \"system\": \"" + run.system + "\"";
+      out += ", \"system\": ";
+      quoted(run.system);
     }
     if (!run.slo_note.empty()) {
-      out += ", \"slo_change\": \"" + run.slo_note + "\"";
+      out += ", \"slo_change\": ";
+      quoted(run.slo_note);
     }
     out += ", \"metrics\": {";
     bool first = true;
     for (const MetricDelta& m : run.metrics) {
       if (!first) out += ", ";
       first = false;
+      quoted(m.name);
       std::snprintf(buf, sizeof(buf),
-                    "\"%s\": {\"baseline\": %.6g, \"candidate\": %.6g, "
+                    ": {\"baseline\": %.6g, \"candidate\": %.6g, "
                     "\"delta_pct\": %.3f, \"verdict\": \"%s\"}",
-                    m.name.c_str(), m.baseline, m.candidate, m.delta_pct,
+                    m.baseline, m.candidate, m.delta_pct,
                     m.advisory
                         ? (m.regression || m.improvement ? "advisory" : "ok")
                         : (m.regression
@@ -555,7 +567,7 @@ std::string CampaignDiff::json() const {
     out += std::string(", \"") + field + "\": [";
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + keys[i] + "\"";
+      quoted(keys[i]);
     }
     out += "]";
   };

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 namespace gridmon::obs {
-namespace {
 
 void append_escaped(std::string& out, std::string_view text) {
   for (char c : text) {
@@ -29,6 +28,8 @@ void append_escaped(std::string& out, std::string_view text) {
     }
   }
 }
+
+namespace {
 
 /// Virtual nanoseconds -> trace-event microseconds, fixed 3 decimals.
 void append_micros(std::string& out, SimTime t) {

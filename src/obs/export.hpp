@@ -29,6 +29,10 @@ namespace gridmon::obs {
 /// the extra key in the trace wrapper.
 inline constexpr int kExportSchemaVersion = 1;
 
+/// Append `text` to `out` as the inside of a JSON string: `"` and `\`
+/// escaped, control characters as `\u00XX`.
+void append_escaped(std::string& out, std::string_view text);
+
 /// Chrome trace-event JSON for Perfetto / chrome://tracing.
 [[nodiscard]] std::string chrome_trace_json(const Report& report);
 

@@ -117,6 +117,20 @@ TEST(CampaignDiff, LegacyAndMalformedDocumentsAreRefused) {
       diff_campaigns(valid, "{\"schema_version\": 1}").comparable);
 }
 
+// The refusal messages quote the key a document lacks; `diff --json` must
+// escape those quotes, or the document it prints is not JSON.
+TEST(CampaignDiff, RefusalJsonEscapesTheError) {
+  const CampaignDiff diff =
+      diff_campaigns("[]", doc(run_obj("a/b", 1, 1.0, 20.0)));
+  ASSERT_FALSE(diff.comparable);
+  ASSERT_NE(diff.error.find("with \"schema_version\""), std::string::npos)
+      << diff.error;
+  const std::string json = diff.json();
+  EXPECT_NE(json.find("with \\\"schema_version\\\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("with \"schema_version\""), std::string::npos) << json;
+}
+
 TEST(CampaignDiff, TimingMetricsAreAdvisoryOnly) {
   const std::string base =
       doc(run_obj("a/b", 1, 1.0, 20.0, ", \"wall_seconds\": 1.0"));
