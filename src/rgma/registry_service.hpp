@@ -51,7 +51,9 @@ class RegistryService {
   /// Schema servlet; experiments install them before the run starts).
   void add_table(const TableDef& table) { schema_.emplace(table.name(), table); }
 
-  [[nodiscard]] net::Endpoint endpoint() const { return servlet_.endpoint(); }
+  [[nodiscard]] net::Endpoint endpoint() const {
+    return servlet_.endpoint();
+  }
   [[nodiscard]] int producer_count() const { return static_cast<int>(producers_.size()); }
 
  private:

@@ -303,9 +303,11 @@ int status_of(cluster::Hydra& hydra, net::HttpClient& http,
   int status = 0;
   net::HttpRequest req;
   req.body_bytes = 64;
-  req.body = std::shared_ptr<const Body>(std::make_shared<Body>(std::move(body)));
-  http.request(service, std::move(req),
-               [&status](const net::HttpResponse& resp) { status = resp.status; });
+  req.body =
+      std::shared_ptr<const Body>(std::make_shared<Body>(std::move(body)));
+  http.request(service, std::move(req), [&status](const net::HttpResponse& r) {
+    status = r.status;
+  });
   hydra.sim().run_until(hydra.sim().now() + units::seconds(2));
   return status;
 }
