@@ -28,15 +28,8 @@ ParsedQuery split_query(const std::string& query) {
 RegistryService::RegistryService(cluster::Host& host,
                                  net::StreamTransport& streams,
                                  net::Endpoint endpoint)
-    : servlet_(host, streams, endpoint, 2000, "registry") {
-  servlet_.set_intercept([this] {
-    if (!half_open_) return false;
-    // Wedged container: the request is accepted and burns servlet time,
-    // but the responder is dropped on the floor — the client never hears
-    // back and must rescue itself with its own request timeout.
-    servlet_.service(units::microseconds(300), [] {});
-    return true;
-  });
+    : servlet_(host, streams, endpoint, 2000, "registry",
+               [this] { return drop_if_half_open(); }) {
   // Producer lookups (mediation for one-time queries) return a list rather
   // than a status.
   servlet_.route(units::microseconds(350), this,
@@ -47,6 +40,15 @@ RegistryService::RegistryService(cluster::Host& host,
                  &RegistryService::handle_register_consumer);
   servlet_.route(units::microseconds(300), this,
                  &RegistryService::handle_renewals);
+}
+
+bool RegistryService::drop_if_half_open() {
+  if (!half_open_) return false;
+  // Wedged container: the request is accepted and burns servlet time, but
+  // the responder is dropped on the floor — the client never hears back
+  // and must rescue itself with its own request timeout.
+  servlet_.service(units::microseconds(300), [] {});
+  return true;
 }
 
 void RegistryService::crash() {

@@ -77,6 +77,8 @@ class RegistryService {
   void handle_register_producer(const RegisterProducerRequest& req);
   void handle_register_consumer(const RegisterConsumerRequest& req);
   void handle_renewals(const RenewRegistrationsRequest& req);
+  /// The half-open drop, offered every request before dispatch.
+  bool drop_if_half_open();
   void expire_stale();
 
   /// Mediate one (producer, consumer) pair: after the mediation latency,

@@ -6,9 +6,10 @@ namespace gridmon::rgma {
 
 ServletHost::ServletHost(cluster::Host& host, net::StreamTransport& streams,
                          net::Endpoint endpoint, int client_port_offset,
-                         std::string name)
+                         std::string name, std::function<bool()> intercept)
     : host_(host),
       name_(std::move(name)),
+      intercept_(std::move(intercept)),
       server_(streams, endpoint,
               [this](const net::HttpRequest& req, Responder respond) {
                 dispatch(req, std::move(respond));

@@ -46,10 +46,12 @@ class ServletHost {
 
   /// Listen on `endpoint`; outbound requests leave from port
   /// `endpoint.port + client_port_offset`. `name` labels the crash and
-  /// restart log lines.
+  /// restart log lines. A live container offers each request to
+  /// `intercept` before dispatch; it returns true for a request it has
+  /// taken (the registry's half-open drop).
   ServletHost(cluster::Host& host, net::StreamTransport& streams,
               net::Endpoint endpoint, int client_port_offset,
-              std::string name);
+              std::string name, std::function<bool()> intercept = {});
 
   ServletHost(const ServletHost&) = delete;
   ServletHost& operator=(const ServletHost&) = delete;
@@ -82,13 +84,6 @@ class ServletHost {
                 (service->*handle)(*static_cast<const Body*>(body));
                 respond(status_reply(200, reply_bytes));
               });
-  }
-
-  /// A live container offers each request to `intercept` before dispatch;
-  /// it returns true for a request it has taken (the registry's half-open
-  /// drop).
-  void set_intercept(std::function<bool()> intercept) {
-    intercept_ = std::move(intercept);
   }
 
   /// Secure (HTTPS) mode: every request additionally pays TLS record +
@@ -153,10 +148,10 @@ class ServletHost {
 
   cluster::Host& host_;
   std::string name_;
+  std::function<bool()> intercept_;
   net::HttpServer server_;
   net::HttpClient client_;
   std::vector<Route> routes_;
-  std::function<bool()> intercept_;
   bool secure_ = false;
   bool down_ = false;
 };
