@@ -4,7 +4,6 @@
 #include "rgma/producer_service.hpp"
 #include "rgma/sql_compile.hpp"
 #include "rgma/sql_parser.hpp"
-#include "util/log.hpp"
 
 namespace gridmon::rgma {
 
