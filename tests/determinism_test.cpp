@@ -104,5 +104,38 @@ TEST(KernelDeterminism, RgmaFamily) {
                             11418435330428789637ULL}));
 }
 
+// The campaign JSON export, bytes and key order. At 1 virtual minute these
+// runs carry every JSON branch: slo_pass true (the recovery twin), false
+// with slo_worst (the _norecovery twin) and null (the hier run); a
+// non-empty ttr_windows_ms (chaos) and an empty one (hier); mem_peak_bytes
+// where the hier preset turns memprof on. A GRIDMON_OBS=OFF build compiles
+// memprof out, so it has its own hash.
+TEST(ExportDeterminism, CampaignJsonMatchesGoldenHash) {
+  const Campaign serial = golden::jobs_check(
+      {"chaos/narada/broker_crash/800", "hier/ablation/edge_10k"});
+  const std::string json = serial.json();
+  for (const char* branch :
+       {"\"slo_pass\": true", "\"slo_pass\": false", "\"slo_pass\": null",
+        "\"slo_worst\": \"", "\"ttr_windows_ms\": []"}) {
+    EXPECT_NE(json.find(branch), std::string::npos) << branch;
+  }
+  // The first run is a chaos run: its TTR list is not empty.
+  const std::string ttr = "\"ttr_windows_ms\": [";
+  EXPECT_NE(json.at(json.find(ttr) + ttr.size()), ']');
+  EXPECT_EQ(json.find("\"mem_peak_bytes\": {") != std::string::npos,
+            obs::kEnabled);
+  EXPECT_EQ(golden::fnv1a(json),
+            obs::kEnabled ? 9948697048738716518ULL : 11071250187468227798ULL);
+
+  // The timing pair closes each run object and is all json(true) adds.
+  std::string timed = serial.json(true);
+  EXPECT_NE(timed, json);
+  for (std::size_t at = timed.find(", \"wall_seconds\": ");
+       at != std::string::npos; at = timed.find(", \"wall_seconds\": ", at)) {
+    timed.erase(at, timed.find('}', at) - at);
+  }
+  EXPECT_EQ(timed, json);
+}
+
 }  // namespace
 }  // namespace gridmon::core
