@@ -411,10 +411,7 @@ int cmd_run(int argc, char** argv) {
         // Model bytes per monitored generator (worst seed); "-" when the
         // run carries no memory profile or no fleet-size tag.
         pooled.generators > 0 && pooled.mem.peak_total > 0
-            ? util::TextTable::format(
-                  static_cast<double>(pooled.mem.peak_total) /
-                      static_cast<double>(pooled.generators),
-                  1)
+            ? util::TextTable::format(pooled.bytes_per_generator(), 1)
             : "-",
         std::to_string(pooled.refused)};
     if (any_faults) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
+
+#include "obs/export.hpp"
 
 namespace gridmon::core {
 
@@ -92,207 +95,190 @@ std::vector<const RunRecord*> Campaign::records(
 
 namespace {
 
-void append_row(std::string& out, const RunRecord& run, bool json,
-                bool timing = false) {
-  const auto& m = run.results.metrics;
-  const auto& k = run.results.kernel;
-  const auto& a = run.results.availability;
-  // Loss that survived the recovery machinery: every row/message the fault
-  // windows claimed and nothing (reconnect, resubscribe, backfill) won back.
-  const double loss_after_recovery_pct =
-      m.sent() > 0 ? 100.0 *
-                         static_cast<double>(a.lost_in_window +
-                                             a.lost_post_window) /
-                         static_cast<double>(m.sent())
-                   : 0.0;
-  // Model bytes per monitored generator: the scale-sweep figure of merit.
-  const std::int64_t generators = run.results.generators;
-  const double bytes_per_generator =
-      generators > 0 ? static_cast<double>(run.results.mem.peak_total) /
-                           static_cast<double>(generators)
-                     : 0.0;
-  // The percentiles sort the samples and the mean's last bits depend on
-  // their order, so the statistics are computed in one fixed order, not
-  // in whatever order the compiler evaluates snprintf's arguments.
-  const double p100 = m.rtt_percentile_ms(100);
-  const double p99 = m.rtt_percentile_ms(99);
-  const double p95 = m.rtt_percentile_ms(95);
-  const double stddev = m.rtt_stddev_ms();
-  const double mean = m.rtt_mean_ms();
-  char buffer[2048];
-  if (json) {
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "  {\"scenario\": \"%s\", \"seed\": %llu, \"sent\": %llu, "
-        "\"received\": %llu, \"loss_pct\": %.4f, \"rtt_mean_ms\": %.3f, "
-        "\"rtt_stddev_ms\": %.3f, \"rtt_p95_ms\": %.3f, \"rtt_p99_ms\": "
-        "%.3f, \"rtt_p100_ms\": %.3f, \"pt_mean_ms\": %.3f, "
-        "\"cpu_idle_pct\": %.1f, "
-        "\"memory_mib\": %lld, \"events_forwarded\": %llu, \"wire_bytes\": "
-        "%lld, \"refused\": %llu, \"completed\": %s, \"sim_events\": %llu, "
-        "\"peak_queue_depth\": %llu, \"cb_heap_allocs\": %llu, "
-        "\"handle_allocs\": %llu, \"faults\": %llu, \"downtime_ms\": %.1f, "
-        "\"ttr_ms\": %.1f, \"lost_in_window\": %llu, \"lost_post_window\": "
-        "%llu, \"late\": %llu, \"reconnects\": %llu, \"resubscribes\": %llu, "
-        "\"reregistrations\": %llu",
-        run.scenario_id.c_str(), static_cast<unsigned long long>(run.seed),
-        static_cast<unsigned long long>(m.sent()),
-        static_cast<unsigned long long>(m.received()), m.loss_rate() * 100.0,
-        mean, stddev, p95, p99, p100, m.pt_ms().mean(),
-        run.results.servers.cpu_idle_pct,
-        static_cast<long long>(run.results.servers.memory_bytes / units::MiB),
-        static_cast<unsigned long long>(run.results.events_forwarded),
-        static_cast<long long>(run.results.wire_bytes),
-        static_cast<unsigned long long>(run.results.refused),
-        run.results.completed ? "true" : "false",
-        static_cast<unsigned long long>(k.events_executed),
-        static_cast<unsigned long long>(k.peak_queue_depth),
-        static_cast<unsigned long long>(k.callback_heap_allocs),
-        static_cast<unsigned long long>(k.handles_materialised),
-        static_cast<unsigned long long>(a.fault_events), a.downtime_ms,
-        a.time_to_recover_ms,
-        static_cast<unsigned long long>(a.lost_in_window),
-        static_cast<unsigned long long>(a.lost_post_window),
-        static_cast<unsigned long long>(a.delivered_late),
-        static_cast<unsigned long long>(a.reconnects),
-        static_cast<unsigned long long>(a.resubscribes),
-        static_cast<unsigned long long>(a.reregistrations));
-    out += buffer;
-    // Per-window TTR (satellite of the availability metrics) lives in the
-    // JSON export only: the CSV column set is pinned by golden-hash tests.
-    out += ", \"ttr_windows_ms\": [";
-    for (std::size_t w = 0; w < a.ttr_windows_ms.size(); ++w) {
-      if (w > 0) out += ", ";
-      std::snprintf(buffer, sizeof(buffer), "%.1f", a.ttr_windows_ms[w]);
-      out += buffer;
-    }
-    out += "]";
-    const auto& slo = run.results.slo;
-    std::snprintf(buffer, sizeof(buffer),
-                  ", \"slo_pass\": %s, \"slo_worst_burn\": %.3f",
-                  !slo.evaluated ? "null" : (slo.pass ? "true" : "false"),
-                  slo.worst_burn);
-    out += buffer;
-    if (slo.evaluated && !slo.pass) {
-      out += ", \"slo_worst\": \"" + slo.worst_violation() + "\"";
-    }
-    const auto& mem = run.results.mem;
-    std::snprintf(buffer, sizeof(buffer), ", \"peak_model_bytes\": %lld",
-                  static_cast<long long>(mem.peak_total));
-    out += buffer;
-    out += ", \"system\": \"" + run.system + "\"";
-    std::snprintf(buffer, sizeof(buffer),
-                  ", \"loss_after_recovery_pct\": %.4f, \"backfill_msgs\": "
-                  "%llu, \"backfill_bytes\": %lld",
-                  loss_after_recovery_pct,
-                  static_cast<unsigned long long>(a.backfill_msgs),
-                  static_cast<long long>(a.backfill_bytes));
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer),
-                  ", \"generators\": %lld, \"bytes_per_generator\": %.1f",
-                  static_cast<long long>(generators), bytes_per_generator);
-    out += buffer;
-    if (mem.enabled) {
-      out += ", \"mem_peak_bytes\": {";
-      for (std::size_t c = 0; c < obs::kMemCategoryCount; ++c) {
-        if (c > 0) out += ", ";
-        std::snprintf(buffer, sizeof(buffer), "\"%s\": %lld",
-                      std::string(obs::to_string(
-                                      static_cast<obs::MemCategory>(c)))
-                          .c_str(),
-                      static_cast<long long>(mem.peak[c]));
-        out += buffer;
-      }
-      out += "}";
-    }
-    if (timing) {
-      std::snprintf(buffer, sizeof(buffer),
-                    ", \"wall_seconds\": %.3f, \"events_per_sec\": %.0f",
-                    run.wall_seconds, run.events_per_sec());
-      out += buffer;
-    }
-    out += "}";
-    return;
-  } else {
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "%s,%llu,%llu,%llu,%.4f,%.3f,%.3f,%.3f,%.3f,%.3f,%.1f,%lld,%llu,"
-        "%lld,%llu,%d,%llu,%llu,%llu,%llu,%llu,%.1f,%.1f,%llu,%llu,%llu,"
-        "%llu,%llu,%llu",
-        run.scenario_id.c_str(), static_cast<unsigned long long>(run.seed),
-        static_cast<unsigned long long>(m.sent()),
-        static_cast<unsigned long long>(m.received()), m.loss_rate() * 100.0,
-        mean, stddev, p95, p99, p100, run.results.servers.cpu_idle_pct,
-        static_cast<long long>(run.results.servers.memory_bytes / units::MiB),
-        static_cast<unsigned long long>(run.results.events_forwarded),
-        static_cast<long long>(run.results.wire_bytes),
-        static_cast<unsigned long long>(run.results.refused),
-        run.results.completed ? 1 : 0,
-        static_cast<unsigned long long>(k.events_executed),
-        static_cast<unsigned long long>(k.peak_queue_depth),
-        static_cast<unsigned long long>(k.callback_heap_allocs),
-        static_cast<unsigned long long>(k.handles_materialised),
-        static_cast<unsigned long long>(a.fault_events), a.downtime_ms,
-        a.time_to_recover_ms,
-        static_cast<unsigned long long>(a.lost_in_window),
-        static_cast<unsigned long long>(a.lost_post_window),
-        static_cast<unsigned long long>(a.delivered_late),
-        static_cast<unsigned long long>(a.reconnects),
-        static_cast<unsigned long long>(a.resubscribes),
-        static_cast<unsigned long long>(a.reregistrations));
-    out += buffer;
-    // SLO verdict (-1 = no spec, 0 = fail, 1 = pass) and the model's
-    // peak footprint ride at the end so older column prefixes stay put.
-    const auto& slo = run.results.slo;
-    std::snprintf(buffer, sizeof(buffer), ",%d,%.3f,%lld",
-                  !slo.evaluated ? -1 : (slo.pass ? 1 : 0), slo.worst_burn,
-                  static_cast<long long>(run.results.mem.peak_total));
-    out += buffer;
-    // Backend name (schema v2); appended last like every column addition.
-    out += ',';
-    out += run.system;
-    // Replication columns (reconnect-backfill PR), appended after `system`
-    // so every older column prefix stays put.
-    std::snprintf(buffer, sizeof(buffer), ",%.4f,%lld",
-                  loss_after_recovery_pct,
-                  static_cast<long long>(a.backfill_bytes));
-    out += buffer;
-    // Fleet size (hierarchical-tier PR): flat runs report their generator
-    // count too, so bytes-per-generator is derivable from any row.
-    std::snprintf(buffer, sizeof(buffer), ",%lld",
-                  static_cast<long long>(generators));
-    out += buffer;
-  }
+// --- The campaign row -------------------------------------------------------
+//
+// One ordered table names every exported column once. The CSV carries the
+// kBoth columns, the JSON every column as "name": value pairs; a new CSV
+// column goes last, as the goldens hash every older column's place. A cell
+// holds one run's value in each format; no JSON text means the run omits
+// the key.
+struct Cell {
+  std::string csv;
+  std::string json;
+};
+
+Cell number(const std::string& text) { return {text, text}; }
+Cell count(std::integral auto n) { return number(std::to_string(n)); }
+Cell fixed(double value, int decimals) {
+  char text[320];  // room for the largest double at 4 decimals
+  std::snprintf(text, sizeof(text), "%.*f", decimals, value);
+  return number(text);
 }
+Cell flag(bool on) { return {on ? "1" : "0", on ? "true" : "false"}; }
+Cell verdict(const obs::SloReport& slo) {
+  return slo.evaluated ? flag(slo.pass) : Cell{"-1", "null"};
+}
+std::string quoted(std::string_view s) {
+  std::string json = "\"";
+  obs::append_escaped(json, s);
+  return json + '"';
+}
+Cell text(std::string_view s) { return {std::string(s), quoted(s)}; }
+
+// Pre-rendered JSON, which only the JSON export carries.
+Cell ttr_windows(const std::vector<double>& ttr_ms) {
+  std::string json = "[";
+  for (std::size_t w = 0; w < ttr_ms.size(); ++w) {
+    if (w > 0) json += ", ";
+    json += fixed(ttr_ms[w], 1).json;
+  }
+  return {"", json + "]"};
+}
+
+Cell mem_peak_bytes(const obs::MemSummary& mem) {
+  if (!mem.enabled) return {};
+  std::string json = "{";
+  for (std::size_t c = 0; c < obs::kMemCategoryCount; ++c) {
+    if (c > 0) json += ", ";
+    json += quoted(obs::to_string(static_cast<obs::MemCategory>(c))) + ": " +
+            std::to_string(mem.peak[c]);
+  }
+  return {"", json + "}"};
+}
+
+// What the columns read of one run: the record, its results (res) and their
+// metrics (m), availability (a) and kernel stats (k). The percentiles sort
+// the samples and the mean's last bits depend on their order, so the RTT
+// statistics are taken once, in this order, before any column reads them.
+struct Row {
+  const RunRecord& run;
+  bool timing;
+  const Results& res = run.results;
+  const Metrics& m = res.metrics;
+  const Availability& a = res.availability;
+  const sim::KernelStats& k = res.kernel;
+  double p100 = m.rtt_percentile_ms(100);
+  double p99 = m.rtt_percentile_ms(99);
+  double p95 = m.rtt_percentile_ms(95);
+  double stddev = m.rtt_stddev_ms();
+  double mean = m.rtt_mean_ms();
+};
+
+enum Formats { kBoth, kJsonOnly };
+
+struct Column {
+  const char* name;
+  Formats formats;
+  Cell (*cell)(const Row&);
+};
+
+constexpr Column kColumns[] = {
+    {"scenario", kBoth, [](auto& r) { return text(r.run.scenario_id); }},
+    {"seed", kBoth, [](auto& r) { return count(r.run.seed); }},
+    {"sent", kBoth, [](auto& r) { return count(r.m.sent()); }},
+    {"received", kBoth, [](auto& r) { return count(r.m.received()); }},
+    {"loss_pct", kBoth,
+     [](auto& r) { return fixed(r.m.loss_rate() * 100.0, 4); }},
+    {"rtt_mean_ms", kBoth, [](auto& r) { return fixed(r.mean, 3); }},
+    {"rtt_stddev_ms", kBoth, [](auto& r) { return fixed(r.stddev, 3); }},
+    {"rtt_p95_ms", kBoth, [](auto& r) { return fixed(r.p95, 3); }},
+    {"rtt_p99_ms", kBoth, [](auto& r) { return fixed(r.p99, 3); }},
+    {"rtt_p100_ms", kBoth, [](auto& r) { return fixed(r.p100, 3); }},
+    {"pt_mean_ms", kJsonOnly,
+     [](auto& r) { return fixed(r.m.pt_ms().mean(), 3); }},
+    {"cpu_idle_pct", kBoth,
+     [](auto& r) { return fixed(r.res.servers.cpu_idle_pct, 1); }},
+    {"memory_mib", kBoth,
+     [](auto& r) { return count(r.res.servers.memory_bytes / units::MiB); }},
+    {"events_forwarded", kBoth,
+     [](auto& r) { return count(r.res.events_forwarded); }},
+    {"wire_bytes", kBoth, [](auto& r) { return count(r.res.wire_bytes); }},
+    {"refused", kBoth, [](auto& r) { return count(r.res.refused); }},
+    {"completed", kBoth, [](auto& r) { return flag(r.res.completed); }},
+    {"sim_events", kBoth, [](auto& r) { return count(r.k.events_executed); }},
+    {"peak_queue_depth", kBoth,
+     [](auto& r) { return count(r.k.peak_queue_depth); }},
+    {"cb_heap_allocs", kBoth,
+     [](auto& r) { return count(r.k.callback_heap_allocs); }},
+    {"handle_allocs", kBoth,
+     [](auto& r) { return count(r.k.handles_materialised); }},
+    {"faults", kBoth, [](auto& r) { return count(r.a.fault_events); }},
+    {"downtime_ms", kBoth, [](auto& r) { return fixed(r.a.downtime_ms, 1); }},
+    {"ttr_ms", kBoth, [](auto& r) { return fixed(r.a.time_to_recover_ms, 1); }},
+    {"lost_in_window", kBoth,
+     [](auto& r) { return count(r.a.lost_in_window); }},
+    {"lost_post_window", kBoth,
+     [](auto& r) { return count(r.a.lost_post_window); }},
+    {"late", kBoth, [](auto& r) { return count(r.a.delivered_late); }},
+    {"reconnects", kBoth, [](auto& r) { return count(r.a.reconnects); }},
+    {"resubscribes", kBoth, [](auto& r) { return count(r.a.resubscribes); }},
+    {"reregistrations", kBoth,
+     [](auto& r) { return count(r.a.reregistrations); }},
+    {"ttr_windows_ms", kJsonOnly,
+     [](auto& r) { return ttr_windows(r.a.ttr_windows_ms); }},
+    {"slo_pass", kBoth, [](auto& r) { return verdict(r.res.slo); }},
+    {"slo_worst_burn", kBoth,
+     [](auto& r) { return fixed(r.res.slo.worst_burn, 3); }},
+    {"slo_worst", kJsonOnly,
+     [](auto& r) {
+       const obs::SloReport& slo = r.res.slo;
+       return slo.evaluated && !slo.pass ? text(slo.worst_violation())
+                                         : Cell{};
+     }},
+    {"peak_model_bytes", kBoth,
+     [](auto& r) { return count(r.res.mem.peak_total); }},
+    {"system", kBoth, [](auto& r) { return text(r.run.system); }},
+    {"loss_after_recovery_pct", kBoth,
+     [](auto& r) { return fixed(r.res.loss_after_recovery_pct(), 4); }},
+    {"backfill_msgs", kJsonOnly,
+     [](auto& r) { return count(r.a.backfill_msgs); }},
+    {"backfill_bytes", kBoth,
+     [](auto& r) { return count(r.a.backfill_bytes); }},
+    {"generators", kBoth, [](auto& r) { return count(r.res.generators); }},
+    {"bytes_per_generator", kJsonOnly,
+     [](auto& r) { return fixed(r.res.bytes_per_generator(), 1); }},
+    {"mem_peak_bytes", kJsonOnly,
+     [](auto& r) { return mem_peak_bytes(r.res.mem); }},
+    {"wall_seconds", kJsonOnly,
+     [](auto& r) { return r.timing ? fixed(r.run.wall_seconds, 3) : Cell{}; }},
+    {"events_per_sec", kJsonOnly,
+     [](auto& r) {
+       return r.timing ? fixed(r.run.events_per_sec(), 0) : Cell{};
+     }},
+};
 
 }  // namespace
 
 std::string Campaign::csv() const {
-  std::string out =
-      "scenario,seed,sent,received,loss_pct,rtt_mean_ms,rtt_stddev_ms,"
-      "rtt_p95_ms,rtt_p99_ms,rtt_p100_ms,cpu_idle_pct,memory_mib,"
-      "events_forwarded,wire_bytes,refused,completed,sim_events,"
-      "peak_queue_depth,cb_heap_allocs,handle_allocs,faults,downtime_ms,"
-      "ttr_ms,lost_in_window,lost_post_window,late,reconnects,resubscribes,"
-      "reregistrations,slo_pass,slo_worst_burn,peak_model_bytes,system,"
-      "loss_after_recovery_pct,backfill_bytes,generators\n";
+  std::string out;
+  for (const Column& column : kColumns) {
+    if (column.formats == kBoth) out += std::string(column.name) + ',';
+  }
+  out.back() = '\n';
   for (const auto& run : runs_) {
-    append_row(out, run, /*json=*/false);
-    out += '\n';
+    const Row row{run, /*timing=*/false};
+    for (const Column& column : kColumns) {
+      if (column.formats == kBoth) out += column.cell(row).csv + ',';
+    }
+    out.back() = '\n';
   }
   return out;
 }
 
 std::string Campaign::json(bool include_timing) const {
-  char header[96];
-  std::snprintf(header, sizeof(header),
-                "{\"schema_version\": %d, \"kind\": \"gridmon_campaign\", "
-                "\"runs\": [\n",
-                kCampaignSchemaVersion);
-  std::string out = header;
+  std::string out = "{\"schema_version\": " +
+                    std::to_string(kCampaignSchemaVersion) +
+                    ", \"kind\": \"gridmon_campaign\", \"runs\": [\n";
   for (std::size_t i = 0; i < runs_.size(); ++i) {
-    append_row(out, runs_[i], /*json=*/true, include_timing);
-    out += i + 1 < runs_.size() ? ",\n" : "\n";
+    const Row row{runs_[i], include_timing};
+    const char* separator = "  {";
+    for (const Column& column : kColumns) {
+      const Cell cell = column.cell(row);
+      if (cell.json.empty()) continue;
+      out += separator + quoted(column.name) + ": " + cell.json;
+      separator = ", ";
+    }
+    out += i + 1 < runs_.size() ? "},\n" : "}\n";
   }
   out += "]}\n";
   return out;

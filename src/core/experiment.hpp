@@ -67,6 +67,24 @@ struct Results {
   /// resource-exhaustion signature (thread/heap walls), as opposed to
   /// refusals that are just the fault schedule doing its job.
   [[nodiscard]] bool hit_oom_wall() const { return refused > refused_in_faults; }
+
+  /// Loss that survived the recovery machinery, in percent of sent: what
+  /// no reconnect, resubscribe or backfill won back.
+  [[nodiscard]] double loss_after_recovery_pct() const {
+    const std::uint64_t lost =
+        availability.lost_in_window + availability.lost_post_window;
+    return metrics.sent() > 0 ? 100.0 * static_cast<double>(lost) /
+                                    static_cast<double>(metrics.sent())
+                              : 0.0;
+  }
+
+  /// Peak model bytes per monitored generator, the scale sweep's figure of
+  /// merit; 0 without a fleet size.
+  [[nodiscard]] double bytes_per_generator() const {
+    return generators > 0 ? static_cast<double>(mem.peak_total) /
+                                static_cast<double>(generators)
+                          : 0.0;
+  }
 };
 
 // --- Shared fleet shape ------------------------------------------------------

@@ -623,13 +623,7 @@ std::vector<Figure> build_catalogue() {
         {"scenario"}, by_id(kReplicationIds),
         {loss(4),
          num("after recovery (%)", 4,
-             [](auto& r) {
-               const auto& a = r.pooled.availability;
-               const double sent = static_cast<double>(r.pooled.metrics.sent());
-               const auto lost = a.lost_in_window + a.lost_post_window;
-               return sent > 0 ? 100.0 * static_cast<double>(lost) / sent
-                               : 0.0;
-             }),
+             [](auto& r) { return r.pooled.loss_after_recovery_pct(); }),
          ttr,
          count("backfill msgs",
                [](auto& r) { return r.pooled.availability.backfill_msgs; }),
@@ -659,14 +653,7 @@ std::vector<Figure> build_catalogue() {
       column("completed",
              [](auto& r) { return r.pooled.completed ? "yes" : "NO"; }),
       count("peak model (B)", [](auto& r) { return r.pooled.mem.peak_total; }),
-      num("B/gen", 1,
-          [](auto& r) {
-            const auto& pooled = r.pooled;
-            return pooled.generators > 0
-                       ? static_cast<double>(pooled.mem.peak_total) /
-                             static_cast<double>(pooled.generators)
-                       : 0.0;
-          }),
+      num("B/gen", 1, [](auto& r) { return r.pooled.bytes_per_generator(); }),
       count("wire (B)", [](auto& r) { return r.pooled.wire_bytes; })};
   std::vector<std::string> scales;
   for (const std::string backend : {"narada", "rgma", "mqtt"}) {

@@ -11,6 +11,7 @@
 
 #include "core/figures.hpp"
 #include "core/registry.hpp"
+#include "core/report.hpp"
 #include "core/scenarios.hpp"
 
 namespace gridmon::core {
@@ -313,6 +314,23 @@ TEST(CampaignTest, CsvShapeIsStable) {
   EXPECT_EQ(
       csv.substr(csv.size() - std::string(",narada,0.0000,0,60\n").size()),
       ",narada,0.0000,0,60\n");
+}
+
+// A spec added by value may carry any id; the JSON export escapes it, so
+// `diff` still reads the document.
+TEST(CampaignTest, JsonEscapesTheScenarioId) {
+  CampaignOptions options;
+  options.seeds = 1;
+  options.duration = units::minutes(1);
+  ScenarioSpec spec = *builtin_registry().find("narada/comparison/80");
+  spec.id = "quote\"d";
+  CampaignRunner runner(options);
+  ASSERT_TRUE(runner.add(spec));
+  const std::string json = runner.run().json();
+  EXPECT_NE(json.find("{\"scenario\": \"quote\\\"d\", "), std::string::npos)
+      << json;
+  const CampaignDiff diff = diff_campaigns(json, json);
+  EXPECT_TRUE(diff.comparable) << diff.error;
 }
 
 // --- Figure catalogue (`gridmon_cli report`) -------------------------------
