@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -160,14 +161,20 @@ class JsonParser {
           case 'r': c = '\r'; break;
           case 'b': c = '\b'; break;
           case 'f': c = '\f'; break;
-          case 'u':
-            // Our own writer only emits \u00xx controls; decode as a byte.
-            if (pos_ + 4 > text_.size()) return false;
-            c = static_cast<char>(
-                std::strtol(std::string(text_.substr(pos_, 4)).c_str(),
-                            nullptr, 16));
+          case 'u': {
+            // Our own writer only emits \u00xx controls: exactly four hex
+            // digits below 0x80, decoded as one byte.
+            unsigned code = 0x80;
+            const char* hex = text_.data() + pos_;
+            if (pos_ + 4 > text_.size() ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+                code >= 0x80) {
+              return false;
+            }
+            c = static_cast<char>(code);
             pos_ += 4;
             break;
+          }
           default:
             return false;
         }

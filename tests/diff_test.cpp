@@ -131,6 +131,21 @@ TEST(CampaignDiff, RefusalJsonEscapesTheError) {
   EXPECT_EQ(json.find("with \"schema_version\""), std::string::npos) << json;
 }
 
+// The reader decodes a \u escape of exactly four hex digits below 0x80 as
+// one byte and refuses every other: "a\u00zzb" is not a, NUL, b.
+TEST(CampaignDiff, MalformedUnicodeEscapeIsRefused) {
+  const std::string valid = doc(run_obj("a\\u0041b", 1, 1.0, 20.0));
+  const CampaignDiff diff = diff_campaigns(valid, valid);
+  ASSERT_TRUE(diff.comparable) << diff.error;
+  ASSERT_EQ(diff.runs.size(), 1u);
+  EXPECT_EQ(diff.runs[0].scenario_id, "aAb");
+  for (const char* scenario :
+       {"a\\u00zzb", "a\\u00e9b", "a\\u+041b", "a\\u-041b", "a\\u004"}) {
+    const std::string bad = doc(run_obj(scenario, 1, 1.0, 20.0));
+    EXPECT_FALSE(diff_campaigns(bad, bad).comparable) << scenario;
+  }
+}
+
 TEST(CampaignDiff, TimingMetricsAreAdvisoryOnly) {
   const std::string base =
       doc(run_obj("a/b", 1, 1.0, 20.0, ", \"wall_seconds\": 1.0"));
